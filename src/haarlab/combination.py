@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .config import check_level
-from .dyadic import DyadicRational, HaarIndex, check_haar_index, haar_eval, half_power
+from .dyadic import DyadicRational, HaarIndex, _haar_eval, half_power, make_index_set
 from .errors import DomainError
 
 
@@ -27,9 +27,10 @@ class HaarCombination:
         if dim < 1:
             raise DomainError(f"coefficient dimension must be >= 1, got {dim}")
         self.dim = dim
+        make_index_set(coefficients)  # validates every key, reading the level cap once
         coeffs: dict[HaarIndex, np.ndarray] = {}
         for (k, j), raw in coefficients.items():
-            idx = check_haar_index(k, j)
+            idx = HaarIndex(k, j)
             x = np.asarray(raw, dtype=float)
             if x.shape != (dim,):
                 raise DomainError(
@@ -73,7 +74,7 @@ class HaarCombination:
     def value_at(self, t: DyadicRational) -> np.ndarray:
         out = np.zeros(self.dim)
         for (k, j), x in self._coeffs.items():
-            v = haar_eval(k, j, t)
+            v = _haar_eval(k, j, t.num, t.level)
             if v.sign != 0:
                 out += v.as_float() * x
         return out

@@ -1,7 +1,7 @@
 """Branch combinatorics on the dyadic index tree.
 
 Provides local height (the maximal number of indices of a set lying on one
-branch), a recursive procedure that pads a set to prescribed cardinality
+branch), a descent over the tree that pads a set to prescribed cardinality
 without exceeding a height budget, and the two weight-threshold partitions
 used by the norm estimates: plain level sets of the branch weight, and the
 greedy padded variant whose pieces have height at most 2^l.
@@ -12,40 +12,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .combination import HaarCombination
-from .dyadic import HaarIndex, check_haar_index, full_tree, half_power
+from .config import check_level
+from .dyadic import (
+    HaarIndex,
+    check_haar_index,
+    from_heap_id,
+    full_tree,
+    half_power,
+    heap_id,
+    make_index_set,
+)
 from .errors import DomainError
-
-
-def _as_index_set(indices: Iterable[tuple[int, int]]) -> frozenset[HaarIndex]:
-    return frozenset(check_haar_index(k, j) for k, j in indices)
 
 
 def _branch_counts(indices: frozenset[HaarIndex]) -> list[int]:
     """|F intersect B(t)| per cell at the coarsest exact resolution."""
-    top = max(k for k, _ in indices)
-    res = top - 1  # counts are constant on level-(top-1) cells
-    ncells = 1 << res
-    diff = [0] * (ncells + 1)
+    top = max(indices)[0]  # counts are constant on level-(top-1) cells
+    diff = [0] * ((1 << (top - 1)) + 1)
     for k, j in indices:
-        width = 1 << (res - (k - 1))
-        diff[(j - 1) * width] += 1
-        diff[j * width] -= 1
-    counts = []
-    running = 0
-    for q in range(ncells):
-        running += diff[q]
-        counts.append(running)
-    return counts
+        # the support of (k, j) covers cells (j-1)*2^(top-k) .. j*2^(top-k) - 1
+        diff[(j - 1) << (top - k)] += 1
+        diff[j << (top - k)] -= 1
+    del diff[-1]
+    return list(accumulate(diff))
 
 
 def local_height(indices: Iterable[tuple[int, int]]) -> int:
     """Maximum number of indices lying on a single branch; 0 for empty sets."""
-    idx = _as_index_set(indices)
+    idx = make_index_set(indices)
     if not idx:
         return 0
     return max(_branch_counts(idx))
@@ -53,7 +53,7 @@ def local_height(indices: Iterable[tuple[int, int]]) -> int:
 
 def exact_local_height(indices: Iterable[tuple[int, int]], n: int) -> bool:
     """True iff every branch meets the set in exactly n indices."""
-    idx = _as_index_set(indices)
+    idx = make_index_set(indices)
     if not idx:
         return n == 0
     return all(c == n for c in _branch_counts(idx))
@@ -99,19 +99,17 @@ class SubtreeIdentification:
         return HaarIndex(k + 1, j + (1 << (k - 1)))
 
 
-_LEFT = SubtreeIdentification(Subtree.LEFT)
-_RIGHT = SubtreeIdentification(Subtree.RIGHT)
-
-
 def _check_fill_preconditions(indices, l: int, n: int) -> frozenset[HaarIndex]:
-    idx = _as_index_set(indices)
+    idx = make_index_set(indices)
     if n < 1:
         raise DomainError(f"tree depth must be >= 1, got {n}")
-    if any(k > n for k, _ in idx):
+    if idx and max(idx)[0] > n:
         raise DomainError(f"index set is not contained in the depth-{n} tree")
-    if not local_height(idx) <= l <= n:
+    check_level(n, "tree depth")  # the fill kernel's tables have 2^n entries
+    height = max(_branch_counts(idx)) if idx else 0
+    if not height <= l <= n:
         raise DomainError(
-            f"height budget l={l} must satisfy localHeight(F)={local_height(idx)} <= l <= n={n}"
+            f"height budget l={l} must satisfy localHeight(F)={height} <= l <= n={n}"
         )
     if len(idx) >= (1 << l) - 1:
         raise DomainError(
@@ -120,44 +118,68 @@ def _check_fill_preconditions(indices, l: int, n: int) -> frozenset[HaarIndex]:
     return idx
 
 
-def _fill(indices: frozenset[HaarIndex], l: int, n: int) -> HaarIndex:
-    if l == 1 or l == n:
-        # any free index keeps the height within budget here; pick the
-        # lexicographically smallest for determinism
-        for k in range(1, n + 1):
-            for j in range(1, (1 << (k - 1)) + 1):
-                idx = HaarIndex(k, j)
-                if idx not in indices:
-                    return idx
-        raise AssertionError("cardinality precondition guarantees a free index")
-    root = HaarIndex(1, 1)
-    if root not in indices:
-        sub = frozenset(_LEFT.to_parent(x) for x in indices if _LEFT.contains(x))
-        return _LEFT.from_parent(_fill(sub, l, n - 1))
-    left = frozenset(_LEFT.to_parent(x) for x in indices if _LEFT.contains(x))
-    right = frozenset(_RIGHT.to_parent(x) for x in indices if _RIGHT.contains(x))
-    # the root uses up one unit of height, so the smaller side still has
-    # room under the reduced budget; ties go left
-    if len(left) <= len(right):
-        return _LEFT.from_parent(_fill(left, l - 1, n - 1))
-    return _RIGHT.from_parent(_fill(right, l - 1, n - 1))
+# The fill kernel numbers the depth-n tree by heap ids (see dyadic.heap_id):
+# `present` marks the members, `counts[id]` is the number of members in the
+# subtree below id.
+
+
+def _add_node(present: bytearray, counts: list[int], node: int) -> None:
+    present[node] = 1
+    while node:
+        counts[node] += 1
+        node >>= 1
+
+
+def _fill_state(indices: frozenset[HaarIndex], n: int) -> tuple[bytearray, list[int]]:
+    present = bytearray(1 << n)
+    counts = [0] * (1 << n)
+    for k, j in indices:
+        _add_node(present, counts, heap_id(k, j))
+    return present, counts
+
+
+def _fill_node(present: bytearray, counts: list[int], l: int, n: int) -> int:
+    """Heap id of one free index keeping the height within l (see fill_one).
+
+    Descends from the root: past an absent root to the left subtree under
+    the same budget; past a present one (which uses up one unit of height)
+    to the side with fewer members, ties going left.  Once the budget is 1
+    or equals the remaining depth, any free index of the subtree will do and
+    the lexicographically smallest is taken for determinism.
+    """
+    node = 1
+    while l != 1 and l != n:
+        left = 2 * node
+        if not present[node]:
+            node = left
+        else:
+            node = left if counts[left] <= counts[left + 1] else left + 1
+            l -= 1
+        n -= 1
+    for depth in range(n):
+        first = node << depth
+        free = present.find(0, first, first + (1 << depth))
+        if free >= 0:
+            return free
+    raise AssertionError("cardinality precondition guarantees a free index")
 
 
 def fill_one(indices: Iterable[tuple[int, int]], l: int, n: int) -> HaarIndex:
     """One new index outside F such that the enlarged set still has height <= l."""
     idx = _check_fill_preconditions(indices, l, n)
-    return _fill(idx, l, n)
+    present, counts = _fill_state(idx, n)
+    return from_heap_id(_fill_node(present, counts, l, n))
 
 
 def fill_to_height(indices: Iterable[tuple[int, int]], l: int, n: int) -> frozenset[HaarIndex]:
     """Added indices bringing F up to cardinality 2^l - 1 with height still <= l."""
     idx = _check_fill_preconditions(indices, l, n)
-    current = set(idx)
-    added: set[HaarIndex] = set()
-    while len(current) < (1 << l) - 1:
-        x = _fill(frozenset(current), l, n)
-        current.add(x)
-        added.add(x)
+    present, counts = _fill_state(idx, n)
+    added = []
+    for _ in range((1 << l) - 1 - len(idx)):
+        node = _fill_node(present, counts, l, n)
+        _add_node(present, counts, node)
+        added.append(from_heap_id(node))
     return frozenset(added)
 
 
@@ -358,7 +380,7 @@ def branch_weight_profile(
 ) -> dict[HaarIndex, float]:
     """Weights 2^((k-1)/2)*||x|| of f restricted to the given indices."""
     norm = norm_fn or _euclidean
-    keep = _as_index_set(indices)
+    keep = make_index_set(indices)
     return {
         idx: half_power(idx.k - 1) * norm(x) for idx, x in f.items() if idx in keep
     }

@@ -14,13 +14,14 @@ returned as (sign, half_exponent) pairs so that equality checks stay exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .config import check_level
+from .config import check_level, max_level
 from .errors import DomainError
 
 
@@ -160,29 +161,37 @@ class HaarValue(NamedTuple):
 ZERO_VALUE = HaarValue(0, 0)
 
 
-def check_haar_index(k: int, j: int) -> HaarIndex:
+def _haar_index_error(k: int, j: int, cap: int) -> DomainError:
     if k < 1:
-        raise DomainError(f"Haar index level must be >= 1, got k={k}")
-    check_level(k, "Haar index level")
-    if not 1 <= j <= (1 << (k - 1)):
-        raise DomainError(f"Haar index position {j} out of range for level {k}")
+        return DomainError(f"Haar index level must be >= 1, got k={k}")
+    if k > cap:
+        return DomainError(f"Haar index level {k} exceeds the configured maximum level {cap}")
+    return DomainError(f"Haar index position {j} out of range for level {k}")
+
+
+def check_haar_index(k: int, j: int) -> HaarIndex:
+    cap = max_level()
+    if not (1 <= k <= cap and 1 <= j <= (1 << (k - 1))):
+        raise _haar_index_error(k, j, cap)
     return HaarIndex(k, j)
+
+
+def _haar_eval(k: int, j: int, num: int, level: int) -> HaarValue:
+    """Value of the (k, j) Haar function at num/2^level; trusts its input."""
+    # the point lies in the level-k cell with position m iff
+    # (m-1)*2^level <= num*2^k < m*2^level
+    lhs = num << k
+    if ((2 * j - 2) << level) <= lhs < ((2 * j - 1) << level):
+        return HaarValue(1, k - 1)
+    if ((2 * j - 1) << level) <= lhs < ((2 * j) << level):
+        return HaarValue(-1, k - 1)
+    return ZERO_VALUE
 
 
 def haar_eval(k: int, j: int, t: DyadicRational) -> HaarValue:
     """Exact value of the (k, j) Haar function at a dyadic point."""
     check_haar_index(k, j)
-    # t lies in the level-k cell with position m iff
-    # (m-1)*2^b <= num*2^k < m*2^b where t = num/2^b
-    lhs = t.num << k
-    lo = (2 * j - 2) << t.level
-    mid = (2 * j - 1) << t.level
-    hi = (2 * j) << t.level
-    if lo <= lhs < mid:
-        return HaarValue(1, k - 1)
-    if mid <= lhs < hi:
-        return HaarValue(-1, k - 1)
-    return ZERO_VALUE
+    return _haar_eval(k, j, t.num, t.level)
 
 
 def support(k: int, j: int) -> DyadicInterval:
@@ -207,23 +216,36 @@ def branch(t: DyadicRational, n: int) -> frozenset[HaarIndex]:
     return frozenset(out)
 
 
+def _translation_holds(k: int, j: int, num: int, level: int) -> bool:
+    """Translation identity at t = num/2^level; trusts t >= 2^(1-k)."""
+    top = max(level, k - 1)
+    shifted = (num << (top - level)) - (1 << (top - k + 1))
+    return _haar_eval(k, j, shifted, top) == _haar_eval(k, j + 1, num, level)
+
+
+def _scaling_holds(k: int, j: int, num: int, level: int) -> bool:
+    """Scaling identity at t = num/2^level; trusts t < 1/2 (so 2t = num/2^(level-1))."""
+    lhs = _haar_eval(k + 1, j, num, level)
+    rhs = _haar_eval(k, j, num, level - 1)
+    if lhs.sign != rhs.sign:
+        return False
+    return lhs.sign == 0 or lhs.half_exponent == rhs.half_exponent + 1
+
+
 def translation_identity_check(k: int, j: int, t: DyadicRational) -> bool:
     """Left neighbour evaluated at t - 2^(1-k) matches index (k, j+1) at t."""
     check_haar_index(k, j)
     check_haar_index(k, j + 1)
-    shifted = t.shifted(-1, k - 1)  # DomainError if t - 2^(1-k) < 0
-    return haar_eval(k, j, shifted) == haar_eval(k, j + 1, t)
+    t.shifted(-1, k - 1)  # DomainError if t - 2^(1-k) < 0
+    return _translation_holds(k, j, t.num, t.level)
 
 
 def scaling_identity_check(k: int, j: int, t: DyadicRational) -> bool:
     """Index (k+1, j) at t matches sqrt(2) times index (k, j) at 2t, t < 1/2."""
     check_haar_index(k, j)
     check_haar_index(k + 1, j)
-    lhs = haar_eval(k + 1, j, t)  # t.doubled() raises for t >= 1/2
-    rhs = haar_eval(k, j, t.doubled())
-    if lhs.sign != rhs.sign:
-        return False
-    return lhs.sign == 0 or lhs.half_exponent == rhs.half_exponent + 1
+    t.doubled()  # DomainError for t >= 1/2
+    return _scaling_holds(k, j, t.num, t.level)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +254,53 @@ def scaling_identity_check(k: int, j: int, t: DyadicRational) -> bool:
 IndexSet = frozenset  # frozenset[HaarIndex]
 
 
+class IndexSetError(DomainError):
+    """A pair of an index set is not a Haar index; position locates it."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
+
+
+def _integer_pair(pair, position: int) -> tuple[int, int]:
+    try:
+        return operator.index(pair[0]), operator.index(pair[1])
+    except TypeError:
+        raise IndexSetError(
+            f"Haar index entries must be integers, got {tuple(pair)!r}", position
+        ) from None
+
+
 def make_index_set(pairs: Iterable[tuple[int, int]]) -> frozenset[HaarIndex]:
-    return frozenset(check_haar_index(k, j) for k, j in pairs)
+    """The validated index set: the one entry check for every set of indices.
+
+    Reads the level cap once and raises IndexSetError, a DomainError that
+    carries the position of the first pair that is not a Haar index.
+    """
+    cap = max_level()
+    out = []  # one entry per pair read so far, so len(out) is the position
+    for pair in pairs:
+        k, j = pair
+        if type(k) is not int or type(j) is not int:
+            k, j = pair = _integer_pair(pair, len(out))
+        if not (1 <= k <= cap and 1 <= j <= (1 << (k - 1))):
+            raise IndexSetError(str(_haar_index_error(k, j, cap)), len(out))
+        out.append(pair if type(pair) is HaarIndex else HaarIndex(k, j))
+    return frozenset(out)
+
+
+def heap_id(k: int, j: int) -> int:
+    """Breadth-first number 2^(k-1) + j - 1 of a valid index.
+
+    The root is 1, the successors of id are 2*id and 2*id + 1, and id order
+    is lexicographic (k, j) order.
+    """
+    return (1 << (k - 1)) + j - 1
+
+
+def from_heap_id(node: int) -> HaarIndex:
+    k = node.bit_length()
+    return HaarIndex(k, node - (1 << (k - 1)) + 1)
 
 
 def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:

@@ -23,7 +23,7 @@ import numpy as np
 from .combination import HaarCombination
 from .combinatorics import local_height
 from .config import check_level
-from .dyadic import check_haar_index, full_tree, half_power, sorted_indices, support
+from .dyadic import HaarIndex, full_tree, half_power, make_index_set, sorted_indices
 from .errors import DomainError
 from .spaces import Norm, NormedSpaceSpec, OperatorSpec
 
@@ -183,13 +183,10 @@ class TauEstimate:
         }
 
 
-def _validated_index_set(indices) -> list[tuple[int, int]]:
-    idx = sorted({(int(k), int(j)) for k, j in indices})
+def _nonempty_index_list(indices) -> list[HaarIndex]:
+    idx = sorted(make_index_set(indices))
     if not idx:
         raise DomainError("index set must be nonempty")
-    for k, j in idx:
-        check_haar_index(k, j)
-        check_level(k, "index level")
     return idx
 
 
@@ -225,8 +222,9 @@ def _power_iteration_sigma(M: np.ndarray, iterations: int, seed: int) -> tuple[f
 
 
 def _nested_levels(a, b) -> bool:
-    sa, sb = support(*a), support(*b)
-    return sa.contains_interval(sb) or sb.contains_interval(sa)
+    """True iff the support cells of two valid indices are nested."""
+    (ka, ja), (kb, jb) = (a, b) if a[0] <= b[0] else (b, a)
+    return (jb - 1) >> (kb - ka) == ja - 1
 
 
 def _pattern_gram_witness(
@@ -495,7 +493,7 @@ def tau_estimate(
     ascent from random starts. The reported bound is always the ratio of
     the returned witness.
     """
-    idx = _validated_index_set(indices)
+    idx = _nonempty_index_list(indices)
     _check_budget(restarts, iterations)
 
     if T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
@@ -610,7 +608,7 @@ def comparison_check(
     the domination and the invariance of the compression rewrite."""
     from .transforms import compress, rewrite_combination
 
-    idx = _validated_index_set(indices)
+    idx = _nonempty_index_list(indices)
     n = local_height(idx)
     est_f = tau_estimate(T, idx, restarts, iterations, seed)
     est_tree = tau_estimate(T, full_tree(n), restarts, iterations, seed)

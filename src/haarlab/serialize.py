@@ -7,12 +7,13 @@ offending field, so callers can surface machine-readable locations.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
 from .combination import HaarCombination
-from .dyadic import DyadicRational, HaarIndex, check_haar_index
+from .dyadic import DyadicRational, HaarIndex, IndexSetError, check_haar_index, make_index_set
 from .errors import DomainError, SchemaError
 from .spaces import Norm, NormedSpaceSpec, OperatorKind, OperatorSpec
 from .transforms import CompressionTrace, ForkTransform
@@ -54,7 +55,14 @@ def _as_int(value, field: str) -> int:
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {value!r}", field)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        # json.load accepts NaN, Infinity and -Infinity; none is a coefficient
+        raise SchemaError(f"expected a finite number, got {value!r}", field)
+    return number
 
 
 def _as_list(value, field: str) -> list:
@@ -79,18 +87,27 @@ def _get(obj: dict, key: str, field: str):
 # index sets and points
 
 
-def parse_index_pair(value, field: str) -> HaarIndex:
+def _int_pair(value, field: str) -> tuple[int, int]:
     pair = _as_list(value, field)
     if len(pair) != 2:
         raise SchemaError(f"expected a [k, j] pair, got {len(pair)} entries", field)
-    k = _as_int(pair[0], f"{field}[0]")
-    j = _as_int(pair[1], f"{field}[1]")
+    return _as_int(pair[0], f"{field}[0]"), _as_int(pair[1], f"{field}[1]")
+
+
+def parse_index_pair(value, field: str) -> HaarIndex:
+    k, j = _int_pair(value, field)
     return _checked(lambda: check_haar_index(k, j), field)
 
 
 def parse_index_set(value, field: str = "indexSet") -> frozenset[HaarIndex]:
+    """Index set from a [[k, j], ...] array; shapes are checked first, then
+    every pair through the one index-set validator."""
     items = _as_list(value, field)
-    return frozenset(parse_index_pair(v, f"{field}[{i}]") for i, v in enumerate(items))
+    pairs = [_int_pair(v, f"{field}[{i}]") for i, v in enumerate(items)]
+    try:
+        return make_index_set(pairs)
+    except IndexSetError as exc:
+        raise SchemaError(str(exc), f"{field}[{exc.position}]") from exc
 
 
 def dump_index_set(indices) -> list[list[int]]:

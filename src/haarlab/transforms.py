@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
 from .combination import HaarCombination
@@ -28,8 +29,11 @@ from .dyadic import (
     HaarIndex,
     check_haar_index,
     dyadic_band,
+    from_heap_id,
     haar_eval,
+    heap_id,
     half_power,
+    make_index_set,
     max_level_of,
 )
 from .errors import DomainError, PreconditionError
@@ -77,6 +81,25 @@ class IndexFate(NamedTuple):
     offset: int = 0
 
 
+def _swap_offset(h: int, i: int, k: int, j: int) -> int:
+    """Position shift of a valid non-member index (k, j) under the swap at
+    (h, i): +2^(k-h-2) inside the first swapped quarter, -2^(k-h-2) inside
+    the second, 0 elsewhere."""
+    if k < h + 2:
+        return 0
+    shift = k - h - 2
+    quarter = (j - 1) >> shift  # level-(h+1) cell containing the support
+    if quarter == 4 * i - 3:
+        return 1 << shift
+    if quarter == 4 * i - 2:
+        return -(1 << shift)
+    return 0
+
+
+def _is_fork_member(h: int, i: int, k: int, j: int) -> bool:
+    return (k == h and j == i) or (k == h + 1 and j in (2 * i - 1, 2 * i))
+
+
 def classify_index(fork: tuple[int, int], idx: tuple[int, int]) -> IndexFate:
     """Case analysis of how the swap acts on one Haar index.
 
@@ -88,30 +111,24 @@ def classify_index(fork: tuple[int, int], idx: tuple[int, int]) -> IndexFate:
     k, j = check_haar_index(*idx)
     if (k, j) == (h, i):
         return IndexFate(FateKind.FORK_ROOT)
-    if k == h + 1 and j in (2 * i - 1, 2 * i):
+    if _is_fork_member(h, i, k, j):
         return IndexFate(FateKind.FORK_SUCCESSOR)
-    if k >= h + 2:
-        cell = DyadicInterval(k - 1, j)
-        first, second = swapped_quarters(fork)
-        if first.contains_interval(cell):
-            return IndexFate(FateKind.SHIFT_RIGHT, 1 << (k - h - 2))
-        if second.contains_interval(cell):
-            return IndexFate(FateKind.SHIFT_LEFT, 1 << (k - h - 2))
+    offset = _swap_offset(h, i, k, j)
+    if offset > 0:
+        return IndexFate(FateKind.SHIFT_RIGHT, offset)
+    if offset < 0:
+        return IndexFate(FateKind.SHIFT_LEFT, -offset)
     return IndexFate(FateKind.INVARIANT)
 
 
 def index_image(fork: tuple[int, int], idx: tuple[int, int]) -> HaarIndex:
     """Image index under the swap; rejects fork members (they do not map
     to a single Haar function, see rewrite_combination)."""
-    fate = classify_index(fork, idx)
-    k, j = idx
-    if fate.kind is FateKind.SHIFT_RIGHT:
-        return HaarIndex(k, j + fate.offset)
-    if fate.kind is FateKind.SHIFT_LEFT:
-        return HaarIndex(k, j - fate.offset)
-    if fate.kind is FateKind.INVARIANT:
-        return HaarIndex(k, j)
-    raise DomainError(f"index {tuple(idx)} belongs to the fork at {tuple(fork)}")
+    h, i = check_fork(fork)
+    k, j = check_haar_index(*idx)
+    if _is_fork_member(h, i, k, j):
+        raise DomainError(f"index {tuple(idx)} belongs to the fork at {tuple(fork)}")
+    return HaarIndex(k, j + _swap_offset(h, i, k, j))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +224,23 @@ def fork_relations_hold(
 
 def is_admissible(indices: Iterable[tuple[int, int]], h: int, i: int) -> bool:
     """True iff (h,i) is in the set and neither successor is."""
-    idx = frozenset(HaarIndex(*x) for x in indices)
-    return (
-        HaarIndex(h, i) in idx
-        and HaarIndex(h + 1, 2 * i - 1) not in idx
-        and HaarIndex(h + 1, 2 * i) not in idx
-    )
+    idx = indices if isinstance(indices, (set, frozenset)) else {tuple(x) for x in indices}
+    return (h, i) in idx and (h + 1, 2 * i - 1) not in idx and (h + 1, 2 * i) not in idx
+
+
+def _split(members: frozenset[HaarIndex], h: int, i: int) -> frozenset[HaarIndex]:
+    """The transform at (h, i) on a valid set for which it is admissible."""
+    out = [HaarIndex(h + 1, 2 * i - 1), HaarIndex(h + 1, 2 * i)]
+    for member in members:
+        k, j = member
+        if k >= h + 2:
+            offset = _swap_offset(h, i, k, j)
+            if offset:
+                member = HaarIndex(k, j + offset)
+        elif k == h and j == i:
+            continue
+        out.append(member)
+    return frozenset(out)
 
 
 def fork_split(indices: Iterable[tuple[int, int]], fork: tuple[int, int]) -> frozenset[HaarIndex]:
@@ -223,15 +251,10 @@ def fork_split(indices: Iterable[tuple[int, int]], fork: tuple[int, int]) -> fro
     preserved.
     """
     h, i = check_fork(fork)
-    idx = frozenset(check_haar_index(*x) for x in indices)
+    idx = make_index_set(indices)
     if not is_admissible(idx, h, i):
         raise PreconditionError(f"fork {(h, i)} is not admissible for the set")
-    root, s1, s2 = fork_members(fork)
-    out = {s1, s2}
-    for member in idx:
-        if member != root:
-            out.add(index_image(fork, member))
-    return frozenset(out)
+    return _split(idx, h, i)
 
 
 def rewrite_combination(f: HaarCombination, fork: tuple[int, int]) -> HaarCombination:
@@ -257,7 +280,8 @@ def rewrite_combination(f: HaarCombination, fork: tuple[int, int]) -> HaarCombin
         elif idx in (s1, s2):
             continue  # explicit zero at a successor is absorbed by the split
         else:
-            out[index_image(fork, idx)] = x
+            k, j = idx
+            out[HaarIndex(k, j + _swap_offset(h, i, k, j))] = x
     if root_x is not None:
         shared = root_x * half_power(-1)
         out[s1] = shared
@@ -306,14 +330,46 @@ class CompressionTrace:
             raise AssertionError("final set escapes the target band")
 
 
+# compress() works on heap ids (see dyadic.heap_id).  The subtrees below the
+# two swapped quarters of the fork at id start at the adjacent ids 4*id + 1
+# and 4*id + 2, so on every level they occupy two adjacent runs of ids of
+# equal length, and the swap exchanges the two runs.
+
+
+def _split_nodes(present: bytearray, node: int, frontier: list[int], half: int) -> None:
+    """Fire the transform at an admissible node of the depth-top tree held
+    in present (half = 2^(top-1)), pushing onto the frontier every node whose
+    admissibility it may change."""
+    left = 2 * node
+    present[node] = 0
+    present[left] = present[left + 1] = 1
+    if node > 1:
+        heappush(frontier, node >> 1)
+    if left < half:
+        heappush(frontier, left)
+        heappush(frontier, left + 1)
+    first, width = 4 * node + 1, 1
+    while first < 2 * half:
+        mid, end = first + width, first + 2 * width
+        present[first:mid], present[mid:end] = present[mid:end], present[first:mid]
+        if first < half:
+            moved = present.find(1, first, end)
+            while moved >= 0:
+                heappush(frontier, moved)
+                moved = present.find(1, moved + 1, end)
+        first, width = 2 * first, 2 * width
+
+
 def compress(indices: Iterable[tuple[int, int]]) -> CompressionTrace:
     """Push a set into the band of its local height.
 
     Fires transforms at admissible indices with h < m+n until none exist,
-    scanning in lexicographic order for reproducible traces; m is minimal
-    with the set contained in the depth-(m+n) tree, but at least 1.
+    always at the lexicographically first one for reproducible traces; m is
+    minimal with the set contained in the depth-(m+n) tree, but at least 1.
+    The candidates wait in a min-heap frontier that each step tops up with
+    the nodes it touched; stale entries are dropped when they surface.
     """
-    start = frozenset(check_haar_index(*x) for x in indices)
+    start = make_index_set(indices)
     if not start:
         raise DomainError("cannot compress an empty index set")
     n = local_height(start)
@@ -321,24 +377,29 @@ def compress(indices: Iterable[tuple[int, int]]) -> CompressionTrace:
     top = m + n
     check_level(top, "target band level")
     budget = (1 << top) - 1 - len(start)
-    current = start
+    half = 1 << (top - 1)
+    present = bytearray(2 * half)
+    frontier = []
+    for k, j in start:
+        node = heap_id(k, j)
+        present[node] = 1
+        if node < half:
+            frontier.append(node)
+    heapify(frontier)
     steps: list[ForkTransform] = []
-    for _ in range(budget + 1):
-        fired = None
-        for h, i in sorted(current):
-            if (
-                h < top
-                and HaarIndex(h + 1, 2 * i - 1) not in current
-                and HaarIndex(h + 1, 2 * i) not in current
-            ):
-                fired = ForkTransform(h, i)
-                break
-        if fired is None:
-            break
-        current = fork_split(current, fired)
-        steps.append(fired)
-    else:
-        raise AssertionError("compression exceeded its cardinality budget")
+    while frontier:
+        node = heappop(frontier)
+        if not present[node] or present[2 * node] or present[2 * node + 1]:
+            continue
+        if len(steps) == budget:
+            raise AssertionError("compression exceeded its cardinality budget")
+        _split_nodes(present, node, frontier, half)
+        steps.append(ForkTransform(*from_heap_id(node)))
+    final = []
+    node = present.find(1)
+    while node >= 0:
+        final.append(from_heap_id(node))
+        node = present.find(1, node + 1)
     return CompressionTrace(
-        steps=tuple(steps), initial_set=start, final_set=current, m=m
+        steps=tuple(steps), initial_set=start, final_set=frozenset(final), m=m
     )

@@ -28,14 +28,15 @@ from .config import max_level as level_cap
 from .dyadic import (
     DyadicRational,
     HaarIndex,
+    _scaling_holds,
+    _translation_holds,
     branch,
+    check_haar_index,
     dyadic_band,
     full_tree,
     haar_eval,
     haar_sign_table,
     half_power,
-    scaling_identity_check,
-    translation_identity_check,
 )
 from .normlab import (
     NormedSpaceSpec,
@@ -103,24 +104,30 @@ def haar_identity_suite(
     failures: list[str] = []
     checked = 0
 
+    # each index pair is validated once; the grid points q/2^grid are valid
+    # by construction and go straight to the exact evaluation kernels
     k_top = min(k_max, cap)
     grid = min(grid_level, cap)
     for k in range(1, k_top + 1):
         # shifted point t - 2^(1-k) exists iff t >= 2^(1-k)
         q_min = (1 << grid) >> (k - 1) if grid >= k - 1 else 1 << grid
         for j in range(1, (1 << (k - 1))):
+            check_haar_index(k, j)
+            check_haar_index(k, j + 1)
             for q in range(q_min, 1 << grid):
                 checked += 1
-                if not translation_identity_check(k, j, DyadicRational(q, grid)):
+                if not _translation_holds(k, j, q, grid):
                     failures.append(f"translation k={k} j={j} t={q}/2^{grid}")
 
     k_top = min(k_max - 1, cap - 1)
     grid = min(grid_level, cap - 1)
     for k in range(1, k_top + 1):
         for j in range(1, (1 << (k - 1)) + 1):
+            check_haar_index(k, j)
+            check_haar_index(k + 1, j)
             for q in range(1 << (grid - 1)):  # doubling needs t < 1/2
                 checked += 1
-                if not scaling_identity_check(k, j, DyadicRational(q, grid)):
+                if not _scaling_holds(k, j, q, grid):
                     failures.append(f"scaling k={k} j={j} t={q}/2^{grid}")
 
     return _result("haar-identities", checked, failures)

@@ -366,3 +366,13 @@ def test_cli_rejects_out_of_range_max_level(capsys):
     assert main(["verify", "--max-level", "99"]) == 2
     record = json.loads(capsys.readouterr().out)
     assert record["error"]["type"] == "DomainError"
+
+
+def test_cli_tau_rejects_nan_operator_entry(tmp_path, capsys):
+    op = tmp_path / "op.json"
+    op.write_text('{"kind":"diagonal","norm":"l1","entries":[1.0,NaN,0.5]}')
+    st = _write(tmp_path / "set.json", [[1, 1], [2, 1], [2, 2]])
+    assert main(["tau", "--operator", str(op), "--set", st]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "SchemaError"
+    assert record["error"]["field"] == "operator.entries[1]"

@@ -1,6 +1,7 @@
 """JSON round-trips and schema error locations."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,3 +172,35 @@ def test_dump_json_is_stable(tmp_path):
     dump_json({"a": [1, 2], "b": 1}, str(target))
     assert target.read_bytes() == first
     assert json.loads(first) == {"a": [1, 2], "b": 1}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_are_rejected_with_their_field(token):
+    doc = '{"kind": "diagonal", "norm": "l1", "entries": [1.0, %s, 0.5]}' % token
+    with pytest.raises(SchemaError) as err:
+        parse_operator(json.loads(doc))
+    assert err.value.field == "operator.entries[1]"
+    doc = '{"kind": "dense", "rows": [[1.0, 2.0], [3.0, %s]]}' % token
+    with pytest.raises(SchemaError) as err:
+        parse_operator(json.loads(doc))
+    assert err.value.field == "operator.rows[1][1]"
+    doc = '{"dim": 2, "entries": [{"k": 1, "j": 1, "x": [%s, 0.0]}]}' % token
+    with pytest.raises(SchemaError) as err:
+        parse_combination(json.loads(doc))
+    assert err.value.field == "coefficients.entries[0].x[0]"
+
+
+def test_integer_too_large_for_a_float_is_rejected():
+    with pytest.raises(SchemaError) as err:
+        parse_operator({"kind": "diagonal", "norm": "l1", "entries": [10**400]})
+    assert err.value.field == "operator.entries[0]"
+
+
+def test_readme_operator_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Input files", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    examples = [json.loads(line) for line in block.splitlines() if line.strip()]
+    assert [e["kind"] for e in examples] == ["identity", "diagonal", "dense"]
+    for example in examples:
+        parse_operator(example)
+        parse_operator_document({"operator": example})
