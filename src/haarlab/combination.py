@@ -14,7 +14,16 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .config import check_level
-from .dyadic import DyadicRational, HaarIndex, _haar_eval, half_power, make_index_set
+from .dyadic import (
+    DyadicRational,
+    HaarIndex,
+    _haar_eval,
+    _haar_synthesis,
+    _level_rows,
+    _level_spans,
+    half_power,
+    make_index_set,
+)
 from .errors import DomainError
 
 
@@ -83,19 +92,25 @@ class HaarCombination:
         """Values on the 2^grid_level cells as a (cells, dim) array.
 
         The combination is constant on each cell once grid_level reaches the
-        maximal support level, so this table is exact.
+        maximal support level, so this table is exact.  The grid is built
+        level by level in place (dyadic._haar_synthesis): each cell gets
+        2^((k-1)/2) x_k^(j) added or subtracted for its one index per level,
+        in increasing k, so the floats are those of adding the Haar
+        functions one index at a time in (k, j) order.  Each level's
+        coefficient block exists only while that level is synthesised.
         """
         check_level(grid_level, "grid level")
         if grid_level < self.max_level():
             raise DomainError("grid level must be at least the maximal index level")
         values = np.zeros((1 << grid_level, self.dim))
-        for (k, j), x in self._coeffs.items():
-            width = 1 << (grid_level - k)
-            start = (2 * j - 2) * width
-            scaled = half_power(k - 1) * x
-            values[start : start + width] += scaled
-            values[start + width : start + 2 * width] -= scaled
-        return values
+        return _haar_synthesis(values, self._levels())
+
+    def _levels(self):
+        """(k, offsets, scaled rows) per level present, for _haar_synthesis."""
+        keys = list(self._coeffs)
+        vectors = list(self._coeffs.values())
+        for k, offsets, lo, hi in _level_spans(keys):
+            yield (k, *_level_rows(k, offsets, np.array(vectors[lo:hi]), half_power(k - 1)))
 
     def map_coefficients(self, fn: Callable[[np.ndarray], np.ndarray], dim: int | None = None) -> "HaarCombination":
         return HaarCombination(

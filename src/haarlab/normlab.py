@@ -23,7 +23,17 @@ import numpy as np
 from .combination import HaarCombination
 from .combinatorics import local_height
 from .config import check_level
-from .dyadic import HaarIndex, full_tree, half_power, make_index_set, sorted_indices
+from .dyadic import (
+    HaarIndex,
+    _haar_analysis,
+    _haar_synthesis,
+    _level_rows,
+    _level_spans,
+    full_tree,
+    half_power,
+    make_index_set,
+    sorted_indices,
+)
 from .errors import DomainError
 from .spaces import Norm, NormedSpaceSpec, OperatorSpec
 
@@ -57,7 +67,10 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
 
     The function is constant on dyadic cells at the finest level present,
     so the integral is a finite sum; no approximation is involved beyond
-    float arithmetic.
+    float arithmetic.  The cell values come from f.cell_values, built level
+    by level in place and equal, bit for bit, to adding the Haar functions
+    one index at a time in (k, j) order, so the norm does not depend on how
+    the grid is built.
     """
     if not 1 <= p < math.inf:
         raise DomainError(f"exponent p must satisfy 1 <= p < inf, got {p}")
@@ -197,28 +210,35 @@ def _check_budget(restarts: int, iterations: int):
         raise DomainError(f"iteration budget must be >= 1, got {iterations}")
 
 
-def _power_iteration_sigma(M: np.ndarray, iterations: int, seed: int) -> tuple[float, np.ndarray, int]:
-    """Top singular value and right singular vector of M via iteration on M^T M."""
-    d = M.shape[1]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    steps = max(iterations, 500)
+def _power_iteration_sigma(M: np.ndarray, iterations: int) -> tuple[float, np.ndarray, int]:
+    """Top singular value and right singular vector of M by repeated squaring.
+
+    B = M^T M is normalised (after scaling M to largest entry 1) and squared
+    until a squaring no longer moves it, at most max(iterations, 64) times:
+    s squarings make it (M^T M)^(2^s), in which a singular value
+    sigma_i < sigma_1 weighs (sigma_i / sigma_1)^(2^(s+1)) against the top
+    one.  When B stops moving, either those weights are below 1e-13 or the
+    top singular values agree to about 1e-13, so its largest column is a top
+    singular vector up to a relative error in sigma of about 1e-13.  Returns
+    (sigma, vector, squarings run).
+    """
+    top = float(np.abs(M).max())
+    if top == 0.0:
+        return 0.0, np.eye(M.shape[1])[0], 0
+    scaled = M / top
+    B = scaled.T @ scaled
+    B /= np.linalg.norm(B)
     used = 0
-    for used in range(1, steps + 1):
-        w = M.T @ (M @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, v, used
-        v_new = w / nw
-        lam_new = float(v_new @ (M.T @ (M @ v_new)))
-        if abs(lam_new - lam) <= 1e-10 * max(lam_new, 1.0):
-            lam = lam_new
-            v = v_new
+    for used in range(1, max(iterations, 64) + 1):
+        squared = B @ B
+        squared /= np.linalg.norm(squared)
+        moved = float(np.linalg.norm(squared - B))
+        B = squared
+        if moved <= 1e-13:
             break
-        lam, v = lam_new, v_new
-    return math.sqrt(max(lam, 0.0)), v, used
+    column = B[:, int(np.argmax(np.linalg.norm(B, axis=0)))]
+    v = column / np.linalg.norm(column)
+    return top * float(np.linalg.norm(scaled @ v)), v, used
 
 
 def _nested_levels(a, b) -> bool:
@@ -237,6 +257,7 @@ def _pattern_gram_witness(
     A[a,b] = |sigma_{c_a} sigma_{c_b}| 2^{-|k_a-k_b|/2} [supports nested].
     Requires the assignment to be injective along every branch so that the
     l1 norm of the image splits into per-coordinate absolute values.
+    None when the Gram matrix overflows.
     """
     m = len(idx)
     A = np.zeros((m, m))
@@ -249,6 +270,8 @@ def _pattern_gram_witness(
                 continue
             val = sa * abs(sigma[coords[idx[b]]]) * half_power(-abs(ka - kb))
             A[a, b] = A[b, a] = val
+    if not np.isfinite(A).all():
+        return None
     vals, vecs = np.linalg.eigh(A)
     u = np.abs(vecs[:, -1])
     return vals[-1], u
@@ -341,8 +364,13 @@ class _AscentProblem:
     """Shared geometry for the projected subgradient ascent.
 
     Coefficients are stored as a matrix X with one row per index (sorted
-    order); the numerator is evaluated on the dyadic grid at the finest
-    level, the denominator directly from the rows.
+    order, so each level's indices are a block of rows); the denominator is
+    evaluated directly from the rows, the numerator on the dyadic grid at
+    the finest level.  The grid of T f is synthesised level by level
+    (dyadic._haar_synthesis) and its adjoint, the per-index sums of the
+    gradient, is taken level by level (dyadic._haar_analysis); both give
+    the same floats as a loop over the indices one at a time.  Each iterate
+    is synthesised once, and its ratio and gradient share that grid.
     """
 
     def __init__(self, T: OperatorSpec, idx: Sequence[tuple[int, int]], p: float | None):
@@ -351,25 +379,27 @@ class _AscentProblem:
         self.p = p
         self.kmax = max(k for k, _ in idx)
         self.cells = 1 << self.kmax
-        self.slices = []
         self.scale = np.array([half_power(k - 1) for k, _ in idx])
-        for k, j in idx:
-            width = 1 << (self.kmax - k)
-            lo = (2 * j - 2) * width
-            self.slices.append((lo, lo + width, lo + 2 * width))
+        self.levels = [
+            (k, offsets, lo, hi, half_power(k - 1))
+            for k, offsets, lo, hi in _level_spans(self.idx)
+        ]
         if p is not None:
             self.weights = np.array([2.0 ** ((k - 1) * (p / 2.0 - 1.0)) for k, _ in idx])
 
     def grid_values(self, Y: np.ndarray) -> np.ndarray:
-        V = np.zeros((self.cells, Y.shape[1]))
-        for a, (lo, mid, hi) in enumerate(self.slices):
-            V[lo:mid] += self.scale[a] * Y[a]
-            V[mid:hi] -= self.scale[a] * Y[a]
-        return V
+        """Grid of the combination with rows Y; scales Y in place."""
+        levels = (
+            (k, *_level_rows(k, offsets, Y[lo:hi], s)) for k, offsets, lo, hi, s in self.levels
+        )
+        return _haar_synthesis(np.zeros((self.cells, Y.shape[1])), levels)
 
-    def numerator(self, X: np.ndarray) -> float:
-        Y = self.T.apply_rows(X)
-        nu = self.T.codomain.norms_of(self.grid_values(Y))
+    def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid values V of T f and their codomain norms nu."""
+        V = self.grid_values(self.T.apply_rows(X))
+        return V, self.T.codomain.norms_of(V)
+
+    def numerator(self, nu: np.ndarray) -> float:
         if self.p is None:
             return math.sqrt(float(nu @ nu) / self.cells)
         return float((nu**self.p).sum() / self.cells) ** (1.0 / self.p)
@@ -380,26 +410,22 @@ class _AscentProblem:
             return math.sqrt(float(norms @ norms))
         return float((self.weights @ norms**self.p) ** (1.0 / self.p))
 
-    def ratio(self, X: np.ndarray) -> float:
+    def ratio(self, X: np.ndarray, nu: np.ndarray) -> float:
         den = self.denominator(X)
-        return self.numerator(X) / den if den > 0 else 0.0
+        return self.numerator(nu) / den if den > 0 else 0.0
 
-    def gradient(self, X: np.ndarray) -> np.ndarray:
-        """Subgradient of the ratio, assuming denominator(X) == 1."""
-        Y = self.T.apply_rows(X)
-        V = self.grid_values(Y)
-        nu = self.T.codomain.norms_of(V)
+    def gradient(self, X: np.ndarray, V: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """Subgradient of the ratio at X with grid (V, nu), assuming
+        denominator(X) == 1."""
         pnum = 2.0 if self.p is None else self.p
         num = float((nu**pnum).sum() / self.cells) ** (1.0 / pnum)
         if num == 0.0:
             return np.zeros_like(X)
         cell_scale = (nu ** (pnum - 1.0)) * (num ** (1.0 - pnum) / self.cells)
         G_cells = self.T.codomain.dual_rows(V) * cell_scale[:, None]
-        G_Y = np.empty_like(Y)
-        for a, (lo, mid, hi) in enumerate(self.slices):
-            G_Y[a] = self.scale[a] * (
-                G_cells[lo:mid].sum(axis=0) - G_cells[mid:hi].sum(axis=0)
-            )
+        G_Y = np.empty((len(self.idx), V.shape[1]))
+        for k, offsets, lo, hi, s in self.levels:
+            G_Y[lo:hi] = s * _haar_analysis(G_cells, k, offsets)
         G_num = self.T.transpose_apply_rows(G_Y)
 
         norms = self.T.domain.norms_of(X)
@@ -421,9 +447,10 @@ class _AscentProblem:
         if den == 0.0:
             return X0
         X = X0 / den
-        best, best_r = X.copy(), self.ratio(X)
+        V, nu = self.evaluate(X)
+        best, best_r = X.copy(), self.ratio(X, nu)
         for it in range(iterations):
-            G = self.gradient(X)
+            G = self.gradient(X, V, nu)
             gn = np.linalg.norm(G)
             if gn < 1e-14:
                 break
@@ -432,7 +459,8 @@ class _AscentProblem:
             if den == 0.0:
                 break
             X = X / den
-            r = self.ratio(X)
+            V, nu = self.evaluate(X)
+            r = self.ratio(X, nu)
             if r > best_r:
                 best_r, best = r, X.copy()
         return best
@@ -451,10 +479,21 @@ def _normalized_estimate(
     restarts: int,
     iterations: int,
 ) -> TauEstimate:
-    """Pick the best candidate by the public ratio and normalise it."""
+    """Pick the best candidate by the public ratio and normalise it.
+
+    Raises DomainError when float arithmetic overflows, that is when a
+    candidate's ratio or the normalised witness's ratio is not finite: a
+    bound from the candidates that stay finite would ignore the directions
+    in which T is largest.  tau is homogeneous in T, so a scaled operator
+    gives the bound.
+    """
     best_f, best_method, best_r = None, None, -1.0
     for f, method in candidates:
-        r = tau_ratio(T, f) if p is None else tau_p_ratio(T, f, p)
+        r = _candidate_ratio(T, f, p)
+        if not math.isfinite(r):
+            raise DomainError(
+                "a candidate witness has no finite ratio: the operator overflows float arithmetic"
+            )
         if r > best_r:
             best_f, best_method, best_r = f, method, r
     den = (
@@ -464,8 +503,20 @@ def _normalized_estimate(
     )
     if den > 0:
         best_f = best_f.scaled(1.0 / den)
-    value = tau_ratio(T, best_f) if p is None else tau_p_ratio(T, best_f, p)
+    value = _candidate_ratio(T, best_f, p)
+    if not math.isfinite(value):
+        raise DomainError(
+            "the certified bound is not finite: the operator overflows float arithmetic"
+        )
     return TauEstimate(value, best_f, best_method, restarts, iterations)
+
+
+def _candidate_ratio(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
+    """The public ratio of f, or NaN where float arithmetic overflows."""
+    try:
+        return tau_ratio(T, f) if p is None else tau_p_ratio(T, f, p)
+    except OverflowError:
+        return math.nan
 
 
 def _best_column_candidate(T: OperatorSpec, index: tuple[int, int]) -> HaarCombination:
@@ -497,7 +548,7 @@ def tau_estimate(
     _check_budget(restarts, iterations)
 
     if T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
-        sigma, v, used = _power_iteration_sigma(T.as_matrix(), iterations, seed)
+        sigma, v, used = _power_iteration_sigma(T.as_matrix(), iterations)
         f = HaarCombination(T.domain.dim, {idx[0]: v})
         return _normalized_estimate(T, [(f, EstimateMethod.POWER_ITERATION)], None, 1, used)
 
@@ -510,7 +561,7 @@ def tau_estimate(
             X = problem.ascend(problem.random_start(rng), iterations)
             candidates.append((problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT))
         # polish the best exact candidate with a short ascent
-        ranked = max((f for f, m in candidates), key=lambda f: tau_ratio(T, f))
+        ranked = max((f for f, m in candidates), key=lambda f: _candidate_ratio(T, f, None))
         X = problem.ascend(problem.from_combination(ranked), iterations)
         candidates.append((problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT))
     return _normalized_estimate(T, candidates, None, restarts, iterations)
@@ -560,7 +611,7 @@ def tau_p_estimate(
     idx = sorted_indices(full_tree(n))
 
     if p == 2.0 and T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
-        sigma, v, used = _power_iteration_sigma(T.as_matrix(), iterations, seed)
+        sigma, v, used = _power_iteration_sigma(T.as_matrix(), iterations)
         f = HaarCombination(T.domain.dim, {(1, 1): v})
         return _normalized_estimate(T, [(f, EstimateMethod.POWER_ITERATION)], p, 1, used)
 

@@ -6,7 +6,14 @@ import numpy as np
 
 from haarlab.combination import HaarCombination
 from haarlab.combinatorics import Subtree, SubtreeIdentification
-from haarlab.dyadic import DyadicInterval, DyadicRational, HaarIndex, branch, max_level_of
+from haarlab.dyadic import (
+    DyadicInterval,
+    DyadicRational,
+    HaarIndex,
+    branch,
+    half_power,
+    max_level_of,
+)
 
 _LEFT = SubtreeIdentification(Subtree.LEFT)
 _RIGHT = SubtreeIdentification(Subtree.RIGHT)
@@ -171,3 +178,123 @@ def reference_compress(indices):
             return tuple(steps), current, m
         current = reference_fork_split(current, *fired)
         steps.append(fired)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the grid kernel
+#
+# haarlab's cell_values and ascent synthesise the grid level by level; these
+# loops add one Haar function at a time in (k, j) order, which is the
+# definition the level-by-level kernel must reproduce bit for bit.
+
+
+def reference_cell_values(f: HaarCombination, grid_level: int) -> np.ndarray:
+    values = np.zeros((1 << grid_level, f.dim))
+    for (k, j), x in f.items():
+        width = 1 << (grid_level - k)
+        start = (2 * j - 2) * width
+        scaled = half_power(k - 1) * x
+        values[start : start + width] += scaled
+        values[start + width : start + 2 * width] -= scaled
+    return values
+
+
+class ReferenceAscentProblem:
+    """The projected subgradient ascent with per-index grid loops, and a
+    fresh grid for the ratio and for the gradient of each iterate."""
+
+    def __init__(self, T, idx, p):
+        self.T = T
+        self.idx = list(idx)
+        self.p = p
+        self.kmax = max(k for k, _ in idx)
+        self.cells = 1 << self.kmax
+        self.slices = []
+        self.scale = np.array([half_power(k - 1) for k, _ in idx])
+        for k, j in idx:
+            width = 1 << (self.kmax - k)
+            lo = (2 * j - 2) * width
+            self.slices.append((lo, lo + width, lo + 2 * width))
+        if p is not None:
+            self.weights = np.array([2.0 ** ((k - 1) * (p / 2.0 - 1.0)) for k, _ in idx])
+
+    def grid_values(self, Y):
+        V = np.zeros((self.cells, Y.shape[1]))
+        for a, (lo, mid, hi) in enumerate(self.slices):
+            V[lo:mid] += self.scale[a] * Y[a]
+            V[mid:hi] -= self.scale[a] * Y[a]
+        return V
+
+    def numerator(self, X):
+        Y = self.T.apply_rows(X)
+        nu = self.T.codomain.norms_of(self.grid_values(Y))
+        if self.p is None:
+            return math.sqrt(float(nu @ nu) / self.cells)
+        return float((nu**self.p).sum() / self.cells) ** (1.0 / self.p)
+
+    def denominator(self, X):
+        norms = self.T.domain.norms_of(X)
+        if self.p is None:
+            return math.sqrt(float(norms @ norms))
+        return float((self.weights @ norms**self.p) ** (1.0 / self.p))
+
+    def ratio(self, X):
+        den = self.denominator(X)
+        return self.numerator(X) / den if den > 0 else 0.0
+
+    def gradient(self, X):
+        Y = self.T.apply_rows(X)
+        V = self.grid_values(Y)
+        nu = self.T.codomain.norms_of(V)
+        pnum = 2.0 if self.p is None else self.p
+        num = float((nu**pnum).sum() / self.cells) ** (1.0 / pnum)
+        if num == 0.0:
+            return np.zeros_like(X)
+        cell_scale = (nu ** (pnum - 1.0)) * (num ** (1.0 - pnum) / self.cells)
+        G_cells = self.T.codomain.dual_rows(V) * cell_scale[:, None]
+        G_Y = np.empty_like(Y)
+        for a, (lo, mid, hi) in enumerate(self.slices):
+            G_Y[a] = self.scale[a] * (
+                G_cells[lo:mid].sum(axis=0) - G_cells[mid:hi].sum(axis=0)
+            )
+        G_num = self.T.transpose_apply_rows(G_Y)
+        norms = self.T.domain.norms_of(X)
+        duals = self.T.domain.dual_rows(X)
+        if self.p is None:
+            G_den = duals * norms[:, None]
+        else:
+            safe = np.where(norms > 0, norms, 1.0)
+            pw = self.weights * safe ** (self.p - 1.0) * (norms > 0)
+            G_den = duals * pw[:, None]
+        return G_num - num * G_den
+
+    def random_start(self, rng):
+        X = rng.standard_normal((len(self.idx), self.T.domain.dim))
+        return X * (1.0 / self.scale)[:, None]
+
+    def ascend(self, X0, iterations):
+        den = self.denominator(X0)
+        if den == 0.0:
+            return X0
+        X = X0 / den
+        best, best_r = X.copy(), self.ratio(X)
+        for it in range(iterations):
+            G = self.gradient(X)
+            gn = np.linalg.norm(G)
+            if gn < 1e-14:
+                break
+            X = X + (0.35 / math.sqrt(1.0 + it)) * (G / gn)
+            den = self.denominator(X)
+            if den == 0.0:
+                break
+            X = X / den
+            r = self.ratio(X)
+            if r > best_r:
+                best_r, best = r, X.copy()
+        return best
+
+    def to_combination(self, X):
+        return HaarCombination(self.T.domain.dim, dict(zip(self.idx, X)))
+
+    def from_combination(self, f):
+        return np.array([f.coefficient(a) for a in self.idx])

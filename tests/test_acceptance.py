@@ -231,6 +231,28 @@ def test_estimator_reaches_closed_forms():
     assert seconds < 600.0
 
 
+def test_estimator_grid_kernel_speed():
+    # the ascent synthesises T f on the 2^8-cell grid twice per iterate
+    # (once forward, once for the gradient sums) over all 255 indices
+    op = _diagonal_op(dim=16)
+    # untimed first call: after the host idles, the first threaded BLAS call
+    # of a process (here the 255 x 255 eigh) can take about a second more
+    tau_estimate(op, full_tree(8))
+    t0 = time.perf_counter()
+    est = tau_estimate(op, full_tree(8))
+    seconds = time.perf_counter() - t0
+    cf = diagonal_formula_tau(8, P)
+    ok = est.lower_bound <= cf * (1.0 + 1e-9) and seconds < 1.5
+    _report(
+        "tau estimate, full tree of depth 8, d = 16",
+        ok,
+        seconds,
+        f"ratio to closed form={est.lower_bound / cf:.5f}",
+    )
+    assert est.lower_bound <= cf * (1.0 + 1e-9)
+    assert seconds < 1.5
+
+
 # ---------------------------------------------------------------------------
 # 8. comparison against the full tree of matching height
 

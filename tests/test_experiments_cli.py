@@ -376,3 +376,32 @@ def test_cli_tau_rejects_nan_operator_entry(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["error"]["type"] == "SchemaError"
     assert record["error"]["field"] == "operator.entries[1]"
+
+
+@pytest.mark.parametrize(
+    "norm, indices",
+    [
+        ("linf", [[1, 1], [2, 1], [2, 2]]),  # printed lowerBound inf with exit 0
+        ("l1", [[1, 1]]),  # died with an OverflowError traceback
+        ("l2", [[1, 1]]),  # died with an AttributeError traceback
+    ],
+)
+def test_cli_tau_rejects_overflowing_operator(tmp_path, capsys, norm, indices):
+    op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": norm, "entries": [1e308, 1.0]})
+    st = _write(tmp_path / "set.json", indices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["tau", "--operator", op, "--set", st, "--format", "csv"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "DomainError"
+    assert "overflows float arithmetic" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_cli_tau_p_rejects_overflowing_operator(tmp_path, capsys, norm):
+    op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": norm, "entries": [1e308, 1.0]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["tau-p", "--operator", op, "--depth", "2", "--p", "1.5"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "DomainError"

@@ -1,15 +1,28 @@
-"""The integer fill and compression kernels against set-based references,
-and the level cap read at call time by every entry point."""
+"""The integer fill and compression kernels and the level-by-level grid
+kernel against loop-based references, and the level cap read at call time
+by every entry point."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from haarlab import normlab
 from haarlab.combination import HaarCombination
 from haarlab.combinatorics import fill_one, fill_to_height, local_height
-from haarlab.dyadic import full_tree, make_index_set
+from haarlab.dyadic import dyadic_band, full_tree, make_index_set
 from haarlab.errors import DomainError
+from haarlab.normlab import tau_estimate, tau_p_estimate
+from haarlab.spaces import Norm, NormedSpaceSpec, OperatorSpec
 from haarlab.transforms import compress, fork_split
-from helpers import all_subsets, random_subset, reference_compress, reference_fill_sequence
+from helpers import (
+    ReferenceAscentProblem,
+    all_subsets,
+    random_subset,
+    reference_cell_values,
+    reference_compress,
+    reference_fill_sequence,
+)
 
 
 def assert_fill_matches(subset, n):
@@ -73,3 +86,115 @@ def test_level_cap_is_read_at_call_time(monkeypatch):
     monkeypatch.setenv("HAARLAB_MAX_LEVEL", "4")
     assert local_height(bad) == 2
     assert compress(bad).final_set
+
+
+# ---------------------------------------------------------------------------
+# the grid kernel: synthesis and analysis level by level
+
+
+def seeded_sets(rng, count):
+    """Index sets of depths 1-10: random subsets (sparse levels), full
+    trees, bands (empty levels on top) and trees with a gap of empty levels."""
+    for trial in range(count):
+        depth = 1 + trial % 10
+        shape = trial % 4
+        if shape == 0:
+            pool = sorted(full_tree(depth))
+            size = int(rng.integers(1, min(len(pool), 60) + 1))
+            yield random_subset(rng, pool, size)
+        elif shape == 1:
+            yield full_tree(depth)
+        elif shape == 2:
+            yield dyadic_band(int(rng.integers(1, depth + 1)), depth)
+        else:  # trials 3, 7, ... have depth 2, 4, ..., 10
+            pool = sorted(full_tree(depth) - dyadic_band(depth // 2, depth - 1))
+            yield random_subset(rng, pool, int(rng.integers(1, len(pool) + 1)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+def test_cell_values_match_the_index_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(100 + dim)
+    for indices in seeded_sets(rng, 120):
+        f = HaarCombination(dim, {a: rng.standard_normal(dim) for a in indices})
+        top = f.max_level()
+        for grid_level in (top, top + 1, top + 3):
+            assert np.array_equal(
+                f.cell_values(grid_level), reference_cell_values(f, grid_level)
+            ), (sorted(indices), grid_level)
+
+
+def test_cell_values_of_the_empty_combination():
+    for grid_level in (0, 1, 4):
+        values = HaarCombination(3, {}).cell_values(grid_level)
+        assert values.shape == (1 << grid_level, 3)
+        assert not values.any()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+def test_ascent_grid_gradient_and_path_match_the_index_loops(dim):
+    rng = np.random.default_rng(200 + dim)
+    for trial, indices in enumerate(seeded_sets(rng, 40)):
+        idx = sorted(indices)
+        if trial % 2:
+            T = OperatorSpec.diagonal(rng.standard_normal(dim), Norm.L1)
+        else:
+            domain, codomain = NormedSpaceSpec(dim, Norm.LINF), NormedSpaceSpec(dim, Norm.L2)
+            T = OperatorSpec.dense(rng.standard_normal((dim, dim)), domain, codomain)
+        for p in (None, 4.0 / 3.0):
+            problem = normlab._AscentProblem(T, idx, p)
+            reference = ReferenceAscentProblem(T, idx, p)
+            X = problem.random_start(np.random.default_rng(trial))
+            X = X / problem.denominator(X)
+            Y = T.apply_rows(X)
+            assert np.array_equal(problem.grid_values(Y.copy()), reference.grid_values(Y))
+            V, nu = problem.evaluate(X)
+            assert problem.ratio(X, nu) == reference.ratio(X)
+            assert np.array_equal(problem.gradient(X, V, nu), reference.gradient(X))
+            assert np.array_equal(problem.ascend(X, 12), reference.ascend(X, 12))
+
+
+def estimates(T, sets, p_depths):
+    out = []
+    for indices in sets:
+        out.append(tau_estimate(T, indices, restarts=3, iterations=25, seed=len(out)))
+    for n in p_depths:
+        out.append(tau_p_estimate(T, n, 4.0 / 3.0, restarts=3, iterations=25, seed=n))
+    return out
+
+
+def test_estimates_match_the_loop_backed_ascent(monkeypatch):
+    rng = np.random.default_rng(5)
+    diagonal = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
+    subsets = [random_subset(rng, sorted(full_tree(d)), s) for d, s in ((6, 6), (7, 12), (8, 24))]
+    trees_and_bands = [full_tree(3), full_tree(5), dyadic_band(2, 5), dyadic_band(3, 6)]
+    cases = [(diagonal, trees_and_bands + subsets, [3, 4])]
+    for domain in (Norm.LINF, Norm.L2):
+        for dim in (4, 6):
+            M = rng.standard_normal((dim, dim))
+            T = OperatorSpec.dense(M, NormedSpaceSpec(dim, domain), NormedSpaceSpec(dim, Norm.L1))
+            cases.append((T, [full_tree(3), random_subset(rng, sorted(full_tree(6)), 10)], [3]))
+
+    got = [estimates(T, sets, depths) for T, sets, depths in cases]
+    monkeypatch.setattr(normlab, "_AscentProblem", ReferenceAscentProblem)
+    monkeypatch.setattr(HaarCombination, "cell_values", reference_cell_values)
+    expected = [estimates(T, sets, depths) for T, sets, depths in cases]
+
+    for row, ref_row in zip(got, expected):
+        for est, ref in zip(row, ref_row):
+            assert est.lower_bound == ref.lower_bound
+            assert est.method is ref.method
+            assert est.best_witness.indices() == ref.best_witness.indices()
+            for idx, x in est.best_witness.items():
+                assert np.array_equal(x, ref.best_witness.coefficient(idx))
+
+
+def test_cell_values_peak_memory_stays_near_the_output():
+    rng = np.random.default_rng(14)
+    f = HaarCombination(16, {a: rng.standard_normal(16) for a in full_tree(14)})
+    tracemalloc.start()
+    try:
+        values = f.cell_values(14)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * values.nbytes, peak / values.nbytes

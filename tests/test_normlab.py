@@ -234,6 +234,31 @@ def test_tau_estimate_hilbert_matches_svd_oracle():
         assert est.lower_bound == pytest.approx(top, abs=1e-8)
 
 
+def test_tau_estimate_hilbert_reaches_close_top_singular_values():
+    # the top two singular values differ by 0.5%; a power iteration stopped
+    # on a small change of the Rayleigh quotient ended 7e-8 short here
+    rng = np.random.default_rng(2154)
+    rng.standard_normal((4, 4))
+    M = rng.standard_normal((6, 6))
+    space = NormedSpaceSpec(6, Norm.L2)
+    est = tau_estimate(OperatorSpec.dense(M, space, space), full_tree(3))
+    top = float(np.linalg.svd(M, compute_uv=False)[0])
+    assert est.lower_bound == pytest.approx(top, rel=1e-12)
+    assert est.method is EstimateMethod.POWER_ITERATION
+    assert 1 <= est.iterations <= 64
+
+
+def test_tau_estimate_hilbert_matches_svd_on_seeded_matrices():
+    for trial in range(1000):
+        rng = np.random.default_rng([61, trial])
+        dim = int(rng.integers(4, 9))
+        M = rng.standard_normal((dim, dim))
+        space = NormedSpaceSpec(dim, Norm.L2)
+        est = tau_estimate(OperatorSpec.dense(M, space, space), {(1, 1)})
+        top = float(np.linalg.svd(M, compute_uv=False)[0])
+        assert est.lower_bound == pytest.approx(top, rel=1e-12), trial
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tau_estimate_diagonal_example_exact(n):
     p = 4.0 / 3.0
