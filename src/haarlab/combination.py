@@ -17,11 +17,8 @@ from .config import check_level
 from .dyadic import (
     DyadicRational,
     HaarIndex,
+    _GridLevels,
     _haar_eval,
-    _haar_synthesis,
-    _level_rows,
-    _level_spans,
-    half_power,
     make_index_set,
 )
 from .errors import DomainError
@@ -93,9 +90,9 @@ class HaarCombination:
 
         The combination is constant on each cell once grid_level reaches the
         maximal support level, so this table is exact.  The grid is built
-        level by level in place (dyadic._haar_synthesis): each cell gets
-        2^((k-1)/2) x_k^(j) added or subtracted for its one index per level,
-        in increasing k, so the floats are those of adding the Haar
+        level by level in place (dyadic._GridLevels.synthesis): each cell
+        gets 2^((k-1)/2) x_k^(j) added or subtracted for its one index per
+        level, in increasing k, so the floats are those of adding the Haar
         functions one index at a time in (k, j) order.  Each level's
         coefficient block exists only while that level is synthesised.
         """
@@ -103,14 +100,10 @@ class HaarCombination:
         if grid_level < self.max_level():
             raise DomainError("grid level must be at least the maximal index level")
         values = np.zeros((1 << grid_level, self.dim))
-        return _haar_synthesis(values, self._levels())
-
-    def _levels(self):
-        """(k, offsets, scaled rows) per level present, for _haar_synthesis."""
-        keys = list(self._coeffs)
         vectors = list(self._coeffs.values())
-        for k, offsets, lo, hi in _level_spans(keys):
-            yield (k, *_level_rows(k, offsets, np.array(vectors[lo:hi]), half_power(k - 1)))
+        return _GridLevels(list(self._coeffs)).synthesis(
+            values, lambda lo, hi: np.array(vectors[lo:hi])
+        )
 
     def map_coefficients(self, fn: Callable[[np.ndarray], np.ndarray], dim: int | None = None) -> "HaarCombination":
         return HaarCombination(

@@ -307,84 +307,85 @@ def from_heap_id(node: int) -> HaarIndex:
 # the grid kernel: Haar synthesis and analysis level by level
 
 
-def _level_spans(indices: list) -> list[tuple]:
-    """(k, offsets, lo, hi) per level of an index list in (k, j) order:
-    indices[lo:hi] are the level-k ones, at offsets j - 1 (None when all
-    2^(k-1) of them are present)."""
-    spans = []
-    lo = 0
-    while lo < len(indices):
-        k = indices[lo][0]
-        hi = lo + 1
-        while hi < len(indices) and indices[hi][0] == k:
-            hi += 1
-        full = hi - lo == 1 << (k - 1)
-        spans.append((k, None if full else [j - 1 for _k, j in indices[lo:hi]], lo, hi))
-        lo = hi
-    return spans
+class _GridLevels:
+    """An index list in (k, j) order laid out level by level on a dyadic grid.
 
-
-def _level_rows(k: int, offsets, rows: np.ndarray, scale: float):
-    """(offsets, rows) of level k in the form _haar_synthesis takes them.
-
-    `rows` are the unscaled coefficient rows of the level-k indices at
-    offsets j - 1 (None: all 2^(k-1) of them, in order); the array is scaled
-    in place.  A level with at most 4 + (entries of the full level) / 256
-    indices keeps one row per index, which _haar_synthesis steps through
-    one at a time; any other becomes the full block of 2^(k-1) rows, zero
-    where the set has no index, as one pass over the whole level then costs
-    less than the steps would.
+    The one place that knows the grid encoding: which rows of the list are
+    each level's, where they sit in their level and how they are scaled.
+    Build it once per index list; synthesis and analysis then take one
+    block of rows per level present.
     """
-    if offsets is None:
-        rows *= scale
-        return None, rows
-    if len(offsets) <= 4 + ((rows.shape[1] << (k - 1)) >> 8):
-        rows *= scale
-        return offsets, rows
-    block = np.zeros((1 << (k - 1), rows.shape[1]))
-    block[offsets] = rows
-    block *= scale
-    return None, block
 
+    def __init__(self, keys: list):
+        self.count = len(keys)
+        # (k, lo, hi, positions, 2^((k-1)/2)): keys[lo:hi] are the level-k
+        # indices, at positions j - 1 of their level (None: all 2^(k-1))
+        self.levels = []
+        lo = 0
+        while lo < len(keys):
+            k = keys[lo][0]
+            hi = lo + 1
+            while hi < len(keys) and keys[hi][0] == k:
+                hi += 1
+            full = hi - lo == 1 << (k - 1)
+            positions = None if full else np.array([j - 1 for _k, j in keys[lo:hi]])
+            self.levels.append((k, lo, hi, positions, half_power(k - 1)))
+            lo = hi
 
-def _haar_synthesis(out: np.ndarray, levels) -> np.ndarray:
-    """Add the Haar functions of the given levels into the zeroed grid `out`.
+    def synthesis(self, out: np.ndarray, rows_of) -> np.ndarray:
+        """Add the Haar functions of the index list into the zeroed grid `out`.
 
-    `out` holds the 2^g cells of the level-g grid, one row each.  `levels`
-    yields (k, offsets, rows) in increasing k <= g as _level_rows gives
-    them, rows scaled by 2^((k-1)/2), and may build each level's rows only
-    when asked for it.  The sum of the levels up to k is constant on the
-    level-k cells and is kept in the first row of each of them (stride
-    2^(g-k)): the level-k step turns each parent into its left child,
-    parent + row, and writes its right child, parent - row.  A full block
-    does this for the whole level with two ufuncs; otherwise every parent
-    is first copied to its right child and the listed indices are updated
-    one at a time.  Levels with no index cost one copy for the whole stretch
-    of them.  Every cell receives one addition per level in increasing k,
-    as a loop adding the Haar functions one index at a time in (k, j) order
-    gives it, and the zero rows of a block change nothing (a sum of this
-    kind is never -0.0), so the grid equals that loop's bit for bit.
-    """
-    g = out.shape[0].bit_length() - 1
-    done = 0  # the first row of each level-`done` cell holds the sum so far
-    for k, offsets, rows in levels:
-        wide = 1 << (g - k + 1)
-        half = wide >> 1
-        if offsets is None:
+        `out` holds the 2^g cells of the level-g grid, one row each, with g
+        at least the top level.  rows_of(lo, hi) gives the coefficient rows
+        of keys[lo:hi] as an array the kernel may scale in place; it is
+        called once per level, when that level is synthesised, so only one
+        level's rows exist at a time.  The sum of the levels up to k is
+        constant on the level-k cells and is kept in the first row of each
+        of them (stride 2^(g-k)).  The level-k step scales the level's rows
+        into a block of 2^(k-1) rows, zero where the list has no index,
+        turns each parent into its left child, parent + row, and writes its
+        right child, parent - row, with two ufuncs.  Levels with no index
+        cost one copy for the whole stretch of them.  Every cell receives
+        one addition per level in increasing k, as a loop adding the Haar
+        functions one index at a time in (k, j) order gives it, and a zero
+        row changes nothing (a sum of this kind is never -0.0), so the grid
+        equals that loop's bit for bit.
+        """
+        g = out.shape[0].bit_length() - 1
+        done = 0  # the first row of each level-`done` cell holds the sum so far
+        for k, lo, hi, positions, scale in self.levels:
+            if positions is None:
+                block = rows_of(lo, hi)
+            else:
+                block = np.zeros((1 << (k - 1), out.shape[1]))
+                block[positions] = rows_of(lo, hi)
+            block *= scale
+            wide = 1 << (g - k + 1)
             _spread(out, g, done, k - 1)
             parents = out[::wide]
-            np.subtract(parents, rows, out=out[half::wide])
-            np.add(parents, rows, out=parents)
-        else:
-            _spread(out, g, done, k)  # both children start as their parent
-            for offset, row in zip(offsets, rows):
-                left = offset * wide
-                out[left + half] -= row
-                out[left] += row
-        done = k
-        del offsets, rows  # free this level's rows before the next are built
-    _spread(out, g, done, g)
-    return out
+            np.subtract(parents, block, out=out[wide >> 1 :: wide])
+            np.add(parents, block, out=parents)
+            done = k
+            del block  # free this level's rows before the next are built
+        _spread(out, g, done, g)
+        return out
+
+    def analysis(self, cells: np.ndarray) -> np.ndarray:
+        """The adjoint of synthesis: per index of the list, 2^((k-1)/2) times
+        the sum of `cells` over the left half of its support minus the sum
+        over the right half, one row each.
+
+        Each half is summed in cell order, as cells[lo:mid].sum(axis=0) sums
+        it, and gives the same bits.
+        """
+        out = np.empty((self.count, cells.shape[1]))
+        for k, lo, hi, positions, scale in self.levels:
+            sums = cells.reshape(1 << k, -1, cells.shape[1]).sum(axis=1)
+            left, right = sums[0::2], sums[1::2]
+            if positions is not None:
+                left, right = left[positions], right[positions]
+            out[lo:hi] = scale * (left - right)
+        return out
 
 
 def _spread(out: np.ndarray, g: int, lo: int, hi: int) -> None:
@@ -394,20 +395,6 @@ def _spread(out: np.ndarray, g: int, lo: int, hi: int) -> None:
     if lo and hi > lo:
         blocks = out[:: 1 << (g - hi)].reshape(1 << lo, -1, out.shape[1])
         blocks[:, 1:] = blocks[:, :1]
-
-
-def _haar_analysis(cells: np.ndarray, k: int, offsets) -> np.ndarray:
-    """Sum over the left half minus the sum over the right half of the
-    support of each level-k index, one row per index.
-
-    Each half is summed in cell order, as cells[lo:mid].sum(axis=0) sums it,
-    and gives the same bits.
-    """
-    sums = cells.reshape(1 << k, -1, cells.shape[1]).sum(axis=1)
-    left, right = sums[0::2], sums[1::2]
-    if offsets is not None:
-        left, right = left[offsets], right[offsets]
-    return left - right
 
 
 def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:

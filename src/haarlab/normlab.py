@@ -25,10 +25,7 @@ from .combinatorics import local_height
 from .config import check_level
 from .dyadic import (
     HaarIndex,
-    _haar_analysis,
-    _haar_synthesis,
-    _level_rows,
-    _level_spans,
+    _GridLevels,
     full_tree,
     half_power,
     make_index_set,
@@ -210,35 +207,15 @@ def _check_budget(restarts: int, iterations: int):
         raise DomainError(f"iteration budget must be >= 1, got {iterations}")
 
 
-def _power_iteration_sigma(M: np.ndarray, iterations: int) -> tuple[float, np.ndarray, int]:
-    """Top singular value and right singular vector of M by repeated squaring.
-
-    B = M^T M is normalised (after scaling M to largest entry 1) and squared
-    until a squaring no longer moves it, at most max(iterations, 64) times:
-    s squarings make it (M^T M)^(2^s), in which a singular value
-    sigma_i < sigma_1 weighs (sigma_i / sigma_1)^(2^(s+1)) against the top
-    one.  When B stops moving, either those weights are below 1e-13 or the
-    top singular values agree to about 1e-13, so its largest column is a top
-    singular vector up to a relative error in sigma of about 1e-13.  Returns
-    (sigma, vector, squarings run).
-    """
+def _top_singular_vector(M: np.ndarray) -> np.ndarray:
+    """A top right singular vector of M: the top eigenvector of M^T M, from
+    one symmetric eigensolve.  M is first scaled to largest entry 1, so
+    M^T M does not overflow."""
     top = float(np.abs(M).max())
     if top == 0.0:
-        return 0.0, np.eye(M.shape[1])[0], 0
+        return np.eye(M.shape[1])[0]
     scaled = M / top
-    B = scaled.T @ scaled
-    B /= np.linalg.norm(B)
-    used = 0
-    for used in range(1, max(iterations, 64) + 1):
-        squared = B @ B
-        squared /= np.linalg.norm(squared)
-        moved = float(np.linalg.norm(squared - B))
-        B = squared
-        if moved <= 1e-13:
-            break
-    column = B[:, int(np.argmax(np.linalg.norm(B, axis=0)))]
-    v = column / np.linalg.norm(column)
-    return top * float(np.linalg.norm(scaled @ v)), v, used
+    return np.linalg.eigh(scaled.T @ scaled)[1][:, -1]
 
 
 def _nested_levels(a, b) -> bool:
@@ -367,8 +344,8 @@ class _AscentProblem:
     order, so each level's indices are a block of rows); the denominator is
     evaluated directly from the rows, the numerator on the dyadic grid at
     the finest level.  The grid of T f is synthesised level by level
-    (dyadic._haar_synthesis) and its adjoint, the per-index sums of the
-    gradient, is taken level by level (dyadic._haar_analysis); both give
+    (dyadic._GridLevels.synthesis) and its adjoint, the per-index sums of
+    the gradient, is taken level by level (_GridLevels.analysis); both give
     the same floats as a loop over the indices one at a time.  Each iterate
     is synthesised once, and its ratio and gradient share that grid.
     """
@@ -380,19 +357,13 @@ class _AscentProblem:
         self.kmax = max(k for k, _ in idx)
         self.cells = 1 << self.kmax
         self.scale = np.array([half_power(k - 1) for k, _ in idx])
-        self.levels = [
-            (k, offsets, lo, hi, half_power(k - 1))
-            for k, offsets, lo, hi in _level_spans(self.idx)
-        ]
+        self.grid = _GridLevels(self.idx)
         if p is not None:
             self.weights = np.array([2.0 ** ((k - 1) * (p / 2.0 - 1.0)) for k, _ in idx])
 
     def grid_values(self, Y: np.ndarray) -> np.ndarray:
         """Grid of the combination with rows Y; scales Y in place."""
-        levels = (
-            (k, *_level_rows(k, offsets, Y[lo:hi], s)) for k, offsets, lo, hi, s in self.levels
-        )
-        return _haar_synthesis(np.zeros((self.cells, Y.shape[1])), levels)
+        return self.grid.synthesis(np.zeros((self.cells, Y.shape[1])), lambda lo, hi: Y[lo:hi])
 
     def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid values V of T f and their codomain norms nu."""
@@ -423,10 +394,7 @@ class _AscentProblem:
             return np.zeros_like(X)
         cell_scale = (nu ** (pnum - 1.0)) * (num ** (1.0 - pnum) / self.cells)
         G_cells = self.T.codomain.dual_rows(V) * cell_scale[:, None]
-        G_Y = np.empty((len(self.idx), V.shape[1]))
-        for k, offsets, lo, hi, s in self.levels:
-            G_Y[lo:hi] = s * _haar_analysis(G_cells, k, offsets)
-        G_num = self.T.transpose_apply_rows(G_Y)
+        G_num = self.T.transpose_apply_rows(self.grid.analysis(G_cells))
 
         norms = self.T.domain.norms_of(X)
         duals = self.T.domain.dual_rows(X)
@@ -538,7 +506,7 @@ def tau_estimate(
     """Certified lower bound for the square-sum ratio over index set F.
 
     Strategy depends on the operator: for l2 -> l2 the ratio equals the top
-    singular value for any F, found by power iteration; coordinatewise
+    singular value for any F, found by one eigensolve of M^T M; coordinatewise
     operators into l1 admit exact Rayleigh-quotient witnesses over
     one-coordinate patterns; the general fallback is projected subgradient
     ascent from random starts. The reported bound is always the ratio of
@@ -548,9 +516,9 @@ def tau_estimate(
     _check_budget(restarts, iterations)
 
     if T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
-        sigma, v, used = _power_iteration_sigma(T.as_matrix(), iterations)
+        v = _top_singular_vector(T.as_matrix())
         f = HaarCombination(T.domain.dim, {idx[0]: v})
-        return _normalized_estimate(T, [(f, EstimateMethod.POWER_ITERATION)], None, 1, used)
+        return _normalized_estimate(T, [(f, EstimateMethod.POWER_ITERATION)], None, 1, 1)
 
     candidates = [(f, EstimateMethod.COORDINATE_ALIGNED) for f in _coordinate_candidates(T, idx)]
     candidates.append((_best_column_candidate(T, idx[0]), EstimateMethod.COORDINATE_ALIGNED))
@@ -611,9 +579,9 @@ def tau_p_estimate(
     idx = sorted_indices(full_tree(n))
 
     if p == 2.0 and T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
-        sigma, v, used = _power_iteration_sigma(T.as_matrix(), iterations)
+        v = _top_singular_vector(T.as_matrix())
         f = HaarCombination(T.domain.dim, {(1, 1): v})
-        return _normalized_estimate(T, [(f, EstimateMethod.POWER_ITERATION)], p, 1, used)
+        return _normalized_estimate(T, [(f, EstimateMethod.POWER_ITERATION)], p, 1, 1)
 
     candidates = [(_best_column_candidate(T, (1, 1)), EstimateMethod.COORDINATE_ALIGNED)]
     exact = _level_constant_candidate(T, n, p)

@@ -245,7 +245,7 @@ def test_tau_estimate_hilbert_reaches_close_top_singular_values():
     top = float(np.linalg.svd(M, compute_uv=False)[0])
     assert est.lower_bound == pytest.approx(top, rel=1e-12)
     assert est.method is EstimateMethod.POWER_ITERATION
-    assert 1 <= est.iterations <= 64
+    assert est.iterations == 1
 
 
 def test_tau_estimate_hilbert_matches_svd_on_seeded_matrices():
