@@ -1,15 +1,18 @@
 """Finite Haar combinations with vector coefficients.
 
 A combination f = sum over indices (k, j) of x_k^(j) * chi_k^(j) is stored as
-a mapping from index to coefficient vector.  All coefficients share one
-ambient dimension; explicit zero vectors are kept (they matter for rewrite
-bookkeeping) but excluded from the support.
+two arrays: the sorted heap ids 2^(k-1) + j - 1 of its indices (see
+dyadic.heap_id; id order is (k, j) order) and one read-only (N, dim) float
+array whose row i is the coefficient of the i-th id.  All coefficients share
+one ambient dimension; explicit zero rows are kept (they matter for rewrite
+bookkeeping) but excluded from the support.  The mapping API (items,
+coefficient, support, restricted_to) is a view of the two arrays.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -19,67 +22,141 @@ from .dyadic import (
     HaarIndex,
     _GridLevels,
     _haar_eval,
+    from_heap_id,
+    heap_id,
     make_index_set,
 )
 from .errors import DomainError
 
+# the finest level whose heap ids, and the grid boundaries above them, fit
+# in int64
+_STORED_LEVELS = 62
+
+
+def _node(idx) -> int | None:
+    """The heap id of a pair, or None when the pair is no storable index."""
+    k, j = idx
+    if 1 <= k <= _STORED_LEVELS and 1 <= j <= 1 << (k - 1):
+        return heap_id(k, j)
+    return None
+
 
 class HaarCombination:
-    """Immutable vector-coefficient combination of Haar functions."""
+    """Immutable vector-coefficient combination of Haar functions.
 
-    __slots__ = ("dim", "_coeffs")
+    Holds the sorted heap ids of its indices and a read-only (N, dim) float
+    array of their coefficients, one C-contiguous row per id.  The
+    constructor checks outside input (every key through make_index_set,
+    every coefficient's shape); combinations derived inside the package are
+    built by _from_arrays, which trusts its arrays.  Every derived
+    coefficient is the float the per-index computation gives, so the arrays
+    change nothing in the bits of any result.
+    """
+
+    __slots__ = ("dim", "_ids", "_rows")
 
     def __init__(self, dim: int, coefficients: Mapping[tuple[int, int], Iterable[float]]):
         if dim < 1:
             raise DomainError(f"coefficient dimension must be >= 1, got {dim}")
-        self.dim = dim
         make_index_set(coefficients)  # validates every key, reading the level cap once
-        coeffs: dict[HaarIndex, np.ndarray] = {}
+        ids, rows = [], []
         for (k, j), raw in coefficients.items():
-            idx = HaarIndex(k, j)
             x = np.asarray(raw, dtype=float)
             if x.shape != (dim,):
                 raise DomainError(
-                    f"coefficient at {idx} has shape {x.shape}, expected ({dim},)"
+                    f"coefficient at {HaarIndex(k, j)} has shape {x.shape}, expected ({dim},)"
                 )
-            x = x.copy()
-            x.flags.writeable = False
-            coeffs[idx] = x
-        # lexicographic key order makes iteration (and float sums) reproducible
-        self._coeffs = dict(sorted(coeffs.items()))
+            if k > _STORED_LEVELS:
+                raise DomainError(
+                    f"Haar index level {k} exceeds {_STORED_LEVELS}, the finest level "
+                    "a combination stores"
+                )
+            ids.append(heap_id(int(k), int(j)))
+            rows.append(x)
+        ids = np.array(ids, dtype=np.int64)
+        order = np.argsort(ids)  # (k, j) order makes float sums reproducible
+        self._set(dim, ids[order], np.array(rows).reshape(len(ids), dim)[order])
+
+    def _set(self, dim: int, ids: np.ndarray, rows: np.ndarray) -> None:
+        self.dim = dim
+        self._ids = ids.view()
+        self._ids.flags.writeable = False
+        # a read-only view: the owner's array is not touched
+        self._rows = np.ascontiguousarray(rows, dtype=float).view()
+        self._rows.flags.writeable = False
+
+    @classmethod
+    def _from_arrays(cls, dim: int, ids: np.ndarray, rows: np.ndarray) -> "HaarCombination":
+        """The combination with coefficient rows[i] at heap id ids[i].
+
+        Trusts its input: ids sorted, unique and valid, rows of shape
+        (len(ids), dim).  The caller hands rows over and does not write them
+        afterwards.
+        """
+        f = cls.__new__(cls)
+        f._set(dim, ids, rows)
+        return f
+
+    @classmethod
+    def _from_unsorted(cls, dim: int, ids: np.ndarray, rows: np.ndarray) -> "HaarCombination":
+        """As _from_arrays, for unique valid ids in any order."""
+        order = np.argsort(ids)
+        return cls._from_arrays(dim, ids[order], rows[order])
 
     @classmethod
     def zero(cls, dim: int) -> "HaarCombination":
         return cls(dim, {})
 
+    @property
+    def heap_ids(self) -> np.ndarray:
+        """Sorted heap ids of the stored indices (read-only)."""
+        return self._ids
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (N, dim) coefficients, row i at heap_ids[i] (read-only)."""
+        return self._rows
+
+    def _keys(self) -> list[HaarIndex]:
+        return [from_heap_id(node) for node in self._ids.tolist()]
+
+    def _position(self, idx) -> int:
+        """Row of an index, or -1 when it is not stored."""
+        node = _node(idx)
+        if node is None:
+            return -1
+        pos = int(np.searchsorted(self._ids, node))
+        return pos if pos < len(self._ids) and self._ids[pos] == node else -1
+
     def items(self) -> Iterator[tuple[HaarIndex, np.ndarray]]:
-        return iter(self._coeffs.items())
+        return zip(self._keys(), self._rows)
 
     def indices(self) -> frozenset[HaarIndex]:
         """All stored indices, explicit zeros included."""
-        return frozenset(self._coeffs)
+        return frozenset(self._keys())
 
     def support(self) -> frozenset[HaarIndex]:
-        return frozenset(idx for idx, x in self._coeffs.items() if np.any(x != 0.0))
+        nonzero = self._ids[self._rows.any(axis=1)]
+        return frozenset(from_heap_id(node) for node in nonzero.tolist())
 
     def coefficient(self, idx: tuple[int, int]) -> np.ndarray:
-        got = self._coeffs.get(HaarIndex(*idx))
-        if got is None:
+        pos = self._position(idx)
+        if pos < 0:
             return np.zeros(self.dim)
-        return got
+        return self._rows[pos]
 
     def __contains__(self, idx) -> bool:
-        return HaarIndex(*idx) in self._coeffs
+        return self._position(idx) >= 0
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._ids)
 
     def max_level(self) -> int:
-        return max((k for (k, _j) in self._coeffs), default=0)
+        return int(self._ids[-1]).bit_length() if len(self._ids) else 0
 
     def value_at(self, t: DyadicRational) -> np.ndarray:
         out = np.zeros(self.dim)
-        for (k, j), x in self._coeffs.items():
+        for (k, j), x in self.items():
             v = _haar_eval(k, j, t.num, t.level)
             if v.sign != 0:
                 out += v.as_float() * x
@@ -100,33 +177,28 @@ class HaarCombination:
         if grid_level < self.max_level():
             raise DomainError("grid level must be at least the maximal index level")
         values = np.zeros((1 << grid_level, self.dim))
-        vectors = list(self._coeffs.values())
-        return _GridLevels(list(self._coeffs)).synthesis(
-            values, lambda lo, hi: np.array(vectors[lo:hi])
-        )
-
-    def map_coefficients(self, fn: Callable[[np.ndarray], np.ndarray], dim: int | None = None) -> "HaarCombination":
-        return HaarCombination(
-            dim if dim is not None else self.dim,
-            {idx: fn(x) for idx, x in self._coeffs.items()},
-        )
+        return _GridLevels(self._ids).synthesis(values, lambda lo, hi: self._rows[lo:hi].copy())
 
     def restricted_to(self, indices) -> "HaarCombination":
-        keep = frozenset(HaarIndex(*i) for i in indices)
-        return HaarCombination(
-            self.dim, {idx: x for idx, x in self._coeffs.items() if idx in keep}
-        )
+        if not isinstance(indices, (set, frozenset)):
+            indices = frozenset(map(tuple, indices))
+        keep = np.array([idx in indices for idx in self._keys()], dtype=bool)
+        return HaarCombination._from_arrays(self.dim, self._ids[keep], self._rows[keep])
 
     def scaled(self, c: float) -> "HaarCombination":
-        return self.map_coefficients(lambda x: c * x)
+        return HaarCombination._from_arrays(self.dim, self._ids, c * self._rows)
 
-    def squared_sum(self, norm_fn: Callable[[np.ndarray], float] | None = None) -> float:
-        """Sum over indices of ||x||^2 under the given norm (Euclidean default)."""
-        if norm_fn is None:
-            terms = [float(x @ x) for _idx, x in self._coeffs.items()]
-        else:
-            terms = [norm_fn(x) ** 2 for _idx, x in self._coeffs.items()]
-        return math.fsum(terms)
+    def squared_sum(self, space=None) -> float:
+        """Sum over indices of ||x||^2 in the given NormedSpaceSpec
+        (Euclidean when None).
+
+        The norms of all rows come from one array operation, each the float
+        space.norm_of gives; the squares stay Python float powers, which
+        numpy's power does not reproduce bit for bit.
+        """
+        if space is None:
+            return math.fsum(np.vecdot(self._rows, self._rows).tolist())
+        return math.fsum([v**2 for v in space.norm_of_each(self._rows).tolist()])
 
     def __repr__(self) -> str:
-        return f"HaarCombination(dim={self.dim}, indices={len(self._coeffs)})"
+        return f"HaarCombination(dim={self.dim}, indices={len(self._ids)})"

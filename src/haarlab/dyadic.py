@@ -303,41 +303,55 @@ def from_heap_id(node: int) -> HaarIndex:
     return HaarIndex(k, node - (1 << (k - 1)) + 1)
 
 
+def heap_ids(indices: frozenset[HaarIndex]) -> np.ndarray:
+    """Sorted int64 heap ids of a validated index set."""
+    ids = np.fromiter(
+        ((1 << (k - 1)) + j - 1 for k, j in indices), dtype=np.int64, count=len(indices)
+    )
+    ids.sort()
+    return ids
+
+
+def _level_runs(ids: np.ndarray) -> list[tuple[int, int, int]]:
+    """(k, lo, hi) for each level k present in sorted heap ids, whose
+    level-k ids are ids[lo:hi]."""
+    if not len(ids):
+        return []
+    top = int(ids[-1]).bit_length()
+    # starts[k - 1]: the first position of level k (ids >= 2^(k-1))
+    starts = np.searchsorted(ids, [1 << k for k in range(top)]).tolist() + [len(ids)]
+    return [(k, starts[k - 1], starts[k]) for k in range(1, top + 1) if starts[k - 1] < starts[k]]
+
+
 # ---------------------------------------------------------------------------
 # the grid kernel: Haar synthesis and analysis level by level
 
 
 class _GridLevels:
-    """An index list in (k, j) order laid out level by level on a dyadic grid.
+    """Sorted heap ids laid out level by level on a dyadic grid.
 
-    The one place that knows the grid encoding: which rows of the list are
-    each level's, where they sit in their level and how they are scaled.
-    Build it once per index list; synthesis and analysis then take one
-    block of rows per level present.
+    The one place that knows the grid encoding: which rows of the id list
+    are each level's, where they sit in their level and how they are scaled.
+    Build it once per id list; synthesis and analysis then take one block
+    of rows per level present.
     """
 
-    def __init__(self, keys: list):
-        self.count = len(keys)
-        # (k, lo, hi, positions, 2^((k-1)/2)): keys[lo:hi] are the level-k
+    def __init__(self, ids: np.ndarray):
+        self.count = len(ids)
+        # (k, lo, hi, positions, 2^((k-1)/2)): ids[lo:hi] are the level-k
         # indices, at positions j - 1 of their level (None: all 2^(k-1))
         self.levels = []
-        lo = 0
-        while lo < len(keys):
-            k = keys[lo][0]
-            hi = lo + 1
-            while hi < len(keys) and keys[hi][0] == k:
-                hi += 1
+        for k, lo, hi in _level_runs(ids):
             full = hi - lo == 1 << (k - 1)
-            positions = None if full else np.array([j - 1 for _k, j in keys[lo:hi]])
+            positions = None if full else ids[lo:hi] - (1 << (k - 1))
             self.levels.append((k, lo, hi, positions, half_power(k - 1)))
-            lo = hi
 
     def synthesis(self, out: np.ndarray, rows_of) -> np.ndarray:
-        """Add the Haar functions of the index list into the zeroed grid `out`.
+        """Add the Haar functions of the id list into the zeroed grid `out`.
 
         `out` holds the 2^g cells of the level-g grid, one row each, with g
         at least the top level.  rows_of(lo, hi) gives the coefficient rows
-        of keys[lo:hi] as an array the kernel may scale in place; it is
+        of ids[lo:hi] as an array the kernel may scale in place; it is
         called once per level, when that level is synthesised, so only one
         level's rows exist at a time.  The sum of the levels up to k is
         constant on the level-k cells and is kept in the first row of each

@@ -381,7 +381,7 @@ def log_variant_certificate(
     )
 
     return {
-        "supportSize": len(f.support()),
+        "supportSize": int(np.count_nonzero(f.rows.any(axis=1))),
         "thresholdBase": base,
         "directNorm": direct,
         "pieceNormSum": piece_norm_sum,
@@ -418,17 +418,16 @@ def run_log_variant_experiment(
     dim = 1 << (m + 1)
     op = _sweep_operator(p, dim)
     tau_table = _tree_tau_table(op, m, config)
-    pool = sorted(full_tree(n))
+    pool = (1 << n) - 1  # heap ids 1 .. 2^n - 1 number the depth-n tree in order
 
     def random_family(trial: int) -> HaarCombination:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
-        size = int(rng.integers(1, min(len(pool), 40) + 1))
-        picks = rng.choice(len(pool), size=size, replace=False)
-        coeffs = {
-            pool[int(b)]: rng.standard_normal(dim) * half_power(-(pool[int(b)].k - 1))
-            for b in picks
-        }
-        return HaarCombination(dim, coeffs)
+        size = int(rng.integers(1, min(pool, 40) + 1))
+        ids = rng.choice(pool, size=size, replace=False) + 1
+        rows = np.array(
+            [rng.standard_normal(dim) * half_power(-(int(node).bit_length() - 1)) for node in ids]
+        )
+        return HaarCombination._from_unsorted(dim, ids, rows)
 
     if families is None:
         family_list = [random_family(t) for t in range(trials)]

@@ -13,6 +13,7 @@ the public quadrature path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,10 +27,12 @@ from .config import check_level
 from .dyadic import (
     HaarIndex,
     _GridLevels,
+    _level_runs,
+    from_heap_id,
     full_tree,
     half_power,
+    heap_ids,
     make_index_set,
-    sorted_indices,
 )
 from .errors import DomainError
 from .spaces import Norm, NormedSpaceSpec, OperatorSpec
@@ -73,7 +76,7 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
         raise DomainError(f"exponent p must satisfy 1 <= p < inf, got {p}")
     if space.dim != f.dim:
         raise DomainError(f"space dimension {space.dim} does not match combination dim {f.dim}")
-    if not f.support():
+    if not f.rows.any():
         return 0.0
     n = f.max_level()
     cells = f.cell_values(n)
@@ -83,16 +86,20 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
 
 
 def levelwise_rhs_p(f: HaarCombination, space: NormedSpaceSpec, p: float) -> float:
-    """Weighted coefficient sum (sum_F 2^{(k-1)(p/2-1)} ||x||^p)^{1/p}."""
+    """Weighted coefficient sum (sum_F 2^{(k-1)(p/2-1)} ||x||^p)^{1/p}.
+
+    The norms come from one array operation; the powers stay Python float
+    powers, which numpy's power does not reproduce bit for bit.
+    """
     if not 1 <= p <= 2:
         raise DomainError(f"exponent p must satisfy 1 <= p <= 2, got {p}")
     if space.dim != f.dim:
         raise DomainError(f"space dimension {space.dim} does not match combination dim {f.dim}")
+    norms = space.norm_of_each(f.rows).tolist()
     terms = []
-    for (k, _), x in f.items():
-        nx = space.norm_of(x)
-        if nx:
-            terms.append((nx**p) * 2.0 ** ((k - 1) * (p / 2.0 - 1.0)))
+    for k, lo, hi in _level_runs(f.heap_ids):
+        weight = 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
+        terms += [(nx**p) * weight for nx in norms[lo:hi] if nx]
     total = math.fsum(terms)
     return total ** (1.0 / p)
 
@@ -102,14 +109,12 @@ def apply_operator(T: OperatorSpec, f: HaarCombination) -> HaarCombination:
         raise DomainError(
             f"operator domain dimension {T.domain.dim} does not match combination dim {f.dim}"
         )
-    return HaarCombination(
-        T.codomain.dim, {idx: T.apply(x) for idx, x in f.items()}
-    )
+    return HaarCombination._from_arrays(T.codomain.dim, f.heap_ids, T.apply_each(f.rows))
 
 
 def tau_ratio(T: OperatorSpec, f: HaarCombination) -> float:
     """L2 norm of T applied to f over the plain coefficient square sum."""
-    den = math.sqrt(f.squared_sum(T.domain.norm_of))
+    den = math.sqrt(f.squared_sum(T.domain))
     if den == 0.0:
         return 0.0
     num = lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0)
@@ -200,6 +205,13 @@ def _nonempty_index_list(indices) -> list[HaarIndex]:
     return idx
 
 
+def _nonempty_heap_ids(indices) -> np.ndarray:
+    ids = heap_ids(make_index_set(indices))
+    if not len(ids):
+        raise DomainError("index set must be nonempty")
+    return ids
+
+
 def _check_budget(restarts: int, iterations: int):
     if restarts < 1:
         raise DomainError(f"restart budget must be >= 1, got {restarts}")
@@ -225,12 +237,13 @@ def _nested_levels(a, b) -> bool:
 
 
 def _pattern_gram_witness(
-    idx: Sequence[tuple[int, int]], sigma: np.ndarray, coords: dict
+    idx: Sequence[tuple[int, int]], sigma: np.ndarray, coords: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Best coefficient magnitudes for a fixed coordinate assignment.
 
-    With every x_a restricted to a single coordinate e_{c_a}, the squared
-    ratio becomes a Rayleigh quotient of the PSD Gram matrix
+    With every x_a restricted to a single coordinate e_{c_a} (c_a =
+    coords[a]), the squared ratio becomes a Rayleigh quotient of the PSD
+    Gram matrix
     A[a,b] = |sigma_{c_a} sigma_{c_b}| 2^{-|k_a-k_b|/2} [supports nested].
     Requires the assignment to be injective along every branch so that the
     l1 norm of the image splits into per-coordinate absolute values.
@@ -240,12 +253,12 @@ def _pattern_gram_witness(
     A = np.zeros((m, m))
     for a in range(m):
         ka = idx[a][0]
-        sa = abs(sigma[coords[idx[a]]])
+        sa = abs(sigma[coords[a]])
         for b in range(a, m):
             kb = idx[b][0]
             if a != b and not _nested_levels(idx[a], idx[b]):
                 continue
-            val = sa * abs(sigma[coords[idx[b]]]) * half_power(-abs(ka - kb))
+            val = sa * abs(sigma[coords[b]]) * half_power(-abs(ka - kb))
             A[a, b] = A[b, a] = val
     if not np.isfinite(A).all():
         return None
@@ -254,18 +267,18 @@ def _pattern_gram_witness(
     return vals[-1], u
 
 
-def _branch_injective(idx: Sequence[tuple[int, int]], coords: dict) -> bool:
+def _branch_injective(idx: Sequence[tuple[int, int]], coords: Sequence[int]) -> bool:
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
-            if coords[idx[a]] == coords[idx[b]] and _nested_levels(idx[a], idx[b]):
+            if coords[a] == coords[b] and _nested_levels(idx[a], idx[b]):
                 return False
     return True
 
 
-def _coordinate_candidates(
-    T: OperatorSpec, idx: Sequence[tuple[int, int]]
-) -> list[HaarCombination]:
-    """Witnesses with one active coordinate per index, chosen by patterns."""
+def _coordinate_candidates(T: OperatorSpec, ids: np.ndarray) -> list[HaarCombination]:
+    """Witnesses with one active coordinate per index, chosen by patterns.
+
+    A pattern is a list of coordinates, one per id."""
     sigma = T.diagonal_magnitudes()
     if sigma is None or T.codomain.norm is not Norm.L1:
         return []
@@ -275,52 +288,42 @@ def _coordinate_candidates(
     # closed-form level profile: amplitude sigma_c at depth c below the top
     # level; on full trees and bands this attains the Cauchy-Schwarz optimum
     # of the branchwise ratio, and it stays cheap for large sets
-    k_min = min(k for k, _ in idx)
-    by_level = {a: a[0] - k_min for a in idx}
-    if max(by_level.values()) < dim:
-        coeffs = {}
-        for a in idx:
-            c = by_level[a]
-            x = np.zeros(dim)
-            x[c] = sigma[c] * half_power(-c)
-            coeffs[a] = x
-        if any(v.any() for v in coeffs.values()):
-            out.append(HaarCombination(dim, coeffs))
+    runs = _level_runs(ids)
+    k_min = runs[0][0]
+    if runs[-1][0] - k_min < dim:
+        rows = np.zeros((len(ids), dim))
+        for k, lo, hi in runs:
+            c = k - k_min
+            rows[lo:hi, c] = sigma[c] * half_power(-c)
+        if rows.any():
+            out.append(HaarCombination._from_arrays(dim, ids, rows))
 
-    if len(idx) > 300:
+    if len(ids) > 300:
         return out
+    idx = [from_heap_id(node) for node in ids.tolist()]
     patterns = []
 
-    ancestors = {
-        a: sum(1 for b in idx if b != a and b[0] < a[0] and _nested_levels(a, b)) for a in idx
-    }
-    if max(ancestors.values()) < dim:
+    by_level = [a[0] - k_min for a in idx]
+    ancestors = [
+        sum(1 for b in idx if b != a and b[0] < a[0] and _nested_levels(a, b)) for a in idx
+    ]
+    if max(ancestors) < dim:
         patterns.append(ancestors)
 
-    if max(by_level.values()) < dim and by_level != ancestors:
+    if max(by_level) < dim and by_level != ancestors:
         patterns.append(by_level)
 
     if len(idx) <= 4:
         top = np.argsort(sigma)[::-1][: min(dim, 4)]
         pool = [int(c) for c in top]
-        total = len(pool) ** len(idx)
-        if total <= 256:
-            def assignments(pos, current):
-                if pos == len(idx):
-                    yield dict(current)
-                    return
-                for c in pool:
-                    current[idx[pos]] = c
-                    yield from assignments(pos + 1, current)
-                current.pop(idx[pos], None)
-
-            for cand in assignments(0, {}):
+        if len(pool) ** len(idx) <= 256:
+            for cand in itertools.product(pool, repeat=len(idx)):
                 if _branch_injective(idx, cand):
                     patterns.append(cand)
 
     seen = set()
     for coords in patterns:
-        key = tuple(coords[a] for a in idx)
+        key = tuple(coords)
         if key in seen:
             continue
         seen.add(key)
@@ -328,12 +331,9 @@ def _coordinate_candidates(
         if res is None:
             continue
         _, u = res
-        coeffs = {}
-        for a, ua in zip(idx, u):
-            x = np.zeros(dim)
-            x[coords[a]] = ua
-            coeffs[a] = x
-        out.append(HaarCombination(dim, coeffs))
+        rows = np.zeros((len(ids), dim))
+        rows[np.arange(len(ids)), key] = u
+        out.append(HaarCombination._from_arrays(dim, ids, rows))
     return out
 
 
@@ -341,25 +341,30 @@ class _AscentProblem:
     """Shared geometry for the projected subgradient ascent.
 
     Coefficients are stored as a matrix X with one row per index (sorted
-    order, so each level's indices are a block of rows); the denominator is
-    evaluated directly from the rows, the numerator on the dyadic grid at
-    the finest level.  The grid of T f is synthesised level by level
-    (dyadic._GridLevels.synthesis) and its adjoint, the per-index sums of
-    the gradient, is taken level by level (_GridLevels.analysis); both give
-    the same floats as a loop over the indices one at a time.  Each iterate
-    is synthesised once, and its ratio and gradient share that grid.
+    order, so each level's indices are a block of rows), the layout of a
+    HaarCombination's rows; the denominator is evaluated directly from the
+    rows, the numerator on the dyadic grid at the finest level.  The grid
+    of T f is synthesised level by level (dyadic._GridLevels.synthesis) and
+    its adjoint, the per-index sums of the gradient, is taken level by level
+    (_GridLevels.analysis); both give the same floats as a loop over the
+    indices one at a time.  Each iterate is synthesised once, and its ratio
+    and gradient share that grid.
     """
 
-    def __init__(self, T: OperatorSpec, idx: Sequence[tuple[int, int]], p: float | None):
+    def __init__(self, T: OperatorSpec, ids: np.ndarray, p: float | None):
         self.T = T
-        self.idx = list(idx)
+        self.ids = ids  # sorted heap ids
         self.p = p
-        self.kmax = max(k for k, _ in idx)
+        self.grid = _GridLevels(self.ids)
+        self.kmax = self.grid.levels[-1][0]
         self.cells = 1 << self.kmax
-        self.scale = np.array([half_power(k - 1) for k, _ in idx])
-        self.grid = _GridLevels(self.idx)
+        self.scale = np.empty(len(self.ids))
+        for _k, lo, hi, _positions, scale in self.grid.levels:
+            self.scale[lo:hi] = scale
         if p is not None:
-            self.weights = np.array([2.0 ** ((k - 1) * (p / 2.0 - 1.0)) for k, _ in idx])
+            self.weights = np.empty(len(self.ids))
+            for k, lo, hi, _positions, _scale in self.grid.levels:
+                self.weights[lo:hi] = 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
 
     def grid_values(self, Y: np.ndarray) -> np.ndarray:
         """Grid of the combination with rows Y; scales Y in place."""
@@ -407,7 +412,7 @@ class _AscentProblem:
         return G_num - num * G_den
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        X = rng.standard_normal((len(self.idx), self.T.domain.dim))
+        X = rng.standard_normal((len(self.ids), self.T.domain.dim))
         return X * (1.0 / self.scale)[:, None]
 
     def ascend(self, X0: np.ndarray, iterations: int) -> np.ndarray:
@@ -434,38 +439,48 @@ class _AscentProblem:
         return best
 
     def to_combination(self, X: np.ndarray) -> HaarCombination:
-        return HaarCombination(self.T.domain.dim, dict(zip(self.idx, X)))
+        return HaarCombination._from_arrays(self.T.domain.dim, self.ids, X)
 
     def from_combination(self, f: HaarCombination) -> np.ndarray:
-        return np.array([f.coefficient(a) for a in self.idx])
+        X = np.zeros((len(self.ids), self.T.domain.dim))
+        inside = np.isin(f.heap_ids, self.ids)
+        X[np.searchsorted(self.ids, f.heap_ids[inside])] = f.rows[inside]
+        return X
+
+
+def _rated(
+    T: OperatorSpec, f: HaarCombination, method: EstimateMethod, p: float | None
+) -> tuple[HaarCombination, EstimateMethod, float]:
+    """A candidate with its public ratio.
+
+    Raises DomainError when float arithmetic overflows, that is when the
+    ratio is not finite: a bound from the candidates that stay finite would
+    ignore the directions in which T is largest.  tau is homogeneous in T,
+    so a scaled operator gives the bound.
+    """
+    r = _candidate_ratio(T, f, p)
+    if not math.isfinite(r):
+        raise DomainError(
+            "a candidate witness has no finite ratio: the operator overflows float arithmetic"
+        )
+    return f, method, r
 
 
 def _normalized_estimate(
     T: OperatorSpec,
-    candidates: list[tuple[HaarCombination, EstimateMethod]],
+    candidates: list[tuple[HaarCombination, EstimateMethod, float]],
     p: float | None,
     restarts: int,
     iterations: int,
 ) -> TauEstimate:
-    """Pick the best candidate by the public ratio and normalise it.
-
-    Raises DomainError when float arithmetic overflows, that is when a
-    candidate's ratio or the normalised witness's ratio is not finite: a
-    bound from the candidates that stay finite would ignore the directions
-    in which T is largest.  tau is homogeneous in T, so a scaled operator
-    gives the bound.
-    """
+    """Pick the best rated candidate and normalise it; raises DomainError
+    when the normalised witness's ratio is not finite."""
     best_f, best_method, best_r = None, None, -1.0
-    for f, method in candidates:
-        r = _candidate_ratio(T, f, p)
-        if not math.isfinite(r):
-            raise DomainError(
-                "a candidate witness has no finite ratio: the operator overflows float arithmetic"
-            )
+    for f, method, r in candidates:
         if r > best_r:
             best_f, best_method, best_r = f, method, r
     den = (
-        math.sqrt(best_f.squared_sum(T.domain.norm_of))
+        math.sqrt(best_f.squared_sum(T.domain))
         if p is None
         else levelwise_rhs_p(best_f, T.domain, p)
     )
@@ -487,13 +502,20 @@ def _candidate_ratio(T: OperatorSpec, f: HaarCombination, p: float | None) -> fl
         return math.nan
 
 
-def _best_column_candidate(T: OperatorSpec, index: tuple[int, int]) -> HaarCombination:
-    """Unit coordinate vector on a single index; always a valid lower bound."""
+def _best_column_candidate(T: OperatorSpec, node: int) -> HaarCombination:
+    """Unit coordinate vector on the index with heap id `node`; always a
+    valid lower bound."""
     images = T.apply_rows(np.eye(T.domain.dim))
     best = int(np.argmax(T.codomain.norms_of(images)))
-    x = np.zeros(T.domain.dim)
-    x[best] = 1.0
-    return HaarCombination(T.domain.dim, {tuple(index): x})
+    x = np.zeros((1, T.domain.dim))
+    x[0, best] = 1.0
+    return HaarCombination._from_arrays(T.domain.dim, np.array([node]), x)
+
+
+def _singular_candidate(T: OperatorSpec, node: int) -> HaarCombination:
+    """A top right singular vector of T on the index with heap id `node`."""
+    v = _top_singular_vector(T.as_matrix())
+    return HaarCombination._from_arrays(T.domain.dim, np.array([node]), v[None, :])
 
 
 def tau_estimate(
@@ -510,29 +532,38 @@ def tau_estimate(
     operators into l1 admit exact Rayleigh-quotient witnesses over
     one-coordinate patterns; the general fallback is projected subgradient
     ascent from random starts. The reported bound is always the ratio of
-    the returned witness.
+    the returned witness.  The cheap candidates are rated before any ascent
+    runs, so an operator that overflows float arithmetic is rejected with a
+    DomainError before the search; overflow inside the numerics is silent,
+    since every ratio that counts is checked to be finite.
     """
-    idx = _nonempty_index_list(indices)
+    ids = _nonempty_heap_ids(indices)
     _check_budget(restarts, iterations)
 
-    if T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
-        v = _top_singular_vector(T.as_matrix())
-        f = HaarCombination(T.domain.dim, {idx[0]: v})
-        return _normalized_estimate(T, [(f, EstimateMethod.POWER_ITERATION)], None, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
+            f = _singular_candidate(T, int(ids[0]))
+            return _normalized_estimate(
+                T, [_rated(T, f, EstimateMethod.POWER_ITERATION, None)], None, 1, 1
+            )
 
-    candidates = [(f, EstimateMethod.COORDINATE_ALIGNED) for f in _coordinate_candidates(T, idx)]
-    candidates.append((_best_column_candidate(T, idx[0]), EstimateMethod.COORDINATE_ALIGNED))
-    if len(idx) <= 2000:
-        problem = _AscentProblem(T, idx, None)
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            X = problem.ascend(problem.random_start(rng), iterations)
-            candidates.append((problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT))
-        # polish the best exact candidate with a short ascent
-        ranked = max((f for f, m in candidates), key=lambda f: _candidate_ratio(T, f, None))
-        X = problem.ascend(problem.from_combination(ranked), iterations)
-        candidates.append((problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT))
-    return _normalized_estimate(T, candidates, None, restarts, iterations)
+        cheap = _coordinate_candidates(T, ids) + [_best_column_candidate(T, int(ids[0]))]
+        candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, None) for f in cheap]
+        if len(ids) <= 2000:
+            problem = _AscentProblem(T, ids, None)
+            rng = np.random.default_rng(seed)
+            for _ in range(restarts):
+                X = problem.ascend(problem.random_start(rng), iterations)
+                candidates.append(
+                    _rated(T, problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT, None)
+                )
+            # polish the best exact candidate with a short ascent
+            ranked = max(candidates, key=lambda c: c[2])[0]
+            X = problem.ascend(problem.from_combination(ranked), iterations)
+            candidates.append(
+                _rated(T, problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT, None)
+            )
+        return _normalized_estimate(T, candidates, None, restarts, iterations)
 
 
 def _level_constant_candidate(T: OperatorSpec, n: int, p: float) -> HaarCombination | None:
@@ -550,15 +581,17 @@ def _level_constant_candidate(T: OperatorSpec, n: int, p: float) -> HaarCombinat
             b = np.where(lead > 0, lead ** (1.0 / (p - 1.0)), 0.0)
         if not np.any(b > 0):
             return None
-    coeffs = {}
-    for k in range(1, n + 1):
-        if b[k - 1] == 0.0:
-            continue
-        x = np.zeros(dim)
-        x[k - 1] = b[k - 1] * half_power(-(k - 1))
-        for j in range(1, 2 ** (k - 1) + 1):
-            coeffs[(k, j)] = x
-    return HaarCombination(dim, coeffs) if coeffs else None
+    levels = [k for k in range(1, n + 1) if b[k - 1] != 0.0]
+    if not levels:
+        return None
+    ids = np.concatenate([np.arange(1 << (k - 1), 1 << k) for k in levels])
+    rows = np.zeros((len(ids), dim))
+    lo = 0
+    for k in levels:
+        hi = lo + (1 << (k - 1))
+        rows[lo:hi, k - 1] = b[k - 1] * half_power(-(k - 1))
+        lo = hi
+    return HaarCombination._from_arrays(dim, ids, rows)
 
 
 def tau_p_estimate(
@@ -569,34 +602,44 @@ def tau_p_estimate(
     iterations: int = 60,
     seed: int = 0,
 ) -> TauEstimate:
-    """Certified lower bound for the level-weighted p ratio over the full tree."""
+    """Certified lower bound for the level-weighted p ratio over the full tree.
+
+    As in tau_estimate, an operator that overflows float arithmetic is
+    rejected before the search.
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= p <= 2:
         raise DomainError(f"exponent p must satisfy 1 <= p <= 2, got {p}")
     check_level(n, "tree height")
     _check_budget(restarts, iterations)
-    idx = sorted_indices(full_tree(n))
 
-    if p == 2.0 and T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
-        v = _top_singular_vector(T.as_matrix())
-        f = HaarCombination(T.domain.dim, {(1, 1): v})
-        return _normalized_estimate(T, [(f, EstimateMethod.POWER_ITERATION)], p, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p == 2.0 and T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
+            f = _singular_candidate(T, 1)
+            return _normalized_estimate(
+                T, [_rated(T, f, EstimateMethod.POWER_ITERATION, p)], p, 1, 1
+            )
 
-    candidates = [(_best_column_candidate(T, (1, 1)), EstimateMethod.COORDINATE_ALIGNED)]
-    exact = _level_constant_candidate(T, n, p)
-    if exact is not None:
-        candidates.append((exact, EstimateMethod.COORDINATE_ALIGNED))
-    if len(idx) <= 2000:
-        problem = _AscentProblem(T, idx, p)
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            X = problem.ascend(problem.random_start(rng), iterations)
-            candidates.append((problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT))
+        cheap = [_best_column_candidate(T, 1)]
+        exact = _level_constant_candidate(T, n, p)
         if exact is not None:
-            X = problem.ascend(problem.from_combination(exact), iterations)
-            candidates.append((problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT))
-    return _normalized_estimate(T, candidates, p, restarts, iterations)
+            cheap.append(exact)
+        candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, p) for f in cheap]
+        if (1 << n) - 1 <= 2000:
+            problem = _AscentProblem(T, np.arange(1, 1 << n), p)
+            rng = np.random.default_rng(seed)
+            for _ in range(restarts):
+                X = problem.ascend(problem.random_start(rng), iterations)
+                candidates.append(
+                    _rated(T, problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT, p)
+                )
+            if exact is not None:
+                X = problem.ascend(problem.from_combination(exact), iterations)
+                candidates.append(
+                    _rated(T, problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT, p)
+                )
+        return _normalized_estimate(T, candidates, p, restarts, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +678,12 @@ def comparison_check(
     trace = compress(idx)
     f = est_f.best_witness
     l2_values = [lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0)]
-    sq_values = [f.squared_sum(T.domain.norm_of)]
+    sq_values = [f.squared_sum(T.domain)]
     current = f
     for step in trace.steps:
         current = rewrite_combination(current, step)
         l2_values.append(lp_norm_of_combination(apply_operator(T, current), T.codomain, 2.0))
-        sq_values.append(current.squared_sum(T.domain.norm_of))
+        sq_values.append(current.squared_sum(T.domain))
 
     res_l2 = _relative_spread(l2_values)
     res_sq = _relative_spread(sq_values)
@@ -760,7 +803,7 @@ def triangle_chain_check(
     for l, piece in enumerate(family.pieces, start=1):
         g = f.restricted_to(piece)
         piece_norms.append(lp_norm_of_combination(apply_operator(T, g), T.codomain, 2.0))
-        sq = g.squared_sum(T.domain.norm_of)
+        sq = g.squared_sum(T.domain)
         bound = band_weight_bound(l, r, S)
         piece_checks.append(sq <= bound * (1.0 + quadrature_tolerance))
     total = math.fsum(piece_norms)

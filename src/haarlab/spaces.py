@@ -35,7 +35,18 @@ class NormedSpaceSpec:
             return float(np.sqrt(v @ v))
         return float(np.abs(v).max()) if v.size else 0.0
 
+    def norm_of_each(self, rows: np.ndarray) -> np.ndarray:
+        """norm_of of every row of a C-contiguous (N, dim) array, bit for
+        bit (the l2 norm takes each row's dot product, as norm_of does)."""
+        if self.norm is Norm.L1:
+            return np.abs(rows).sum(axis=1)
+        if self.norm is Norm.L2:
+            return np.sqrt(np.vecdot(rows, rows))
+        return np.abs(rows).max(axis=1)
+
     def norms_of(self, rows: np.ndarray) -> np.ndarray:
+        """Row norms for the grid and the ascent; an l2 row may differ from
+        norm_of in the last bit."""
         rows = np.asarray(rows, dtype=float)
         if self.norm is Norm.L1:
             return np.abs(rows).sum(axis=1)
@@ -137,6 +148,15 @@ class OperatorSpec:
         if self.kind is OperatorKind.DIAGONAL:
             return self.entries * x
         return self.matrix @ x
+
+    def apply_each(self, rows: np.ndarray) -> np.ndarray:
+        """apply of every row of an (N, dim) array, bit for bit: a dense
+        matrix multiplies each row as its own vector, as apply does."""
+        if self.kind is OperatorKind.IDENTITY:
+            return rows.copy()
+        if self.kind is OperatorKind.DIAGONAL:
+            return rows * self.entries
+        return np.matmul(self.matrix, rows[:, :, None])[..., 0]
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)

@@ -20,6 +20,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .combination import HaarCombination
 from .combinatorics import local_height
 from .config import check_level
@@ -27,6 +29,7 @@ from .dyadic import (
     DyadicInterval,
     DyadicRational,
     HaarIndex,
+    _level_runs,
     check_haar_index,
     dyadic_band,
     from_heap_id,
@@ -264,29 +267,39 @@ def rewrite_combination(f: HaarCombination, fork: tuple[int, int]) -> HaarCombin
     all other coefficients move to their image index.  Requires that neither
     successor carries a nonzero coefficient already (same admissibility shape
     as the set-level transform; the root itself may be absent or zero).
+
+    On heap ids the images are a permutation: at each level k >= h + 2 the
+    ids below the two middle grandchildren 4r + 1 and 4r + 2 of the root r
+    trade places, a shift by 2^(k-h-2) each way.
     """
     h, i = check_fork(fork)
-    root, s1, s2 = fork_members(fork)
-    sup = f.support()
-    if s1 in sup or s2 in sup:
+    ids, rows = f.heap_ids, f.rows
+    root = heap_id(h, i)
+    successors = np.array([2 * root, 2 * root + 1])
+    at_successor = np.isin(ids, successors)
+    if rows[at_successor].any():
         raise PreconditionError(
             f"fork {(h, i)} successors carry nonzero coefficients"
         )
-    out: dict[HaarIndex, "object"] = {}
-    root_x = None
-    for idx, x in f.items():
-        if idx == root:
-            root_x = x
-        elif idx in (s1, s2):
-            continue  # explicit zero at a successor is absorbed by the split
-        else:
-            k, j = idx
-            out[HaarIndex(k, j + _swap_offset(h, i, k, j))] = x
-    if root_x is not None:
-        shared = root_x * half_power(-1)
-        out[s1] = shared
-        out[s2] = shared
-    return HaarCombination(f.dim, out)
+    at_root = ids == root
+    images = ids.copy()
+    for k, lo, hi in _level_runs(ids):
+        if k < h + 2:
+            continue
+        shift = k - h - 2
+        first, second, end = np.searchsorted(
+            ids[lo:hi], [(4 * root + 1) << shift, (4 * root + 2) << shift, (4 * root + 3) << shift]
+        )
+        images[lo + first : lo + second] += 1 << shift
+        images[lo + second : lo + end] -= 1 << shift
+    # an explicit zero at a successor is absorbed by the split
+    keep = ~(at_successor | at_root)
+    images, moved = images[keep], rows[keep]
+    if at_root.any():
+        shared = rows[at_root][0] * half_power(-1)
+        images = np.concatenate([images, successors])
+        moved = np.concatenate([moved, [shared, shared]])
+    return HaarCombination._from_unsorted(f.dim, images, moved)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .dyadic import (
     haar_eval,
     haar_sign_table,
     half_power,
+    heap_id,
 )
 from .normlab import (
     NormedSpaceSpec,
@@ -343,10 +344,10 @@ def _random_combination(
     rng: np.random.Generator, indices: Iterable[HaarIndex], dim: int
 ) -> HaarCombination:
     # level-balanced draws: standard normal scaled by 2^(-(k-1)/2)
-    coeffs = {
-        (k, j): rng.standard_normal(dim) * half_power(-(k - 1)) for k, j in indices
-    }
-    return HaarCombination(dim, coeffs)
+    indices = list(indices)
+    ids = np.array([heap_id(k, j) for k, j in indices], dtype=np.int64)
+    rows = [rng.standard_normal(dim) * half_power(-(k - 1)) for k, _j in indices]
+    return HaarCombination._from_unsorted(dim, ids, np.array(rows).reshape(len(ids), dim))
 
 
 def rewrite_invariance_suite(

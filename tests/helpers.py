@@ -10,10 +10,14 @@ from haarlab.dyadic import (
     DyadicInterval,
     DyadicRational,
     HaarIndex,
+    _haar_eval,
     branch,
+    from_heap_id,
     half_power,
+    make_index_set,
     max_level_of,
 )
+from haarlab.errors import DomainError, PreconditionError
 
 _LEFT = SubtreeIdentification(Subtree.LEFT)
 _RIGHT = SubtreeIdentification(Subtree.RIGHT)
@@ -201,11 +205,12 @@ def reference_cell_values(f: HaarCombination, grid_level: int) -> np.ndarray:
 
 class ReferenceAscentProblem:
     """The projected subgradient ascent with per-index grid loops, and a
-    fresh grid for the ratio and for the gradient of each iterate."""
+    fresh grid for the ratio and for the gradient of each iterate, on the
+    indices with the given sorted heap ids."""
 
-    def __init__(self, T, idx, p):
+    def __init__(self, T, ids, p):
         self.T = T
-        self.idx = list(idx)
+        self.idx = idx = [from_heap_id(int(node)) for node in ids]
         self.p = p
         self.kmax = max(k for k, _ in idx)
         self.cells = 1 << self.kmax
@@ -298,3 +303,136 @@ class ReferenceAscentProblem:
 
     def from_combination(self, f):
         return np.array([f.coefficient(a) for a in self.idx])
+
+
+# ---------------------------------------------------------------------------
+# reference combination: one coefficient vector per index in a dict
+#
+# haarlab's HaarCombination keeps heap ids and one coefficient array, and the
+# norm functions work on the whole array at once; this is the dict-backed
+# class with per-entry loops they replaced, kept as the oracle they must
+# reproduce bit for bit.
+
+
+class ReferenceHaarCombination:
+    """Immutable vector-coefficient combination stored as a mapping from
+    index to coefficient vector, in lexicographic key order."""
+
+    def __init__(self, dim, coefficients):
+        if dim < 1:
+            raise DomainError(f"coefficient dimension must be >= 1, got {dim}")
+        self.dim = dim
+        make_index_set(coefficients)
+        coeffs = {}
+        for (k, j), raw in coefficients.items():
+            idx = HaarIndex(k, j)
+            x = np.asarray(raw, dtype=float)
+            if x.shape != (dim,):
+                raise DomainError(f"coefficient at {idx} has shape {x.shape}, expected ({dim},)")
+            x = x.copy()
+            x.flags.writeable = False
+            coeffs[idx] = x
+        self._coeffs = dict(sorted(coeffs.items()))
+
+    def items(self):
+        return iter(self._coeffs.items())
+
+    def indices(self):
+        return frozenset(self._coeffs)
+
+    def support(self):
+        return frozenset(idx for idx, x in self._coeffs.items() if np.any(x != 0.0))
+
+    def coefficient(self, idx):
+        got = self._coeffs.get(HaarIndex(*idx))
+        return np.zeros(self.dim) if got is None else got
+
+    def __len__(self):
+        return len(self._coeffs)
+
+    def max_level(self):
+        return max((k for (k, _j) in self._coeffs), default=0)
+
+    def value_at(self, t):
+        out = np.zeros(self.dim)
+        for (k, j), x in self._coeffs.items():
+            v = _haar_eval(k, j, t.num, t.level)
+            if v.sign != 0:
+                out += v.as_float() * x
+        return out
+
+    def cell_values(self, grid_level):
+        return reference_cell_values(self, grid_level)
+
+    def restricted_to(self, indices):
+        keep = frozenset(HaarIndex(*i) for i in indices)
+        return ReferenceHaarCombination(
+            self.dim, {idx: x for idx, x in self._coeffs.items() if idx in keep}
+        )
+
+    def scaled(self, c):
+        return ReferenceHaarCombination(self.dim, {idx: c * x for idx, x in self._coeffs.items()})
+
+    def squared_sum(self, norm_fn=None):
+        if norm_fn is None:
+            terms = [float(x @ x) for _idx, x in self._coeffs.items()]
+        else:
+            terms = [norm_fn(x) ** 2 for _idx, x in self._coeffs.items()]
+        return math.fsum(terms)
+
+
+def reference_lp_norm(f, space, p):
+    if not f.support():
+        return 0.0
+    n = f.max_level()
+    norms = space.norms_of(f.cell_values(n))
+    total = math.fsum(float(v) for v in norms**p)
+    return (total * math.ldexp(1.0, -n)) ** (1.0 / p)
+
+
+def reference_levelwise_rhs_p(f, space, p):
+    terms = []
+    for (k, _), x in f.items():
+        nx = space.norm_of(x)
+        if nx:
+            terms.append((nx**p) * 2.0 ** ((k - 1) * (p / 2.0 - 1.0)))
+    return math.fsum(terms) ** (1.0 / p)
+
+
+def reference_apply_operator(T, f):
+    return ReferenceHaarCombination(T.codomain.dim, {idx: T.apply(x) for idx, x in f.items()})
+
+
+def reference_tau_ratio(T, f):
+    den = math.sqrt(f.squared_sum(T.domain.norm_of))
+    if den == 0.0:
+        return 0.0
+    return reference_lp_norm(reference_apply_operator(T, f), T.codomain, 2.0) / den
+
+
+def reference_tau_p_ratio(T, f, p):
+    den = reference_levelwise_rhs_p(f, T.domain, p)
+    if den == 0.0:
+        return 0.0
+    return reference_lp_norm(reference_apply_operator(T, f), T.codomain, p) / den
+
+
+def reference_rewrite_combination(f, fork):
+    """f composed with the swap at the fork, one index at a time."""
+    h, i = fork
+    root, s1, s2 = HaarIndex(h, i), HaarIndex(h + 1, 2 * i - 1), HaarIndex(h + 1, 2 * i)
+    sup = f.support()
+    if s1 in sup or s2 in sup:
+        raise PreconditionError(f"fork {(h, i)} successors carry nonzero coefficients")
+    out = {}
+    root_x = None
+    for idx, x in f.items():
+        if idx == root:
+            root_x = x
+        elif idx not in (s1, s2):
+            out[_reference_image(h, i, *idx)] = x
+    if root_x is not None:
+        shared = root_x * half_power(-1)
+        out[s1] = shared
+        out[s2] = shared
+    return ReferenceHaarCombination(f.dim, out)

@@ -253,6 +253,27 @@ def test_estimator_grid_kernel_speed():
     assert seconds < 1.5
 
 
+def test_estimator_full_tree_16_speed():
+    # 65,535 indices: no ascent, so the time is the candidates' coefficient
+    # arrays and the three ratios on the 2^16-cell grid
+    op = _diagonal_op(dim=16)
+    tree = full_tree(16)
+    tau_estimate(op, tree)  # untimed, as in the depth-8 gate above
+    t0 = time.perf_counter()
+    est = tau_estimate(op, tree)
+    seconds = time.perf_counter() - t0
+    cf = diagonal_formula_tau(16, P)
+    ok = 0.98 * cf <= est.lower_bound <= cf * (1.0 + 1e-9) and seconds < 1.2
+    _report(
+        "tau estimate, full tree of depth 16, d = 16",
+        ok,
+        seconds,
+        f"ratio to closed form={est.lower_bound / cf:.5f}",
+    )
+    assert 0.98 * cf <= est.lower_bound <= cf * (1.0 + 1e-9)
+    assert seconds < 1.2
+
+
 # ---------------------------------------------------------------------------
 # 8. comparison against the full tree of matching height
 

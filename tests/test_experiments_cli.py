@@ -2,8 +2,8 @@
 
 import json
 import math
+import warnings
 
-import numpy as np
 import pytest
 
 from haarlab.cli import main
@@ -386,22 +386,32 @@ def test_cli_tau_rejects_nan_operator_entry(tmp_path, capsys):
         ("l2", [[1, 1]]),  # died with an AttributeError traceback
     ],
 )
-def test_cli_tau_rejects_overflowing_operator(tmp_path, capsys, norm, indices):
+def test_cli_tau_rejects_overflowing_operator(tmp_path, capfd, norm, indices):
     op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": norm, "entries": [1e308, 1.0]})
     st = _write(tmp_path / "set.json", indices)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["tau", "--operator", op, "--set", st, "--format", "csv"])
     assert code == 2
-    record = json.loads(capsys.readouterr().out)
+    out, err = capfd.readouterr()
+    record = json.loads(out)
     assert record["error"]["type"] == "DomainError"
     assert "overflows float arithmetic" in record["error"]["message"]
+    # rejected before the search, and silently: pytest records warnings
+    # instead of printing them, so both channels are checked
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
-def test_cli_tau_p_rejects_overflowing_operator(tmp_path, capsys, norm):
+def test_cli_tau_p_rejects_overflowing_operator(tmp_path, capfd, norm):
     op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": norm, "entries": [1e308, 1.0]})
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["tau-p", "--operator", op, "--depth", "2", "--p", "1.5"])
     assert code == 2
-    record = json.loads(capsys.readouterr().out)
+    out, err = capfd.readouterr()
+    record = json.loads(out)
     assert record["error"]["type"] == "DomainError"
+    assert err == ""
+    assert [str(w.message) for w in caught] == []

@@ -1,6 +1,6 @@
-"""The integer fill and compression kernels and the level-by-level grid
-kernel against loop-based references, and the level cap read at call time
-by every entry point."""
+"""The integer fill and compression kernels, the level-by-level grid kernel
+and the array-backed combination against loop-based references, and the
+level cap read at call time by every entry point."""
 
 import tracemalloc
 
@@ -10,19 +10,36 @@ import pytest
 from haarlab import normlab
 from haarlab.combination import HaarCombination
 from haarlab.combinatorics import fill_one, fill_to_height, local_height
-from haarlab.dyadic import dyadic_band, full_tree, make_index_set
+from haarlab.dyadic import DyadicRational, dyadic_band, full_tree, heap_ids, make_index_set
 from haarlab.errors import DomainError
-from haarlab.normlab import tau_estimate, tau_p_estimate
+from haarlab.normlab import (
+    apply_operator,
+    levelwise_rhs_p,
+    lp_norm_of_combination,
+    tau_estimate,
+    tau_p_estimate,
+    tau_p_ratio,
+    tau_ratio,
+)
 from haarlab.spaces import Norm, NormedSpaceSpec, OperatorSpec
-from haarlab.transforms import compress, fork_split
+from haarlab.transforms import compress, fork_split, rewrite_combination
 from helpers import (
     ReferenceAscentProblem,
+    ReferenceHaarCombination,
     all_subsets,
     random_subset,
+    reference_apply_operator,
     reference_cell_values,
     reference_compress,
     reference_fill_sequence,
+    reference_levelwise_rhs_p,
+    reference_lp_norm,
+    reference_rewrite_combination,
+    reference_tau_p_ratio,
+    reference_tau_ratio,
 )
+
+DIMS = [1, 2, 5, 16, 33]
 
 
 def assert_fill_matches(subset, n):
@@ -111,7 +128,7 @@ def seeded_sets(rng, count):
             yield random_subset(rng, pool, int(rng.integers(1, len(pool) + 1)))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+@pytest.mark.parametrize("dim", DIMS)
 def test_cell_values_match_the_index_loop_bit_for_bit(dim):
     rng = np.random.default_rng(100 + dim)
     for indices in seeded_sets(rng, 120):
@@ -134,15 +151,15 @@ def test_cell_values_of_the_empty_combination():
 def test_ascent_grid_gradient_and_path_match_the_index_loops(dim):
     rng = np.random.default_rng(200 + dim)
     for trial, indices in enumerate(seeded_sets(rng, 40)):
-        idx = sorted(indices)
+        ids = heap_ids(indices)
         if trial % 2:
             T = OperatorSpec.diagonal(rng.standard_normal(dim), Norm.L1)
         else:
             domain, codomain = NormedSpaceSpec(dim, Norm.LINF), NormedSpaceSpec(dim, Norm.L2)
             T = OperatorSpec.dense(rng.standard_normal((dim, dim)), domain, codomain)
         for p in (None, 4.0 / 3.0):
-            problem = normlab._AscentProblem(T, idx, p)
-            reference = ReferenceAscentProblem(T, idx, p)
+            problem = normlab._AscentProblem(T, ids, p)
+            reference = ReferenceAscentProblem(T, ids, p)
             X = problem.random_start(np.random.default_rng(trial))
             X = X / problem.denominator(X)
             Y = T.apply_rows(X)
@@ -198,3 +215,112 @@ def test_cell_values_peak_memory_stays_near_the_output():
     finally:
         tracemalloc.stop()
     assert peak < 2 * values.nbytes, peak / values.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the array-backed combination against the dict-backed one, bit for bit
+
+NORMS = [Norm.L1, Norm.L2, Norm.LINF]
+EXPONENTS = [1.0, 4.0 / 3.0, 1.5, 2.0]
+
+
+def combination_pairs(rng, dim, count=40):
+    """(HaarCombination, ReferenceHaarCombination) with equal coefficients:
+    the empty combination, then seeded sets with about one explicit zero
+    row in five."""
+    yield HaarCombination(dim, {}), ReferenceHaarCombination(dim, {})
+    for indices in seeded_sets(rng, count):
+        coeffs = {}
+        for a in sorted(indices):
+            x = rng.standard_normal(dim) * 2.0 ** (-(a[0] - 1) / 2.0)
+            coeffs[a] = np.zeros(dim) if rng.random() < 0.2 else x
+        yield HaarCombination(dim, coeffs), ReferenceHaarCombination(dim, coeffs)
+
+
+def operators(rng, dim, norm):
+    """Identity, diagonal and dense operators with domain norm `norm`."""
+    space = NormedSpaceSpec(dim, norm)
+    yield OperatorSpec.identity(space)
+    yield OperatorSpec.diagonal(rng.standard_normal(dim), norm)
+    for codomain in NORMS:
+        matrix = rng.standard_normal((dim, dim))
+        yield OperatorSpec.dense(matrix, space, NormedSpaceSpec(dim, codomain))
+    wide = rng.standard_normal((3, dim))
+    yield OperatorSpec.dense(wide, space, NormedSpaceSpec(3, Norm.L1))
+
+
+def assert_same_combination(f, ref):
+    got, want = list(f.items()), list(ref.items())
+    assert f.dim == ref.dim
+    assert [a for a, _x in got] == [a for a, _x in want]
+    for (a, x), (_a, y) in zip(got, want):
+        assert x.tobytes() == y.tobytes(), a
+    assert f.support() == ref.support()
+    assert f.indices() == ref.indices()
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_squared_sums_and_levelwise_sums_match_the_dict_backed_combination(dim):
+    rng = np.random.default_rng(300 + dim)
+    spaces = [NormedSpaceSpec(dim, norm) for norm in NORMS]
+    for f, ref in combination_pairs(rng, dim):
+        assert f.squared_sum() == ref.squared_sum()
+        for space in spaces:
+            assert f.squared_sum(space) == ref.squared_sum(space.norm_of)
+            for p in EXPONENTS:
+                assert levelwise_rhs_p(f, space, p) == reference_levelwise_rhs_p(ref, space, p)
+    # one row each, so a term rounded differently shows in the sum: numpy's
+    # square of a norm differs from Python's ** 2 in about 1 row in 1,200
+    for x in rng.standard_normal((3000, dim)):
+        f, ref = HaarCombination(dim, {(3, 2): x}), ReferenceHaarCombination(dim, {(3, 2): x})
+        assert f.squared_sum() == ref.squared_sum()
+        for space in spaces:
+            assert f.squared_sum(space) == ref.squared_sum(space.norm_of)
+            assert levelwise_rhs_p(f, space, 1.5) == reference_levelwise_rhs_p(ref, space, 1.5)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_operator_images_norms_and_ratios_match_the_dict_backed_combination(dim):
+    rng = np.random.default_rng(400 + dim)
+    for trial, (f, ref) in enumerate(combination_pairs(rng, dim, count=20)):
+        for T in operators(rng, dim, NORMS[trial % 3]):
+            image, ref_image = apply_operator(T, f), reference_apply_operator(T, ref)
+            assert_same_combination(image, ref_image)
+            for p in EXPONENTS:
+                assert lp_norm_of_combination(image, T.codomain, p) == reference_lp_norm(
+                    ref_image, T.codomain, p
+                )
+                assert tau_p_ratio(T, f, p) == reference_tau_p_ratio(T, ref, p)
+            assert tau_ratio(T, f) == reference_tau_ratio(T, ref)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_views_restrictions_and_point_values_match_the_dict_backed_combination(dim):
+    rng = np.random.default_rng(500 + dim)
+    for f, ref in combination_pairs(rng, dim):
+        assert_same_combination(f, ref)
+        assert_same_combination(f.scaled(0.7), ref.scaled(0.7))
+        assert len(f) == len(ref) and f.max_level() == ref.max_level()
+        top = max(f.max_level(), 1)
+        pool = sorted(full_tree(top))
+        wanted = random_subset(rng, pool, int(rng.integers(0, len(pool) + 1)))
+        assert_same_combination(f.restricted_to(wanted), ref.restricted_to(wanted))
+        for a in pool[:8]:
+            assert (a in f) == (a in ref.indices())
+            assert f.coefficient(a).tobytes() == ref.coefficient(a).tobytes()
+        for q in rng.integers(0, 1 << (top + 1), size=6):
+            t = DyadicRational(int(q), top + 1)
+            assert f.value_at(t).tobytes() == ref.value_at(t).tobytes()
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_rewrites_along_compress_traces_match_the_dict_backed_combination(dim):
+    rng = np.random.default_rng(600 + dim)
+    for f, ref in combination_pairs(rng, dim, count=30):
+        support = f.support()
+        if not support or len(support) > 200:
+            continue  # the full trees of depth 10 take nearly 900 steps
+        for step in compress(support).steps:
+            f = rewrite_combination(f, step)
+            ref = reference_rewrite_combination(ref, step)
+            assert_same_combination(f, ref)

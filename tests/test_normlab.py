@@ -87,7 +87,7 @@ def test_lp_norm_parseval_random():
     for _ in range(50):
         f = random_combination(rng, full_tree(4), 4)
         lhs = lp_norm_of_combination(f, space, 2.0)
-        rhs = math.sqrt(f.squared_sum(space.norm_of))
+        rhs = math.sqrt(f.squared_sum(space))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -127,7 +127,7 @@ def test_levelwise_p2_is_square_sum():
     for _ in range(50):
         f = random_combination(rng, full_tree(4), 3)
         assert levelwise_rhs_p(f, space, 2.0) == pytest.approx(
-            math.sqrt(f.squared_sum(space.norm_of)), rel=1e-12
+            math.sqrt(f.squared_sum(space)), rel=1e-12
         )
 
 
@@ -275,7 +275,7 @@ def test_tau_estimate_witness_reproducible_and_normalized():
     T = example_diagonal(3, 1.5)
     est = tau_estimate(T, full_tree(3), restarts=2, iterations=30, seed=5)
     assert tau_ratio(T, est.best_witness) == pytest.approx(est.lower_bound, rel=1e-9)
-    assert est.best_witness.squared_sum(T.domain.norm_of) == pytest.approx(1.0, rel=1e-12)
+    assert est.best_witness.squared_sum(T.domain) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tau_estimate_identity_l1_reaches_sqrt_n():
