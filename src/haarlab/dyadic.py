@@ -334,6 +334,13 @@ class _GridLevels:
     are each level's, where they sit in their level and how they are scaled.
     Build it once per id list; synthesis and analysis then take one block
     of rows per level present.
+
+    Both take leading batch axes: a grid is an array (..., cells, dim) and
+    a coefficient list an array (..., count, dim), the cells and the rows
+    on axis -2.  Each batch entry is computed by the same ufunc calls and
+    reductions along the same axes as a lone 2-D grid, so it gets the same
+    bits as it would on its own.  The ascent stacks its restarts on the
+    leading axis; cell_values passes 2-D arrays.
     """
 
     def __init__(self, ids: np.ndarray):
@@ -349,35 +356,37 @@ class _GridLevels:
     def synthesis(self, out: np.ndarray, rows_of) -> np.ndarray:
         """Add the Haar functions of the id list into the zeroed grid `out`.
 
-        `out` holds the 2^g cells of the level-g grid, one row each, with g
-        at least the top level.  rows_of(lo, hi) gives the coefficient rows
-        of ids[lo:hi] as an array the kernel may scale in place; it is
-        called once per level, when that level is synthesised, so only one
-        level's rows exist at a time.  The sum of the levels up to k is
-        constant on the level-k cells and is kept in the first row of each
-        of them (stride 2^(g-k)).  The level-k step scales the level's rows
-        into a block of 2^(k-1) rows, zero where the list has no index,
-        turns each parent into its left child, parent + row, and writes its
-        right child, parent - row, with two ufuncs.  Levels with no index
-        cost one copy for the whole stretch of them.  Every cell receives
-        one addition per level in increasing k, as a loop adding the Haar
-        functions one index at a time in (k, j) order gives it, and a zero
-        row changes nothing (a sum of this kind is never -0.0), so the grid
-        equals that loop's bit for bit.
+        `out` holds the 2^g cells of the level-g grid on axis -2, one row
+        each, with g at least the top level.  rows_of(lo, hi) gives the
+        coefficient rows of ids[lo:hi] (axis -2, with the leading axes of
+        `out`) as an array the kernel may scale in place; it is called once
+        per level, when that level is synthesised, so only one level's rows
+        exist at a time.  The sum of the levels up to k is constant on the
+        level-k cells and is kept in the first row of each of them (stride
+        2^(g-k)).  The level-k step scales the level's rows into a block of
+        2^(k-1) rows, zero where the list has no index, turns each parent
+        into its left child, parent + row, and writes its right child,
+        parent - row, with two ufuncs.  Levels with no index cost one copy
+        for the whole stretch of them.  Every cell receives one addition
+        per level in increasing k, as a loop adding the Haar functions one
+        index at a time in (k, j) order gives it, and a zero row changes
+        nothing (a sum of this kind is never -0.0), so the grid equals that
+        loop's bit for bit.
         """
-        g = out.shape[0].bit_length() - 1
+        lead, dim = out.shape[:-2], out.shape[-1]
+        g = out.shape[-2].bit_length() - 1
         done = 0  # the first row of each level-`done` cell holds the sum so far
         for k, lo, hi, positions, scale in self.levels:
             if positions is None:
                 block = rows_of(lo, hi)
             else:
-                block = np.zeros((1 << (k - 1), out.shape[1]))
-                block[positions] = rows_of(lo, hi)
+                block = np.zeros(lead + (1 << (k - 1), dim))
+                block[..., positions, :] = rows_of(lo, hi)
             block *= scale
             wide = 1 << (g - k + 1)
             _spread(out, g, done, k - 1)
-            parents = out[::wide]
-            np.subtract(parents, block, out=out[wide >> 1 :: wide])
+            parents = out[..., ::wide, :]
+            np.subtract(parents, block, out=out[..., wide >> 1 :: wide, :])
             np.add(parents, block, out=parents)
             done = k
             del block  # free this level's rows before the next are built
@@ -387,18 +396,23 @@ class _GridLevels:
     def analysis(self, cells: np.ndarray) -> np.ndarray:
         """The adjoint of synthesis: per index of the list, 2^((k-1)/2) times
         the sum of `cells` over the left half of its support minus the sum
-        over the right half, one row each.
+        over the right half, one row each on axis -2.
 
         Each half is summed in cell order, as cells[lo:mid].sum(axis=0) sums
-        it, and gives the same bits.
+        it, and gives the same bits; the sum runs along axis -2 of
+        cells.reshape(..., 2^k, w, dim), so batch entries on the leading
+        axes are summed as they would be alone.  (Stacking a batch as
+        columns, (cells, batch * dim), changes the order numpy sums some
+        halves in.)
         """
-        out = np.empty((self.count, cells.shape[1]))
+        lead, dim = cells.shape[:-2], cells.shape[-1]
+        out = np.empty(lead + (self.count, dim))
         for k, lo, hi, positions, scale in self.levels:
-            sums = cells.reshape(1 << k, -1, cells.shape[1]).sum(axis=1)
-            left, right = sums[0::2], sums[1::2]
+            sums = cells.reshape(lead + (1 << k, -1, dim)).sum(axis=-2)
+            left, right = sums[..., 0::2, :], sums[..., 1::2, :]
             if positions is not None:
-                left, right = left[positions], right[positions]
-            out[lo:hi] = scale * (left - right)
+                left, right = left[..., positions, :], right[..., positions, :]
+            out[..., lo:hi, :] = scale * (left - right)
         return out
 
 
@@ -407,8 +421,9 @@ def _spread(out: np.ndarray, g: int, lo: int, hi: int) -> None:
     level-hi cell inside it: the levels between them are empty.  Before the
     first level (lo = 0) the grid is zero and there is nothing to copy."""
     if lo and hi > lo:
-        blocks = out[:: 1 << (g - hi)].reshape(1 << lo, -1, out.shape[1])
-        blocks[:, 1:] = blocks[:, :1]
+        lead, dim = out.shape[:-2], out.shape[-1]
+        blocks = out[..., :: 1 << (g - hi), :].reshape(lead + (1 << lo, -1, dim))
+        blocks[..., 1:, :] = blocks[..., :1, :]
 
 
 def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:

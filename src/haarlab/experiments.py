@@ -23,18 +23,18 @@ import numpy as np
 
 from .combination import HaarCombination
 from .combinatorics import band_weight_bound, greedy_family, local_height
-from .config import DEFAULT_MAX_LEVEL, max_level as level_cap
+from .config import check_level, max_level as level_cap
 from .dyadic import full_tree, half_power
 from .errors import DomainError
 from .normlab import (
     OperatorSpec,
+    _tau_estimate,
     apply_operator,
     comparison_check,
     conjugate_exponent,
     diagonal_formula_tau_p_values,
     diagonal_formula_tau_values,
     lp_norm_of_combination,
-    tau_estimate,
 )
 from .serialize import (
     SCHEMA_VERSION,
@@ -63,9 +63,11 @@ class ExperimentConfig:
         for name in ("exact_tolerance", "quadrature_tolerance", "optimizer_tolerance"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
-        if self.max_level is not None and not 1 <= self.max_level <= DEFAULT_MAX_LEVEL:
+        cap = level_cap()
+        if self.max_level is not None and not 1 <= self.max_level <= cap:
             raise DomainError(
-                f"max_level must lie in 1..{DEFAULT_MAX_LEVEL}, got {self.max_level}"
+                f"max_level must lie in 1..{cap} (the HAARLAB_MAX_LEVEL cap), "
+                f"got {self.max_level}"
             )
         if self.restarts < 1 or self.iterations < 1:
             raise DomainError("optimizer budgets must be >= 1")
@@ -315,15 +317,17 @@ def _sweep_operator(p: float, dim: int) -> OperatorSpec:
 def _tree_tau_table(
     op: OperatorSpec, m: int, config: ExperimentConfig
 ) -> list[float]:
-    """Estimated tau over the full trees of depth 2^l for l = 1..m+1."""
+    """Estimated tau over the full trees of depth 2^l for l = 1..m+1.
+
+    The depth-2^l tree is the heap ids 1 .. 2^(2^l) - 1, passed as an array
+    to the estimator's unchecked entry: the only check it needs is the
+    level cap on its depth.
+    """
     table = []
     for l in range(1, m + 2):
-        est = tau_estimate(
-            op,
-            full_tree(1 << l),
-            restarts=config.restarts,
-            iterations=config.iterations,
-            seed=config.seed,
+        check_level(1 << l, "tree height")
+        est = _tau_estimate(
+            op, np.arange(1, 1 << (1 << l)), config.restarts, config.iterations, config.seed
         )
         table.append(est.lower_bound)
     return table

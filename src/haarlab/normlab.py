@@ -337,6 +337,11 @@ def _coordinate_candidates(T: OperatorSpec, ids: np.ndarray) -> list[HaarCombina
     return out
 
 
+# restarts stacked in one ascent batch: as many as keep the stacked grid
+# within this many floats; a larger grid runs one restart at a time
+_BATCH_FLOATS = 1 << 20
+
+
 class _AscentProblem:
     """Shared geometry for the projected subgradient ascent.
 
@@ -349,6 +354,21 @@ class _AscentProblem:
     (_GridLevels.analysis); both give the same floats as a loop over the
     indices one at a time.  Each iterate is synthesised once, and its ratio
     and gradient share that grid.
+
+    The restarts of one estimate run in lockstep: X is a batch (R, m, d),
+    one restart per entry of the leading axis, and every array operation of
+    an iterate serves the whole batch.  A restart gets the bits it would get
+    alone because each array operation keeps the restarts apart: the grid
+    kernel and the row norms reduce along the trailing axes of each entry,
+    a dense operator multiplies each entry as its own matrix product (one
+    product over the rows of all restarts flattened to 2-D rounds some
+    entries differently), and the squared sums, ||G|| among them, are one
+    dot product per restart (np.vecdot), as x @ x and np.linalg.norm take
+    them.  The per-restart scalars (numerator, denominator, ratio,
+    num ** (1 - p)) stay Python float operations, in the forms a lone
+    restart uses: numpy's array power rounds differently from a scalar
+    power in the last bit, which moves bounds.  Restarts leave the batch
+    when they stop; the polish ascent is a batch of one.
     """
 
     def __init__(self, T: OperatorSpec, ids: np.ndarray, p: float | None):
@@ -358,6 +378,7 @@ class _AscentProblem:
         self.grid = _GridLevels(self.ids)
         self.kmax = self.grid.levels[-1][0]
         self.cells = 1 << self.kmax
+        self.batch = max(1, _BATCH_FLOATS // (self.cells * T.codomain.dim))
         self.scale = np.empty(len(self.ids))
         for _k, lo, hi, _positions, scale in self.grid.levels:
             self.scale[lo:hi] = scale
@@ -367,76 +388,107 @@ class _AscentProblem:
                 self.weights[lo:hi] = 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
 
     def grid_values(self, Y: np.ndarray) -> np.ndarray:
-        """Grid of the combination with rows Y; scales Y in place."""
-        return self.grid.synthesis(np.zeros((self.cells, Y.shape[1])), lambda lo, hi: Y[lo:hi])
+        """Grids (R, cells, d') of the combinations with rows Y (R, m, d');
+        scales Y in place."""
+        out = np.zeros((len(Y), self.cells, Y.shape[-1]))
+        return self.grid.synthesis(out, lambda lo, hi: Y[:, lo:hi])
 
     def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Grid values V of T f and their codomain norms nu."""
+        """Grid values V of T f and their codomain norms nu, per restart."""
         V = self.grid_values(self.T.apply_rows(X))
         return V, self.T.codomain.norms_of(V)
 
-    def numerator(self, nu: np.ndarray) -> float:
+    def numerators(self, nu: np.ndarray) -> list[float]:
         if self.p is None:
-            return math.sqrt(float(nu @ nu) / self.cells)
-        return float((nu**self.p).sum() / self.cells) ** (1.0 / self.p)
+            return [math.sqrt(s / self.cells) for s in np.vecdot(nu, nu).tolist()]
+        sums = ((nu**self.p).sum(axis=-1) / self.cells).tolist()
+        return [s ** (1.0 / self.p) for s in sums]
 
-    def denominator(self, X: np.ndarray) -> float:
+    def denominators(self, X: np.ndarray) -> list[float]:
         norms = self.T.domain.norms_of(X)
         if self.p is None:
-            return math.sqrt(float(norms @ norms))
-        return float((self.weights @ norms**self.p) ** (1.0 / self.p))
+            return [math.sqrt(s) for s in np.vecdot(norms, norms).tolist()]
+        # each s is a numpy float64: numpy's scalar power, as one restart takes it
+        return [float(s ** (1.0 / self.p)) for s in np.vecdot(norms**self.p, self.weights)]
 
-    def ratio(self, X: np.ndarray, nu: np.ndarray) -> float:
-        den = self.denominator(X)
-        return self.numerator(nu) / den if den > 0 else 0.0
+    def ratios(self, X: np.ndarray, nu: np.ndarray) -> list[float]:
+        return [
+            num / den if den > 0 else 0.0
+            for num, den in zip(self.numerators(nu), self.denominators(X))
+        ]
 
     def gradient(self, X: np.ndarray, V: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        """Subgradient of the ratio at X with grid (V, nu), assuming
-        denominator(X) == 1."""
+        """Subgradient of the ratio at each restart of X with grids (V, nu),
+        assuming each denominator is 1; zero where the numerator is."""
         pnum = 2.0 if self.p is None else self.p
-        num = float((nu**pnum).sum() / self.cells) ** (1.0 / pnum)
-        if num == 0.0:
-            return np.zeros_like(X)
-        cell_scale = (nu ** (pnum - 1.0)) * (num ** (1.0 - pnum) / self.cells)
-        G_cells = self.T.codomain.dual_rows(V) * cell_scale[:, None]
+        nums = [s ** (1.0 / pnum) for s in ((nu**pnum).sum(axis=-1) / self.cells).tolist()]
+        factors = np.array([num ** (1.0 - pnum) / self.cells if num else 0.0 for num in nums])
+        cell_scale = (nu ** (pnum - 1.0)) * factors[:, None]
+        G_cells = self.T.codomain.dual_rows(V) * cell_scale[..., None]
         G_num = self.T.transpose_apply_rows(self.grid.analysis(G_cells))
 
         norms = self.T.domain.norms_of(X)
         duals = self.T.domain.dual_rows(X)
         if self.p is None:
-            G_den = duals * norms[:, None]
+            G_den = duals * norms[..., None]
         else:
             safe = np.where(norms > 0, norms, 1.0)
             pw = self.weights * safe ** (self.p - 1.0) * (norms > 0)
-            G_den = duals * pw[:, None]
-        return G_num - num * G_den
+            G_den = duals * pw[..., None]
+        G = G_num - np.array(nums)[:, None, None] * G_den
+        G[[r for r, num in enumerate(nums) if num == 0.0]] = 0.0
+        return G
 
-    def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        X = rng.standard_normal((len(self.ids), self.T.domain.dim))
+    def random_starts(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` starts (count, m, d) from one draw, which gives the same
+        numbers as `count` draws of (m, d) one after another."""
+        X = rng.standard_normal((count, len(self.ids), self.T.domain.dim))
         return X * (1.0 / self.scale)[:, None]
 
     def ascend(self, X0: np.ndarray, iterations: int) -> np.ndarray:
-        den = self.denominator(X0)
-        if den == 0.0:
-            return X0
-        X = X0 / den
+        """The best iterate of each restart of X0 (R, m, d), the restarts
+        run in batches of self.batch."""
+        best = X0.copy()
+        for lo in range(0, len(X0), self.batch):
+            self._ascend_batch(X0[lo : lo + self.batch], iterations, best[lo : lo + self.batch])
+        return best
+
+    def _ascend_batch(self, X0: np.ndarray, iterations: int, best: np.ndarray) -> None:
+        """Ascend the restarts of X0 in lockstep, writing each one's best
+        iterate into `best` (which starts as X0).  A restart whose
+        denominator is zero or whose gradient vanishes stops there; the
+        others go on."""
+        dens = np.array(self.denominators(X0))
+        live = np.flatnonzero(dens != 0.0)  # a zero start is its own best
+        if not len(live):
+            return
+        X = X0[live] / dens[live, None, None]
         V, nu = self.evaluate(X)
-        best, best_r = X.copy(), self.ratio(X, nu)
+        best[live] = X
+        best_r = np.array(self.ratios(X, nu))
         for it in range(iterations):
             G = self.gradient(X, V, nu)
-            gn = np.linalg.norm(G)
-            if gn < 1e-14:
-                break
-            X = X + (0.35 / math.sqrt(1.0 + it)) * (G / gn)
-            den = self.denominator(X)
-            if den == 0.0:
-                break
-            X = X / den
+            flat = G.reshape(len(G), -1)
+            gn = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm of each G[i]
+            moving = ~(gn < 1e-14)
+            if not moving.all():
+                if not moving.any():
+                    return
+                X, G, gn = X[moving], G[moving], gn[moving]
+                live, best_r = live[moving], best_r[moving]
+            X = X + (0.35 / math.sqrt(1.0 + it)) * (G / gn[:, None, None])
+            dens = np.array(self.denominators(X))
+            kept = dens != 0.0
+            if not kept.all():
+                if not kept.any():
+                    return
+                X, dens, live, best_r = X[kept], dens[kept], live[kept], best_r[kept]
+            X = X / dens[:, None, None]
             V, nu = self.evaluate(X)
-            r = self.ratio(X, nu)
-            if r > best_r:
-                best_r, best = r, X.copy()
-        return best
+            r = np.array(self.ratios(X, nu))
+            better = r > best_r
+            best_r = np.where(better, r, best_r)
+            best[live[better]] = X[better]
 
     def to_combination(self, X: np.ndarray) -> HaarCombination:
         return HaarCombination._from_arrays(self.T.domain.dim, self.ids, X)
@@ -446,6 +498,21 @@ class _AscentProblem:
         inside = np.isin(f.heap_ids, self.ids)
         X[np.searchsorted(self.ids, f.heap_ids[inside])] = f.rows[inside]
         return X
+
+
+def _ascent_candidates(
+    problem: _AscentProblem, starts: np.ndarray, iterations: int
+) -> list[tuple[HaarCombination, EstimateMethod, float]]:
+    """The rated best iterates of the ascents from `starts`, in order."""
+    return [
+        _rated(
+            problem.T,
+            problem.to_combination(X),
+            EstimateMethod.RANDOM_RESTART_ASCENT,
+            problem.p,
+        )
+        for X in problem.ascend(starts, iterations)
+    ]
 
 
 def _rated(
@@ -539,7 +606,14 @@ def tau_estimate(
     """
     ids = _nonempty_heap_ids(indices)
     _check_budget(restarts, iterations)
+    return _tau_estimate(T, ids, restarts, iterations, seed)
 
+
+def _tau_estimate(
+    T: OperatorSpec, ids: np.ndarray, restarts: int, iterations: int, seed: int
+) -> TauEstimate:
+    """tau_estimate on a nonempty array of sorted heap ids, with checked
+    budgets: the entry for sets the package builds itself."""
     with np.errstate(over="ignore", invalid="ignore"):
         if T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
             f = _singular_candidate(T, int(ids[0]))
@@ -551,18 +625,12 @@ def tau_estimate(
         candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, None) for f in cheap]
         if len(ids) <= 2000:
             problem = _AscentProblem(T, ids, None)
-            rng = np.random.default_rng(seed)
-            for _ in range(restarts):
-                X = problem.ascend(problem.random_start(rng), iterations)
-                candidates.append(
-                    _rated(T, problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT, None)
-                )
+            starts = problem.random_starts(np.random.default_rng(seed), restarts)
+            candidates += _ascent_candidates(problem, starts, iterations)
             # polish the best exact candidate with a short ascent
             ranked = max(candidates, key=lambda c: c[2])[0]
-            X = problem.ascend(problem.from_combination(ranked), iterations)
-            candidates.append(
-                _rated(T, problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT, None)
-            )
+            polish = problem.from_combination(ranked)[None]
+            candidates += _ascent_candidates(problem, polish, iterations)
         return _normalized_estimate(T, candidates, None, restarts, iterations)
 
 
@@ -628,17 +696,11 @@ def tau_p_estimate(
         candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, p) for f in cheap]
         if (1 << n) - 1 <= 2000:
             problem = _AscentProblem(T, np.arange(1, 1 << n), p)
-            rng = np.random.default_rng(seed)
-            for _ in range(restarts):
-                X = problem.ascend(problem.random_start(rng), iterations)
-                candidates.append(
-                    _rated(T, problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT, p)
-                )
+            starts = problem.random_starts(np.random.default_rng(seed), restarts)
+            candidates += _ascent_candidates(problem, starts, iterations)
             if exact is not None:
-                X = problem.ascend(problem.from_combination(exact), iterations)
-                candidates.append(
-                    _rated(T, problem.to_combination(X), EstimateMethod.RANDOM_RESTART_ASCENT, p)
-                )
+                polish = problem.from_combination(exact)[None]
+                candidates += _ascent_candidates(problem, polish, iterations)
         return _normalized_estimate(T, candidates, p, restarts, iterations)
 
 

@@ -45,14 +45,16 @@ class NormedSpaceSpec:
         return np.abs(rows).max(axis=1)
 
     def norms_of(self, rows: np.ndarray) -> np.ndarray:
-        """Row norms for the grid and the ascent; an l2 row may differ from
-        norm_of in the last bit."""
+        """Norms along the last axis for the grid and the ascent, which may
+        stack restarts on leading axes; each row is reduced on its own, so
+        a row's norm does not depend on the rows beside it.  An l2 row may
+        differ from norm_of in the last bit."""
         rows = np.asarray(rows, dtype=float)
         if self.norm is Norm.L1:
-            return np.abs(rows).sum(axis=1)
+            return np.abs(rows).sum(axis=-1)
         if self.norm is Norm.L2:
-            return np.sqrt((rows * rows).sum(axis=1))
-        return np.abs(rows).max(axis=1)
+            return np.sqrt((rows * rows).sum(axis=-1))
+        return np.abs(rows).max(axis=-1)
 
     def dual_vector(self, v: np.ndarray) -> np.ndarray:
         """A subgradient of the norm at v; ties and zeros resolve to zero."""
@@ -69,19 +71,21 @@ class NormedSpaceSpec:
         return out
 
     def dual_rows(self, rows: np.ndarray) -> np.ndarray:
+        """A subgradient of the norm at each row (last axis; leading axes
+        stack rows); ties and zeros resolve to zero."""
         rows = np.asarray(rows, dtype=float)
         if self.norm is Norm.L1:
             return np.sign(rows)
         if self.norm is Norm.L2:
             norms = self.norms_of(rows)
             safe = np.where(norms > 0, norms, 1.0)
-            return rows / safe[:, None]
+            return rows / safe[..., None]
         out = np.zeros_like(rows)
-        nonzero = np.any(rows != 0, axis=1)
+        nonzero = np.any(rows != 0, axis=-1)
         if np.any(nonzero):
-            pos = np.argmax(np.abs(rows), axis=1)
-            sel = np.flatnonzero(nonzero)
-            out[sel, pos[sel]] = np.sign(rows[sel, pos[sel]])
+            sel = np.nonzero(nonzero)
+            at = sel + (np.argmax(np.abs(rows), axis=-1)[sel],)
+            out[at] = np.sign(rows[at])
         return out
 
 
@@ -159,6 +163,10 @@ class OperatorSpec:
         return np.matmul(self.matrix, rows[:, :, None])[..., 0]
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """apply along the last axis.  A dense matrix multiplies each 2-D
+        slice of stacked rows as its own product (numpy's stacked matmul),
+        so a slice gets the bits it would get alone; one product over all
+        the rows flattened to 2-D may not."""
         rows = np.asarray(rows, dtype=float)
         if self.kind is OperatorKind.IDENTITY:
             return rows.copy()

@@ -206,7 +206,8 @@ def reference_cell_values(f: HaarCombination, grid_level: int) -> np.ndarray:
 class ReferenceAscentProblem:
     """The projected subgradient ascent with per-index grid loops, and a
     fresh grid for the ratio and for the gradient of each iterate, on the
-    indices with the given sorted heap ids."""
+    indices with the given sorted heap ids.  One restart at a time: the
+    batch methods random_starts and ascend loop over the serial ones."""
 
     def __init__(self, T, ids, p):
         self.T = T
@@ -277,7 +278,13 @@ class ReferenceAscentProblem:
         X = rng.standard_normal((len(self.idx), self.T.domain.dim))
         return X * (1.0 / self.scale)[:, None]
 
-    def ascend(self, X0, iterations):
+    def random_starts(self, rng, count):
+        return np.array([self.random_start(rng) for _ in range(count)])
+
+    def ascend(self, X0s, iterations):
+        return np.array([self.ascend_one(X0, iterations) for X0 in X0s])
+
+    def ascend_one(self, X0, iterations):
         den = self.denominator(X0)
         if den == 0.0:
             return X0

@@ -368,6 +368,19 @@ def test_cli_rejects_out_of_range_max_level(capsys):
     assert record["error"]["type"] == "DomainError"
 
 
+def test_config_max_level_is_checked_against_the_configured_level_cap(monkeypatch, capsys):
+    monkeypatch.setenv("HAARLAB_MAX_LEVEL", "24")
+    assert ExperimentConfig(max_level=22).level_limit() == 22
+    monkeypatch.setenv("HAARLAB_MAX_LEVEL", "3")
+    assert ExperimentConfig(max_level=3).level_limit() == 3
+    with pytest.raises(DomainError) as err:
+        ExperimentConfig(max_level=10)
+    assert str(err.value) == "max_level must lie in 1..3 (the HAARLAB_MAX_LEVEL cap), got 10"
+    assert main(["verify", "--max-level", "10"]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "DomainError"
+
+
 def test_cli_tau_rejects_nan_operator_entry(tmp_path, capsys):
     op = tmp_path / "op.json"
     op.write_text('{"kind":"diagonal","norm":"l1","entries":[1.0,NaN,0.5]}')

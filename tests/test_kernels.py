@@ -10,7 +10,14 @@ import pytest
 from haarlab import normlab
 from haarlab.combination import HaarCombination
 from haarlab.combinatorics import fill_one, fill_to_height, local_height
-from haarlab.dyadic import DyadicRational, dyadic_band, full_tree, heap_ids, make_index_set
+from haarlab.dyadic import (
+    DyadicRational,
+    _GridLevels,
+    dyadic_band,
+    full_tree,
+    heap_ids,
+    make_index_set,
+)
 from haarlab.errors import DomainError
 from haarlab.normlab import (
     apply_operator,
@@ -160,14 +167,14 @@ def test_ascent_grid_gradient_and_path_match_the_index_loops(dim):
         for p in (None, 4.0 / 3.0):
             problem = normlab._AscentProblem(T, ids, p)
             reference = ReferenceAscentProblem(T, ids, p)
-            X = problem.random_start(np.random.default_rng(trial))
-            X = X / problem.denominator(X)
+            X = problem.random_starts(np.random.default_rng(trial), 1)
+            X = X / problem.denominators(X)[0]
             Y = T.apply_rows(X)
-            assert np.array_equal(problem.grid_values(Y.copy()), reference.grid_values(Y))
+            assert np.array_equal(problem.grid_values(Y.copy())[0], reference.grid_values(Y[0]))
             V, nu = problem.evaluate(X)
-            assert problem.ratio(X, nu) == reference.ratio(X)
-            assert np.array_equal(problem.gradient(X, V, nu), reference.gradient(X))
-            assert np.array_equal(problem.ascend(X, 12), reference.ascend(X, 12))
+            assert problem.ratios(X, nu) == [reference.ratio(X[0])]
+            assert np.array_equal(problem.gradient(X, V, nu)[0], reference.gradient(X[0]))
+            assert np.array_equal(problem.ascend(X, 12)[0], reference.ascend_one(X[0], 12))
 
 
 def estimates(T, sets, p_depths):
@@ -203,6 +210,124 @@ def test_estimates_match_the_loop_backed_ascent(monkeypatch):
             assert est.best_witness.indices() == ref.best_witness.indices()
             for idx, x in est.best_witness.items():
                 assert np.array_equal(x, ref.best_witness.coefficient(idx))
+
+
+# ---------------------------------------------------------------------------
+# the ascent's restarts in lockstep against the serial reference, bit for bit
+
+
+def ascent_operators(rng, dim):
+    """Diagonal and dense operators into l1, l2 and linf."""
+    for codomain in NORMS:
+        yield OperatorSpec.diagonal(rng.standard_normal(dim), codomain)
+        domain = NormedSpaceSpec(dim, NORMS[int(rng.integers(0, 3))])
+        matrix = rng.standard_normal((dim, dim))
+        yield OperatorSpec.dense(matrix, domain, NormedSpaceSpec(dim, codomain))
+
+
+def assert_batch_matches_reference(problem, reference, starts, iterations):
+    got = problem.ascend(starts, iterations)
+    assert got.shape == starts.shape
+    assert np.array_equal(got, reference.ascend(starts, iterations))
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 8])
+def test_batched_ascent_matches_the_serial_reference(restarts):
+    rng = np.random.default_rng(700 + restarts)
+    for trial, indices in enumerate(seeded_sets(rng, 16)):
+        if len(indices) > 40:
+            continue  # the reference loops over the indices in Python
+        ids = heap_ids(indices)
+        dim = (1, 3, 5)[trial % 3]
+        for T in ascent_operators(rng, dim):
+            for p in (None, 4.0 / 3.0):
+                problem = normlab._AscentProblem(T, ids, p)
+                reference = ReferenceAscentProblem(T, ids, p)
+                starts = problem.random_starts(np.random.default_rng(trial), restarts)
+                # one (R, m, d) draw equals R draws of (m, d) one after another
+                assert np.array_equal(
+                    starts, reference.random_starts(np.random.default_rng(trial), restarts)
+                )
+                assert_batch_matches_reference(problem, reference, starts, 15)
+
+
+def test_batched_ascent_in_smaller_batches_matches_the_serial_reference():
+    rng = np.random.default_rng(710)
+    T = OperatorSpec.dense(
+        rng.standard_normal((4, 4)), NormedSpaceSpec(4, Norm.LINF), NormedSpaceSpec(4, Norm.L1)
+    )
+    ids = heap_ids(full_tree(4))
+    for batch in (1, 2, 3):
+        problem = normlab._AscentProblem(T, ids, None)
+        problem.batch = batch
+        starts = problem.random_starts(rng, 7)
+        assert_batch_matches_reference(problem, ReferenceAscentProblem(T, ids, None), starts, 20)
+
+
+@pytest.mark.parametrize("p", [None, 4.0 / 3.0])
+def test_batched_ascent_stops_one_restart_and_runs_the_others_on(p):
+    rng = np.random.default_rng(720)
+    ids = heap_ids(full_tree(4))
+    # entry 0 is zero: a start on coordinate 0 alone has the zero image, so
+    # its gradient vanishes (gn < 1e-14) at the first iterate
+    T = OperatorSpec.diagonal([0.0, 1.0, 0.5, 0.25], Norm.L1)
+    problem = normlab._AscentProblem(T, ids, p)
+    reference = ReferenceAscentProblem(T, ids, p)
+    starts = problem.random_starts(rng, 5)
+    starts[1] = 0.0  # denominator zero: the start is returned as it is
+    starts[3, :, 1:] = 0.0
+    assert_batch_matches_reference(problem, reference, starts, 20)
+    got = problem.ascend(starts, 20)
+    assert not got[1].any()
+    assert np.array_equal(got[3], starts[3] / problem.denominators(starts[3:4])[0])
+    # the zero operator stops every restart at the first iterate
+    zero = OperatorSpec.diagonal(np.zeros(4), Norm.L1)
+    problem = normlab._AscentProblem(zero, ids, p)
+    assert_batch_matches_reference(problem, ReferenceAscentProblem(zero, ids, p), starts, 20)
+
+
+def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(monkeypatch):
+    """tau_estimate on full_tree(6) with 8 restarts of 60 iterations: the
+    restarts share one synthesis per iterate (1 + 60) and the polish ascent
+    takes another 61; each rated candidate takes one more for its public
+    ratio.  One restart at a time takes up to 9 x 61 = 549 in the ascents
+    (489 here, where the polish stops at its first iterate)."""
+    syntheses, ratings = [], []
+    synthesis, candidate_ratio = _GridLevels.synthesis, normlab._candidate_ratio
+
+    def counted_synthesis(self, out, rows_of):
+        syntheses.append(out.shape)
+        return synthesis(self, out, rows_of)
+
+    def counted_ratio(T, f, p):
+        ratings.append(f)
+        return candidate_ratio(T, f, p)
+
+    monkeypatch.setattr(_GridLevels, "synthesis", counted_synthesis)
+    monkeypatch.setattr(normlab, "_candidate_ratio", counted_ratio)
+    T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
+    tau_estimate(T, full_tree(6), restarts=8, iterations=60)
+    assert len(ratings) >= 10  # the 8 restarts, the polish and the certified witness
+    assert len(syntheses) <= 2 * 61 + len(ratings), (len(syntheses), len(ratings))
+
+
+def test_lockstep_estimate_peak_memory_stays_at_one_restart_per_large_grid():
+    """On one branch of depth 16 with d = 16 one grid alone is 2^16 x 16 =
+    2^20 floats (8 MiB), so the restarts run one at a time.  Measured peak
+    of this call with one restart at a time in a loop: 31,558,215 bytes,
+    about 3.76 grids (the grid V, the dual rows of V and the gradient cells
+    at 8 MiB each, with the cell norms and the analysis sums).  A stacked
+    grid would add 8 MiB per restart stacked."""
+    T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
+    branch = [(k, 1) for k in range(1, 17)]
+    tau_estimate(T, [(1, 1), (2, 1)], restarts=2, iterations=2)  # first calls allocate caches
+    tracemalloc.start()
+    try:
+        tau_estimate(T, branch, restarts=8, iterations=2)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 31_558_215, peak
 
 
 def test_cell_values_peak_memory_stays_near_the_output():
