@@ -406,13 +406,18 @@ class _GridLevels:
         halves in.)
         """
         lead, dim = cells.shape[:-2], cells.shape[-1]
+        g = cells.shape[-2].bit_length() - 1
         out = np.empty(lead + (self.count, dim))
         for k, lo, hi, positions, scale in self.levels:
-            sums = cells.reshape(lead + (1 << k, -1, dim)).sum(axis=-2)
+            if k == g:  # halves of one cell: the cells themselves, no copy
+                sums = cells
+            else:
+                sums = cells.reshape(lead + (1 << k, -1, dim)).sum(axis=-2)
             left, right = sums[..., 0::2, :], sums[..., 1::2, :]
             if positions is not None:
                 left, right = left[..., positions, :], right[..., positions, :]
-            out[..., lo:hi, :] = scale * (left - right)
+            rows = np.subtract(left, right, out=out[..., lo:hi, :])
+            rows *= scale
         return out
 
 

@@ -419,12 +419,15 @@ class _AscentProblem:
 
     def gradient(self, X: np.ndarray, V: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """Subgradient of the ratio at each restart of X with grids (V, nu),
-        assuming each denominator is 1; zero where the numerator is."""
+        assuming each denominator is 1; zero where the numerator is.  The
+        gradient cells are built in V's place, so V is overwritten and one
+        grid per restart is held at a time."""
         pnum = 2.0 if self.p is None else self.p
         nums = [s ** (1.0 / pnum) for s in ((nu**pnum).sum(axis=-1) / self.cells).tolist()]
         factors = np.array([num ** (1.0 - pnum) / self.cells if num else 0.0 for num in nums])
         cell_scale = (nu ** (pnum - 1.0)) * factors[:, None]
-        G_cells = self.T.codomain.dual_rows(V) * cell_scale[..., None]
+        G_cells = self.T.codomain.dual_rows(V, out=V)
+        G_cells *= cell_scale[..., None]
         G_num = self.T.transpose_apply_rows(self.grid.analysis(G_cells))
 
         norms = self.T.domain.norms_of(X)
@@ -468,6 +471,7 @@ class _AscentProblem:
         best_r = np.array(self.ratios(X, nu))
         for it in range(iterations):
             G = self.gradient(X, V, nu)
+            del V  # free this grid before the next one is built
             flat = G.reshape(len(G), -1)
             gn = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm of each G[i]
             moving = ~(gn < 1e-14)

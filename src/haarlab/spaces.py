@@ -70,22 +70,26 @@ class NormedSpaceSpec:
             out[pos] = np.sign(v[pos])
         return out
 
-    def dual_rows(self, rows: np.ndarray) -> np.ndarray:
+    def dual_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A subgradient of the norm at each row (last axis; leading axes
-        stack rows); ties and zeros resolve to zero."""
+        stack rows); ties and zeros resolve to zero.  `out` may be `rows`
+        itself, which then holds the subgradients."""
         rows = np.asarray(rows, dtype=float)
         if self.norm is Norm.L1:
-            return np.sign(rows)
+            return np.sign(rows, out=out)
         if self.norm is Norm.L2:
             norms = self.norms_of(rows)
             safe = np.where(norms > 0, norms, 1.0)
-            return rows / safe[..., None]
-        out = np.zeros_like(rows)
+            return np.divide(rows, safe[..., None], out=out)
         nonzero = np.any(rows != 0, axis=-1)
-        if np.any(nonzero):
-            sel = np.nonzero(nonzero)
-            at = sel + (np.argmax(np.abs(rows), axis=-1)[sel],)
-            out[at] = np.sign(rows[at])
+        sel = np.nonzero(nonzero)
+        at = sel + (np.argmax(np.abs(rows), axis=-1)[sel],)
+        signs = np.sign(rows[at])
+        if out is None:
+            out = np.zeros_like(rows)
+        else:
+            out[...] = 0.0
+        out[at] = signs
         return out
 
 

@@ -316,8 +316,9 @@ def test_lockstep_estimate_peak_memory_stays_at_one_restart_per_large_grid():
     2^20 floats (8 MiB), so the restarts run one at a time.  Measured peak
     of this call with one restart at a time in a loop: 31,558,215 bytes,
     about 3.76 grids (the grid V, the dual rows of V and the gradient cells
-    at 8 MiB each, with the cell norms and the analysis sums).  A stacked
-    grid would add 8 MiB per restart stacked."""
+    at 8 MiB each, with the cell norms and the analysis sums); 18,985,146
+    bytes once the gradient cells are built in V's place.  A stacked grid
+    would add 8 MiB per restart stacked."""
     T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
     branch = [(k, 1) for k in range(1, 17)]
     tau_estimate(T, [(1, 1), (2, 1)], restarts=2, iterations=2)  # first calls allocate caches

@@ -68,6 +68,13 @@ def test_dual_rows_matches_dual_vector(norm):
     table = space.dual_rows(rows)
     for r, g in zip(rows, table):
         assert np.allclose(space.dual_vector(r), g, rtol=1e-14, atol=0)
+    # stacked rows, and the rows overwritten in place, give the same bits
+    stacked = rng.standard_normal((4, 10, 3))
+    stacked[1, 4] = 0.0
+    expected = np.array([space.dual_rows(block) for block in stacked])
+    assert np.array_equal(space.dual_rows(stacked), expected)
+    assert space.dual_rows(stacked, out=stacked) is stacked
+    assert np.array_equal(stacked, expected)
 
 
 def test_operator_validation():
