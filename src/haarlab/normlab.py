@@ -508,13 +508,9 @@ def _ascent_candidates(
     problem: _AscentProblem, starts: np.ndarray, iterations: int
 ) -> list[tuple[HaarCombination, EstimateMethod, float]]:
     """The rated best iterates of the ascents from `starts`, in order."""
+    method = EstimateMethod.RANDOM_RESTART_ASCENT
     return [
-        _rated(
-            problem.T,
-            problem.to_combination(X),
-            EstimateMethod.RANDOM_RESTART_ASCENT,
-            problem.p,
-        )
+        _rated(problem.T, problem.to_combination(X), method, problem.p)
         for X in problem.ascend(starts, iterations)
     ]
 
