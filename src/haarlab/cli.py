@@ -1,8 +1,9 @@
 """Command line interface.
 
 Every subcommand assembles an ExperimentReport and emits it as JSON (default)
-or CSV; --output redirects to a file.  Exit codes: 0 when all asserted checks
-pass, 1 when an asserted check fails, 2 for input or schema errors, which are
+or CSV; --output redirects to a file.  Each subcommand registers only the
+shared knobs it reads.  Exit codes: 0 when all asserted checks pass, 1 when
+an asserted check fails, 2 for usage, input or schema errors, which are
 reported as a machine-readable JSON record on stdout.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .combinatorics import (
     exact_local_height,
@@ -19,7 +21,7 @@ from .combinatorics import (
     local_height,
 )
 from .dyadic import max_level_of
-from .errors import HaarLabError
+from .errors import HaarLabError, UsageError
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -35,6 +37,7 @@ from .normlab import (
     triangle_chain_check,
 )
 from .serialize import (
+    check_row,
     dump_combination,
     dump_index_set,
     dump_json,
@@ -43,34 +46,42 @@ from .serialize import (
     parse_combination,
     parse_index_set_document,
     parse_operator_document,
+    write_text,
 )
 from .transforms import compress
 
+# the shared knobs, each registered only by the subcommands that read it;
+# a knob's dest is the ExperimentConfig field it sets
+_KNOBS = {
+    "--seed": dict(type=int, default=0, help="randomness seed"),
+    "--max-level": dict(type=int, default=None, help="restrict suites to this level"),
+    "--restarts": dict(type=int, default=8, help="optimizer restarts"),
+    "--iters": dict(
+        dest="iterations", metavar="ITERS", type=int, default=60, help="iterations per restart"
+    ),
+    "--tol-opt": dict(
+        dest="optimizer_tolerance",
+        metavar="TOL_OPT",
+        type=float,
+        default=2e-2,
+        help="relative optimizer tolerance",
+    ),
+    "--output": dict(default=None, help="write the report here"),
+    "--format": dict(choices=("json", "csv"), default="json", help="report format"),
+}
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="randomness seed")
-    parser.add_argument(
-        "--max-level", type=int, default=None, help="restrict suites to this level"
-    )
-    parser.add_argument("--restarts", type=int, default=8, help="optimizer restarts")
-    parser.add_argument("--iters", type=int, default=60, help="iterations per restart")
-    parser.add_argument(
-        "--tol-opt", type=float, default=2e-2, help="relative optimizer tolerance"
-    )
-    parser.add_argument("--workers", type=int, default=1, help="worker threads")
-    parser.add_argument("--output", default=None, help="write the report here")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+def _add_knobs(parser: argparse.ArgumentParser, *flags: str):
+    """Register the given shared knobs plus --output and --format."""
+    for flag in (*flags, "--output", "--format"):
+        parser.add_argument(flag, **_KNOBS[flag])
 
 
 def _config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        seed=args.seed,
-        max_level=args.max_level,
-        optimizer_tolerance=args.tol_opt,
-        restarts=args.restarts,
-        iterations=args.iters,
-        workers=args.workers,
-    )
+    """Config from the knobs the subcommand registered; the rest keep their
+    defaults."""
+    names = [f.name for f in fields(ExperimentConfig) if hasattr(args, f.name)]
+    return ExperimentConfig(**{name: getattr(args, name) for name in names})
 
 
 def _emit(report: ExperimentReport, args) -> int:
@@ -79,8 +90,7 @@ def _emit(report: ExperimentReport, args) -> int:
     else:
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_text(text, args.output, "output")
     else:
         sys.stdout.write(text)
     return report.exit_code()
@@ -114,7 +124,7 @@ def _cmd_compress(args) -> int:
     )
     for position, (h, i) in enumerate(trace.steps):
         report.rows.append({"step": position, "h": h, "i": i})
-    report.checks.append({"name": "trace-valid", "passed": True, "asserted": True})
+    report.checks.append(check_row("trace-valid", True))
     return _emit(report, args)
 
 
@@ -149,20 +159,8 @@ def _cmd_fill(args) -> int:
     )
     for k, j in sorted(added):
         report.rows.append({"k": k, "j": j})
-    report.checks.append(
-        {
-            "name": "cardinality",
-            "passed": len(merged) == (1 << args.height) - 1,
-            "asserted": True,
-        }
-    )
-    report.checks.append(
-        {
-            "name": "height-budget",
-            "passed": local_height(merged) <= args.height,
-            "asserted": True,
-        }
-    )
+    report.checks.append(check_row("cardinality", len(merged) == (1 << args.height) - 1))
+    report.checks.append(check_row("height-budget", local_height(merged) <= args.height))
     return _emit(report, args)
 
 
@@ -195,16 +193,8 @@ def _cmd_partition(args) -> int:
                 "indices": " ".join(f"({k},{j})" for k, j in sorted(piece)),
             }
         )
-    report.checks.append(
-        {
-            "name": "partition-exact",
-            "passed": disjoint and union == f.support(),
-            "asserted": True,
-        }
-    )
-    report.checks.append(
-        {"name": "piece-heights", "passed": heights_ok, "asserted": True}
-    )
+    report.checks.append(check_row("partition-exact", disjoint and union == f.support()))
+    report.checks.append(check_row("piece-heights", heights_ok))
     return _emit(report, args)
 
 
@@ -212,7 +202,7 @@ def _cmd_tau(args) -> int:
     operator = parse_operator_document(load_json(args.operator))
     indices = parse_index_set_document(load_json(args.set))
     est = tau_estimate(
-        operator, indices, restarts=args.restarts, iterations=args.iters, seed=args.seed
+        operator, indices, restarts=args.restarts, iterations=args.iterations, seed=args.seed
     )
     report = ExperimentReport(
         name="tau",
@@ -220,7 +210,7 @@ def _cmd_tau(args) -> int:
     )
     report.rows.append({"setSize": len(indices), **est.as_dict()})
     if args.witness:
-        dump_json(dump_combination(est.best_witness), args.witness)
+        dump_json(dump_combination(est.best_witness), args.witness, "witness")
     return _emit(report, args)
 
 
@@ -231,7 +221,7 @@ def _cmd_tau_p(args) -> int:
         args.depth,
         args.p,
         restarts=args.restarts,
-        iterations=args.iters,
+        iterations=args.iterations,
         seed=args.seed,
     )
     report = ExperimentReport(
@@ -240,11 +230,14 @@ def _cmd_tau_p(args) -> int:
     )
     report.rows.append({"depth": args.depth, "p": args.p, **est.as_dict()})
     if args.witness:
-        dump_json(dump_combination(est.best_witness), args.witness)
+        dump_json(dump_combination(est.best_witness), args.witness, "witness")
     return _emit(report, args)
 
 
 def _cmd_check(args) -> int:
+    needed = {"comparison": "set", "triangle": "combination"}.get(args.kind)
+    if needed and getattr(args, needed) is None:
+        raise UsageError(f"check --kind {args.kind} requires --{needed}")
     config = _config(args)
     if args.kind == "comparison":
         report = run_comparison_experiment(args.operator, args.set, config)
@@ -256,10 +249,10 @@ def _cmd_check(args) -> int:
             operator,
             args.m,
             args.depth,
-            restarts=args.restarts,
-            iterations=args.iters,
-            seed=args.seed,
-            tolerance=args.tol_opt,
+            restarts=config.restarts,
+            iterations=config.iterations,
+            seed=config.seed,
+            tolerance=config.optimizer_tolerance,
         )
         report = ExperimentReport(
             name="check-monotonicity",
@@ -293,7 +286,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = run_weak_type_sweep(args.p, args.n_max, _config(args))
+    report = run_weak_type_sweep(args.p, args.n_max)
     return _emit(report, args)
 
 
@@ -308,8 +301,17 @@ def _cmd_log_variant(args) -> int:
 # parser wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a UsageError instead of exiting, so that a usage error gets
+    the JSON error record and exit code 2 like any other unusable input."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haarlab",
         description="Dyadic Haar toolkit: verification suites, compression, "
         "index combinatorics, and type-constant estimation.",
@@ -322,38 +324,38 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="corrupt the fork relation table; the battery must fail",
     )
-    _add_common(p)
+    _add_knobs(p, "--seed", "--max-level")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("compress", help="compress an index set into its band")
     p.add_argument("--set", required=True, help="JSON file with the index set")
-    _add_common(p)
+    _add_knobs(p)
     p.set_defaults(handler=_cmd_compress)
 
     p = sub.add_parser("lh", help="local height of an index set")
     p.add_argument("--set", required=True, help="JSON file with the index set")
-    _add_common(p)
+    _add_knobs(p)
     p.set_defaults(handler=_cmd_lh)
 
     p = sub.add_parser("fill", help="pad a set to cardinality 2^l - 1 under height l")
     p.add_argument("--set", required=True, help="JSON file with the index set")
     p.add_argument("--height", type=int, required=True, help="height budget l")
     p.add_argument("--depth", type=int, required=True, help="tree depth n")
-    _add_common(p)
+    _add_knobs(p)
     p.set_defaults(handler=_cmd_fill)
 
     p = sub.add_parser("partition", help="weight level sets of a combination")
     p.add_argument("--combination", required=True, help="JSON coefficient file")
     p.add_argument("--depth", type=int, required=True, help="tree depth n")
     p.add_argument("--exponent", type=float, default=2.0, help="weight exponent r")
-    _add_common(p)
+    _add_knobs(p)
     p.set_defaults(handler=_cmd_partition)
 
     p = sub.add_parser("tau", help="lower estimate of the type constant on a set")
     p.add_argument("--operator", required=True, help="JSON operator file")
     p.add_argument("--set", required=True, help="JSON file with the index set")
     p.add_argument("--witness", default=None, help="write the best witness here")
-    _add_common(p)
+    _add_knobs(p, "--seed", "--restarts", "--iters")
     p.set_defaults(handler=_cmd_tau)
 
     p = sub.add_parser("tau-p", help="lower estimate of the p-variant constant")
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True, help="tree depth n")
     p.add_argument("--p", type=float, required=True, help="exponent in [1, 2]")
     p.add_argument("--witness", default=None, help="write the best witness here")
-    _add_common(p)
+    _add_knobs(p, "--seed", "--restarts", "--iters")
     p.set_defaults(handler=_cmd_tau_p)
 
     p = sub.add_parser("check", help="comparison, band, or chain checks")
@@ -374,46 +376,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1, help="band shift (monotonicity)")
     p.add_argument("--depth", type=int, default=3, help="band top level")
     p.add_argument("--exponent", type=float, default=2.0, help="weight exponent r")
-    _add_common(p)
+    _add_knobs(p, "--seed", "--restarts", "--iters", "--tol-opt")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("sweep-weak-type", help="closed-form growth sweep")
     p.add_argument("--p", type=float, required=True, help="exponent in (1, 2)")
     p.add_argument("--n-max", type=int, default=10**6, help="sweep length")
-    _add_common(p)
+    _add_knobs(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("experiment-log-variant", help="certificate chain trials")
     p.add_argument("--p", type=float, required=True, help="exponent in [1, 2)")
     p.add_argument("--depth", type=int, default=8, help="tree depth n")
     p.add_argument("--trials", type=int, default=50, help="random families")
-    _add_common(p)
+    _add_knobs(p, "--seed", "--restarts", "--iters", "--tol-opt")
     p.set_defaults(handler=_cmd_log_variant)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "check":
-        if args.kind == "comparison" and not args.set:
-            _print_error("DomainError", "check --kind comparison requires --set", None)
-            return 2
-        if args.kind == "triangle" and not args.combination:
-            _print_error(
-                "DomainError", "check --kind triangle requires --combination", None
-            )
-            return 2
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except HaarLabError as exc:
-        _print_error(type(exc).__name__, str(exc), getattr(exc, "field", None))
+        record = {
+            "error": {
+                "type": type(exc).__name__,
+                "message": str(exc),
+                "field": getattr(exc, "field", None),
+            }
+        }
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
         return 2
-
-
-def _print_error(kind: str, message: str, field):
-    record = {"error": {"type": kind, "message": message, "field": field}}
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -449,10 +449,6 @@ def max_level_of(indices: frozenset[HaarIndex]) -> int:
     return max((k for k, _ in indices), default=0)
 
 
-def sorted_indices(indices: Iterable[HaarIndex]) -> list[HaarIndex]:
-    return sorted(indices)
-
-
 def haar_sign_table(k: int, j: int, grid_level: int) -> np.ndarray:
     """Signs of the (k, j) Haar function on the 2^grid_level level cells.
 

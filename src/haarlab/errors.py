@@ -13,6 +13,10 @@ class PreconditionError(HaarLabError):
     """A structural precondition of an operation is violated."""
 
 
+class UsageError(HaarLabError):
+    """The command line names no usable invocation."""
+
+
 class SchemaError(HaarLabError):
     """Serialized input does not match the expected schema."""
 

@@ -5,8 +5,7 @@ norm bound.
 Every runner returns an ExperimentReport whose rows are plain records ready
 for CSV emission and whose checks carry an asserted flag; a failed asserted
 check makes the report exit nonzero.  Reports are deterministic functions of
-(seed, inputs): trial work may run on a thread pool, but assembly merges in
-trial order, so output bytes never depend on scheduling.
+(seed, inputs): trials run in order, so output bytes are reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -38,6 +36,7 @@ from .normlab import (
 )
 from .serialize import (
     SCHEMA_VERSION,
+    check_row,
     load_json,
     parse_index_set_document,
     parse_operator_document,
@@ -52,15 +51,13 @@ class ExperimentConfig:
 
     seed: int = 0
     max_level: int | None = None
-    exact_tolerance: float = 1e-12
     quadrature_tolerance: float = 1e-9
     optimizer_tolerance: float = 2e-2
     restarts: int = 8
     iterations: int = 60
-    workers: int = 1
 
     def __post_init__(self):
-        for name in ("exact_tolerance", "quadrature_tolerance", "optimizer_tolerance"):
+        for name in ("quadrature_tolerance", "optimizer_tolerance"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
         cap = level_cap()
@@ -71,8 +68,6 @@ class ExperimentConfig:
             )
         if self.restarts < 1 or self.iterations < 1:
             raise DomainError("optimizer budgets must be >= 1")
-        if self.workers < 1:
-            raise DomainError(f"workers must be >= 1, got {self.workers}")
 
     def level_limit(self) -> int:
         return level_cap() if self.max_level is None else min(self.max_level, level_cap())
@@ -82,12 +77,10 @@ class ExperimentConfig:
             "seed": self.seed,
             "maxLevel": self.level_limit(),
             "tolerances": {
-                "exact": self.exact_tolerance,
                 "quadrature": self.quadrature_tolerance,
                 "optimizer": self.optimizer_tolerance,
             },
             "budgets": {"restarts": self.restarts, "iterations": self.iterations},
-            "workers": self.workers,
         }
 
 
@@ -139,13 +132,6 @@ def _finish(report: ExperimentReport, started: float) -> ExperimentReport:
     return report
 
 
-def _check(name: str, passed: bool, asserted: bool = True, **detail) -> dict:
-    row = {"name": name, "passed": bool(passed), "asserted": asserted}
-    if detail:
-        row["detail"] = detail
-    return row
-
-
 # ---------------------------------------------------------------------------
 # verification battery
 
@@ -183,7 +169,7 @@ def run_verify(
                 "sample": "; ".join(suite["failures"]),
             }
         )
-        report.checks.append(_check(f"suite:{suite['name']}", suite["passed"]))
+        report.checks.append(check_row(f"suite:{suite['name']}", suite["passed"]))
     return _finish(report, started)
 
 
@@ -191,15 +177,12 @@ def run_verify(
 # closed-form sweep
 
 
-def run_weak_type_sweep(
-    p: float, n_max: int = 10**6, config: ExperimentConfig | None = None
-) -> ExperimentReport:
+def run_weak_type_sweep(p: float, n_max: int = 10**6) -> ExperimentReport:
     """Tabulate both diagonal closed forms against their growth envelopes.
 
     Row-wise assertions: the tau column stays below n^(1/p-1/2) and the tau_p
     column above the logarithmic floor (1/2)(1+ln n)^(1/p').
     """
-    config = config or ExperimentConfig()
     started = time.perf_counter()
     if not 1.0 < p < 2.0:
         raise DomainError(f"exponent p must lie in (1, 2), got {p}")
@@ -221,7 +204,7 @@ def run_weak_type_sweep(
 
     report = ExperimentReport(
         name="weak-type-sweep",
-        parameters={**config.as_dict(), "p": p, "nMax": n_max},
+        parameters={"p": p, "nMax": n_max},
     )
     columns = zip(
         range(1, n_max + 1),
@@ -243,7 +226,7 @@ def run_weak_type_sweep(
         for row in columns
     ]
     report.checks.append(
-        _check(
+        check_row(
             "tau-below-weak-type-envelope",
             weak_ok,
             worstN=weak_worst + 1,
@@ -251,7 +234,7 @@ def run_weak_type_sweep(
         )
     )
     report.checks.append(
-        _check(
+        check_row(
             "tau-p-above-log-floor",
             floor_ok,
             worstN=floor_worst + 1,
@@ -438,15 +421,6 @@ def run_log_variant_experiment(
     else:
         family_list = list(families)
 
-    def evaluate(item: tuple[int, HaarCombination]) -> dict:
-        trial, f = item
-        row = log_variant_certificate(op, f, n, p, tau_table, config)
-        row = {"trial": trial, **row}
-        return row
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool_exec:
-        rows = list(pool_exec.map(evaluate, enumerate(family_list)))
-
     report = ExperimentReport(
         name="log-variant",
         parameters={
@@ -459,22 +433,18 @@ def run_log_variant_experiment(
     )
     all_cover = True
     all_bounded = True
-    for row in rows:
+    for trial, f in enumerate(family_list):
+        row = log_variant_certificate(op, f, n, p, tau_table, config)
         all_cover = all_cover and row["coverOk"]
         all_bounded = all_bounded and row["bounded"]
         report.rows.append(
             {
-                "trial": row["trial"],
-                "supportSize": row["supportSize"],
-                "thresholdBase": row["thresholdBase"],
-                "directNorm": row["directNorm"],
-                "pieceNormSum": row["pieceNormSum"],
-                "certificate": row["certificate"],
-                "ratio": row["ratio"],
+                "trial": trial,
+                **row,
                 "coverOk": int(row["coverOk"]),
                 "bounded": int(row["bounded"]),
             }
         )
-    report.checks.append(_check("cover-contracts", all_cover))
-    report.checks.append(_check("certificate-chain", all_bounded))
+    report.checks.append(check_row("cover-contracts", all_cover))
+    report.checks.append(check_row("certificate-chain", all_bounded))
     return _finish(report, started)

@@ -35,6 +35,7 @@ from .dyadic import (
     make_index_set,
 )
 from .errors import DomainError
+from .serialize import check_row
 from .spaces import Norm, NormedSpaceSpec, OperatorSpec
 
 __all__ = [
@@ -708,12 +709,6 @@ def tau_p_estimate(
 # structural checks used by the CLI and experiments
 
 
-def _check_row(name: str, passed: bool, detail: dict, asserted: bool = True) -> dict:
-    row = {"name": name, "asserted": asserted, "passed": bool(passed)}
-    row.update(detail)
-    return row
-
-
 def _relative_spread(values: list[float]) -> float:
     ref = values[0]
     scale = max(abs(ref), 1e-30)
@@ -750,17 +745,15 @@ def comparison_check(
     res_l2 = _relative_spread(l2_values)
     res_sq = _relative_spread(sq_values)
     checks = [
-        _check_row(
+        check_row(
             "comparison-inequality",
             est_f.lower_bound <= est_tree.lower_bound * (1.0 + tolerance),
-            {
-                "setEstimate": est_f.lower_bound,
-                "treeEstimate": est_tree.lower_bound,
-                "tolerance": tolerance,
-            },
+            setEstimate=est_f.lower_bound,
+            treeEstimate=est_tree.lower_bound,
+            tolerance=tolerance,
         ),
-        _check_row("trace-l2-invariance", res_l2 <= 1e-9, {"residual": res_l2}),
-        _check_row("trace-square-sum-invariance", res_sq <= 1e-9, {"residual": res_sq}),
+        check_row("trace-l2-invariance", res_l2 <= 1e-9, residual=res_l2),
+        check_row("trace-square-sum-invariance", res_sq <= 1e-9, residual=res_sq),
     ]
     return {
         "localHeight": n,
@@ -800,20 +793,24 @@ def monotonicity_check(
         est_tree.lower_bound, 1e-30
     )
     checks = [
-        _check_row(
+        check_row(
             "shift-monotonicity",
             est_shift.lower_bound <= est_base.lower_bound * (1.0 + tolerance),
-            {"shifted": est_shift.lower_bound, "base": est_base.lower_bound},
+            shifted=est_shift.lower_bound,
+            base=est_base.lower_bound,
         ),
-        _check_row(
+        check_row(
             "band-domination",
             est_squeezed.lower_bound <= est_tree.lower_bound * (1.0 + tolerance),
-            {"squeezed": est_squeezed.lower_bound, "tree": est_tree.lower_bound},
+            squeezed=est_squeezed.lower_bound,
+            tree=est_tree.lower_bound,
         ),
-        _check_row(
+        check_row(
             "band-equality",
             eq_dev <= tolerance,
-            {"squeezed": est_squeezed.lower_bound, "tree": est_tree.lower_bound, "deviation": eq_dev},
+            squeezed=est_squeezed.lower_bound,
+            tree=est_tree.lower_bound,
+            deviation=eq_dev,
         ),
     ]
     return {
@@ -871,20 +868,23 @@ def triangle_chain_check(
     total = math.fsum(piece_norms)
 
     checks = [
-        _check_row(
+        check_row(
             "partition-exact",
             partition_exact,
-            {"pieces": len(family.pieces), "supportSize": len(supp)},
+            pieces=len(family.pieces),
+            supportSize=len(supp),
         ),
-        _check_row(
+        check_row(
             "triangle-inequality",
             direct <= total + quadrature_tolerance,
-            {"direct": direct, "pieceSum": total},
+            direct=direct,
+            pieceSum=total,
         ),
-        _check_row(
+        check_row(
             "piece-weight-bounds",
             all(piece_checks),
-            {"pieces": len(family.pieces), "failing": int(sum(not c for c in piece_checks))},
+            pieces=len(family.pieces),
+            failing=int(sum(not c for c in piece_checks)),
         ),
     ]
     return {

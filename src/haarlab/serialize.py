@@ -13,12 +13,21 @@ from typing import Any
 import numpy as np
 
 from .combination import HaarCombination
-from .dyadic import DyadicRational, HaarIndex, IndexSetError, check_haar_index, make_index_set
+from .dyadic import HaarIndex, IndexSetError, make_index_set
 from .errors import DomainError, SchemaError
-from .spaces import Norm, NormedSpaceSpec, OperatorKind, OperatorSpec
-from .transforms import CompressionTrace, ForkTransform
+from .spaces import Norm, NormedSpaceSpec, OperatorSpec
+from .transforms import CompressionTrace
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+
+def check_row(name: str, passed: bool, **detail) -> dict:
+    """The one shape of a report's check: name, passed, asserted, and the
+    measured values under "detail" when there are any."""
+    row = {"name": name, "passed": bool(passed), "asserted": True}
+    if detail:
+        row["detail"] = detail
+    return row
 
 
 def _checked(build, field: str):
@@ -40,10 +49,18 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"invalid JSON: {exc}", path) from exc
 
 
-def dump_json(obj: Any, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_text(text: str, path: str, option: str):
+    """Write a file named on the command line; a path that cannot be
+    written is a SchemaError whose field names the option."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write file: {exc}", option) from exc
+
+
+def dump_json(obj: Any, path: str, option: str):
+    write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path, option)
 
 
 def _as_int(value, field: str) -> int:
@@ -84,7 +101,7 @@ def _get(obj: dict, key: str, field: str):
 
 
 # ---------------------------------------------------------------------------
-# index sets and points
+# index sets
 
 
 def _int_pair(value, field: str) -> tuple[int, int]:
@@ -92,11 +109,6 @@ def _int_pair(value, field: str) -> tuple[int, int]:
     if len(pair) != 2:
         raise SchemaError(f"expected a [k, j] pair, got {len(pair)} entries", field)
     return _as_int(pair[0], f"{field}[0]"), _as_int(pair[1], f"{field}[1]")
-
-
-def parse_index_pair(value, field: str) -> HaarIndex:
-    k, j = _int_pair(value, field)
-    return _checked(lambda: check_haar_index(k, j), field)
 
 
 def parse_index_set(value, field: str = "indexSet") -> frozenset[HaarIndex]:
@@ -114,31 +126,8 @@ def dump_index_set(indices) -> list[list[int]]:
     return [[int(k), int(j)] for k, j in sorted(indices)]
 
 
-def parse_point(value, field: str = "point") -> DyadicRational:
-    obj = _as_object(value, field)
-    num = _as_int(_get(obj, "num", field), f"{field}.num")
-    level = _as_int(_get(obj, "level", field), f"{field}.level")
-    return _checked(lambda: DyadicRational(num, level), field)
-
-
-def dump_point(t: DyadicRational) -> dict:
-    return {"num": t.num, "level": t.level}
-
-
 # ---------------------------------------------------------------------------
 # compression traces
-
-
-def parse_trace(value, field: str = "trace") -> CompressionTrace:
-    obj = _as_object(value, field)
-    m = _as_int(_get(obj, "m", field), f"{field}.m")
-    initial = parse_index_set(_get(obj, "initial", field), f"{field}.initial")
-    final = parse_index_set(_get(obj, "final", field), f"{field}.final")
-    steps = tuple(
-        ForkTransform(*parse_index_pair(v, f"{field}.steps[{i}]"))
-        for i, v in enumerate(_as_list(_get(obj, "steps", field), f"{field}.steps"))
-    )
-    return CompressionTrace(steps=steps, initial_set=initial, final_set=final, m=m)
 
 
 def dump_trace(trace: CompressionTrace) -> dict:
@@ -248,21 +237,3 @@ def parse_index_set_document(value, field: str = "indexSet") -> frozenset[HaarIn
     if isinstance(value, dict):
         value = _get(value, "indexSet", field)
     return parse_index_set(value, field)
-
-
-def dump_operator(T: OperatorSpec) -> dict:
-    if T.kind is OperatorKind.IDENTITY:
-        return {"kind": "identity", "dim": T.domain.dim, "norm": T.domain.norm.value}
-    if T.kind is OperatorKind.DIAGONAL:
-        return {
-            "kind": "diagonal",
-            "dim": T.domain.dim,
-            "norm": T.domain.norm.value,
-            "entries": [float(v) for v in T.entries],
-        }
-    return {
-        "kind": "dense",
-        "rows": [[float(v) for v in row] for row in T.matrix],
-        "domainNorm": T.domain.norm.value,
-        "codomainNorm": T.codomain.norm.value,
-    }

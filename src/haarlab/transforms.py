@@ -184,15 +184,6 @@ def fork_members(fork: tuple[int, int]) -> tuple[HaarIndex, HaarIndex, HaarIndex
     )
 
 
-def fork_identity_table(fork: tuple[int, int]) -> tuple[tuple[float, float, float], ...]:
-    """Float coefficient rows of the three fork relations."""
-    check_fork(fork)
-    sqrt2 = 2.0**0.5
-    return tuple(
-        tuple(float(a) + float(b) * sqrt2 for a, b in row) for row in FORK_RELATION_ROWS
-    )
-
-
 def fork_relations_hold(
     fork: tuple[int, int],
     grid_level: int | None = None,

@@ -1,12 +1,15 @@
 """Experiment reports and the command line: determinism, exit codes, errors."""
 
+import argparse
 import json
-import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from haarlab.cli import main
+from haarlab.cli import build_parser, main
 from haarlab.combination import HaarCombination
 from haarlab.errors import DomainError
 from haarlab.experiments import (
@@ -18,6 +21,7 @@ from haarlab.experiments import (
     run_weak_type_sweep,
 )
 from haarlab.normlab import diagonal_formula_tau, diagonal_formula_tau_p
+from haarlab.transforms import compress
 
 QUICK = {
     "haar-identities": {"k_max": 4, "grid_level": 6},
@@ -41,21 +45,17 @@ QUICK = {
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        ExperimentConfig(exact_tolerance=0.0)
+        ExperimentConfig(quadrature_tolerance=0.0)
+    with pytest.raises(DomainError):
+        ExperimentConfig(optimizer_tolerance=-1.0)
     with pytest.raises(DomainError):
         ExperimentConfig(max_level=0)
     with pytest.raises(DomainError):
         ExperimentConfig(max_level=21)
     with pytest.raises(DomainError):
         ExperimentConfig(restarts=0)
-    with pytest.raises(DomainError):
-        ExperimentConfig(workers=0)
     as_dict = ExperimentConfig(seed=5).as_dict()
-    assert as_dict["tolerances"] == {
-        "exact": 1e-12,
-        "quadrature": 1e-9,
-        "optimizer": 2e-2,
-    }
+    assert as_dict["tolerances"] == {"quadrature": 1e-9, "optimizer": 2e-2}
     assert as_dict["budgets"] == {"restarts": 8, "iterations": 60}
 
 
@@ -71,7 +71,7 @@ def test_report_exit_codes_follow_asserted_checks():
 def test_report_json_carries_schema_version():
     report = ExperimentReport(name="x", parameters={"a": 1})
     doc = report.to_json_dict()
-    assert doc["schemaVersion"] == 1
+    assert doc["schemaVersion"] == 2
     assert doc["name"] == "x"
 
 
@@ -216,21 +216,11 @@ def test_log_variant_single_index_collapses_to_one_term():
 
 
 def test_log_variant_random_trials_pass_and_merge_in_order():
-    cfg = ExperimentConfig(seed=11, workers=3)
+    cfg = ExperimentConfig(seed=11)
     rep = run_log_variant_experiment(4.0 / 3.0, n=6, trials=8, config=cfg)
     assert rep.passed()
     assert [row["trial"] for row in rep.rows] == list(range(8))
     assert all(row["coverOk"] == 1 and row["bounded"] == 1 for row in rep.rows)
-
-
-def test_log_variant_worker_count_never_changes_bytes():
-    serial = run_log_variant_experiment(
-        1.5, n=6, trials=6, config=ExperimentConfig(seed=4, workers=1)
-    ).to_csv()
-    threaded = run_log_variant_experiment(
-        1.5, n=6, trials=6, config=ExperimentConfig(seed=4, workers=4)
-    ).to_csv()
-    assert serial == threaded
 
 
 def test_log_variant_rejects_bad_exponent():
@@ -249,7 +239,7 @@ def test_cli_lh_round_trip(tmp_path, capsys):
     assert main(["lh", "--set", st]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rows"][0]["localHeight"] == 3
-    assert doc["schemaVersion"] == 1
+    assert doc["schemaVersion"] == 2
 
 
 def test_cli_compress_csv_and_output_file(tmp_path, capsys):
@@ -428,3 +418,181 @@ def test_cli_tau_p_rejects_overflowing_operator(tmp_path, capfd, norm):
     assert record["error"]["type"] == "DomainError"
     assert err == ""
     assert [str(w.message) for w in caught] == []
+
+
+# ---------------------------------------------------------------------------
+# usage errors and unwritable paths
+
+
+def test_cli_usage_errors_print_the_error_record(tmp_path, capsys):
+    assert main(["lh"]) == 2  # no --set
+    out, err = capsys.readouterr()
+    record = json.loads(out)["error"]
+    assert record["type"] == "UsageError"
+    assert "--set" in record["message"]
+    assert err.startswith("usage: haarlab lh")
+    assert main(["no-such-command"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "UsageError"
+    op = _write(tmp_path / "op.json", {"kind": "identity", "dim": 2, "norm": "l2"})
+    for kind, option in (("comparison", "--set"), ("triangle", "--combination")):
+        assert main(["check", "--kind", kind, "--operator", op]) == 2
+        record = json.loads(capsys.readouterr().out)["error"]
+        assert record["type"] == "UsageError"
+        assert record["message"] == f"check --kind {kind} requires {option}"
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."])
+@pytest.mark.parametrize("option", ["output", "witness"])
+def test_cli_unwritable_path_is_an_input_error(tmp_path, capfd, option, target):
+    op = _write(tmp_path / "op.json", {"kind": "identity", "dim": 2, "norm": "l2"})
+    st = _write(tmp_path / "set.json", [[1, 1], [2, 2]])
+    path = str(tmp_path / target)  # a missing directory, or a directory
+    argv = ["lh", "--set", st] if option == "output" else ["tau", "--operator", op, "--set", st]
+    assert main([*argv, f"--{option}", path]) == 2
+    out, err = capfd.readouterr()
+    record = json.loads(out)["error"]
+    assert record["type"] == "SchemaError"
+    assert record["field"] == option
+    assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# one check-row shape
+
+
+def test_every_check_row_has_the_one_shape(tmp_path, capsys):
+    op = _write(tmp_path / "op.json", {"kind": "identity", "dim": 2, "norm": "l2"})
+    st = _write(tmp_path / "set.json", [[1, 1], [3, 2]])
+    comb = _write(
+        tmp_path / "comb.json",
+        {
+            "dim": 2,
+            "entries": [{"k": 1, "j": 1, "x": [1.0, 0.0]}, {"k": 2, "j": 2, "x": [0.3, 0.4]}],
+        },
+    )
+    runs = [
+        ["verify", "--max-level", "3"],
+        ["sweep-weak-type", "--p", "1.5", "--n-max", "8"],
+        ["fill", "--set", st, "--height", "3", "--depth", "3"],
+        ["partition", "--combination", comb, "--depth", "2"],
+        ["compress", "--set", st],
+        ["check", "--kind", "comparison", "--operator", op, "--set", st],
+        ["check", "--kind", "monotonicity", "--operator", op, "--depth", "3"],
+        ["check", "--kind", "triangle", "--operator", op, "--combination", comb],
+    ]
+    for argv in runs:
+        assert main(argv) in (0, 1)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks, argv
+        for check in checks:
+            assert set(check) - {"detail"} == {"name", "passed", "asserted"}
+            assert isinstance(check["passed"], bool) and isinstance(check["asserted"], bool)
+            assert check.get("detail") != {}  # an empty detail is left out
+
+
+def test_cli_compress_reports_its_trace(tmp_path, capsys):
+    st = _write(tmp_path / "set.json", [[1, 1], [3, 2], [3, 3]])
+    assert main(["compress", "--set", st]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    trace = compress({(1, 1), (3, 2), (3, 3)})
+    assert doc["parameters"]["trace"] == {
+        "m": trace.m,
+        "initial": [[k, j] for k, j in sorted(trace.initial_set)],
+        "steps": [[h, i] for h, i in trace.steps],
+        "final": [[k, j] for k, j in sorted(trace.final_set)],
+    }
+    assert [[row["h"], row["i"]] for row in doc["rows"]] == doc["parameters"]["trace"]["steps"]
+
+
+# ---------------------------------------------------------------------------
+# README and parser agree; every knob a subcommand takes is one it reads
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the shared knobs each subcommand reads, besides --output and --format
+SHARED = {
+    "verify": {"--seed", "--max-level"},
+    "compress": set(),
+    "lh": set(),
+    "fill": set(),
+    "partition": set(),
+    "tau": {"--seed", "--restarts", "--iters"},
+    "tau-p": {"--seed", "--restarts", "--iters"},
+    "check": {"--seed", "--restarts", "--iters", "--tol-opt"},
+    "sweep-weak-type": set(),
+    "experiment-log-variant": {"--seed", "--restarts", "--iters", "--tol-opt"},
+}
+KNOB_VALUES = {
+    "--seed": "1",
+    "--max-level": "1",
+    "--restarts": "1",
+    "--iters": "1",
+    "--tol-opt": "0.1",
+    "--workers": "1",
+}
+BASE_ARGV = {
+    "verify": [],
+    "compress": ["--set", "set.json"],
+    "lh": ["--set", "set.json"],
+    "fill": ["--set", "set.json", "--height", "2", "--depth", "3"],
+    "partition": ["--combination", "comb.json", "--depth", "3"],
+    "tau": ["--operator", "op.json", "--set", "set.json"],
+    "tau-p": ["--operator", "op.json", "--depth", "2", "--p", "1.5"],
+    "check": ["--kind", "monotonicity", "--operator", "op.json"],
+    "sweep-weak-type": ["--p", "1.5"],
+    "experiment-log-variant": ["--p", "1.5"],
+}
+REMOVED = [
+    (command, knob) for command in SHARED for knob in KNOB_VALUES if knob not in SHARED[command]
+]
+
+
+def _subparser_options() -> dict[str, set[str]]:
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def _readme_command_line() -> str:
+    return README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_shared_knobs_are_registered_where_they_are_read():
+    shared = set(KNOB_VALUES) - {"--workers"} | {"--output", "--format"}
+    registered = {name: options & shared for name, options in _subparser_options().items()}
+    assert registered == {name: knobs | {"--output", "--format"} for name, knobs in SHARED.items()}
+    assert sum(len(knobs) for knobs in registered.values()) == 36
+
+
+def test_readme_option_table_matches_the_parser():
+    table = {}
+    for line in _readme_command_line().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            table[cells[0].strip("`")] = set(re.findall(r"--[a-z-]+", cells[1]))
+    assert table == _subparser_options()
+
+
+def test_readme_synopsis_lines_parse():
+    block = _readme_command_line().split("```\n", 1)[1].split("```", 1)[0]
+    commands = set()
+    for line in block.splitlines():
+        # placeholders such as N or P stand for numbers; [..] marks an option
+        tokens = shlex.split(line.replace("[", " ").replace("]", " "))
+        argv = ["2" if len(t) == 1 and t.isupper() else t for t in tokens]
+        assert argv[0] == "haarlab"
+        args = build_parser().parse_args(argv[1:])
+        commands.add(args.command)
+    assert commands == set(SHARED)
+
+
+@pytest.mark.parametrize("command, knob", REMOVED)
+def test_removed_knobs_are_usage_errors(command, knob, capsys):
+    assert main([command, *BASE_ARGV[command], knob, KNOB_VALUES[knob]]) == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert record["type"] == "UsageError"
+    assert record["message"] == f"unrecognized arguments: {knob} {KNOB_VALUES[knob]}"

@@ -7,26 +7,20 @@ import numpy as np
 import pytest
 
 from haarlab.combination import HaarCombination
-from haarlab.dyadic import DyadicRational, HaarIndex
+from haarlab.dyadic import HaarIndex
 from haarlab.errors import SchemaError
 from haarlab.serialize import (
     dump_combination,
     dump_index_set,
     dump_json,
-    dump_operator,
-    dump_point,
-    dump_trace,
     load_json,
     parse_combination,
     parse_index_set,
     parse_index_set_document,
     parse_operator,
     parse_operator_document,
-    parse_point,
-    parse_trace,
 )
 from haarlab.spaces import Norm, NormedSpaceSpec, OperatorSpec
-from haarlab.transforms import compress
 
 
 def test_index_set_round_trip():
@@ -55,27 +49,6 @@ def test_index_set_document_accepts_both_shapes():
     with pytest.raises(SchemaError) as err:
         parse_index_set_document({"wrong": bare})
     assert "indexSet" in err.value.field
-
-
-def test_point_round_trip_and_validation():
-    t = DyadicRational(5, 3)
-    assert parse_point(dump_point(t)) == t
-    with pytest.raises(SchemaError) as err:
-        parse_point({"num": 9, "level": 3})  # 9/8 is outside [0, 1)
-    assert err.value.field == "point"
-    with pytest.raises(SchemaError) as err:
-        parse_point({"num": 1})
-    assert err.value.field == "point.level"
-
-
-def test_trace_round_trip():
-    trace = compress({(1, 1), (3, 2), (3, 3)})
-    restored = parse_trace(dump_trace(trace))
-    assert restored.steps == trace.steps
-    assert restored.initial_set == trace.initial_set
-    assert restored.final_set == trace.final_set
-    assert restored.m == trace.m
-    restored.validate()
 
 
 def test_combination_round_trip():
@@ -109,21 +82,51 @@ def test_combination_schema_errors():
 @pytest.mark.parametrize(
     "op",
     [
-        OperatorSpec.identity(NormedSpaceSpec(3, Norm.L2)),
-        OperatorSpec.diagonal([1.0, 0.5, 0.25], Norm.L1),
-        OperatorSpec.dense(
-            np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-            NormedSpaceSpec(2, Norm.L1),
-            NormedSpaceSpec(3, Norm.LINF),
+        (
+            {"kind": "identity", "dim": 4, "norm": "l2"},
+            OperatorSpec.identity(NormedSpaceSpec(4, Norm.L2)),
+        ),
+        (
+            {"kind": "diagonal", "norm": "l1", "entries": [1.0, 0.84, 0.76]},
+            OperatorSpec.diagonal([1.0, 0.84, 0.76], Norm.L1),
+        ),
+        (
+            {
+                "kind": "dense",
+                "rows": [[1.0, 2.0], [3.0, 4.0]],
+                "domainNorm": "l2",
+                "codomainNorm": "l1",
+            },
+            OperatorSpec.dense(
+                np.array([[1.0, 2.0], [3.0, 4.0]]),
+                NormedSpaceSpec(2, Norm.L2),
+                NormedSpaceSpec(2, Norm.L1),
+            ),
+        ),
+        (
+            {
+                "kind": "dense",
+                "rows": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                "domainNorm": "l1",
+                "codomainNorm": "linf",
+            },
+            OperatorSpec.dense(
+                np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                NormedSpaceSpec(2, Norm.L1),
+                NormedSpaceSpec(3, Norm.LINF),
+            ),
         ),
     ],
 )
 def test_operator_round_trip(op):
-    restored = parse_operator(dump_operator(op))
-    assert restored.kind == op.kind
-    assert restored.domain == op.domain
-    assert restored.codomain == op.codomain
-    assert np.array_equal(restored.as_matrix(), op.as_matrix())
+    """A literal document, bare or wrapped, parses to the operator it names:
+    the three README forms and a dense l1 -> linf map."""
+    document, expected = op
+    for parsed in (parse_operator(document), parse_operator_document({"operator": document})):
+        assert parsed.kind == expected.kind
+        assert parsed.domain == expected.domain
+        assert parsed.codomain == expected.codomain
+        assert np.array_equal(parsed.as_matrix(), expected.as_matrix())
 
 
 def test_operator_schema_errors():
@@ -167,9 +170,9 @@ def test_load_json_reports_path(tmp_path):
 
 def test_dump_json_is_stable(tmp_path):
     target = tmp_path / "out.json"
-    dump_json({"b": 1, "a": [1, 2]}, str(target))
+    dump_json({"b": 1, "a": [1, 2]}, str(target), "witness")
     first = target.read_bytes()
-    dump_json({"a": [1, 2], "b": 1}, str(target))
+    dump_json({"a": [1, 2], "b": 1}, str(target), "witness")
     assert target.read_bytes() == first
     assert json.loads(first) == {"a": [1, 2], "b": 1}
 

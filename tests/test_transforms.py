@@ -22,7 +22,6 @@ from haarlab.transforms import (
     ForkTransform,
     classify_index,
     compress,
-    fork_identity_table,
     fork_members,
     fork_relations_hold,
     fork_split,
@@ -135,18 +134,6 @@ class TestIndexImage:
 
 
 class TestForkRelations:
-    def test_table_values(self):
-        rows = fork_identity_table((3, 2))
-        inv_sqrt2 = 1 / math.sqrt(2)
-        assert rows[0] == pytest.approx((0.0, inv_sqrt2, inv_sqrt2))
-        assert rows[1] == pytest.approx((inv_sqrt2, 0.5, -0.5))
-        assert rows[2] == pytest.approx((inv_sqrt2, -0.5, 0.5))
-        # row2 + row3 recovers sqrt(2) * root, row2 - row3 the difference
-        s = [a + b for a, b in zip(rows[1], rows[2])]
-        d = [a - b for a, b in zip(rows[1], rows[2])]
-        assert s == pytest.approx([math.sqrt(2), 0.0, 0.0])
-        assert d == pytest.approx([0.0, 1.0, -1.0])
-
     def test_relations_hold_exactly(self):
         for fork in forks_up_to(4):
             assert fork_relations_hold(fork)
