@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,34 +29,38 @@ from .dyadic import (
     make_index_set,
 )
 from .errors import DomainError
+from .spaces import Norm, NormedSpaceSpec
 
 
-def _branch_counts(indices: frozenset[HaarIndex]) -> list[int]:
-    """|F intersect B(t)| per cell at the coarsest exact resolution."""
-    top = max(indices)[0]  # counts are constant on level-(top-1) cells
-    diff = [0] * ((1 << (top - 1)) + 1)
-    for k, j in indices:
-        # the support of (k, j) covers cells (j-1)*2^(top-k) .. j*2^(top-k) - 1
-        diff[(j - 1) << (top - k)] += 1
-        diff[j << (top - k)] -= 1
+def _branch_counts(ids: list[int]) -> Iterator[int]:
+    """|F intersect B(t)| per cell at the coarsest exact resolution, for F
+    given by the heap ids of its members (see dyadic.heap_id)."""
+    top = max(ids, default=1).bit_length()  # counts are constant on level-(top-1) cells
+    half = 1 << (top - 1)
+    diff = [0] * (half + 1)
+    for node in ids:
+        # the support of node covers 2^shift cells from (node << shift) - half on
+        shift = top - node.bit_length()
+        first = (node << shift) - half
+        diff[first] += 1
+        diff[first + (1 << shift)] -= 1
     del diff[-1]
-    return list(accumulate(diff))
+    return accumulate(diff)
+
+
+def _local_height(ids: list[int]) -> int:
+    """Local height of the set with the given heap ids; 0 for none."""
+    return max(_branch_counts(ids))
 
 
 def local_height(indices: Iterable[tuple[int, int]]) -> int:
     """Maximum number of indices lying on a single branch; 0 for empty sets."""
-    idx = make_index_set(indices)
-    if not idx:
-        return 0
-    return max(_branch_counts(idx))
+    return _local_height([heap_id(k, j) for k, j in make_index_set(indices)])
 
 
 def exact_local_height(indices: Iterable[tuple[int, int]], n: int) -> bool:
     """True iff every branch meets the set in exactly n indices."""
-    idx = make_index_set(indices)
-    if not idx:
-        return n == 0
-    return all(c == n for c in _branch_counts(idx))
+    return all(c == n for c in _branch_counts([heap_id(k, j) for k, j in make_index_set(indices)]))
 
 
 class Subtree(Enum):
@@ -99,23 +103,25 @@ class SubtreeIdentification:
         return HaarIndex(k + 1, j + (1 << (k - 1)))
 
 
-def _check_fill_preconditions(indices, l: int, n: int) -> frozenset[HaarIndex]:
+def _check_fill_preconditions(indices, l: int, n: int) -> list[int]:
+    """The heap ids of a valid F that fill may pad under budget l in depth n."""
     idx = make_index_set(indices)
     if n < 1:
         raise DomainError(f"tree depth must be >= 1, got {n}")
     if idx and max(idx)[0] > n:
         raise DomainError(f"index set is not contained in the depth-{n} tree")
     check_level(n, "tree depth")  # the fill kernel's tables have 2^n entries
-    height = max(_branch_counts(idx)) if idx else 0
+    ids = [heap_id(k, j) for k, j in idx]
+    height = _local_height(ids)
     if not height <= l <= n:
         raise DomainError(
             f"height budget l={l} must satisfy localHeight(F)={height} <= l <= n={n}"
         )
-    if len(idx) >= (1 << l) - 1:
+    if len(ids) >= (1 << l) - 1:
         raise DomainError(
-            f"|F|={len(idx)} must be smaller than 2^l - 1 = {(1 << l) - 1}"
+            f"|F|={len(ids)} must be smaller than 2^l - 1 = {(1 << l) - 1}"
         )
-    return idx
+    return ids
 
 
 # The fill kernel numbers the depth-n tree by heap ids (see dyadic.heap_id):
@@ -123,111 +129,104 @@ def _check_fill_preconditions(indices, l: int, n: int) -> frozenset[HaarIndex]:
 # subtree below id.
 
 
-def _add_node(present: bytearray, counts: list[int], node: int) -> None:
-    present[node] = 1
-    while node:
-        counts[node] += 1
-        node >>= 1
-
-
-def _fill_state(indices: frozenset[HaarIndex], n: int) -> tuple[bytearray, list[int]]:
+def _fill_state(ids: list[int], n: int) -> tuple[bytearray, list[int]]:
     present = bytearray(1 << n)
     counts = [0] * (1 << n)
-    for k, j in indices:
-        _add_node(present, counts, heap_id(k, j))
+    for node in ids:
+        present[node] = 1
+        while node:
+            counts[node] += 1
+            node >>= 1
     return present, counts
 
 
-def _fill_node(present: bytearray, counts: list[int], l: int, n: int) -> int:
-    """Heap id of one free index keeping the height within l (see fill_one).
+def _fill(present: bytearray, counts: list[int], l: int, n: int, count: int) -> list[int]:
+    """Heap ids of `count` free indices added one at a time to the depth-n
+    tree in present and counts, each keeping the height within l; trusts
+    that fill_one's preconditions hold.
 
-    Descends from the root: past an absent root to the left subtree under
-    the same budget; past a present one (which uses up one unit of height)
-    to the side with fewer members, ties going left.  Once the budget is 1
-    or equals the remaining depth, any free index of the subtree will do and
-    the lexicographically smallest is taken for determinism.
+    Each is found by a descent from the root: past an absent root to the
+    left subtree under the same budget; past a present one (which uses up
+    one unit of height) to the side with fewer members, ties going left.
+    Once the budget is 1 or equals the remaining depth, any free index of
+    the subtree will do and the lexicographically smallest is taken.
     """
-    node = 1
-    while l != 1 and l != n:
-        left = 2 * node
-        if not present[node]:
-            node = left
+    added = []
+    for _ in range(count):
+        node, budget, depth = 1, l, n
+        while budget != 1 and budget != depth:
+            left = 2 * node
+            if not present[node]:
+                node = left
+            else:
+                node = left if counts[left] <= counts[left + 1] else left + 1
+                budget -= 1
+            depth -= 1
+        for level in range(depth):
+            first = node << level
+            free = present.find(0, first, first + (1 << level))
+            if free >= 0:
+                break
         else:
-            node = left if counts[left] <= counts[left + 1] else left + 1
-            l -= 1
-        n -= 1
-    for depth in range(n):
-        first = node << depth
-        free = present.find(0, first, first + (1 << depth))
-        if free >= 0:
-            return free
-    raise AssertionError("cardinality precondition guarantees a free index")
+            raise AssertionError("cardinality precondition guarantees a free index")
+        added.append(free)
+        present[free] = 1
+        while free:
+            counts[free] += 1
+            free >>= 1
+    return added
 
 
 def fill_one(indices: Iterable[tuple[int, int]], l: int, n: int) -> HaarIndex:
     """One new index outside F such that the enlarged set still has height <= l."""
-    idx = _check_fill_preconditions(indices, l, n)
-    present, counts = _fill_state(idx, n)
-    return from_heap_id(_fill_node(present, counts, l, n))
+    ids = _check_fill_preconditions(indices, l, n)
+    return from_heap_id(_fill(*_fill_state(ids, n), l, n, 1)[0])
 
 
 def fill_to_height(indices: Iterable[tuple[int, int]], l: int, n: int) -> frozenset[HaarIndex]:
     """Added indices bringing F up to cardinality 2^l - 1 with height still <= l."""
-    idx = _check_fill_preconditions(indices, l, n)
-    present, counts = _fill_state(idx, n)
-    added = []
-    for _ in range((1 << l) - 1 - len(idx)):
-        node = _fill_node(present, counts, l, n)
-        _add_node(present, counts, node)
-        added.append(from_heap_id(node))
-    return frozenset(added)
+    ids = _check_fill_preconditions(indices, l, n)
+    added = _fill(*_fill_state(ids, n), l, n, (1 << l) - 1 - len(ids))
+    return frozenset(map(from_heap_id, added))
 
 
 # ---------------------------------------------------------------------------
 # weight thresholds and partitions
 
 
-def _euclidean(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
-
-
 def _weight_powers(
-    f: HaarCombination, n: int, r: float, norm_fn: Callable[[np.ndarray], float]
-):
-    """Per-index branch weights w^r and the max branch sum of them.
+    f: HaarCombination, n: int, r: float, space: NormedSpaceSpec | None
+) -> tuple[list[int], list[float], float]:
+    """Heap ids of the support, their branch weights w^r as Python floats,
+    and the max branch sum of them.
 
-    Weights are w = 2^((k-1)/2) * ||x||.  Comparisons downstream happen in
-    the r-th power domain: the max branch sum is a float sum of the very
-    same w^r terms, so every individual w^r <= max sum holds exactly.
+    Weights are w = 2^((k-1)/2) * ||x||, in the norm of space (l2 when
+    None).  Comparisons downstream happen in the r-th power domain: the max
+    branch sum adds the very same w^r terms in (k, j) order, so every
+    individual w^r <= max sum holds exactly.
     """
-    support = f.support()
-    if any(k > n for k, _ in support):
+    nonzero = f.rows.any(axis=1)
+    ids = f.heap_ids[nonzero].tolist()
+    if ids and ids[-1].bit_length() > n:
         raise DomainError(f"support is not contained in the depth-{n} tree")
-    powers: dict[HaarIndex, float] = {}
-    for idx, x in f.items():
-        if idx not in support:
-            continue
-        k, _j = idx
-        powers[idx] = (half_power(k - 1) * norm_fn(x)) ** r
-    ncells = 1 << n
-    sums = np.zeros(ncells)
-    for (k, j), wr in sorted(powers.items()):
-        width = 1 << (n - (k - 1))
-        sums[(j - 1) * width : j * width] += wr
+    norms = (space or NormedSpaceSpec(f.dim, Norm.L2)).norm_of_each(f.rows[nonzero]).tolist()
+    powers = [(half_power(node.bit_length() - 1) * x) ** r for node, x in zip(ids, norms)]
+    sums = np.zeros(1 << n)
+    for node, wr in zip(ids, powers):
+        shift = n + 1 - node.bit_length()  # node covers 2^shift cells from first on
+        first = (node << shift) - (1 << n)
+        sums[first : first + (1 << shift)] += wr
     base_power = float(sums.max()) if powers else 0.0
-    return powers, base_power
+    return ids, powers, base_power
 
 
 def threshold_base(
-    f: HaarCombination,
-    n: int,
-    r: float,
-    norm_fn: Callable[[np.ndarray], float] | None = None,
+    f: HaarCombination, n: int, r: float, space: NormedSpaceSpec | None = None
 ) -> float:
     """Largest branch weight aggregate S_r = max_t (sum over B(t) of w^r)^(1/r)."""
     if not 1 <= r <= 2:
         raise DomainError(f"exponent r must lie in [1, 2], got {r}")
-    _, base_power = _weight_powers(f, n, r, norm_fn or _euclidean)
+    _, _, base_power = _weight_powers(f, n, r, space)
     return base_power ** (1.0 / r)
 
 
@@ -246,28 +245,26 @@ class PartitionFamily:
 
 
 def _band_assignments(
-    f: HaarCombination, n: int, r: float, norm_fn: Callable[[np.ndarray], float]
-) -> tuple[dict[HaarIndex, int], float]:
-    powers, base_power = _weight_powers(f, n, r, norm_fn)
+    f: HaarCombination, n: int, r: float, space: NormedSpaceSpec | None
+) -> tuple[list[int], list[int], float]:
+    """Heap ids of the support, the band of each, and S_r^r."""
+    ids, powers, base_power = _weight_powers(f, n, r, space)
     if base_power == 0.0:
-        return {}, 0.0
-    bands: dict[HaarIndex, int] = {}
-    for idx, wr in powers.items():
+        return [], [], 0.0
+    bands = []
+    for wr in powers:
         # band l is S^r/2^l < w^r <= S^r/2^(l-1); ldexp halves exactly (and
         # underflows to 0.0 instead of raising), and w^r <= S^r always, so
         # the smallest qualifying l is the band
         l = 1
         while math.ldexp(base_power, -l) >= wr:
             l += 1
-        bands[idx] = l
-    return bands, base_power
+        bands.append(l)
+    return ids, bands, base_power
 
 
 def level_set_partition(
-    f: HaarCombination,
-    n: int,
-    r: float,
-    norm_fn: Callable[[np.ndarray], float] | None = None,
+    f: HaarCombination, n: int, r: float, space: NormedSpaceSpec | None = None
 ) -> PartitionFamily:
     """Partition of the support into the weight bands F_1, F_2, ...
 
@@ -276,13 +273,12 @@ def level_set_partition(
     """
     if not 1 <= r <= 2:
         raise DomainError(f"exponent r must lie in [1, 2], got {r}")
-    bands, base_power = _band_assignments(f, n, r, norm_fn or _euclidean)
+    ids, bands, base_power = _band_assignments(f, n, r, space)
     if not bands:
         return PartitionFamily((), 0.0, r)
-    top = max(bands.values())
-    pieces = [set() for _ in range(top)]
-    for idx, l in bands.items():
-        pieces[l - 1].add(idx)
+    pieces = [[] for _ in range(max(bands))]
+    for node, l in zip(ids, bands):
+        pieces[l - 1].append(from_heap_id(node))
     return PartitionFamily(
         tuple(frozenset(p) for p in pieces), base_power ** (1.0 / r), r
     )
@@ -305,10 +301,7 @@ class GreedyFamily:
 
 
 def greedy_family(
-    f: HaarCombination,
-    n: int,
-    p: float,
-    norm_fn: Callable[[np.ndarray], float] | None = None,
+    f: HaarCombination, n: int, p: float, space: NormedSpaceSpec | None = None
 ) -> GreedyFamily:
     """Padded weight-band cover of the depth-n tree.
 
@@ -316,49 +309,46 @@ def greedy_family(
     cumulative cardinality falls short of 2^(2^l) - 1 the band is padded to
     that size while keeping its height at most 2^l; already used indices are
     removed in either case, and the final piece is the leftover of the tree.
+    Band l has height at most 2^l (its weights exceed S^r/2^l and a branch
+    sums to at most S^r), so the fill kernel pads it without checks.
     """
     if not 1 <= p < 2:
         raise DomainError(f"exponent p must lie in [1, 2), got {p}")
     if n < 1:
         raise DomainError(f"tree depth must be >= 1, got {n}")
-    norm = norm_fn or _euclidean
-    bands, base_power = _band_assignments(f, n, p, norm)
+    ids, bands, base_power = _band_assignments(f, n, p, space)
     m = n.bit_length() - 1
-    tree = full_tree(n)
+    nodes = sorted(full_tree(n))  # nodes[id - 1] is the index with heap id id
 
     if base_power == 0.0:
         return GreedyFamily(
-            pieces=(frozenset(),) * m + (tree,),
+            pieces=(frozenset(),) * m + (frozenset(nodes),),
             m=m,
             threshold_base=0.0,
             exponent=p,
             padded=(False,) * m,
         )
 
-    raw: list[set[HaarIndex]] = [set() for _ in range(m + 1)]
-    for idx, l in bands.items():
+    raw: list[list[int]] = [[] for _ in range(m)]
+    for node, l in zip(ids, bands):
         if l <= m:
-            raw[l - 1].add(idx)
+            raw[l - 1].append(node)
         # lower bands have small weights; they are picked up by the leftover
 
-    used: set[HaarIndex] = set()
+    used: set[int] = set()
     pieces: list[frozenset[HaarIndex]] = []
     padded: list[bool] = []
     cumulative = 0
-    for l in range(1, m + 1):
-        band = frozenset(raw[l - 1])
+    for l, band in enumerate(raw, start=1):
         target = (1 << (1 << l)) - 1
-        if cumulative + len(band) >= target:
-            piece = band - used
-            padded.append(False)
-        else:
-            pad = fill_to_height(band, 1 << l, n)
-            piece = (band | pad) - used
-            padded.append(True)
-        pieces.append(frozenset(piece))
+        padded.append(cumulative + len(band) < target)
+        if padded[-1]:
+            band = band + _fill(*_fill_state(band, n), 1 << l, n, target - len(band))
+        piece = set(band) - used
         used |= piece
+        pieces.append(frozenset(nodes[node - 1] for node in piece))
         cumulative += len(piece)
-    pieces.append(tree - used)
+    pieces.append(frozenset(nodes[node - 1] for node in range(1, 1 << n) if node not in used))
     return GreedyFamily(
         pieces=tuple(pieces),
         m=m,
@@ -371,16 +361,3 @@ def greedy_family(
 def band_weight_bound(l: int, r: float, base: float) -> float:
     """Upper bound 2^(2/r) * 2^(l(1-2/r)) * S_r^2 for the piece-l squared sum."""
     return 2.0 ** (2.0 / r) * 2.0 ** (l * (1.0 - 2.0 / r)) * base * base
-
-
-def branch_weight_profile(
-    f: HaarCombination,
-    indices: Iterable[tuple[int, int]],
-    norm_fn: Callable[[np.ndarray], float] | None = None,
-) -> dict[HaarIndex, float]:
-    """Weights 2^((k-1)/2)*||x|| of f restricted to the given indices."""
-    norm = norm_fn or _euclidean
-    keep = make_index_set(indices)
-    return {
-        idx: half_power(idx.k - 1) * norm(x) for idx, x in f.items() if idx in keep
-    }

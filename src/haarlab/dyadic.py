@@ -251,8 +251,6 @@ def scaling_identity_check(k: int, j: int, t: DyadicRational) -> bool:
 # ---------------------------------------------------------------------------
 # index sets
 
-IndexSet = frozenset  # frozenset[HaarIndex]
-
 
 class IndexSetError(DomainError):
     """A pair of an index set is not a Haar index; position locates it."""

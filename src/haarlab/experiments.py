@@ -22,7 +22,7 @@ import numpy as np
 from .combination import HaarCombination
 from .combinatorics import band_weight_bound, greedy_family, local_height
 from .config import check_level, max_level as level_cap
-from .dyadic import full_tree, half_power
+from .dyadic import half_power
 from .errors import DomainError
 from .normlab import (
     OperatorSpec,
@@ -157,7 +157,7 @@ def run_verify(
     )
     report = ExperimentReport(
         name="verify",
-        parameters={**config.as_dict(), "injectFault": inject_fault},
+        parameters=dict(seed=config.seed, maxLevel=config.level_limit(), injectFault=inject_fault),
     )
     for suite in results:
         report.rows.append(
@@ -332,7 +332,7 @@ def log_variant_certificate(
     times the band weight bound).  A family supported on a single piece
     collapses the triangle sum to one term that equals the direct norm.
     """
-    family = greedy_family(f, n, p, norm_fn=op.domain.norm_of)
+    family = greedy_family(f, n, p, op.domain)
     m = family.m
     base = family.threshold_base
 
@@ -352,7 +352,8 @@ def log_variant_certificate(
         piece_norm_sum += lp_norm_of_combination(
             image.restricted_to(piece), op.codomain, 2.0
         )
-    if union != full_tree(n):
+    # 2^n - 1 distinct indices of levels at most n are the depth-n tree
+    if len(union) != (1 << n) - 1 or max(k for k, _j in union) > n:
         cover_ok = False
 
     certificate = 0.0

@@ -845,7 +845,7 @@ def triangle_chain_check(
         )
     supp = frozenset(f.support())
     n = max((k for k, _ in supp), default=1)
-    family = level_set_partition(f, n, r, norm_fn=T.domain.norm_of)
+    family = level_set_partition(f, n, r, T.domain)
 
     union = set()
     disjoint = True

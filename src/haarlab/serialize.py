@@ -18,7 +18,7 @@ from .errors import DomainError, SchemaError
 from .spaces import Norm, NormedSpaceSpec, OperatorSpec
 from .transforms import CompressionTrace
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def check_row(name: str, passed: bool, **detail) -> dict:

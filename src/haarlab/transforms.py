@@ -14,26 +14,27 @@ finite set into a band of its local height; compress() records the trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, NamedTuple
+from heapq import heappop, heappush
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .combination import HaarCombination
-from .combinatorics import local_height
+from .combinatorics import _local_height, local_height
 from .config import check_level
 from .dyadic import (
     DyadicInterval,
     DyadicRational,
     HaarIndex,
+    _haar_eval,
     _level_runs,
     check_haar_index,
     dyadic_band,
     from_heap_id,
-    haar_eval,
     heap_id,
     half_power,
     make_index_set,
@@ -84,18 +85,17 @@ class IndexFate(NamedTuple):
     offset: int = 0
 
 
-def _swap_offset(h: int, i: int, k: int, j: int) -> int:
-    """Position shift of a valid non-member index (k, j) under the swap at
-    (h, i): +2^(k-h-2) inside the first swapped quarter, -2^(k-h-2) inside
-    the second, 0 elsewhere."""
-    if k < h + 2:
-        return 0
-    shift = k - h - 2
-    quarter = (j - 1) >> shift  # level-(h+1) cell containing the support
-    if quarter == 4 * i - 3:
-        return 1 << shift
-    if quarter == 4 * i - 2:
-        return -(1 << shift)
+def _swap_offset(node: int, member: int) -> int:
+    """Shift of the heap id of a non-member under the swap at the fork with
+    heap id node: on each level k >= h + 2 the ids below 4*node + 1 and
+    4*node + 2 trade places, a shift by 2^(k-h-2) each way; elsewhere 0."""
+    shift = member.bit_length() - node.bit_length() - 2
+    if shift >= 0:
+        quarter = member >> shift  # the level-(h+2) id above member
+        if quarter == 4 * node + 1:
+            return 1 << shift
+        if quarter == 4 * node + 2:
+            return -(1 << shift)
     return 0
 
 
@@ -116,7 +116,7 @@ def classify_index(fork: tuple[int, int], idx: tuple[int, int]) -> IndexFate:
         return IndexFate(FateKind.FORK_ROOT)
     if _is_fork_member(h, i, k, j):
         return IndexFate(FateKind.FORK_SUCCESSOR)
-    offset = _swap_offset(h, i, k, j)
+    offset = _swap_offset(heap_id(h, i), heap_id(k, j))
     if offset > 0:
         return IndexFate(FateKind.SHIFT_RIGHT, offset)
     if offset < 0:
@@ -131,15 +131,15 @@ def index_image(fork: tuple[int, int], idx: tuple[int, int]) -> HaarIndex:
     k, j = check_haar_index(*idx)
     if _is_fork_member(h, i, k, j):
         raise DomainError(f"index {tuple(idx)} belongs to the fork at {tuple(fork)}")
-    return HaarIndex(k, j + _swap_offset(h, i, k, j))
+    return HaarIndex(k, j + _swap_offset(heap_id(h, i), heap_id(k, j)))
 
 
 # ---------------------------------------------------------------------------
 # the three fork relations
 #
-# Values of composed Haar functions live in Q[sqrt(2)]; a pair (a, b) stands
-# for a + b*sqrt(2) with exact Fractions, which keeps the pointwise identity
-# checks free of rounding.
+# A coefficient pair (a, b) stands for a + b*sqrt(2) with exact Fractions.
+# The check scales the table by its common denominator D once and compares
+# D*lhs with the scaled sum as integer pairs, free of rounding.
 
 Sqrt2Pair = tuple[Fraction, Fraction]
 
@@ -156,23 +156,48 @@ FORK_RELATION_ROWS: tuple[tuple[Sqrt2Pair, Sqrt2Pair, Sqrt2Pair], ...] = (
     (_HALF_SQRT2, _NEG_HALF, _HALF),
 )
 
+def _scaled_rows(rows: tuple[tuple[Sqrt2Pair, ...], ...]) -> tuple[int, tuple]:
+    """(D, the table times D as integer pairs), D its least common denominator."""
+    scale = math.lcm(*(Fraction(x).denominator for row in rows for pair in row for x in pair))
+    return scale, tuple(
+        tuple(tuple(int(Fraction(x) * scale) for x in pair) for pair in row) for row in rows
+    )
 
-def _pair_add(a: Sqrt2Pair, b: Sqrt2Pair) -> Sqrt2Pair:
-    return (a[0] + b[0], a[1] + b[1])
+
+def _value_pair(k: int, j: int, num: int, level: int) -> tuple[int, int]:
+    """The (k, j) Haar function at num/2^level as the pair (a, b) of a + b*sqrt(2)."""
+    sign, half_exponent = _haar_eval(k, j, num, level)
+    value = sign << (half_exponent >> 1)
+    return (0, value) if half_exponent & 1 else (value, 0)
 
 
-def _pair_mul(a: Sqrt2Pair, b: Sqrt2Pair) -> Sqrt2Pair:
-    return (a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _swap_grid_permutation(h: int, i: int, grid: int) -> np.ndarray:
+    """Index permutation of the level-`grid` cells under the swap at (h, i),
+    for grid > h."""
+    width = 1 << (grid - h - 1)
+    start = (4 * i - 3) * width
+    perm = np.arange(1 << grid)
+    perm[start : start + width] += width
+    perm[start + width : start + 2 * width] -= width
+    return perm
 
 
-def _haar_value_pair(k: int, j: int, t: DyadicRational) -> Sqrt2Pair:
-    v = haar_eval(k, j, t)
-    if v.sign == 0:
-        return _ZERO
-    q, r = divmod(v.half_exponent, 2)
-    if r == 0:
-        return (Fraction(v.sign * (1 << q)), Fraction(0))
-    return (Fraction(0), Fraction(v.sign * (1 << q)))
+def _fork_relations_hold(h: int, i: int, level: int, scaled: tuple) -> bool:
+    """fork_relations_hold on a valid fork and level; trusts its input."""
+    scale, rows = scaled
+    members = ((h, i), (h + 1, 2 * i - 1), (h + 1, 2 * i))
+    fine = max(level, h + 1)  # the points q/2^level on a grid the swap maps to itself
+    swap = _swap_grid_permutation(h, i, fine).tolist()
+    for q in range(0, 1 << fine, 1 << (fine - level)):
+        u = swap[q]
+        at_t = [_value_pair(k, j, q, fine) for k, j in members]
+        for (k, j), row in zip(members, rows):
+            a, b = _value_pair(k, j, u, fine)
+            rhs_a = sum(ca * va + 2 * cb * vb for (ca, cb), (va, vb) in zip(row, at_t))
+            rhs_b = sum(ca * vb + cb * va for (ca, cb), (va, vb) in zip(row, at_t))
+            if scale * a != rhs_a or scale * b != rhs_b:
+                return False
+    return True
 
 
 def fork_members(fork: tuple[int, int]) -> tuple[HaarIndex, HaarIndex, HaarIndex]:
@@ -194,22 +219,12 @@ def fork_relations_hold(
     The default grid level h+3 resolves every breakpoint involved; the rows
     argument exists so verification suites can inject faults.
     """
-    h, _ = check_fork(fork)
+    h, i = check_fork(fork)
     level = grid_level if grid_level is not None else h + 3
+    if level < 0:
+        raise DomainError(f"grid level must be >= 0, got {level}")
     check_level(level, "grid level")
-    members = fork_members(fork)
-    for q in range(1 << level):
-        t = DyadicRational(q, level)
-        u = swap_point(fork, t)
-        basis_at_t = [_haar_value_pair(k, j, t) for k, j in members]
-        for row, member in zip(rows, members):
-            lhs = _haar_value_pair(member.k, member.j, u)
-            rhs = _ZERO
-            for coeff, val in zip(row, basis_at_t):
-                rhs = _pair_add(rhs, _pair_mul(coeff, val))
-            if lhs != rhs:
-                return False
-    return True
+    return _fork_relations_hold(h, i, level, _scaled_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +237,13 @@ def is_admissible(indices: Iterable[tuple[int, int]], h: int, i: int) -> bool:
     return (h, i) in idx and (h + 1, 2 * i - 1) not in idx and (h + 1, 2 * i) not in idx
 
 
-def _split(members: frozenset[HaarIndex], h: int, i: int) -> frozenset[HaarIndex]:
-    """The transform at (h, i) on a valid set for which it is admissible."""
-    out = [HaarIndex(h + 1, 2 * i - 1), HaarIndex(h + 1, 2 * i)]
-    for member in members:
-        k, j = member
-        if k >= h + 2:
-            offset = _swap_offset(h, i, k, j)
-            if offset:
-                member = HaarIndex(k, j + offset)
-        elif k == h and j == i:
-            continue
-        out.append(member)
-    return frozenset(out)
+def _split(ids: list[int], node: int) -> list[int]:
+    """Heap ids of the transform at the fork node on the ids of a set that admits it."""
+    out = [2 * node, 2 * node + 1]
+    for member in ids:
+        if member != node:
+            out.append(member + _swap_offset(node, member))
+    return out
 
 
 def fork_split(indices: Iterable[tuple[int, int]], fork: tuple[int, int]) -> frozenset[HaarIndex]:
@@ -248,7 +257,7 @@ def fork_split(indices: Iterable[tuple[int, int]], fork: tuple[int, int]) -> fro
     idx = make_index_set(indices)
     if not is_admissible(idx, h, i):
         raise PreconditionError(f"fork {(h, i)} is not admissible for the set")
-    return _split(idx, h, i)
+    return frozenset(map(from_heap_id, _split([heap_id(k, j) for k, j in idx], heap_id(h, i))))
 
 
 def rewrite_combination(f: HaarCombination, fork: tuple[int, int]) -> HaarCombination:
@@ -310,18 +319,12 @@ class CompressionTrace:
         n = self.height()
         return (self.m + 1, self.m + n)
 
-    def replay(self) -> Iterator[frozenset[HaarIndex]]:
-        """All intermediate sets, starting at the initial one."""
-        current = self.initial_set
-        yield current
-        for fork in self.steps:
-            current = fork_split(current, fork)
-            yield current
-
     def validate(self) -> None:
         """Re-run the trace and verify every invariant; raises on failure."""
         n = self.height()
-        sets = list(self.replay())
+        sets = [self.initial_set]
+        for fork in self.steps:
+            sets.append(fork_split(sets[-1], fork))
         if sets[-1] != self.final_set:
             raise AssertionError("trace replay does not reach the final set")
         for before, after in zip(sets, sets[1:]):
@@ -364,6 +367,30 @@ def _split_nodes(present: bytearray, node: int, frontier: list[int], half: int) 
         first, width = 2 * first, 2 * width
 
 
+def _members(present: bytearray, stop: int | None = None) -> list[int]:
+    """Ascending heap ids of the members held in present, below stop."""
+    return np.flatnonzero(np.frombuffer(present, np.uint8)[:stop]).tolist()
+
+
+def _compress(present: bytearray, top: int) -> list[int]:
+    """Heap ids of the forks compress fires on the set held in present, a
+    bitmap of at least 2^top bytes whose members all lie below level top
+    + 1; present ends up holding the final set.  Trusts its input."""
+    half = 1 << (top - 1)
+    budget = 2 * half - 1 - present.count(1)
+    frontier = _members(present, half)  # ascending, so already a heap
+    steps: list[int] = []
+    while frontier:
+        node = heappop(frontier)
+        if not present[node] or present[2 * node] or present[2 * node + 1]:
+            continue
+        if len(steps) == budget:
+            raise AssertionError("compression exceeded its cardinality budget")
+        _split_nodes(present, node, frontier, half)
+        steps.append(node)
+    return steps
+
+
 def compress(indices: Iterable[tuple[int, int]]) -> CompressionTrace:
     """Push a set into the band of its local height.
 
@@ -376,34 +403,18 @@ def compress(indices: Iterable[tuple[int, int]]) -> CompressionTrace:
     start = make_index_set(indices)
     if not start:
         raise DomainError("cannot compress an empty index set")
-    n = local_height(start)
+    ids = [heap_id(k, j) for k, j in start]
+    n = _local_height(ids)
     m = max(1, max_level_of(start) - n)
     top = m + n
     check_level(top, "target band level")
-    budget = (1 << top) - 1 - len(start)
-    half = 1 << (top - 1)
-    present = bytearray(2 * half)
-    frontier = []
-    for k, j in start:
-        node = heap_id(k, j)
+    present = bytearray(1 << top)
+    for node in ids:
         present[node] = 1
-        if node < half:
-            frontier.append(node)
-    heapify(frontier)
-    steps: list[ForkTransform] = []
-    while frontier:
-        node = heappop(frontier)
-        if not present[node] or present[2 * node] or present[2 * node + 1]:
-            continue
-        if len(steps) == budget:
-            raise AssertionError("compression exceeded its cardinality budget")
-        _split_nodes(present, node, frontier, half)
-        steps.append(ForkTransform(*from_heap_id(node)))
-    final = []
-    node = present.find(1)
-    while node >= 0:
-        final.append(from_heap_id(node))
-        node = present.find(1, node + 1)
+    steps = _compress(present, top)
     return CompressionTrace(
-        steps=tuple(steps), initial_set=start, final_set=frozenset(final), m=m
+        steps=tuple(ForkTransform(*from_heap_id(node)) for node in steps),
+        initial_set=start,
+        final_set=frozenset(map(from_heap_id, _members(present))),
+        m=m,
     )

@@ -3,7 +3,7 @@
 Each suite checks one cluster of identities or contracts at a configurable
 scale, clamped to the level cap, and returns a small result record: name,
 pass flag, number of checks, and up to five failure samples.  Default scales
-are chosen so the whole battery finishes in about a minute while still
+are chosen so the whole battery finishes in seconds while still
 covering every identity exhaustively on small trees.
 """
 
@@ -17,12 +17,13 @@ import numpy as np
 
 from .combination import HaarCombination
 from .combinatorics import (
+    _fill,
+    _fill_state,
+    _local_height,
     band_weight_bound,
-    fill_to_height,
     greedy_family,
     level_set_partition,
     local_height,
-    threshold_base,
 )
 from .config import max_level as level_cap
 from .dyadic import (
@@ -32,7 +33,6 @@ from .dyadic import (
     _translation_holds,
     branch,
     check_haar_index,
-    dyadic_band,
     full_tree,
     haar_eval,
     haar_sign_table,
@@ -55,12 +55,15 @@ from .normlab import (
 from .transforms import (
     FORK_RELATION_ROWS,
     Sqrt2Pair,
+    _compress,
+    _fork_relations_hold,
+    _members,
+    _scaled_rows,
+    _split,
+    _swap_grid_permutation,
     compress,
     fork_members,
-    fork_relations_hold,
-    fork_split,
     index_image,
-    is_admissible,
     rewrite_combination,
     swap_point,
 )
@@ -223,12 +226,13 @@ def fork_relation_suite(
     coefficient table; the suite must then fail.
     """
     cap = _cap(max_level)
+    scaled = _scaled_rows(rows)
     failures: list[str] = []
     checked = 0
     for h, i in _forks_up_to(h_max, cap):
         grid = min(h + 3, cap)
         checked += 1
-        if not fork_relations_hold((h, i), grid_level=grid, rows=rows):
+        if not _fork_relations_hold(h, i, grid, scaled):
             failures.append(f"relations fail at fork ({h},{i})")
     return _result("fork-relations", checked, failures)
 
@@ -238,16 +242,6 @@ def corrupted_fork_rows() -> tuple[tuple[Sqrt2Pair, Sqrt2Pair, Sqrt2Pair], ...]:
     rows = [list(row) for row in FORK_RELATION_ROWS]
     rows[1][1] = (Fraction(-1, 2), Fraction(0))  # flip one mixing sign
     return tuple(tuple(row) for row in rows)
-
-
-def _swap_grid_permutation(h: int, i: int, grid: int) -> np.ndarray:
-    """Index permutation of the level-`grid` cells under the swap at (h, i)."""
-    width = 1 << (grid - h - 1)
-    start = (4 * i - 3) * width
-    perm = np.arange(1 << grid)
-    perm[start : start + width] += width
-    perm[start + width : start + 2 * width] -= width
-    return perm
 
 
 def composition_contract_suite(
@@ -293,6 +287,22 @@ def composition_contract_suite(
 # set-level transform and compression
 
 
+def _mask_ids(mask: int) -> list[int]:
+    """Ascending heap ids of the members of sorted(full_tree(n)) picked by
+    mask, whose bit b is the member with heap id b + 1."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length())
+        mask ^= low
+    return ids
+
+
+def _listed(members: list[HaarIndex], ids: list[int]) -> list[HaarIndex]:
+    """The sorted indices with the given ascending heap ids."""
+    return [members[node - 1] for node in ids]
+
+
 def fork_split_compression_suite(
     max_level: int | None = None, n: int = 4
 ) -> SuiteResult:
@@ -300,38 +310,44 @@ def fork_split_compression_suite(
 
     Every admissible step grows the cardinality by exactly one and preserves
     local height; compression lands inside the band of the local height.
+    Subsets are heap-id bitmasks, run through the kernels of the public maps.
     """
     cap = _cap(max_level)
     depth = max(1, min(n, cap - 1))  # splits at the bottom level reach depth+1
-    members = sorted(full_tree(depth))
+    members = _indices_up_to(depth)
     failures: list[str] = []
     checked = 0
     for mask in range(1, 1 << len(members)):
-        subset = frozenset(
-            members[b] for b in range(len(members)) if mask & (1 << b)
-        )
-        height = local_height(subset)
-        for h, i in subset:
-            if not is_admissible(subset, h, i):
-                continue
-            split = fork_split(subset, (h, i))
+        ids = _mask_ids(mask)
+        height = _local_height(ids)
+        present = bytearray(2 << depth)
+        for node in ids:
+            present[node] = 1
+        for node in ids:
+            if present[2 * node] or present[2 * node + 1]:
+                continue  # not admissible
+            split = _split(ids, node)
             checked += 1
-            if len(split) != len(subset) + 1:
-                failures.append(f"split {sorted(subset)} at ({h},{i}): cardinality")
-            elif local_height(split) != height:
-                failures.append(f"split {sorted(subset)} at ({h},{i}): height")
-        trace = compress(subset)
+            if len(set(split)) != len(ids) + 1:
+                problem = "cardinality"
+            elif _local_height(split) != height:
+                problem = "height"
+            else:
+                continue
+            h, i = members[node - 1]
+            failures.append(f"split {_listed(members, ids)} at ({h},{i}): {problem}")
+        m = max(1, ids[-1].bit_length() - height)
+        steps = _compress(present, m + height)
+        final = _members(present)
         checked += 1
-        lo, hi = trace.band()
-        band = dyadic_band(lo, hi)
-        if not trace.final_set <= band:
-            failures.append(f"compress {sorted(subset)}: escapes band {lo}..{hi}")
-        elif len(trace.final_set) != len(subset) + len(trace.steps):
-            failures.append(f"compress {sorted(subset)}: cardinality drift")
-        elif local_height(trace.final_set) != height:
-            failures.append(f"compress {sorted(subset)}: height drift")
-        if mask % 4096 == 0:
-            trace.validate()  # spot-check the recorded trace machinery
+        if final and (final[0] >> m == 0 or final[-1] >> (m + height)):
+            failures.append(f"compress {_listed(members, ids)}: escapes band {m + 1}..{m + height}")
+        elif len(final) != len(ids) + len(steps):
+            failures.append(f"compress {_listed(members, ids)}: cardinality drift")
+        elif _local_height(final) != height:
+            failures.append(f"compress {_listed(members, ids)}: height drift")
+        if mask % 4096 == 0:  # spot-check the public path and its recorded trace
+            compress(_listed(members, ids)).validate()
     return _result("fork-split-compression", checked, failures)
 
 
@@ -399,29 +415,27 @@ def fill_suite(max_level: int | None = None, n_max: int = 4) -> SuiteResult:
 
     For every subset and every admissible height budget, the returned pad is
     disjoint, has the exact complementary cardinality, and the union still
-    respects the budget.
+    respects the budget.  Subsets are heap-id bitmasks, padded by the kernel.
     """
     cap = _cap(max_level)
     failures: list[str] = []
     checked = 0
     for n in range(1, min(n_max, cap) + 1):
-        members = sorted(full_tree(n))
+        members = _indices_up_to(n)
         for mask in range(1 << len(members)):
-            subset = frozenset(
-                members[b] for b in range(len(members)) if mask & (1 << b)
-            )
-            height = local_height(subset)
-            for l in range(max(height, 1), n + 1):
-                if len(subset) >= (1 << l) - 1:
+            ids = _mask_ids(mask)
+            for l in range(max(_local_height(ids), 1), n + 1):
+                count = (1 << l) - 1 - len(ids)
+                if count <= 0:
                     continue
-                added = fill_to_height(subset, l, n)
+                pad = sum({1 << (node - 1) for node in _fill(*_fill_state(ids, n), l, n, count)})
                 checked += 1
-                if len(added) != (1 << l) - 1 - len(subset):
-                    failures.append(f"fill n={n} l={l} {sorted(subset)}: cardinality")
-                elif added & subset:
-                    failures.append(f"fill n={n} l={l} {sorted(subset)}: overlap")
-                elif local_height(subset | added) > l:
-                    failures.append(f"fill n={n} l={l} {sorted(subset)}: height budget")
+                if pad.bit_count() != count:
+                    failures.append(f"fill n={n} l={l} {_listed(members, ids)}: cardinality")
+                elif pad & mask:
+                    failures.append(f"fill n={n} l={l} {_listed(members, ids)}: overlap")
+                elif _local_height(_mask_ids(mask | pad)) > l:
+                    failures.append(f"fill n={n} l={l} {_listed(members, ids)}: height budget")
     return _result("fill-combinatorics", checked, failures)
 
 
@@ -445,6 +459,8 @@ def partition_suite(
         size = int(rng.integers(1, min(len(pool), 30) + 1))
         f = _random_combination(rng, _random_subset(rng, pool, size), dim)
         support = f.support()
+        rows = f.rows[f.rows.any(axis=1)]  # the support's rows, in (k, j) order
+        squares = dict(zip(sorted(support), np.vecdot(rows, rows).tolist()))
         for r in exponents:
             family = level_set_partition(f, depth, r)
             checked += 1
@@ -459,13 +475,10 @@ def partition_suite(
                 continue
             base = family.threshold_base
             for l, piece in enumerate(pieces, start=1):
-                if local_height(piece) >= (1 << l):
+                if _local_height([heap_id(k, j) for k, j in piece]) >= (1 << l):
                     failures.append(f"trial {trial} r={r} piece {l}: height >= 2^l")
                     break
-                squared = math.fsum(
-                    float(np.dot(f.coefficient(idx), f.coefficient(idx)))
-                    for idx in piece
-                )
+                squared = math.fsum(squares[idx] for idx in piece)
                 if squared > band_weight_bound(l, r, base) * (1.0 + slack):
                     failures.append(f"trial {trial} r={r} piece {l}: weight bound")
                     break

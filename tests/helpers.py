@@ -1,11 +1,18 @@
 """Shared oracles and generators for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from haarlab.combination import HaarCombination
-from haarlab.combinatorics import Subtree, SubtreeIdentification
+from haarlab.combinatorics import (
+    GreedyFamily,
+    Subtree,
+    SubtreeIdentification,
+    fill_to_height,
+    level_set_partition,
+)
 from haarlab.dyadic import (
     DyadicInterval,
     DyadicRational,
@@ -13,11 +20,14 @@ from haarlab.dyadic import (
     _haar_eval,
     branch,
     from_heap_id,
+    full_tree,
+    haar_eval,
     half_power,
     make_index_set,
     max_level_of,
 )
 from haarlab.errors import DomainError, PreconditionError
+from haarlab.transforms import fork_members, swap_point
 
 _LEFT = SubtreeIdentification(Subtree.LEFT)
 _RIGHT = SubtreeIdentification(Subtree.RIGHT)
@@ -182,6 +192,110 @@ def reference_compress(indices):
             return tuple(steps), current, m
         current = reference_fork_split(current, *fired)
         steps.append(fired)
+
+
+def branch_weight_profile(f, indices, space=None):
+    """Weights 2^((k-1)/2)*||x|| of f restricted to the given indices, the
+    norm that of space (Euclidean when None)."""
+    norm = space.norm_of if space else (lambda x: float(np.linalg.norm(x)))
+    keep = make_index_set(indices)
+    return {idx: half_power(idx.k - 1) * norm(x) for idx, x in f.items() if idx in keep}
+
+
+def reference_level_set_partition(f, n, r, norm_fn):
+    """(pieces, S_r) of level_set_partition with weights from a dict of
+    per-index norms norm_fn(x), and the branch sums added index by index in
+    (k, j) order."""
+    support = f.support()
+    powers = {
+        idx: (half_power(idx[0] - 1) * norm_fn(x)) ** r
+        for idx, x in f.items()
+        if idx in support
+    }
+    sums = np.zeros(1 << n)
+    for (k, j), wr in sorted(powers.items()):
+        width = 1 << (n - (k - 1))
+        sums[(j - 1) * width : j * width] += wr
+    base_power = float(sums.max()) if powers else 0.0
+    if base_power == 0.0:
+        return (), 0.0
+    bands = {}
+    for idx, wr in powers.items():
+        l = 1
+        while math.ldexp(base_power, -l) >= wr:
+            l += 1
+        bands.setdefault(l, set()).add(idx)
+    pieces = tuple(frozenset(bands.get(l, ())) for l in range(1, max(bands) + 1))
+    return pieces, base_power ** (1.0 / r)
+
+
+def reference_greedy_family(f, n, p, space=None) -> GreedyFamily:
+    """greedy_family through the public path: the bands of
+    level_set_partition, each padded by fill_to_height when the cumulative
+    cardinality falls short, as frozensets of indices."""
+    partition = level_set_partition(f, n, p, space)
+    m = n.bit_length() - 1
+    tree = full_tree(n)
+    if not partition.pieces:
+        return GreedyFamily((frozenset(),) * m + (tree,), m, 0.0, p, (False,) * m)
+    used, pieces, padded = set(), [], []
+    cumulative = 0
+    for l in range(1, m + 1):
+        band = partition.piece(l)
+        target = (1 << (1 << l)) - 1
+        padded.append(cumulative + len(band) < target)
+        if padded[-1]:
+            band = band | fill_to_height(band, 1 << l, n)
+        piece = band - used
+        pieces.append(piece)
+        used |= piece
+        cumulative += len(piece)
+    pieces.append(tree - used)
+    return GreedyFamily(tuple(pieces), m, partition.threshold_base, p, tuple(padded))
+
+
+# ---------------------------------------------------------------------------
+# reference fork relation check in exact Fractions
+#
+# haarlab checks the relations on integer pairs scaled by the common
+# denominator of the coefficient table; this is the Fraction arithmetic over
+# the public point maps it replaced, kept as the oracle it must agree with.
+
+_ZERO_PAIR = (Fraction(0), Fraction(0))
+
+
+def _pair_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _pair_mul(a, b):
+    return (a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _haar_value_pair(k, j, t):
+    v = haar_eval(k, j, t)
+    if v.sign == 0:
+        return _ZERO_PAIR
+    q, r = divmod(v.half_exponent, 2)
+    if r == 0:
+        return (Fraction(v.sign * (1 << q)), Fraction(0))
+    return (Fraction(0), Fraction(v.sign * (1 << q)))
+
+
+def reference_fork_relations_hold(fork, grid_level, rows) -> bool:
+    members = fork_members(fork)
+    for q in range(1 << grid_level):
+        t = DyadicRational(q, grid_level)
+        u = swap_point(fork, t)
+        basis_at_t = [_haar_value_pair(k, j, t) for k, j in members]
+        for row, member in zip(rows, members):
+            lhs = _haar_value_pair(member.k, member.j, u)
+            rhs = _ZERO_PAIR
+            for coeff, val in zip(row, basis_at_t):
+                rhs = _pair_add(rhs, _pair_mul(coeff, val))
+            if lhs != rhs:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

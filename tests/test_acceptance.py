@@ -95,6 +95,17 @@ def test_fork_relations_and_composition_contract():
     assert seconds < 30.0
 
 
+def test_fork_relation_suite_speed():
+    # 63 forks on integer pairs, 21,840 grid points
+    t0 = time.perf_counter()
+    rel = fork_relation_suite(h_max=6)
+    seconds = time.perf_counter() - t0
+    ok = rel["passed"] and seconds < 2.0
+    _report("fork relations alone", ok, seconds, f"checked={rel['checked']}")
+    assert rel["passed"], rel["failures"]
+    assert seconds < 2.0
+
+
 # ---------------------------------------------------------------------------
 # 3. exhaustive split/compression over every subset of the depth-4 tree
 
@@ -107,6 +118,7 @@ def test_split_compression_exhaustive():
     _report("split/compression exhaustive", ok, seconds, f"checks={res['checked']}")
     assert res["passed"], res["failures"]
     assert res["checked"] >= 32767  # one compression check per non-empty set
+    assert res["checked"] == 192511  # and one per admissible split
     assert seconds < 60.0
 
 
@@ -138,7 +150,19 @@ def test_fill_exhaustive():
     ok = res["passed"] and seconds < 120.0
     _report("fill to height exhaustive", ok, seconds, f"checked={res['checked']}")
     assert res["passed"], res["failures"]
+    assert res["checked"] == 42520  # every subset of depths 1-4, every budget
     assert seconds < 120.0
+
+
+def test_fill_suite_speed():
+    # the subsets run as heap-id bitmasks through the fill kernel
+    t0 = time.perf_counter()
+    res = fill_suite(n_max=4)
+    seconds = time.perf_counter() - t0
+    ok = res["passed"] and seconds < 4.0
+    _report("fill suite on the kernel, n <= 4", ok, seconds, f"checked={res['checked']}")
+    assert res["passed"], res["failures"]
+    assert seconds < 4.0
 
 
 # ---------------------------------------------------------------------------

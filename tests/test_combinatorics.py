@@ -11,7 +11,6 @@ from haarlab.combinatorics import (
     Subtree,
     SubtreeIdentification,
     band_weight_bound,
-    branch_weight_profile,
     exact_local_height,
     fill_one,
     fill_to_height,
@@ -22,12 +21,34 @@ from haarlab.combinatorics import (
 )
 from haarlab.dyadic import HaarIndex, dyadic_band, full_tree, make_index_set
 from haarlab.errors import DomainError
+from haarlab.spaces import Norm, NormedSpaceSpec
 from helpers import (
     all_subsets,
     branch_count_profile,
+    branch_weight_profile,
     brute_local_height,
     random_combination,
+    random_subset,
+    reference_greedy_family,
+    reference_level_set_partition,
 )
+
+def random_families(rng, count, max_depth):
+    """(f, n, space): seeded combinations on random subsets of depth-n trees,
+    about one row in five zero, with dimensions 1 to 16 and every norm (None
+    for the default l2)."""
+    for trial in range(count):
+        n = 1 + trial % max_depth
+        dim = (1, 2, 5, 16)[trial % 4]
+        norm = (None, *Norm)[trial // 4 % 4]
+        pool = sorted(full_tree(n))
+        subset = random_subset(rng, pool, int(rng.integers(0, min(len(pool), 40) + 1)))
+        coeffs = {}
+        for idx in sorted(subset):
+            x = rng.standard_normal(dim) * 2.0 ** (-(idx.k - 1) / 2.0)
+            coeffs[idx] = np.zeros(dim) if rng.random() < 0.2 else x
+        space = None if norm is None else NormedSpaceSpec(dim, norm)
+        yield HaarCombination(dim, coeffs), n, space
 
 
 class TestLocalHeight:
@@ -245,7 +266,30 @@ class TestLevelSetPartition:
                     assert sq <= band_weight_bound(l, r, fam.threshold_base) * (1 + 1e-9)
 
 
+class TestWeightsFromRows:
+    def test_partition_matches_per_index_norms(self):
+        """Weights from the norms of all rows at once give the pieces and
+        the base of per-index norm calls, bit for bit."""
+        rng = np.random.default_rng(17)
+        for f, n, space in random_families(rng, 600, 8):
+            norm_fn = space.norm_of if space else (lambda x: float(np.linalg.norm(x)))
+            for r in (1.0, float(rng.uniform(1.0, 2.0)), 2.0):
+                pieces, base = reference_level_set_partition(f, n, r, norm_fn)
+                family = level_set_partition(f, n, r, space)
+                assert family.pieces == pieces
+                assert family.threshold_base == base
+                assert threshold_base(f, n, r, space) == base
+
+
 class TestGreedyFamily:
+    def test_matches_the_public_path(self):
+        """The heap-id padding gives the pieces of level_set_partition's bands
+        padded by fill_to_height."""
+        rng = np.random.default_rng(23)
+        for f, n, space in random_families(rng, 200, 8):
+            p = float(rng.uniform(1.0, 2.0))
+            assert greedy_family(f, n, p, space) == reference_greedy_family(f, n, p, space)
+
     def test_single_index_padded(self):
         f = HaarCombination(1, {(1, 1): [1.0]})
         fam = greedy_family(f, 2, 1.5)

@@ -1,6 +1,7 @@
 """Experiment reports and the command line: determinism, exit codes, errors."""
 
 import argparse
+import dataclasses
 import json
 import re
 import shlex
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from haarlab import experiments
 from haarlab.cli import build_parser, main
 from haarlab.combination import HaarCombination
+from haarlab.dyadic import HaarIndex
 from haarlab.errors import DomainError
 from haarlab.experiments import (
     ExperimentConfig,
@@ -22,6 +25,7 @@ from haarlab.experiments import (
 )
 from haarlab.normlab import diagonal_formula_tau, diagonal_formula_tau_p
 from haarlab.transforms import compress
+from helpers import reference_greedy_family
 
 QUICK = {
     "haar-identities": {"k_max": 4, "grid_level": 6},
@@ -71,7 +75,7 @@ def test_report_exit_codes_follow_asserted_checks():
 def test_report_json_carries_schema_version():
     report = ExperimentReport(name="x", parameters={"a": 1})
     doc = report.to_json_dict()
-    assert doc["schemaVersion"] == 2
+    assert doc["schemaVersion"] == 3
     assert doc["name"] == "x"
 
 
@@ -96,6 +100,13 @@ def test_run_verify_fault_injection_fails():
 def test_run_verify_respects_max_level():
     report = run_verify(ExperimentConfig(seed=2, max_level=3), scales=QUICK)
     assert report.passed()
+
+
+def test_run_verify_parameters_list_only_what_verify_reads():
+    report = run_verify(ExperimentConfig(seed=2, max_level=3), inject_fault=True, scales=QUICK)
+    doc = report.to_json_dict()
+    assert doc["schemaVersion"] == 3
+    assert doc["parameters"] == {"seed": 2, "maxLevel": 3, "injectFault": True}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +234,38 @@ def test_log_variant_random_trials_pass_and_merge_in_order():
     assert all(row["coverOk"] == 1 and row["bounded"] == 1 for row in rep.rows)
 
 
+def test_log_variant_rows_match_the_public_greedy_path(monkeypatch):
+    cfg = ExperimentConfig(seed=4)
+    got = run_log_variant_experiment(4.0 / 3.0, n=8, trials=12, config=cfg)
+    monkeypatch.setattr(experiments, "greedy_family", reference_greedy_family)
+    want = run_log_variant_experiment(4.0 / 3.0, n=8, trials=12, config=cfg)
+    assert got.to_csv() == want.to_csv()
+    assert got.parameters == want.parameters
+
+
+@pytest.mark.parametrize("replacement", [None, HaarIndex(5, 1)])
+def test_log_variant_cover_check_sees_an_index_off_the_tree(monkeypatch, replacement):
+    """A cover missing one index of the depth-4 tree, or holding a level-5
+    index in its place, is not a cover."""
+    greedy = experiments.greedy_family
+
+    def broken(f, n, p, space=None):
+        family = greedy(f, n, p, space)
+        l = next(l for l, piece in enumerate(family.pieces) if piece)
+        piece = set(family.pieces[l])
+        piece.remove(min(piece))
+        if replacement is not None:
+            piece.add(replacement)
+        pieces = family.pieces[:l] + (frozenset(piece),) + family.pieces[l + 1 :]
+        return dataclasses.replace(family, pieces=pieces)
+
+    monkeypatch.setattr(experiments, "greedy_family", broken)
+    f = HaarCombination(8, {(1, 1): [1.0] + [0.0] * 7, (3, 2): [0.5] * 8})
+    rep = run_log_variant_experiment(4.0 / 3.0, n=4, trials=1, families=[f])
+    assert rep.rows[0]["coverOk"] == 0
+    assert not rep.passed()
+
+
 def test_log_variant_rejects_bad_exponent():
     with pytest.raises(DomainError):
         run_log_variant_experiment(2.0, n=4, trials=1)
@@ -239,7 +282,7 @@ def test_cli_lh_round_trip(tmp_path, capsys):
     assert main(["lh", "--set", st]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rows"][0]["localHeight"] == 3
-    assert doc["schemaVersion"] == 2
+    assert doc["schemaVersion"] == 3
 
 
 def test_cli_compress_csv_and_output_file(tmp_path, capsys):

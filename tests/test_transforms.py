@@ -31,7 +31,8 @@ from haarlab.transforms import (
     swap_point,
     swapped_quarters,
 )
-from helpers import all_subsets, random_combination
+from haarlab.verify import corrupted_fork_rows
+from helpers import all_subsets, random_combination, reference_fork_relations_hold
 
 
 def grid(level):
@@ -141,6 +142,12 @@ class TestForkRelations:
     def test_relations_on_finer_grid(self):
         assert fork_relations_hold((1, 1), grid_level=6)
 
+    def test_grid_level_out_of_range(self):
+        with pytest.raises(DomainError, match="grid level must be >= 0, got -1"):
+            fork_relations_hold((1, 1), grid_level=-1)
+        with pytest.raises(DomainError, match="grid level 21 exceeds"):
+            fork_relations_hold((1, 1), grid_level=21)
+
     def test_fault_injection_detected(self):
         from fractions import Fraction
 
@@ -150,6 +157,29 @@ class TestForkRelations:
             FORK_RELATION_ROWS[2],
         )
         assert not fork_relations_hold((1, 1), rows=bad)
+
+    def test_integer_check_agrees_with_the_fraction_oracle(self):
+        """Every fork up to h = 6 on the grids of levels h+1 to h+3, with the
+        true table and the one --inject-fault uses."""
+        for rows in (FORK_RELATION_ROWS, corrupted_fork_rows()):
+            for fork in full_tree(6):
+                for level in range(fork.k + 1, fork.k + 4):
+                    assert fork_relations_hold(fork, level, rows) == (
+                        reference_fork_relations_hold(fork, level, rows)
+                    ), (fork, level)
+
+    def test_table_with_a_denominator_of_three(self):
+        from fractions import Fraction
+
+        # one mixing entry off by a sixth: the common denominator is 6
+        thirds = (
+            FORK_RELATION_ROWS[0],
+            ((Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(0)), (Fraction(-1, 2), Fraction(0))),
+            FORK_RELATION_ROWS[2],
+        )
+        for fork in forks_up_to(3):
+            assert not fork_relations_hold(fork, rows=thirds)
+            assert not reference_fork_relations_hold(fork, fork[0] + 3, thirds)
 
 
 class TestAdmissibleAndSplit:

@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 
 from haarlab import verify
+from haarlab.combinatorics import fill_one, fill_to_height, local_height
+from haarlab.dyadic import full_tree
+from haarlab.transforms import compress, fork_split, is_admissible
+from helpers import (
+    all_subsets,
+    brute_local_height,
+    reference_compress,
+    reference_fill_sequence,
+    reference_fork_split,
+)
 
 QUICK_SCALES = {
     "haar-identities": {"k_max": 5, "grid_level": 7},
@@ -84,3 +94,51 @@ def test_composition_contract_covers_non_members():
     # 3 forks, 15 indices, minus the 3 fork members for each fork
     assert r["checked"] == 3 * (15 - 3)
     assert r["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive suites run on the kernels; tie the public wrappers to the
+# references, and the suites to the kernels they call
+
+
+def test_public_wrappers_match_the_references_on_every_subset_of_depth_3():
+    for subset in all_subsets(full_tree(3)):
+        height = local_height(subset)
+        assert height == brute_local_height(subset)
+        for l in range(max(height, 1), 4):
+            if len(subset) < (1 << l) - 1:
+                expected = reference_fill_sequence(subset, l, 3)
+                assert fill_to_height(subset, l, 3) == frozenset(expected)
+                assert fill_one(subset, l, 3) == expected[0]
+        for h, i in subset:
+            if is_admissible(subset, h, i):
+                assert fork_split(subset, (h, i)) == reference_fork_split(subset, h, i)
+        if subset:
+            trace = compress(subset)
+            assert (trace.steps, trace.final_set, trace.m) == reference_compress(subset)
+
+
+def test_fill_suite_fails_on_a_kernel_returning_an_occupied_node(monkeypatch):
+    fill = verify._fill
+
+    def occupied_first(present, counts, l, n, count):
+        member = present.find(1)  # the first member, -1 for the empty set
+        added = fill(present, counts, l, n, count)
+        if member >= 0:
+            added[0] = member
+        return added
+
+    monkeypatch.setattr(verify, "_fill", occupied_first)
+    r = verify.fill_suite(n_max=3)
+    assert not r["passed"] and r["failureCount"] > 0
+    assert r["failures"][0] == "fill n=2 l=2 [HaarIndex(k=1, j=1)]: overlap"
+    assert all(sample.endswith(": overlap") for sample in r["failures"])
+
+
+def test_split_compression_suite_fails_on_a_split_dropping_a_member(monkeypatch):
+    split = verify._split
+    monkeypatch.setattr(verify, "_split", lambda ids, node: split(ids, node)[:-1])
+    r = verify.fork_split_compression_suite(n=3)
+    assert not r["passed"] and r["failureCount"] > 0
+    assert r["failures"][0] == "split [HaarIndex(k=1, j=1)] at (1,1): cardinality"
+    assert all(sample.endswith(": cardinality") for sample in r["failures"])
