@@ -1,10 +1,12 @@
 """Command line interface.
 
-Every subcommand assembles an ExperimentReport and emits it as JSON (default)
-or CSV; --output redirects to a file.  Each subcommand registers only the
-shared knobs it reads.  Exit codes: 0 when all asserted checks pass, 1 when
-an asserted check fails, 2 for usage, input or schema errors, which are
-reported as a machine-readable JSON record on stdout.
+Every subcommand returns an ExperimentReport; main stamps the handler's wall
+time on it and emits it as JSON (default) or CSV, and --output redirects to
+a file.  Each subcommand registers only the shared knobs it reads, and each
+check kind accepts only the options it reads.  Exit codes: 0 when all
+asserted checks pass, 1 when an asserted check fails, 2 for usage, input or
+schema errors, which are reported as a machine-readable JSON record on
+stdout.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import fields
 
 from .combinatorics import (
     exact_local_height,
     fill_to_height,
+    is_partition,
     level_set_partition,
     local_height,
 )
@@ -24,19 +28,19 @@ from .dyadic import max_level_of
 from .errors import HaarLabError, UsageError
 from .experiments import (
     ExperimentConfig,
-    ExperimentReport,
-    run_comparison_experiment,
     run_log_variant_experiment,
     run_verify,
     run_weak_type_sweep,
 )
 from .normlab import (
+    comparison_check,
     monotonicity_check,
     tau_estimate,
     tau_p_estimate,
     triangle_chain_check,
 )
 from .serialize import (
+    ExperimentReport,
     check_row,
     dump_combination,
     dump_index_set,
@@ -51,19 +55,17 @@ from .serialize import (
 from .transforms import compress
 
 # the shared knobs, each registered only by the subcommands that read it;
-# a knob's dest is the ExperimentConfig field it sets
+# a knob's dest is the ExperimentConfig field it sets, and a knob left out
+# is absent from the namespace, so that field keeps ExperimentConfig's default
 _KNOBS = {
-    "--seed": dict(type=int, default=0, help="randomness seed"),
-    "--max-level": dict(type=int, default=None, help="restrict suites to this level"),
-    "--restarts": dict(type=int, default=8, help="optimizer restarts"),
-    "--iters": dict(
-        dest="iterations", metavar="ITERS", type=int, default=60, help="iterations per restart"
-    ),
+    "--seed": dict(type=int, help="randomness seed"),
+    "--max-level": dict(type=int, help="restrict suites to this level"),
+    "--restarts": dict(type=int, help="optimizer restarts"),
+    "--iters": dict(dest="iterations", metavar="ITERS", type=int, help="iterations per restart"),
     "--tol-opt": dict(
         dest="optimizer_tolerance",
         metavar="TOL_OPT",
         type=float,
-        default=2e-2,
         help="relative optimizer tolerance",
     ),
     "--output": dict(default=None, help="write the report here"),
@@ -74,11 +76,30 @@ _KNOBS = {
 def _add_knobs(parser: argparse.ArgumentParser, *flags: str):
     """Register the given shared knobs plus --output and --format."""
     for flag in (*flags, "--output", "--format"):
-        parser.add_argument(flag, **_KNOBS[flag])
+        parser.add_argument(flag, **{"default": argparse.SUPPRESS, **_KNOBS[flag]})
+
+
+_OPTIMIZER_KNOBS = ("--seed", "--restarts", "--iters", "--tol-opt")
+
+# what each check kind reads besides --kind and --operator: its required
+# input file, if any, and the options it takes (--m, --depth and --exponent
+# default to 1, 3 and 2.0, the optimizer knobs to ExperimentConfig's values)
+_CHECK_KINDS = {
+    "comparison": ("--set", _OPTIMIZER_KNOBS),
+    "monotonicity": (None, ("--m", "--depth", *_OPTIMIZER_KNOBS)),
+    "triangle": ("--combination", ("--exponent",)),
+}
+_CHECK_OPTIONS = dict.fromkeys(
+    flag for required, optional in _CHECK_KINDS.values() for flag in (required, *optional) if flag
+)
+
+
+def _dest(flag: str) -> str:
+    return _KNOBS.get(flag, {}).get("dest", flag[2:].replace("-", "_"))
 
 
 def _config(args) -> ExperimentConfig:
-    """Config from the knobs the subcommand registered; the rest keep their
+    """Config from the knobs given on the command line; the rest keep their
     defaults."""
     names = [f.name for f in fields(ExperimentConfig) if hasattr(args, f.name)]
     return ExperimentConfig(**{name: getattr(args, name) for name in names})
@@ -100,12 +121,11 @@ def _emit(report: ExperimentReport, args) -> int:
 # subcommands
 
 
-def _cmd_verify(args) -> int:
-    report = run_verify(_config(args), inject_fault=args.inject_fault)
-    return _emit(report, args)
+def _cmd_verify(args) -> ExperimentReport:
+    return run_verify(_config(args), inject_fault=args.inject_fault)
 
 
-def _cmd_compress(args) -> int:
+def _cmd_compress(args) -> ExperimentReport:
     indices = parse_index_set_document(load_json(args.set))
     trace = compress(indices)
     trace.validate()
@@ -125,10 +145,10 @@ def _cmd_compress(args) -> int:
     for position, (h, i) in enumerate(trace.steps):
         report.rows.append({"step": position, "h": h, "i": i})
     report.checks.append(check_row("trace-valid", True))
-    return _emit(report, args)
+    return report
 
 
-def _cmd_lh(args) -> int:
+def _cmd_lh(args) -> ExperimentReport:
     indices = parse_index_set_document(load_json(args.set))
     height = local_height(indices)
     report = ExperimentReport(name="lh", parameters={"setFile": args.set})
@@ -140,10 +160,10 @@ def _cmd_lh(args) -> int:
             "exactHeight": int(exact_local_height(indices, height)),
         }
     )
-    return _emit(report, args)
+    return report
 
 
-def _cmd_fill(args) -> int:
+def _cmd_fill(args) -> ExperimentReport:
     indices = parse_index_set_document(load_json(args.set))
     added = fill_to_height(indices, args.height, args.depth)
     merged = frozenset(indices) | added
@@ -161,10 +181,10 @@ def _cmd_fill(args) -> int:
         report.rows.append({"k": k, "j": j})
     report.checks.append(check_row("cardinality", len(merged) == (1 << args.height) - 1))
     report.checks.append(check_row("height-budget", local_height(merged) <= args.height))
-    return _emit(report, args)
+    return report
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> ExperimentReport:
     f = parse_combination(load_json(args.combination))
     family = level_set_partition(f, args.depth, args.exponent)
     report = ExperimentReport(
@@ -176,14 +196,10 @@ def _cmd_partition(args) -> int:
             "thresholdBase": family.threshold_base,
         },
     )
-    union: set = set()
-    disjoint = True
     heights_ok = True
     for l, piece in enumerate(family.pieces, start=1):
         height = local_height(piece)
         heights_ok = heights_ok and height < (1 << l)
-        disjoint = disjoint and not (union & piece)
-        union |= piece
         report.rows.append(
             {
                 "piece": l,
@@ -193,17 +209,16 @@ def _cmd_partition(args) -> int:
                 "indices": " ".join(f"({k},{j})" for k, j in sorted(piece)),
             }
         )
-    report.checks.append(check_row("partition-exact", disjoint and union == f.support()))
+    report.checks.append(check_row("partition-exact", is_partition(family.pieces, f.support())))
     report.checks.append(check_row("piece-heights", heights_ok))
-    return _emit(report, args)
+    return report
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args) -> ExperimentReport:
     operator = parse_operator_document(load_json(args.operator))
     indices = parse_index_set_document(load_json(args.set))
-    est = tau_estimate(
-        operator, indices, restarts=args.restarts, iterations=args.iterations, seed=args.seed
-    )
+    config = _config(args)
+    est = tau_estimate(operator, indices, config.restarts, config.iterations, config.seed)
     report = ExperimentReport(
         name="tau",
         parameters={"operatorFile": args.operator, "setFile": args.set},
@@ -211,18 +226,14 @@ def _cmd_tau(args) -> int:
     report.rows.append({"setSize": len(indices), **est.as_dict()})
     if args.witness:
         dump_json(dump_combination(est.best_witness), args.witness, "witness")
-    return _emit(report, args)
+    return report
 
 
-def _cmd_tau_p(args) -> int:
+def _cmd_tau_p(args) -> ExperimentReport:
     operator = parse_operator_document(load_json(args.operator))
+    config = _config(args)
     est = tau_p_estimate(
-        operator,
-        args.depth,
-        args.p,
-        restarts=args.restarts,
-        iterations=args.iterations,
-        seed=args.seed,
+        operator, args.depth, args.p, config.restarts, config.iterations, config.seed
     )
     report = ExperimentReport(
         name="tau-p",
@@ -231,70 +242,50 @@ def _cmd_tau_p(args) -> int:
     report.rows.append({"depth": args.depth, "p": args.p, **est.as_dict()})
     if args.witness:
         dump_json(dump_combination(est.best_witness), args.witness, "witness")
-    return _emit(report, args)
+    return report
 
 
-def _cmd_check(args) -> int:
-    needed = {"comparison": "set", "triangle": "combination"}.get(args.kind)
-    if needed and getattr(args, needed) is None:
-        raise UsageError(f"check --kind {args.kind} requires --{needed}")
-    config = _config(args)
-    if args.kind == "comparison":
-        report = run_comparison_experiment(args.operator, args.set, config)
-        return _emit(report, args)
+def _cmd_check(args) -> ExperimentReport:
+    required, optional = _CHECK_KINDS[args.kind]
+    for flag in _CHECK_OPTIONS:
+        if flag != required and flag not in optional and hasattr(args, _dest(flag)):
+            raise UsageError(f"check --kind {args.kind} does not read {flag}")
+    if required and not hasattr(args, _dest(required)):
+        raise UsageError(f"check --kind {args.kind} requires {required}")
 
-    operator = parse_operator_document(load_json(args.operator))
-    if args.kind == "monotonicity":
-        result = monotonicity_check(
-            operator,
-            args.m,
-            args.depth,
+    if args.kind == "triangle":
+        operator = parse_operator_document(load_json(args.operator))
+        f = parse_combination(load_json(args.combination))
+        report = triangle_chain_check(operator, f, getattr(args, "exponent", 2.0))
+        report.parameters["combinationFile"] = args.combination
+    else:
+        config = _config(args)
+        operator = parse_operator_document(load_json(args.operator))
+        budgets = dict(
             restarts=config.restarts,
             iterations=config.iterations,
             seed=config.seed,
             tolerance=config.optimizer_tolerance,
         )
-        report = ExperimentReport(
-            name="check-monotonicity",
-            parameters={"operatorFile": args.operator, "m": args.m, "n": args.depth},
-        )
-        for label, estimate in result["estimates"].items():
-            report.rows.append({"band": label, "lowerBound": estimate["lowerBound"]})
-    else:  # triangle
-        f = parse_combination(load_json(args.combination))
-        result = triangle_chain_check(
-            operator, f, args.exponent, quadrature_tolerance=config.quadrature_tolerance
-        )
-        report = ExperimentReport(
-            name="check-triangle",
-            parameters={
-                "operatorFile": args.operator,
-                "combinationFile": args.combination,
-                "exponent": args.exponent,
-            },
-        )
-        report.rows.append(
-            {
-                "thresholdBase": result["thresholdBase"],
-                "pieceCount": result["pieceCount"],
-                "directNorm": result["directNorm"],
-                "pieceNormSum": result["pieceNormSum"],
-            }
-        )
-    report.checks.extend(result["checks"])
-    return _emit(report, args)
+        if args.kind == "comparison":
+            indices = parse_index_set_document(load_json(args.set))
+            report = comparison_check(operator, indices, **budgets)
+            report.parameters.update(config.as_dict(), setFile=args.set)
+        else:
+            m, depth = getattr(args, "m", 1), getattr(args, "depth", 3)
+            report = monotonicity_check(operator, m, depth, **budgets)
+    report.parameters["operatorFile"] = args.operator
+    return report
 
 
-def _cmd_sweep(args) -> int:
-    report = run_weak_type_sweep(args.p, args.n_max)
-    return _emit(report, args)
+def _cmd_sweep(args) -> ExperimentReport:
+    return run_weak_type_sweep(args.p, args.n_max)
 
 
-def _cmd_log_variant(args) -> int:
-    report = run_log_variant_experiment(
+def _cmd_log_variant(args) -> ExperimentReport:
+    return run_log_variant_experiment(
         args.p, n=args.depth, trials=args.trials, config=_config(args)
     )
-    return _emit(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knobs(p, "--seed", "--restarts", "--iters")
     p.set_defaults(handler=_cmd_tau_p)
 
-    p = sub.add_parser("check", help="comparison, band, or chain checks")
-    p.add_argument(
-        "--kind", choices=("comparison", "monotonicity", "triangle"), required=True
+    # an option left out is absent from the namespace, so that _cmd_check
+    # can reject the options a kind does not read
+    p = sub.add_parser(
+        "check", help="comparison, band, or chain checks", argument_default=argparse.SUPPRESS
     )
+    p.add_argument("--kind", choices=tuple(_CHECK_KINDS), required=True)
     p.add_argument("--operator", required=True, help="JSON operator file")
-    p.add_argument("--set", default=None, help="index set file (comparison)")
-    p.add_argument("--combination", default=None, help="coefficient file (triangle)")
-    p.add_argument("--m", type=int, default=1, help="band shift (monotonicity)")
-    p.add_argument("--depth", type=int, default=3, help="band top level")
-    p.add_argument("--exponent", type=float, default=2.0, help="weight exponent r")
-    _add_knobs(p, "--seed", "--restarts", "--iters", "--tol-opt")
+    p.add_argument("--set", help="index set file (comparison)")
+    p.add_argument("--combination", help="coefficient file (triangle)")
+    p.add_argument("--m", type=int, help="band shift (monotonicity)")
+    p.add_argument("--depth", type=int, help="band top level (monotonicity)")
+    p.add_argument("--exponent", type=float, help="weight exponent r (triangle)")
+    _add_knobs(p, *_OPTIMIZER_KNOBS)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("sweep-weak-type", help="closed-form growth sweep")
@@ -398,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        started = time.perf_counter()
+        report = args.handler(args)
+        report.wall_time = time.perf_counter() - started
+        return _emit(report, args)
     except HaarLabError as exc:
         record = {
             "error": {

@@ -244,6 +244,16 @@ class PartitionFamily:
         return self.pieces[l - 1]
 
 
+def is_partition(pieces: Iterable[frozenset], whole) -> bool:
+    """Whether the pieces are pairwise disjoint and their union is whole."""
+    union: set = set()
+    for piece in pieces:
+        if union & piece:
+            return False
+        union |= piece
+    return union == whole
+
+
 def _band_assignments(
     f: HaarCombination, n: int, r: float, space: NormedSpaceSpec | None
 ) -> tuple[list[int], list[int], float]:

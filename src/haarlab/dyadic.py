@@ -72,9 +72,6 @@ class DyadicRational:
             level -= 1
         return (num, level)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.level)
-
     def as_float(self) -> float:
         return math.ldexp(float(self.num), -self.level)
 
@@ -113,9 +110,6 @@ class DyadicInterval:
 
     def lower(self) -> Fraction:
         return Fraction(self.position - 1, 1 << self.level)
-
-    def upper(self) -> Fraction:
-        return Fraction(self.position, 1 << self.level)
 
     def measure(self) -> Fraction:
         return Fraction(1, 1 << self.level)
@@ -230,22 +224,6 @@ def _scaling_holds(k: int, j: int, num: int, level: int) -> bool:
     if lhs.sign != rhs.sign:
         return False
     return lhs.sign == 0 or lhs.half_exponent == rhs.half_exponent + 1
-
-
-def translation_identity_check(k: int, j: int, t: DyadicRational) -> bool:
-    """Left neighbour evaluated at t - 2^(1-k) matches index (k, j+1) at t."""
-    check_haar_index(k, j)
-    check_haar_index(k, j + 1)
-    t.shifted(-1, k - 1)  # DomainError if t - 2^(1-k) < 0
-    return _translation_holds(k, j, t.num, t.level)
-
-
-def scaling_identity_check(k: int, j: int, t: DyadicRational) -> bool:
-    """Index (k+1, j) at t matches sqrt(2) times index (k, j) at 2t, t < 1/2."""
-    check_haar_index(k, j)
-    check_haar_index(k + 1, j)
-    t.doubled()  # DomainError for t >= 1/2
-    return _scaling_holds(k, j, t.num, t.level)
 
 
 # ---------------------------------------------------------------------------

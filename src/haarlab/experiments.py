@@ -1,6 +1,5 @@
 """Reproducible experiment runners: verification battery, formula sweeps,
-comparison runs, and the certificate-chain experiment for the logarithmic
-norm bound.
+and the certificate-chain experiment for the logarithmic norm bound.
 
 Every runner returns an ExperimentReport whose rows are plain records ready
 for CSV emission and whose checks carry an asserted flag; a failed asserted
@@ -10,11 +9,8 @@ check makes the report exit nonzero.  Reports are deterministic functions of
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,49 +21,42 @@ from .config import check_level, max_level as level_cap
 from .dyadic import half_power
 from .errors import DomainError
 from .normlab import (
+    QUADRATURE_TOLERANCE,
     OperatorSpec,
+    _check_budget,
     _tau_estimate,
     apply_operator,
-    comparison_check,
     conjugate_exponent,
     diagonal_formula_tau_p_values,
     diagonal_formula_tau_values,
     lp_norm_of_combination,
 )
-from .serialize import (
-    SCHEMA_VERSION,
-    check_row,
-    load_json,
-    parse_index_set_document,
-    parse_operator_document,
-)
+from .serialize import ExperimentReport, check_row
 from .transforms import FORK_RELATION_ROWS
 from .verify import corrupted_fork_rows, run_all_suites
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs: seed, level cap, tolerances, and optimizer budgets."""
+    """Shared knobs: seed, level cap, optimizer tolerance and budgets.  The
+    CLI takes its knob defaults from here."""
 
     seed: int = 0
     max_level: int | None = None
-    quadrature_tolerance: float = 1e-9
     optimizer_tolerance: float = 2e-2
     restarts: int = 8
     iterations: int = 60
 
     def __post_init__(self):
-        for name in ("quadrature_tolerance", "optimizer_tolerance"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
+        if not self.optimizer_tolerance > 0:
+            raise DomainError("optimizer_tolerance must be positive")
         cap = level_cap()
         if self.max_level is not None and not 1 <= self.max_level <= cap:
             raise DomainError(
                 f"max_level must lie in 1..{cap} (the HAARLAB_MAX_LEVEL cap), "
                 f"got {self.max_level}"
             )
-        if self.restarts < 1 or self.iterations < 1:
-            raise DomainError("optimizer budgets must be >= 1")
+        _check_budget(self.restarts, self.iterations)
 
     def level_limit(self) -> int:
         return level_cap() if self.max_level is None else min(self.max_level, level_cap())
@@ -77,59 +66,11 @@ class ExperimentConfig:
             "seed": self.seed,
             "maxLevel": self.level_limit(),
             "tolerances": {
-                "quadrature": self.quadrature_tolerance,
+                "quadrature": QUADRATURE_TOLERANCE,
                 "optimizer": self.optimizer_tolerance,
             },
             "budgets": {"restarts": self.restarts, "iterations": self.iterations},
         }
-
-
-@dataclass
-class ExperimentReport:
-    """Named batch of rows plus pass/fail checks.
-
-    wallTime is informational and excluded from the CSV so that report bytes
-    stay identical across runs with the same seed and inputs.
-    """
-
-    name: str
-    parameters: dict
-    rows: list[dict] = field(default_factory=list)
-    checks: list[dict] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks if c.get("asserted", True))
-
-    def exit_code(self) -> int:
-        return 0 if self.passed() else 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schemaVersion": SCHEMA_VERSION,
-            "name": self.name,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "checks": self.checks,
-            "passed": self.passed(),
-            "wallTime": self.wall_time,
-        }
-
-    def to_csv(self) -> str:
-        """Rows as CSV text; columns follow the first row's key order."""
-        buffer = io.StringIO()
-        if self.rows:
-            writer = csv.DictWriter(
-                buffer, fieldnames=list(self.rows[0].keys()), lineterminator="\n"
-            )
-            writer.writeheader()
-            writer.writerows(self.rows)
-        return buffer.getvalue()
-
-
-def _finish(report: ExperimentReport, started: float) -> ExperimentReport:
-    report.wall_time = time.perf_counter() - started
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +88,6 @@ def run_verify(
     suite; the report must then fail, which is itself a testable contract.
     """
     config = config or ExperimentConfig()
-    started = time.perf_counter()
     rows_param = corrupted_fork_rows() if inject_fault else FORK_RELATION_ROWS
     results = run_all_suites(
         max_level=config.max_level,
@@ -170,7 +110,7 @@ def run_verify(
             }
         )
         report.checks.append(check_row(f"suite:{suite['name']}", suite["passed"]))
-    return _finish(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +123,6 @@ def run_weak_type_sweep(p: float, n_max: int = 10**6) -> ExperimentReport:
     Row-wise assertions: the tau column stays below n^(1/p-1/2) and the tau_p
     column above the logarithmic floor (1/2)(1+ln n)^(1/p').
     """
-    started = time.perf_counter()
     if not 1.0 < p < 2.0:
         raise DomainError(f"exponent p must lie in (1, 2), got {p}")
     if n_max < 1:
@@ -241,50 +180,7 @@ def run_weak_type_sweep(p: float, n_max: int = 10**6) -> ExperimentReport:
             worstGap=float(tau_p[floor_worst] - floor[floor_worst]),
         )
     )
-    return _finish(report, started)
-
-
-# ---------------------------------------------------------------------------
-# comparison experiment
-
-
-def run_comparison_experiment(
-    op_file: str, set_file: str, config: ExperimentConfig | None = None
-) -> ExperimentReport:
-    """Wrap comparison_check for operator and index set read from JSON files."""
-    config = config or ExperimentConfig()
-    started = time.perf_counter()
-    operator = parse_operator_document(load_json(op_file))
-    indices = parse_index_set_document(load_json(set_file))
-    result = comparison_check(
-        operator,
-        indices,
-        restarts=config.restarts,
-        iterations=config.iterations,
-        seed=config.seed,
-        tolerance=config.optimizer_tolerance,
-    )
-    report = ExperimentReport(
-        name="comparison",
-        parameters={
-            **config.as_dict(),
-            "operatorFile": op_file,
-            "setFile": set_file,
-            "setSize": len(frozenset(map(tuple, indices))),
-        },
-    )
-    report.rows.append(
-        {
-            "localHeight": result["localHeight"],
-            "setEstimate": result["setEstimate"]["lowerBound"],
-            "treeEstimate": result["treeEstimate"]["lowerBound"],
-            "traceSteps": result["traceSteps"],
-            "l2Residual": result["residuals"]["l2"],
-            "squareSumResidual": result["residuals"]["squareSum"],
-        }
-    )
-    report.checks.extend(result["checks"])
-    return _finish(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +258,7 @@ def log_variant_certificate(
         # height budget 2^l hands the norm over to the full-tree estimate
         certificate += tau_table[l - 1] * math.sqrt(band_weight_bound(l, p, base))
     slack = 1.0 + config.optimizer_tolerance
-    pad = config.quadrature_tolerance
+    pad = QUADRATURE_TOLERANCE
     bounded = (
         direct <= piece_norm_sum * (1.0 + pad) + pad
         and piece_norm_sum <= certificate * slack + pad
@@ -394,7 +290,6 @@ def run_log_variant_experiment(
     every trial asserts the direct norm stays below it.
     """
     config = config or ExperimentConfig()
-    started = time.perf_counter()
     if not 1.0 <= p < 2.0:
         raise DomainError(f"exponent p must lie in [1, 2), got {p}")
     if n < 1:
@@ -448,4 +343,4 @@ def run_log_variant_experiment(
         )
     report.checks.append(check_row("cover-contracts", all_cover))
     report.checks.append(check_row("certificate-chain", all_bounded))
-    return _finish(report, started)
+    return report

@@ -35,7 +35,7 @@ from .dyadic import (
     make_index_set,
 )
 from .errors import DomainError
-from .serialize import check_row
+from .serialize import ExperimentReport, check_row
 from .spaces import Norm, NormedSpaceSpec, OperatorSpec
 
 __all__ = [
@@ -706,7 +706,10 @@ def tau_p_estimate(
 
 
 # ---------------------------------------------------------------------------
-# structural checks used by the CLI and experiments
+# structural checks behind the check command; each returns its report
+
+# slack of the norm comparisons in the triangle and certificate chains
+QUADRATURE_TOLERANCE = 1e-9
 
 
 def _relative_spread(values: list[float]) -> float:
@@ -722,7 +725,7 @@ def comparison_check(
     iterations: int = 60,
     seed: int = 0,
     tolerance: float = 2e-2,
-) -> dict:
+) -> ExperimentReport:
     """Estimate tau on F and on the full tree of height lh(F), then verify
     the domination and the invariance of the compression rewrite."""
     from .transforms import compress, rewrite_combination
@@ -744,6 +747,14 @@ def comparison_check(
 
     res_l2 = _relative_spread(l2_values)
     res_sq = _relative_spread(sq_values)
+    row = {
+        "localHeight": n,
+        "setEstimate": est_f.lower_bound,
+        "treeEstimate": est_tree.lower_bound,
+        "traceSteps": len(trace.steps),
+        "l2Residual": res_l2,
+        "squareSumResidual": res_sq,
+    }
     checks = [
         check_row(
             "comparison-inequality",
@@ -755,15 +766,7 @@ def comparison_check(
         check_row("trace-l2-invariance", res_l2 <= 1e-9, residual=res_l2),
         check_row("trace-square-sum-invariance", res_sq <= 1e-9, residual=res_sq),
     ]
-    return {
-        "localHeight": n,
-        "setEstimate": est_f.as_dict(),
-        "treeEstimate": est_tree.as_dict(),
-        "traceSteps": len(trace.steps),
-        "residuals": {"l2": res_l2, "squareSum": res_sq},
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return ExperimentReport("comparison", {"setSize": len(idx)}, [row], checks)
 
 
 def monotonicity_check(
@@ -774,7 +777,7 @@ def monotonicity_check(
     iterations: int = 60,
     seed: int = 0,
     tolerance: float = 2e-2,
-) -> dict:
+) -> ExperimentReport:
     """Band estimates: shifting a band down dominates it, and the squeezed
     band D_{m+1}^{m+n} matches the plain tree D_1^n."""
     from .dyadic import dyadic_band
@@ -784,60 +787,44 @@ def monotonicity_check(
     check_level(m + n, "band level")
     check_level(n + 1, "band level")
 
-    est_shift = tau_estimate(T, dyadic_band(m + 1, n + 1), restarts, iterations, seed)
-    est_base = tau_estimate(T, dyadic_band(m, n), restarts, iterations, seed)
-    est_squeezed = tau_estimate(T, dyadic_band(m + 1, m + n), restarts, iterations, seed)
-    est_tree = tau_estimate(T, full_tree(n), restarts, iterations, seed)
+    shifted = tau_estimate(T, dyadic_band(m + 1, n + 1), restarts, iterations, seed).lower_bound
+    base = tau_estimate(T, dyadic_band(m, n), restarts, iterations, seed).lower_bound
+    squeezed = tau_estimate(T, dyadic_band(m + 1, m + n), restarts, iterations, seed).lower_bound
+    tree = tau_estimate(T, full_tree(n), restarts, iterations, seed).lower_bound
 
-    eq_dev = abs(est_squeezed.lower_bound - est_tree.lower_bound) / max(
-        est_tree.lower_bound, 1e-30
-    )
+    eq_dev = abs(squeezed - tree) / max(tree, 1e-30)
     checks = [
         check_row(
             "shift-monotonicity",
-            est_shift.lower_bound <= est_base.lower_bound * (1.0 + tolerance),
-            shifted=est_shift.lower_bound,
-            base=est_base.lower_bound,
+            shifted <= base * (1.0 + tolerance),
+            shifted=shifted,
+            base=base,
         ),
         check_row(
             "band-domination",
-            est_squeezed.lower_bound <= est_tree.lower_bound * (1.0 + tolerance),
-            squeezed=est_squeezed.lower_bound,
-            tree=est_tree.lower_bound,
+            squeezed <= tree * (1.0 + tolerance),
+            squeezed=squeezed,
+            tree=tree,
         ),
         check_row(
             "band-equality",
             eq_dev <= tolerance,
-            squeezed=est_squeezed.lower_bound,
-            tree=est_tree.lower_bound,
+            squeezed=squeezed,
+            tree=tree,
             deviation=eq_dev,
         ),
     ]
-    return {
-        "m": m,
-        "n": n,
-        "estimates": {
-            "shiftedBand": est_shift.as_dict(),
-            "baseBand": est_base.as_dict(),
-            "squeezedBand": est_squeezed.as_dict(),
-            "tree": est_tree.as_dict(),
-        },
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    bands = {"shiftedBand": shifted, "baseBand": base, "squeezedBand": squeezed, "tree": tree}
+    rows = [{"band": label, "lowerBound": bound} for label, bound in bands.items()]
+    return ExperimentReport("check-monotonicity", {"m": m, "n": n}, rows, checks)
 
 
-def triangle_chain_check(
-    T: OperatorSpec,
-    f: HaarCombination,
-    r: float,
-    quadrature_tolerance: float = 1e-9,
-) -> dict:
+def triangle_chain_check(T: OperatorSpec, f: HaarCombination, r: float) -> ExperimentReport:
     """Split f by the weight thresholds and verify the resulting chain:
     the pieces partition the support exactly, the triangle inequality holds
     for the L2 norms of the images, and every piece obeys its square-sum
     weight bound."""
-    from .combinatorics import band_weight_bound, level_set_partition
+    from .combinatorics import band_weight_bound, is_partition, level_set_partition
 
     if T.domain.dim != f.dim:
         raise DomainError(
@@ -846,14 +833,6 @@ def triangle_chain_check(
     supp = frozenset(f.support())
     n = max((k for k, _ in supp), default=1)
     family = level_set_partition(f, n, r, T.domain)
-
-    union = set()
-    disjoint = True
-    for piece in family.pieces:
-        if union & piece:
-            disjoint = False
-        union |= piece
-    partition_exact = disjoint and union == supp
 
     direct = lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0)
     piece_norms = []
@@ -864,19 +843,25 @@ def triangle_chain_check(
         piece_norms.append(lp_norm_of_combination(apply_operator(T, g), T.codomain, 2.0))
         sq = g.squared_sum(T.domain)
         bound = band_weight_bound(l, r, S)
-        piece_checks.append(sq <= bound * (1.0 + quadrature_tolerance))
+        piece_checks.append(sq <= bound * (1.0 + QUADRATURE_TOLERANCE))
     total = math.fsum(piece_norms)
 
+    row = {
+        "thresholdBase": S,
+        "pieceCount": len(family.pieces),
+        "directNorm": direct,
+        "pieceNormSum": total,
+    }
     checks = [
         check_row(
             "partition-exact",
-            partition_exact,
+            is_partition(family.pieces, supp),
             pieces=len(family.pieces),
             supportSize=len(supp),
         ),
         check_row(
             "triangle-inequality",
-            direct <= total + quadrature_tolerance,
+            direct <= total + QUADRATURE_TOLERANCE,
             direct=direct,
             pieceSum=total,
         ),
@@ -887,12 +872,4 @@ def triangle_chain_check(
             failing=int(sum(not c for c in piece_checks)),
         ),
     ]
-    return {
-        "thresholdBase": S,
-        "exponent": r,
-        "pieceCount": len(family.pieces),
-        "directNorm": direct,
-        "pieceNormSum": total,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return ExperimentReport("check-triangle", {"exponent": r}, [row], checks)

@@ -1,13 +1,18 @@
 """JSON schemas for the objects that cross the CLI boundary.
 
 Every parser reports failures as SchemaError with the dotted path of the
-offending field, so callers can surface machine-readable locations.
+offending field, so callers can surface machine-readable locations.  Every
+result leaves as an ExperimentReport, whose checks have one shape
+(check_row).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+from dataclasses import dataclass, field as _field
 from typing import Any
 
 import numpy as np
@@ -28,6 +33,50 @@ def check_row(name: str, passed: bool, **detail) -> dict:
     if detail:
         row["detail"] = detail
     return row
+
+
+@dataclass
+class ExperimentReport:
+    """Named batch of rows plus pass/fail checks.
+
+    wallTime is the command's wall time, stamped by the CLI; a report built
+    through the library keeps 0.0.  It is left out of the CSV so that report
+    bytes stay identical across runs with the same seed and inputs.
+    """
+
+    name: str
+    parameters: dict
+    rows: list[dict] = _field(default_factory=list)
+    checks: list[dict] = _field(default_factory=list)
+    wall_time: float = 0.0
+
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks if c.get("asserted", True))
+
+    def exit_code(self) -> int:
+        return 0 if self.passed() else 1
+
+    def to_json_dict(self) -> dict:
+        return {
+            "schemaVersion": SCHEMA_VERSION,
+            "name": self.name,
+            "parameters": self.parameters,
+            "rows": self.rows,
+            "checks": self.checks,
+            "passed": self.passed(),
+            "wallTime": self.wall_time,
+        }
+
+    def to_csv(self) -> str:
+        """Rows as CSV text; columns follow the first row's key order."""
+        buffer = io.StringIO()
+        if self.rows:
+            writer = csv.DictWriter(
+                buffer, fieldnames=list(self.rows[0].keys()), lineterminator="\n"
+            )
+            writer.writeheader()
+            writer.writerows(self.rows)
+        return buffer.getvalue()
 
 
 def _checked(build, field: str):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
@@ -72,19 +71,6 @@ def swap_point(fork: tuple[int, int], t: DyadicRational) -> DyadicRational:
     return t
 
 
-class FateKind(Enum):
-    FORK_ROOT = "fork-root"
-    FORK_SUCCESSOR = "fork-successor"
-    SHIFT_RIGHT = "shift-right"
-    SHIFT_LEFT = "shift-left"
-    INVARIANT = "invariant"
-
-
-class IndexFate(NamedTuple):
-    kind: FateKind
-    offset: int = 0
-
-
 def _swap_offset(node: int, member: int) -> int:
     """Shift of the heap id of a non-member under the swap at the fork with
     heap id node: on each level k >= h + 2 the ids below 4*node + 1 and
@@ -101,27 +87,6 @@ def _swap_offset(node: int, member: int) -> int:
 
 def _is_fork_member(h: int, i: int, k: int, j: int) -> bool:
     return (k == h and j == i) or (k == h + 1 and j in (2 * i - 1, 2 * i))
-
-
-def classify_index(fork: tuple[int, int], idx: tuple[int, int]) -> IndexFate:
-    """Case analysis of how the swap acts on one Haar index.
-
-    Indexes supported inside the first swapped quarter shift right by
-    2^(k-h-2) positions, those inside the second shift left; the three fork
-    members mix linearly and everything else is untouched.
-    """
-    h, i = check_fork(fork)
-    k, j = check_haar_index(*idx)
-    if (k, j) == (h, i):
-        return IndexFate(FateKind.FORK_ROOT)
-    if _is_fork_member(h, i, k, j):
-        return IndexFate(FateKind.FORK_SUCCESSOR)
-    offset = _swap_offset(heap_id(h, i), heap_id(k, j))
-    if offset > 0:
-        return IndexFate(FateKind.SHIFT_RIGHT, offset)
-    if offset < 0:
-        return IndexFate(FateKind.SHIFT_LEFT, -offset)
-    return IndexFate(FateKind.INVARIANT)
 
 
 def index_image(fork: tuple[int, int], idx: tuple[int, int]) -> HaarIndex:

@@ -22,6 +22,7 @@ from .combinatorics import (
     _local_height,
     band_weight_bound,
     greedy_family,
+    is_partition,
     level_set_partition,
     local_height,
 )
@@ -465,12 +466,7 @@ def partition_suite(
             family = level_set_partition(f, depth, r)
             checked += 1
             pieces = family.pieces
-            union: set[HaarIndex] = set()
-            disjoint = True
-            for piece in pieces:
-                disjoint = disjoint and not (union & piece)
-                union |= piece
-            if not disjoint or union != support:
+            if not is_partition(pieces, support):
                 failures.append(f"trial {trial} r={r}: not a partition of the support")
                 continue
             base = family.threshold_base
@@ -512,12 +508,7 @@ def greedy_cover_suite(
         if len(pieces) != m + 1 or family.m != m:
             failures.append(f"trial {trial}: piece count")
             continue
-        union: set[HaarIndex] = set()
-        disjoint = True
-        for piece in pieces:
-            disjoint = disjoint and not (union & piece)
-            union |= piece
-        if not disjoint or union != tree:
+        if not is_partition(pieces, tree):
             failures.append(f"trial {trial}: not a partition of the tree")
             continue
         heights_ok = all(
@@ -685,9 +676,10 @@ def comparison_residual_suite(
             op, subset, restarts=restarts, iterations=iterations, seed=trial
         )
         checked += 1
-        if not report["passed"]:
+        row = report.rows[0]
+        if not report.passed():
             failures.append(f"trial {trial}: {sorted(subset)} checks failed")
-        elif max(report["residuals"].values()) > 1e-9:
+        elif max(row["l2Residual"], row["squareSumResidual"]) > 1e-9:
             failures.append(f"trial {trial}: residuals too large")
     return _result("comparison-residuals", checked, failures)
 

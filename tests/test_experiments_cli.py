@@ -17,13 +17,12 @@ from haarlab.dyadic import HaarIndex
 from haarlab.errors import DomainError
 from haarlab.experiments import (
     ExperimentConfig,
-    ExperimentReport,
-    run_comparison_experiment,
     run_log_variant_experiment,
     run_verify,
     run_weak_type_sweep,
 )
 from haarlab.normlab import diagonal_formula_tau, diagonal_formula_tau_p
+from haarlab.serialize import ExperimentReport
 from haarlab.transforms import compress
 from helpers import reference_greedy_family
 
@@ -48,8 +47,6 @@ QUICK = {
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        ExperimentConfig(quadrature_tolerance=0.0)
     with pytest.raises(DomainError):
         ExperimentConfig(optimizer_tolerance=-1.0)
     with pytest.raises(DomainError):
@@ -169,36 +166,43 @@ def _write(path, obj):
     return str(path)
 
 
-def test_comparison_experiment_identity(tmp_path):
+def _compare(op, st) -> list:
+    return ["check", "--kind", "comparison", "--operator", op, "--set", st]
+
+
+def test_comparison_experiment_identity(tmp_path, capsys):
     op = _write(tmp_path / "op.json", {"kind": "identity", "dim": 2, "norm": "l2"})
     st = _write(tmp_path / "set.json", {"indexSet": [[1, 1], [2, 1], [3, 1]]})
-    report = run_comparison_experiment(op, st, ExperimentConfig())
-    assert report.passed()
-    row = report.rows[0]
+    assert main(_compare(op, st)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    row = doc["rows"][0]
     assert row["setEstimate"] == pytest.approx(1.0, abs=1e-9)
     assert row["treeEstimate"] == pytest.approx(1.0, abs=1e-9)
     assert row["l2Residual"] < 1e-9 and row["squareSumResidual"] < 1e-9
 
 
-def test_comparison_experiment_diagonal_inequality(tmp_path):
+def test_comparison_experiment_diagonal_inequality(tmp_path, capsys):
     entries = [float(k) ** -0.25 for k in range(1, 5)]
     op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": "l1", "entries": entries})
     st = _write(tmp_path / "set.json", [[1, 1], [2, 1]])
-    report = run_comparison_experiment(op, st, ExperimentConfig())
-    assert report.passed()
-    row = report.rows[0]
+    assert main(_compare(op, st)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert doc["parameters"]["setSize"] == 2
+    assert doc["parameters"]["budgets"] == {"restarts": 8, "iterations": 60}
+    row = doc["rows"][0]
     assert row["localHeight"] == 2
     assert row["setEstimate"] <= row["treeEstimate"] * 1.02
 
 
-def test_comparison_experiment_schema_error_names_field(tmp_path):
+def test_comparison_experiment_schema_error_names_field(tmp_path, capsys):
     op = _write(tmp_path / "op.json", {"kind": "diagonal", "entries": [1.0]})
     st = _write(tmp_path / "set.json", [[1, 1]])
-    from haarlab.errors import SchemaError
-
-    with pytest.raises(SchemaError) as err:
-        run_comparison_experiment(op, st, ExperimentConfig())
-    assert err.value.field == "operator.norm"
+    assert main(_compare(op, st)) == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert record["type"] == "SchemaError"
+    assert record["field"] == "operator.norm"
 
 
 # ---------------------------------------------------------------------------
@@ -639,3 +643,89 @@ def test_removed_knobs_are_usage_errors(command, knob, capsys):
     record = json.loads(capsys.readouterr().out)["error"]
     assert record["type"] == "UsageError"
     assert record["message"] == f"unrecognized arguments: {knob} {KNOB_VALUES[knob]}"
+
+
+# ---------------------------------------------------------------------------
+# one timer; each check kind takes only the options it reads
+
+# the options each check kind reads besides --kind and --operator, with values
+OPTIMIZER = {"--seed": "1", "--restarts": "2", "--iters": "5", "--tol-opt": "0.1"}
+CHECK_READS = {
+    "comparison": {"--set": "set.json", **OPTIMIZER},
+    "monotonicity": {"--m": "1", "--depth": "2", **OPTIMIZER},
+    "triangle": {"--combination": "comb.json", "--exponent": "1.5"},
+}
+CHECK_REQUIRED = {
+    "comparison": ["--set", "set.json"],
+    "monotonicity": [],
+    "triangle": ["--combination", "comb.json"],
+}
+CHECK_VALUES = {flag: value for reads in CHECK_READS.values() for flag, value in reads.items()}
+UNREAD = [
+    (kind, flag) for kind, reads in CHECK_READS.items() for flag in CHECK_VALUES if flag not in reads
+]
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "op.json", {"kind": "diagonal", "norm": "l1", "entries": [1.0, 0.5]})
+    _write(tmp_path / "set.json", [[1, 1], [2, 2]])
+    entries = [{"k": 1, "j": 1, "x": [1.0, 0.0]}, {"k": 2, "j": 2, "x": [0.3, 0.4]}]
+    _write(tmp_path / "comb.json", {"dim": 2, "entries": entries})
+
+
+def _check_argv(kind: str, *extra: str) -> list[str]:
+    return ["check", "--kind", kind, "--operator", "op.json", *extra]
+
+
+def _flat(options: dict) -> list[str]:
+    return [token for pair in options.items() for token in pair]
+
+
+def test_every_command_reports_its_wall_time(inputs, capsys):
+    runs = [
+        ["verify", "--max-level", "1"],
+        ["compress", "--set", "set.json"],
+        ["lh", "--set", "set.json"],
+        ["fill", "--set", "set.json", "--height", "2", "--depth", "2"],
+        ["partition", "--combination", "comb.json", "--depth", "2"],
+        ["tau", "--operator", "op.json", "--set", "set.json", "--restarts", "1"],
+        ["tau-p", "--operator", "op.json", "--depth", "2", "--p", "1.5", "--restarts", "1"],
+        *(_check_argv(kind, *_flat(reads)) for kind, reads in CHECK_READS.items()),
+        ["sweep-weak-type", "--p", "1.5", "--n-max", "8"],
+        ["experiment-log-variant", "--p", "1.5", "--depth", "2", "--trials", "1"],
+    ]
+    assert {argv[0] for argv in runs} == set(SHARED)
+    for argv in runs:
+        assert main(argv) in (0, 1), argv
+        assert json.loads(capsys.readouterr().out)["wallTime"] > 0.0, argv
+    # a report built through the library was not timed by the CLI
+    assert run_weak_type_sweep(1.5, 8).wall_time == 0.0
+
+
+@pytest.mark.parametrize("kind, flag", UNREAD)
+def test_check_rejects_an_option_its_kind_does_not_read(inputs, capsys, kind, flag):
+    argv = _check_argv(kind, *CHECK_REQUIRED[kind], flag, CHECK_VALUES[flag])
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert record["type"] == "UsageError"
+    assert record["message"] == f"check --kind {kind} does not read {flag}"
+
+
+def test_check_defaults_equal_the_options_spelled_out(inputs, capsys):
+    defaults = {"--seed": "0", "--restarts": "8", "--iters": "60", "--tol-opt": "0.02"}
+    spelled = {
+        "comparison": defaults,
+        "monotonicity": {"--m": "1", "--depth": "3", **defaults},
+        "triangle": {"--exponent": "2.0"},
+    }
+    for kind, options in spelled.items():
+        docs = []
+        required = CHECK_REQUIRED[kind]
+        for argv in (_check_argv(kind, *required), _check_argv(kind, *required, *_flat(options))):
+            assert main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            doc.pop("wallTime")
+            docs.append(doc)
+        assert docs[0] == docs[1], kind

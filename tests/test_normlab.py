@@ -369,22 +369,21 @@ def test_tau_p_estimate_validation_errors():
 def test_comparison_check_identity_hilbert():
     T = OperatorSpec.identity(NormedSpaceSpec(2, Norm.L2))
     report = comparison_check(T, {(1, 1), (3, 2), (4, 5)}, restarts=2, iterations=30)
-    assert report["passed"]
-    assert report["setEstimate"]["lowerBound"] == pytest.approx(1.0, abs=1e-9)
-    assert report["treeEstimate"]["lowerBound"] == pytest.approx(1.0, abs=1e-9)
-    assert report["residuals"]["l2"] < 1e-9
-    assert report["residuals"]["squareSum"] < 1e-9
+    assert report.passed()
+    row = report.rows[0]
+    assert row["setEstimate"] == pytest.approx(1.0, abs=1e-9)
+    assert row["treeEstimate"] == pytest.approx(1.0, abs=1e-9)
+    assert row["l2Residual"] < 1e-9
+    assert row["squareSumResidual"] < 1e-9
 
 
 def test_comparison_check_diagonal_pair():
     T = example_diagonal(4, 4.0 / 3.0, dim=5)
     report = comparison_check(T, {(1, 1), (2, 1)}, restarts=3, iterations=40)
-    assert report["localHeight"] == 2
-    assert (
-        report["setEstimate"]["lowerBound"]
-        <= report["treeEstimate"]["lowerBound"] + 1e-6
-    )
-    assert report["passed"]
+    row = report.rows[0]
+    assert row["localHeight"] == 2
+    assert row["setEstimate"] <= row["treeEstimate"] + 1e-6
+    assert report.passed()
 
 
 def test_comparison_check_exact_height_sets_agree():
@@ -393,17 +392,17 @@ def test_comparison_check_exact_height_sets_agree():
     for _ in range(3):
         F = random_exact_height_set(rng, 2, 3)
         report = comparison_check(T, F, restarts=3, iterations=40)
-        a = report["setEstimate"]["lowerBound"]
-        b = report["treeEstimate"]["lowerBound"]
+        a = report.rows[0]["setEstimate"]
+        b = report.rows[0]["treeEstimate"]
         assert abs(a - b) <= 0.02 * b
-        assert report["passed"]
+        assert report.passed()
 
 
 def test_monotonicity_check_diagonal():
     T = example_diagonal(4, 4.0 / 3.0, dim=6)
     report = monotonicity_check(T, 1, 3, restarts=3, iterations=40)
-    assert report["passed"]
-    names = [c["name"] for c in report["checks"]]
+    assert report.passed()
+    names = [c["name"] for c in report.checks]
     assert names == ["shift-monotonicity", "band-domination", "band-equality"]
 
 
@@ -420,16 +419,16 @@ def test_triangle_chain_check_random_families():
     for _ in range(5):
         f = random_combination(rng, full_tree(4), 6)
         report = triangle_chain_check(T, f, p)
-        assert report["passed"], report
-        assert report["directNorm"] <= report["pieceNormSum"] + 1e-9
+        assert report.passed(), report
+        assert report.rows[0]["directNorm"] <= report.rows[0]["pieceNormSum"] + 1e-9
 
 
 def test_triangle_chain_check_zero_combination():
     T = example_diagonal(3, 1.5)
     z = HaarCombination(3, {(1, 1): np.zeros(3)})
     report = triangle_chain_check(T, z, 1.5)
-    assert report["passed"]
-    assert report["pieceCount"] == 0
+    assert report.passed()
+    assert report.rows[0]["pieceCount"] == 0
 
 
 def test_apply_operator_maps_coefficients():

@@ -1,4 +1,4 @@
-"""Quarter swaps, index fates, fork relations, set transforms, compression."""
+"""Quarter swaps, index shifts, fork relations, set transforms, compression."""
 
 import math
 
@@ -13,14 +13,14 @@ from haarlab.dyadic import (
     dyadic_band,
     full_tree,
     haar_eval,
+    heap_id,
     make_index_set,
 )
 from haarlab.errors import DomainError, PreconditionError
 from haarlab.transforms import (
     FORK_RELATION_ROWS,
-    FateKind,
     ForkTransform,
-    classify_index,
+    _swap_offset,
     compress,
     fork_members,
     fork_relations_hold,
@@ -75,27 +75,33 @@ class TestSwapPoint:
             swap_point((2, 3), DyadicRational(0, 0))
 
 
+def offset(fork, idx) -> int:
+    return _swap_offset(heap_id(*fork), heap_id(*idx))
+
+
 class TestClassifyIndex:
+    """How the swap acts on one index: a fork member (the root or a
+    successor) mixes, any other index shifts by _swap_offset positions."""
+
     def test_frozen_examples(self):
-        fate = classify_index((1, 1), (3, 2))
-        assert fate.kind is FateKind.SHIFT_RIGHT and fate.offset == 1
-        assert classify_index((1, 1), (1, 1)).kind is FateKind.FORK_ROOT
-        assert classify_index((1, 1), (3, 1)).kind is FateKind.INVARIANT
-        assert classify_index((1, 1), (2, 1)).kind is FateKind.FORK_SUCCESSOR
-        assert classify_index((1, 1), (2, 2)).kind is FateKind.FORK_SUCCESSOR
-        fate = classify_index((1, 1), (4, 3))
-        assert fate.kind is FateKind.SHIFT_RIGHT and fate.offset == 2
+        assert offset((1, 1), (3, 2)) == 1  # shifts right
+        assert fork_members((1, 1))[0] == (1, 1)  # the fork root
+        assert (3, 1) not in fork_members((1, 1)) and offset((1, 1), (3, 1)) == 0
+        assert fork_members((1, 1))[1:] == ((2, 1), (2, 2))  # the successors
+        assert offset((1, 1), (4, 3)) == 2
 
     def test_shift_offsets_keep_positions_valid(self):
         for fork in forks_up_to(4):
             for k in range(1, 7):
                 for j in range(1, (1 << (k - 1)) + 1):
-                    fate = classify_index(fork, (k, j))
-                    if fate.kind is FateKind.SHIFT_RIGHT:
-                        assert fate.offset == 1 << (k - fork.h - 2)
-                        assert 1 <= j + fate.offset <= (1 << (k - 1))
-                    elif fate.kind is FateKind.SHIFT_LEFT:
-                        assert 1 <= j - fate.offset
+                    if (k, j) in fork_members(fork):
+                        continue
+                    shift = offset(fork, (k, j))
+                    if shift > 0:
+                        assert shift == 1 << (k - fork.h - 2)
+                        assert 1 <= j + shift <= (1 << (k - 1))
+                    elif shift < 0:
+                        assert 1 <= j + shift
 
 
 class TestIndexImage:
