@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, compress, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -126,7 +126,9 @@ def _check_fill_preconditions(indices, l: int, n: int) -> list[int]:
 
 # The fill kernel numbers the depth-n tree by heap ids (see dyadic.heap_id):
 # `present` marks the members, `counts[id]` is the number of members in the
-# subtree below id.
+# subtree below id.  _FREE maps those flags to free-slot flags.
+
+_FREE = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _fill_state(ids: list[int], n: int) -> tuple[bytearray, list[int]]:
@@ -143,37 +145,55 @@ def _fill_state(ids: list[int], n: int) -> tuple[bytearray, list[int]]:
 def _fill(present: bytearray, counts: list[int], l: int, n: int, count: int) -> list[int]:
     """Heap ids of `count` free indices added one at a time to the depth-n
     tree in present and counts, each keeping the height within l; trusts
-    that fill_one's preconditions hold.
+    that fill_one's preconditions hold.  Reads present and counts and
+    leaves both unchanged.
 
-    Each is found by a descent from the root: past an absent root to the
-    left subtree under the same budget; past a present one (which uses up
-    one unit of height) to the side with fewer members, ties going left.
-    Once the budget is 1 or equals the remaining depth, any free index of
-    the subtree will do and the lexicographically smallest is taken.
+    Each addition descends from the root: past an absent root to the left
+    subtree under the same budget; past a present one (which uses up one
+    unit of height) to the side with fewer members, ties going left.  Once
+    the budget is 1 or equals the remaining depth, any free index of the
+    subtree will do and the lexicographically smallest is taken.
+
+    Nothing is added above those stopping points, so all additions are
+    routed in one descent: of the c reaching a present node, the smaller
+    side takes the difference and the rest alternate starting left; each
+    stopping subtree takes its first c free ids in (k, j) order.  With one
+    addition the first returned id is the one a single descent finds.
     """
-    added = []
-    for _ in range(count):
-        node, budget, depth = 1, l, n
-        while budget != 1 and budget != depth:
-            left = 2 * node
-            if not present[node]:
-                node = left
+    added: list[int] = []
+    stack = [(1, l, n, count)]
+    while stack:
+        node, budget, depth, c = stack.pop()
+        if budget == 1 or budget == depth:
+            for level in range(depth):
+                first = node << level
+                end = first + (1 << level)
+                if level < 4:  # narrow: probe each free id
+                    free = present.find(0, first, end)
+                    while free >= 0 and c:
+                        added.append(free)
+                        c -= 1
+                        free = present.find(0, free + 1, end)
+                else:  # wide: pick the free ids in one pass
+                    before = len(added)
+                    picks = compress(range(first, end), present[first:end].translate(_FREE))
+                    added.extend(islice(picks, c))
+                    c -= len(added) - before
+                if not c:
+                    break
             else:
-                node = left if counts[left] <= counts[left + 1] else left + 1
-                budget -= 1
-            depth -= 1
-        for level in range(depth):
-            first = node << level
-            free = present.find(0, first, first + (1 << level))
-            if free >= 0:
-                break
-        else:
-            raise AssertionError("cardinality precondition guarantees a free index")
-        added.append(free)
-        present[free] = 1
-        while free:
-            counts[free] += 1
-            free >>= 1
+                raise AssertionError("cardinality precondition guarantees a free index")
+            continue
+        left = 2 * node
+        if not present[node]:
+            stack.append((left, budget, depth - 1, c))
+            continue
+        a, b = counts[left], counts[left + 1]
+        lead = min(c, abs(a - b))  # the smaller side catches up first
+        to_left = (lead if a < b else 0) + (c - lead + 1) // 2
+        for child, share in ((left + 1, c - to_left), (left, to_left)):
+            if share:
+                stack.append((child, budget - 1, depth - 1, share))
     return added
 
 

@@ -276,7 +276,8 @@ def heap_id(k: int, j: int) -> int:
 
 def from_heap_id(node: int) -> HaarIndex:
     k = node.bit_length()
-    return HaarIndex(k, node - (1 << (k - 1)) + 1)
+    # tuple.__new__ is what HaarIndex(k, j) runs, without its Python frame
+    return tuple.__new__(HaarIndex, (k, node - (1 << (k - 1)) + 1))
 
 
 def heap_ids(indices: frozenset[HaarIndex]) -> np.ndarray:

@@ -48,6 +48,8 @@ class ExperimentConfig:
     iterations: int = 60
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         if not self.optimizer_tolerance > 0:
             raise DomainError("optimizer_tolerance must be positive")
         cap = level_cap()

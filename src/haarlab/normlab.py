@@ -82,7 +82,7 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
     n = f.max_level()
     cells = f.cell_values(n)
     norms = space.norms_of(cells)
-    total = math.fsum(float(v) for v in norms**p)
+    total = math.fsum((norms**p).tolist())
     return (total * math.ldexp(1.0, -n)) ** (1.0 / p)
 
 

@@ -118,6 +118,19 @@ def _as_int(value, field: str) -> int:
     return value
 
 
+# Largest operator dimension a document may give.  Operators are applied as
+# dim x dim matrices (8 MiB of float64 at this size), so a larger dimension
+# is refused where it is read, naming the field, before anything allocates.
+MAX_OPERATOR_DIM = 1024
+
+
+def _as_dim(value, field: str) -> int:
+    dim = _as_int(value, field)
+    if dim > MAX_OPERATOR_DIM:
+        raise SchemaError(f"operator dimension {dim} exceeds {MAX_OPERATOR_DIM}", field)
+    return dim
+
+
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {value!r}", field)
@@ -237,12 +250,13 @@ def parse_operator(value, field: str = "operator") -> OperatorSpec:
     obj = _as_object(value, field)
     kind = _get(obj, "kind", field)
     if kind == "identity":
-        dim = _as_int(_get(obj, "dim", field), f"{field}.dim")
+        dim = _as_dim(_get(obj, "dim", field), f"{field}.dim")
         norm = _parse_norm(_get(obj, "norm", field), f"{field}.norm")
         return _checked(lambda: OperatorSpec.identity(NormedSpaceSpec(dim, norm)), field)
     if kind == "diagonal":
         norm = _parse_norm(_get(obj, "norm", field), f"{field}.norm")
         entries = _as_list(_get(obj, "entries", field), f"{field}.entries")
+        _as_dim(len(entries), f"{field}.entries")
         values = [_as_number(v, f"{field}.entries[{i}]") for i, v in enumerate(entries)]
         if "dim" in obj and _as_int(obj["dim"], f"{field}.dim") != len(values):
             raise SchemaError(
@@ -251,9 +265,11 @@ def parse_operator(value, field: str = "operator") -> OperatorSpec:
         return _checked(lambda: OperatorSpec.diagonal(values, norm), field)
     if kind == "dense":
         rows = _as_list(_get(obj, "rows", field), f"{field}.rows")
+        _as_dim(len(rows), f"{field}.rows")
         matrix = []
         for i, raw in enumerate(rows):
             row = _as_list(raw, f"{field}.rows[{i}]")
+            _as_dim(len(row), f"{field}.rows[{i}]")
             matrix.append(
                 [_as_number(v, f"{field}.rows[{i}][{q}]") for q, v in enumerate(row)]
             )

@@ -299,6 +299,18 @@ def _mask_ids(mask: int) -> list[int]:
     return ids
 
 
+def _height_table(n: int) -> list[int]:
+    """Local height of every heap-id bitmask of the depth-n tree (see
+    _mask_ids): the largest popcount of mask & path over the root-to-leaf
+    path masks.  An independent brute force, tied to _local_height in tests."""
+    masks = np.arange(1 << ((1 << n) - 1), dtype=np.uint32)
+    heights = np.zeros(masks.shape, dtype=np.uint8)
+    for leaf in range(1 << (n - 1), 1 << n):
+        path = sum(1 << ((leaf >> up) - 1) for up in range(n))
+        np.maximum(heights, np.bitwise_count(masks & path), out=heights)
+    return heights.tolist()
+
+
 def _listed(members: list[HaarIndex], ids: list[int]) -> list[HaarIndex]:
     """The sorted indices with the given ascending heap ids."""
     return [members[node - 1] for node in ids]
@@ -316,11 +328,12 @@ def fork_split_compression_suite(
     cap = _cap(max_level)
     depth = max(1, min(n, cap - 1))  # splits at the bottom level reach depth+1
     members = _indices_up_to(depth)
+    heights = _height_table(depth)
     failures: list[str] = []
     checked = 0
     for mask in range(1, 1 << len(members)):
         ids = _mask_ids(mask)
-        height = _local_height(ids)
+        height = heights[mask]
         present = bytearray(2 << depth)
         for node in ids:
             present[node] = 1
@@ -416,27 +429,45 @@ def fill_suite(max_level: int | None = None, n_max: int = 4) -> SuiteResult:
 
     For every subset and every admissible height budget, the returned pad is
     disjoint, has the exact complementary cardinality, and the union still
-    respects the budget.  Subsets are heap-id bitmasks, padded by the kernel.
+    respects the budget.  Subsets are heap-id bitmasks, padded by the kernel
+    and judged by the depth's height table.  The kernel leaves its fill
+    state unchanged, so one state per depth serves every budget and is
+    moved from each subset to the next in place.
     """
     cap = _cap(max_level)
     failures: list[str] = []
     checked = 0
     for n in range(1, min(n_max, cap) + 1):
         members = _indices_up_to(n)
-        for mask in range(1 << len(members)):
-            ids = _mask_ids(mask)
-            for l in range(max(_local_height(ids), 1), n + 1):
-                count = (1 << l) - 1 - len(ids)
-                if count <= 0:
-                    continue
-                pad = sum({1 << (node - 1) for node in _fill(*_fill_state(ids, n), l, n, count)})
+        heights = _height_table(n)
+        present, counts = _fill_state([], n)
+        for mask, height in enumerate(heights):
+            # mask - 1 -> mask clears the trailing ones of mask - 1 and sets the next bit
+            changed = mask ^ (mask - 1) if mask else 0
+            while changed:
+                low = changed & -changed
+                changed ^= low
+                step = 1 if mask & low else -1
+                node = low.bit_length()
+                present[node] += step
+                while node:
+                    counts[node] += step
+                    node >>= 1
+            size = mask.bit_count()
+            # budgets l with height <= l <= n and room left: 2^l - 1 > size
+            for l in range(max(height, (size + 1).bit_length()), n + 1):
+                count = (1 << l) - 1 - size
+                pad = sum({1 << (node - 1) for node in _fill(present, counts, l, n, count)})
                 checked += 1
                 if pad.bit_count() != count:
-                    failures.append(f"fill n={n} l={l} {_listed(members, ids)}: cardinality")
+                    problem = "cardinality"
                 elif pad & mask:
-                    failures.append(f"fill n={n} l={l} {_listed(members, ids)}: overlap")
-                elif _local_height(_mask_ids(mask | pad)) > l:
-                    failures.append(f"fill n={n} l={l} {_listed(members, ids)}: height budget")
+                    problem = "overlap"
+                elif heights[mask | pad] > l:
+                    problem = "height budget"
+                else:
+                    continue
+                failures.append(f"fill n={n} l={l} {_listed(members, _mask_ids(mask))}: {problem}")
     return _result("fill-combinatorics", checked, failures)
 
 

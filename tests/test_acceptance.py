@@ -22,6 +22,7 @@ from haarlab import (
     diagonal_formula_tau_values,
     dyadic_band,
     exact_local_height,
+    fill_to_height,
     full_tree,
     local_height,
     tau_estimate,
@@ -163,6 +164,32 @@ def test_fill_suite_speed():
     _report("fill suite on the kernel, n <= 4", ok, seconds, f"checked={res['checked']}")
     assert res["passed"], res["failures"]
     assert seconds < 4.0
+
+
+def test_deep_fill_speed():
+    # seeded depth-10 pads under the budgets greedy_family uses and the
+    # extremes; the kernel routes all additions of a call in one descent
+    rng = np.random.default_rng(10)
+    pool = sorted(full_tree(10))
+    cases = []
+    for _ in range(80):
+        picks = rng.choice(len(pool), size=int(rng.integers(0, 60)), replace=False)
+        subset = frozenset(pool[i] for i in picks)
+        height = local_height(subset)
+        for l in sorted({max(height, 1), 4, 8, 10}):
+            if height <= l and len(subset) < (1 << l) - 1:
+                cases.append((subset, l))
+    passes = []  # the best of three passes, so one slow moment of the host does not decide
+    for _ in range(3):
+        t0 = time.perf_counter()
+        added = sum(len(fill_to_height(subset, l, 10)) for subset, l in cases)
+        passes.append(time.perf_counter() - t0)
+    seconds = min(passes)
+    expected = sum((1 << l) - 1 - len(subset) for subset, l in cases)
+    ok = added == expected and seconds < 0.28
+    _report("deep fills, depth 10", ok, seconds, f"calls={len(cases)} added={added}")
+    assert len(cases) == 185 and added == expected
+    assert seconds < 0.28
 
 
 # ---------------------------------------------------------------------------

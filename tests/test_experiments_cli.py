@@ -55,6 +55,8 @@ def test_config_validation():
         ExperimentConfig(max_level=21)
     with pytest.raises(DomainError):
         ExperimentConfig(restarts=0)
+    with pytest.raises(DomainError, match="seed"):
+        ExperimentConfig(seed=-1)
     as_dict = ExperimentConfig(seed=5).as_dict()
     assert as_dict["tolerances"] == {"quadrature": 1e-9, "optimizer": 2e-2}
     assert as_dict["budgets"] == {"restarts": 8, "iterations": 60}
@@ -339,6 +341,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     # 0: passing report (only the n = 1 row keeps the envelope ratio at 1)
     assert main(["sweep-weak-type", "--p", "1.5", "--n-max", "1"]) == 0
     capsys.readouterr()
+
+
+def test_cli_negative_seed_and_huge_operator_exit_2(tmp_path, capsys):
+    op = _write(tmp_path / "op.json", {"kind": "dense", "rows": [[1.0, 2.0], [3.0, 4.0]]})
+    st = _write(tmp_path / "set.json", [[1, 1], [2, 1]])
+    for argv in (
+        ["verify", "--seed", "-1", "--max-level", "2"],
+        ["tau", "--operator", op, "--set", st, "--seed", "-1"],
+    ):
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().out)["error"]
+        assert record["type"] == "DomainError" and "seed" in record["message"]
+    huge = _write(tmp_path / "huge.json", {"kind": "identity", "dim": 100_000_000, "norm": "l2"})
+    assert main(["tau", "--operator", huge, "--set", st]) == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert (record["type"], record["field"]) == ("SchemaError", "operator.dim")
 
 
 def test_cli_verify_inject_fault_exits_nonzero(tmp_path, capsys):

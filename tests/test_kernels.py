@@ -9,7 +9,14 @@ import pytest
 
 from haarlab import normlab
 from haarlab.combination import HaarCombination
-from haarlab.combinatorics import fill_one, fill_to_height, local_height
+from haarlab.combinatorics import (
+    _fill,
+    _fill_state,
+    _local_height,
+    fill_one,
+    fill_to_height,
+    local_height,
+)
 from haarlab.dyadic import (
     DyadicRational,
     _GridLevels,
@@ -71,6 +78,43 @@ def test_fill_matches_reference_on_seeded_subsets(depth):
     for _ in range(2000):
         size = int(rng.integers(0, len(pool)))
         assert_fill_matches(random_subset(rng, pool, size), depth)
+
+
+@pytest.mark.parametrize("depth", [7, 8])
+def test_fill_matches_reference_in_the_greedy_padding_regime(depth):
+    # greedy_family pads its bands under budgets 2^l; the kernel routes all
+    # additions in one descent, so tie whole deep fills to the sequence
+    rng = np.random.default_rng(70 + depth)
+    pool = sorted(full_tree(depth))
+    for l in (2, 4, 8):
+        if l > depth:
+            continue
+        tied = 0
+        for _ in range(25):
+            subset = random_subset(rng, pool, int(rng.integers(0, min((1 << l) - 1, 25))))
+            if local_height(subset) > l:
+                continue
+            expected = reference_fill_sequence(subset, l, depth)
+            assert fill_to_height(subset, l, depth) == frozenset(expected), (sorted(subset), l)
+            assert fill_one(subset, l, depth) == expected[0]
+            tied += 1
+        assert tied >= 20
+
+
+def test_fill_kernel_leaves_its_state_unchanged():
+    rng = np.random.default_rng(3)
+    pool = list(range(1, 1 << 8))
+    for _ in range(200):
+        ids = sorted(int(x) for x in rng.choice(pool, size=int(rng.integers(0, 40)), replace=False))
+        height = _local_height(ids)
+        for l in range(max(height, 1), 9):
+            if len(ids) >= (1 << l) - 1:
+                continue
+            present, counts = _fill_state(ids, 8)
+            before = (bytes(present), list(counts))
+            added = _fill(present, counts, l, 8, (1 << l) - 1 - len(ids))
+            assert (bytes(present), counts) == before
+            assert len(set(added)) == len(added) == (1 << l) - 1 - len(ids)
 
 
 def test_compression_traces_match_reference_step_by_step():

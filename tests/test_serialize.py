@@ -10,6 +10,7 @@ from haarlab.combination import HaarCombination
 from haarlab.dyadic import HaarIndex
 from haarlab.errors import SchemaError
 from haarlab.serialize import (
+    MAX_OPERATOR_DIM,
     dump_combination,
     dump_index_set,
     dump_json,
@@ -147,6 +148,23 @@ def test_operator_schema_errors():
     with pytest.raises(SchemaError) as err:
         parse_operator_document({"operator": {"kind": "identity", "dim": 2}})
     assert err.value.field == "operator.norm"
+
+
+def test_operator_dimensions_are_bounded_where_they_are_read():
+    top = MAX_OPERATOR_DIM
+    assert parse_operator({"kind": "identity", "dim": top, "norm": "l2"}).domain.dim == top
+    cases = [
+        ({"kind": "identity", "dim": 100_000_000, "norm": "l2"}, "operator.dim"),
+        ({"kind": "identity", "dim": top + 1, "norm": "l1"}, "operator.dim"),
+        ({"kind": "diagonal", "norm": "l1", "entries": [1.0] * (top + 1)}, "operator.entries"),
+        ({"kind": "dense", "rows": [[1.0]] * (top + 1)}, "operator.rows"),
+        ({"kind": "dense", "rows": [[1.0] * (top + 1)]}, "operator.rows[0]"),
+    ]
+    for doc, field in cases:
+        with pytest.raises(SchemaError) as err:
+            parse_operator(doc)
+        assert err.value.field == field
+        assert f"exceeds {top}" in str(err.value)
 
 
 def test_booleans_are_not_numbers():

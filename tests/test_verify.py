@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from haarlab import verify
-from haarlab.combinatorics import fill_one, fill_to_height, local_height
+from haarlab.combinatorics import _local_height, fill_one, fill_to_height, local_height
 from haarlab.dyadic import full_tree
 from haarlab.transforms import compress, fork_split, is_admissible
 from helpers import (
@@ -116,6 +116,14 @@ def test_public_wrappers_match_the_references_on_every_subset_of_depth_3():
         if subset:
             trace = compress(subset)
             assert (trace.steps, trace.final_set, trace.m) == reference_compress(subset)
+
+
+def test_height_tables_match_the_kernel_local_height_on_every_mask():
+    for n in range(1, 5):
+        heights = verify._height_table(n)
+        assert len(heights) == 1 << ((1 << n) - 1)
+        for mask, height in enumerate(heights):
+            assert height == _local_height(verify._mask_ids(mask)), (n, mask)
 
 
 def test_fill_suite_fails_on_a_kernel_returning_an_occupied_node(monkeypatch):
