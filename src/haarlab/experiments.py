@@ -24,6 +24,7 @@ from .normlab import (
     QUADRATURE_TOLERANCE,
     OperatorSpec,
     _check_budget,
+    _diagonal_example,
     _tau_estimate,
     apply_operator,
     conjugate_exponent,
@@ -32,7 +33,6 @@ from .normlab import (
     lp_norm_of_combination,
 )
 from .serialize import ExperimentReport, check_row
-from .transforms import FORK_RELATION_ROWS
 from .verify import corrupted_fork_rows, run_all_suites
 
 
@@ -87,16 +87,15 @@ def run_verify(
     """Run every invariant suite and aggregate the outcome.
 
     inject_fault feeds a corrupted fork coefficient table into the relation
-    suite; the report must then fail, which is itself a testable contract.
+    suite, unless scales already gives it rows; the report must then fail,
+    which is itself a testable contract.
     """
     config = config or ExperimentConfig()
-    rows_param = corrupted_fork_rows() if inject_fault else FORK_RELATION_ROWS
-    results = run_all_suites(
-        max_level=config.max_level,
-        seed=config.seed,
-        fork_rows=rows_param,
-        scales=scales,
-    )
+    if inject_fault:
+        scales = dict(scales or {})
+        relations = {"rows": corrupted_fork_rows(), **scales.get("fork-relations", {})}
+        scales["fork-relations"] = relations
+    results = run_all_suites(max_level=config.max_level, seed=config.seed, scales=scales)
     report = ExperimentReport(
         name="verify",
         parameters=dict(seed=config.seed, maxLevel=config.level_limit(), injectFault=inject_fault),
@@ -187,12 +186,6 @@ def run_weak_type_sweep(p: float, n_max: int = 10**6) -> ExperimentReport:
 
 # ---------------------------------------------------------------------------
 # certificate chain for the logarithmic bound
-
-
-def _sweep_operator(p: float, dim: int) -> OperatorSpec:
-    q = conjugate_exponent(p)
-    entries = np.array([float(k + 1) ** (-1.0 / q) for k in range(dim)])
-    return OperatorSpec.diagonal(entries, norm="l1")
 
 
 def _tree_tau_table(
@@ -301,7 +294,7 @@ def run_log_variant_experiment(
 
     m = n.bit_length() - 1
     dim = 1 << (m + 1)
-    op = _sweep_operator(p, dim)
+    op = _diagonal_example(p, dim)
     tau_table = _tree_tau_table(op, m, config)
     pool = (1 << n) - 1  # heap ids 1 .. 2^n - 1 number the depth-n tree in order
 

@@ -22,14 +22,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combination import HaarCombination
-from .combinatorics import local_height
+from .combinatorics import _local_height
 from .config import check_level
 from .dyadic import (
-    HaarIndex,
     _GridLevels,
     _level_runs,
     from_heap_id,
-    full_tree,
     half_power,
     heap_ids,
     make_index_set,
@@ -172,6 +170,13 @@ def diagonal_formula_tau_p(n: int, p: float) -> float:
     return float(diagonal_formula_tau_p_values(n, p)[-1])
 
 
+def _diagonal_example(p: float, dim: int) -> OperatorSpec:
+    """The diagonal operator sigma_k = k^{-1/p'}, k = 1..dim, on l1^dim."""
+    q = conjugate_exponent(p)
+    entries = np.array([float(k + 1) ** (-1.0 / q) for k in range(dim)])
+    return OperatorSpec.diagonal(entries, norm="l1")
+
+
 # ---------------------------------------------------------------------------
 # estimates
 
@@ -197,13 +202,6 @@ class TauEstimate:
             "restarts": self.restarts,
             "iterations": self.iterations,
         }
-
-
-def _nonempty_index_list(indices) -> list[HaarIndex]:
-    idx = sorted(make_index_set(indices))
-    if not idx:
-        raise DomainError("index set must be nonempty")
-    return idx
 
 
 def _nonempty_heap_ids(indices) -> np.ndarray:
@@ -730,12 +728,13 @@ def comparison_check(
     the domination and the invariance of the compression rewrite."""
     from .transforms import compress, rewrite_combination
 
-    idx = _nonempty_index_list(indices)
-    n = local_height(idx)
-    est_f = tau_estimate(T, idx, restarts, iterations, seed)
-    est_tree = tau_estimate(T, full_tree(n), restarts, iterations, seed)
+    ids = _nonempty_heap_ids(indices)
+    n = _local_height(ids.tolist())
+    _check_budget(restarts, iterations)
+    est_f = _tau_estimate(T, ids, restarts, iterations, seed)
+    est_tree = _tau_estimate(T, np.arange(1, 1 << n), restarts, iterations, seed)
 
-    trace = compress(idx)
+    trace = compress(map(from_heap_id, ids.tolist()))
     f = est_f.best_witness
     l2_values = [lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0)]
     sq_values = [f.squared_sum(T.domain)]
@@ -766,7 +765,7 @@ def comparison_check(
         check_row("trace-l2-invariance", res_l2 <= 1e-9, residual=res_l2),
         check_row("trace-square-sum-invariance", res_sq <= 1e-9, residual=res_sq),
     ]
-    return ExperimentReport("comparison", {"setSize": len(idx)}, [row], checks)
+    return ExperimentReport("comparison", {"setSize": len(ids)}, [row], checks)
 
 
 def monotonicity_check(
@@ -780,17 +779,21 @@ def monotonicity_check(
 ) -> ExperimentReport:
     """Band estimates: shifting a band down dominates it, and the squeezed
     band D_{m+1}^{m+n} matches the plain tree D_1^n."""
-    from .dyadic import dyadic_band
-
     if m < 1 or n < m:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     check_level(m + n, "band level")
     check_level(n + 1, "band level")
+    _check_budget(restarts, iterations)
 
-    shifted = tau_estimate(T, dyadic_band(m + 1, n + 1), restarts, iterations, seed).lower_bound
-    base = tau_estimate(T, dyadic_band(m, n), restarts, iterations, seed).lower_bound
-    squeezed = tau_estimate(T, dyadic_band(m + 1, m + n), restarts, iterations, seed).lower_bound
-    tree = tau_estimate(T, full_tree(n), restarts, iterations, seed).lower_bound
+    def band(lo: int, hi: int) -> float:
+        # levels lo..hi are the heap ids 2^(lo-1) .. 2^hi - 1
+        ids = np.arange(1 << (lo - 1), 1 << hi)
+        return _tau_estimate(T, ids, restarts, iterations, seed).lower_bound
+
+    shifted = band(m + 1, n + 1)
+    base = band(m, n)
+    squeezed = band(m + 1, m + n)
+    tree = band(1, n)
 
     eq_dev = abs(squeezed - tree) / max(tree, 1e-30)
     checks = [

@@ -175,13 +175,21 @@ def _int_pair(value, field: str) -> tuple[int, int]:
 
 def parse_index_set(value, field: str = "indexSet") -> frozenset[HaarIndex]:
     """Index set from a [[k, j], ...] array; shapes are checked first, then
-    every pair through the one index-set validator."""
+    every pair through the one index-set validator.  A pair may appear only
+    once, as an index may in a combination."""
     items = _as_list(value, field)
     pairs = [_int_pair(v, f"{field}[{i}]") for i, v in enumerate(items)]
     try:
-        return make_index_set(pairs)
+        indices = make_index_set(pairs)
     except IndexSetError as exc:
         raise SchemaError(str(exc), f"{field}[{exc.position}]") from exc
+    if len(indices) < len(pairs):
+        seen = set()
+        for i, (k, j) in enumerate(pairs):
+            if (k, j) in seen:
+                raise SchemaError(f"duplicate index ({k}, {j})", f"{field}[{i}]")
+            seen.add((k, j))
+    return indices
 
 
 def dump_index_set(indices) -> list[list[int]]:

@@ -94,7 +94,6 @@ class NormedSpaceSpec:
 
 
 class OperatorKind(str, Enum):
-    IDENTITY = "identity"
     DIAGONAL = "diagonal"
     DENSE = "dense"
 
@@ -131,13 +130,11 @@ class OperatorSpec:
                     f"diagonal entries shape {e.shape} does not match dim {self.domain.dim}"
                 )
             object.__setattr__(self, "entries", e)
-        else:
-            if self.domain.dim != self.codomain.dim:
-                raise DomainError("identity operator requires equal dimensions")
 
     @classmethod
     def identity(cls, space: NormedSpaceSpec) -> "OperatorSpec":
-        return cls(OperatorKind.IDENTITY, space, space)
+        """The identity as the diagonal of ones: x * 1.0 is x, bit for bit."""
+        return cls(OperatorKind.DIAGONAL, space, space, entries=np.ones(space.dim))
 
     @classmethod
     def diagonal(cls, entries, norm: Norm) -> "OperatorSpec":
@@ -151,8 +148,6 @@ class OperatorSpec:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind is OperatorKind.IDENTITY:
-            return x.copy()
         if self.kind is OperatorKind.DIAGONAL:
             return self.entries * x
         return self.matrix @ x
@@ -160,8 +155,6 @@ class OperatorSpec:
     def apply_each(self, rows: np.ndarray) -> np.ndarray:
         """apply of every row of an (N, dim) array, bit for bit: a dense
         matrix multiplies each row as its own vector, as apply does."""
-        if self.kind is OperatorKind.IDENTITY:
-            return rows.copy()
         if self.kind is OperatorKind.DIAGONAL:
             return rows * self.entries
         return np.matmul(self.matrix, rows[:, :, None])[..., 0]
@@ -172,31 +165,23 @@ class OperatorSpec:
         so a slice gets the bits it would get alone; one product over all
         the rows flattened to 2-D may not."""
         rows = np.asarray(rows, dtype=float)
-        if self.kind is OperatorKind.IDENTITY:
-            return rows.copy()
         if self.kind is OperatorKind.DIAGONAL:
             return rows * self.entries
         return rows @ self.matrix.T
 
     def transpose_apply_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
-        if self.kind is OperatorKind.IDENTITY:
-            return rows.copy()
         if self.kind is OperatorKind.DIAGONAL:
             return rows * self.entries
         return rows @ self.matrix
 
     def as_matrix(self) -> np.ndarray:
-        if self.kind is OperatorKind.IDENTITY:
-            return np.eye(self.domain.dim)
         if self.kind is OperatorKind.DIAGONAL:
             return np.diag(self.entries)
         return self.matrix.copy()
 
     def diagonal_magnitudes(self) -> np.ndarray | None:
         """|entries| when the operator acts coordinatewise, else None."""
-        if self.kind is OperatorKind.IDENTITY:
-            return np.ones(self.domain.dim)
         if self.kind is OperatorKind.DIAGONAL:
             return np.abs(self.entries)
         return None

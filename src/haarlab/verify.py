@@ -33,7 +33,6 @@ from .dyadic import (
     _scaling_holds,
     _translation_holds,
     branch,
-    check_haar_index,
     full_tree,
     haar_eval,
     haar_sign_table,
@@ -43,6 +42,7 @@ from .dyadic import (
 from .normlab import (
     NormedSpaceSpec,
     OperatorSpec,
+    _diagonal_example,
     comparison_check,
     diagonal_formula_tau,
     diagonal_formula_tau_p,
@@ -109,16 +109,14 @@ def haar_identity_suite(
     failures: list[str] = []
     checked = 0
 
-    # each index pair is validated once; the grid points q/2^grid are valid
-    # by construction and go straight to the exact evaluation kernels
+    # the indices and the grid points q/2^grid are valid by construction,
+    # within the cap, and go straight to the exact evaluation kernels
     k_top = min(k_max, cap)
     grid = min(grid_level, cap)
     for k in range(1, k_top + 1):
         # shifted point t - 2^(1-k) exists iff t >= 2^(1-k)
         q_min = (1 << grid) >> (k - 1) if grid >= k - 1 else 1 << grid
         for j in range(1, (1 << (k - 1))):
-            check_haar_index(k, j)
-            check_haar_index(k, j + 1)
             for q in range(q_min, 1 << grid):
                 checked += 1
                 if not _translation_holds(k, j, q, grid):
@@ -128,8 +126,6 @@ def haar_identity_suite(
     grid = min(grid_level, cap - 1)
     for k in range(1, k_top + 1):
         for j in range(1, (1 << (k - 1)) + 1):
-            check_haar_index(k, j)
-            check_haar_index(k + 1, j)
             for q in range(1 << (grid - 1)):  # doubling needs t < 1/2
                 checked += 1
                 if not _scaling_holds(k, j, q, grid):
@@ -163,10 +159,10 @@ def orthonormality_suite(max_level: int | None = None, k_max: int = 6) -> SuiteR
     return _result("orthonormality", checked, failures)
 
 
-def branch_structure_suite(max_level: int | None = None, n: int = 6) -> SuiteResult:
+def branch_structure_suite(max_level: int | None = None) -> SuiteResult:
     """Branches hit one index per level, exactly where the function is nonzero."""
     cap = _cap(max_level)
-    depth = min(n, cap)
+    depth = min(6, cap)
     tree = full_tree(depth)
     failures: list[str] = []
     checked = 0
@@ -384,19 +380,19 @@ def rewrite_invariance_suite(
     max_level: int | None = None,
     trials: int = 500,
     n: int = 6,
-    dim: int = 3,
-    tolerance: float = 1e-9,
     rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """Norm invariance of coefficient rewrites along full compression traces.
 
     The swap is measure preserving, so both the L2 norm and the squared
-    coefficient sum must come out unchanged after every step.
+    coefficient sum must come out unchanged, to 1e-9 relative, after every
+    step.
     """
     cap = _cap(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
     depth = max(1, min(n, cap - 1))
     pool = sorted(full_tree(depth))
+    dim, tolerance = 3, 1e-9
     space = NormedSpaceSpec(dim=dim, norm="l2")
     failures: list[str] = []
     checked = 0
@@ -474,17 +470,15 @@ def fill_suite(max_level: int | None = None, n_max: int = 4) -> SuiteResult:
 def partition_suite(
     max_level: int | None = None,
     trials: int = 1000,
-    n: int = 6,
-    dim: int = 2,
-    exponents: Sequence[float] = (1.0, 1.5, 2.0),
-    slack: float = 1e-9,
     rng: np.random.Generator | None = None,
 ) -> SuiteResult:
-    """Weight level sets: exact partition, height bound, squared-sum bound."""
+    """Weight level sets: exact partition, height bound, squared-sum bound
+    (to 1e-9 relative), for each exponent r in 1, 1.5 and 2."""
     cap = _cap(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
-    depth = min(n, cap)
+    depth = min(6, cap)
     pool = sorted(full_tree(depth))
+    dim, slack = 2, 1e-9
     failures: list[str] = []
     checked = 0
     for trial in range(trials):
@@ -493,7 +487,7 @@ def partition_suite(
         support = f.support()
         rows = f.rows[f.rows.any(axis=1)]  # the support's rows, in (k, j) order
         squares = dict(zip(sorted(support), np.vecdot(rows, rows).tolist()))
-        for r in exponents:
+        for r in (1.0, 1.5, 2.0):
             family = level_set_partition(f, depth, r)
             checked += 1
             pieces = family.pieces
@@ -515,19 +509,17 @@ def partition_suite(
 def greedy_cover_suite(
     max_level: int | None = None,
     trials: int = 200,
-    n: int = 6,
-    dim: int = 2,
-    p: float = 4.0 / 3.0,
-    slack: float = 1e-9,
     rng: np.random.Generator | None = None,
 ) -> SuiteResult:
-    """Padded cover: disjoint pieces, height budgets, per-index weight bounds."""
+    """Padded cover at p = 4/3: disjoint pieces, height budgets, per-index
+    weight bounds (to 1e-9 relative)."""
     cap = _cap(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
-    depth = min(n, cap)
+    depth = min(6, cap)
     tree = full_tree(depth)
     pool = sorted(tree)
     m = depth.bit_length() - 1
+    dim, p, slack = 2, 4.0 / 3.0, 1e-9
     failures: list[str] = []
     checked = 0
     for trial in range(trials):
@@ -573,16 +565,15 @@ def greedy_cover_suite(
 def norm_identity_suite(
     max_level: int | None = None,
     trials: int = 500,
-    n: int = 5,
-    dim: int = 2,
-    tolerance: float = 1e-12,
     rng: np.random.Generator | None = None,
 ) -> SuiteResult:
-    """Parseval on Euclidean coefficients and the levelwise p-sum identity."""
+    """Parseval on Euclidean coefficients and the levelwise p-sum identity,
+    to 1e-12 relative."""
     cap = _cap(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
-    depth = min(n, cap)
+    depth = min(5, cap)
     pool = sorted(full_tree(depth))
+    dim, tolerance = 2, 1e-12
     space = NormedSpaceSpec(dim=dim, norm="l2")
     failures: list[str] = []
     checked = 0
@@ -607,13 +598,6 @@ def norm_identity_suite(
         if abs(total - by_level) > tolerance * max(by_level, 1e-300):
             failures.append(f"trial {trial}: levelwise p={p}: {total} vs {by_level}")
     return _result("norm-identities", checked, failures)
-
-
-def _diagonal_example(n: int, p: float, dim: int | None = None) -> OperatorSpec:
-    size = dim if dim is not None else n
-    q = p / (p - 1.0)
-    entries = np.array([float(k + 1) ** (-1.0 / q) for k in range(size)])
-    return OperatorSpec.diagonal(entries, norm="l1")
 
 
 def estimator_oracle_suite(
@@ -649,7 +633,7 @@ def estimator_oracle_suite(
         if n > cap:
             continue
         p = 4.0 / 3.0
-        op = _diagonal_example(n, p)
+        op = _diagonal_example(p, n)
         closed = diagonal_formula_tau(n, p)
         est = tau_estimate(op, full_tree(n), restarts=restarts, iterations=iterations)
         expect(
@@ -673,7 +657,7 @@ def estimator_oracle_suite(
             <= 1e-9 * est_p.lower_bound,
         )
 
-    op = _diagonal_example(min(4, cap), 4.0 / 3.0)
+    op = _diagonal_example(4.0 / 3.0, min(4, cap))
     small = tau_estimate(
         op, full_tree(min(2, cap)), restarts=restarts, iterations=iterations
     )
@@ -688,8 +672,6 @@ def estimator_oracle_suite(
 def comparison_residual_suite(
     max_level: int | None = None,
     trials: int = 3,
-    restarts: int = 4,
-    iterations: int = 50,
     rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """comparison_check passes with tiny trace residuals on random sets."""
@@ -697,15 +679,13 @@ def comparison_residual_suite(
     rng = rng if rng is not None else np.random.default_rng(0)
     depth = max(1, min(4, cap - 1))
     pool = sorted(full_tree(depth))
-    op = _diagonal_example(depth, 4.0 / 3.0, dim=8)
+    op = _diagonal_example(4.0 / 3.0, 8)
     failures: list[str] = []
     checked = 0
     for trial in range(trials):
         size = int(rng.integers(2, 7))
         subset = _random_subset(rng, pool, size)
-        report = comparison_check(
-            op, subset, restarts=restarts, iterations=iterations, seed=trial
-        )
+        report = comparison_check(op, subset, restarts=4, iterations=50, seed=trial)
         checked += 1
         row = report.rows[0]
         if not report.passed():
@@ -746,23 +726,18 @@ _RANDOMIZED = {
 
 
 def run_all_suites(
-    max_level: int | None = None,
-    seed: int = 0,
-    fork_rows: tuple = FORK_RELATION_ROWS,
-    scales: dict | None = None,
+    max_level: int | None = None, seed: int = 0, scales: dict | None = None
 ) -> list[SuiteResult]:
     """Run every suite in order with per-suite seeded randomness.
 
     scales maps suite name to keyword overrides, e.g. smaller trial counts
-    for a quick pass; fork_rows feeds the fault-injection path.
+    for a quick pass, or corrupted fork-relation rows for fault injection.
     """
     overrides = scales or {}
     results = []
     for position, (name, suite) in enumerate(SUITES):
         kwargs = dict(overrides.get(name, {}))
         kwargs["max_level"] = max_level
-        if name == "fork-relations":
-            kwargs.setdefault("rows", fork_rows)
         if name in _RANDOMIZED:
             kwargs.setdefault(
                 "rng", np.random.default_rng(np.random.SeedSequence([seed, position]))

@@ -129,9 +129,7 @@ def test_split_compression_exhaustive():
 
 def test_rewrite_norm_invariance():
     t0 = time.perf_counter()
-    res = rewrite_invariance_suite(
-        trials=500, n=6, tolerance=1e-9, rng=np.random.default_rng(7)
-    )
+    res = rewrite_invariance_suite(trials=500, n=6, rng=np.random.default_rng(7))
     seconds = time.perf_counter() - t0
     ok = res["passed"] and res["checked"] >= 500 and seconds < 60.0
     _report("rewrite norm invariance", ok, seconds, f"checks={res['checked']}")
@@ -198,13 +196,7 @@ def test_deep_fill_speed():
 
 def test_partition_battery():
     t0 = time.perf_counter()
-    res = partition_suite(
-        trials=1000,
-        n=6,
-        exponents=(1.0, 1.5, 2.0),
-        slack=1e-9,
-        rng=np.random.default_rng(13),
-    )
+    res = partition_suite(trials=1000, rng=np.random.default_rng(13))
     seconds = time.perf_counter() - t0
     ok = res["passed"] and res["checked"] >= 1000 and seconds < 60.0
     _report("threshold partitions", ok, seconds, f"checked={res['checked']}")

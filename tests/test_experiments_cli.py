@@ -23,7 +23,7 @@ from haarlab.experiments import (
 )
 from haarlab.normlab import diagonal_formula_tau, diagonal_formula_tau_p
 from haarlab.serialize import ExperimentReport
-from haarlab.transforms import compress
+from haarlab.transforms import FORK_RELATION_ROWS, compress
 from helpers import reference_greedy_family
 
 QUICK = {
@@ -94,6 +94,14 @@ def test_run_verify_fault_injection_fails():
     assert not report.passed() and report.exit_code() == 1
     failed = [c["name"] for c in report.checks if not c["passed"]]
     assert failed == ["suite:fork-relations"]
+
+
+def test_run_verify_fault_injection_keeps_rows_given_in_scales():
+    relations = {**QUICK["fork-relations"], "rows": FORK_RELATION_ROWS}
+    scales = {**QUICK, "fork-relations": relations}
+    report = run_verify(ExperimentConfig(seed=2), inject_fault=True, scales=scales)
+    assert report.passed()
+    assert scales["fork-relations"] is relations  # the caller's dict is not touched
 
 
 def test_run_verify_respects_max_level():
@@ -332,6 +340,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["lh", "--set", st]) == 2
     record = json.loads(capsys.readouterr().out)
     assert record["error"]["field"] == "indexSet[0]"
+    # 2: a pair given twice in an index set, named at its second position
+    op = _write(tmp_path / "op.json", {"kind": "identity", "dim": 2, "norm": "l2"})
+    st = _write(tmp_path / "twice.json", [[1, 1], [2, 1], [1, 1]])
+    for argv in (["lh", "--set", st], ["tau", "--operator", op, "--set", st]):
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().out)["error"]
+        assert (record["type"], record["field"]) == ("SchemaError", "indexSet[2]")
     # 1: honest assertion failure inside a report
     assert (
         main(["sweep-weak-type", "--p", "1.3333333333333333", "--n-max", "4"]) == 1
@@ -376,6 +391,39 @@ def test_cli_verify_inject_fault_exits_nonzero(tmp_path, capsys):
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert failed == ["suite:fork-relations"]
     capsys.readouterr()
+
+
+# the battery at --max-level 3 --seed 7: every suite's check count, pinned so
+# that no scale of a suite can change unseen
+VERIFY_LEVEL_3_SEED_7 = """suite,passed,checked,failures,sample
+haar-identities,1,28,0,
+orthonormality,1,28,0,
+branch-structure,1,8,0,
+swap-involution,1,24,0,
+fork-relations,1,3,0,
+composition-contract,1,12,0,
+fork-split-compression,1,16,0,
+rewrite-invariance,1,752,0,
+fill-combinatorics,1,166,0,
+partition-bounds,1,3000,0,
+greedy-cover,1,200,0,
+norm-identities,1,500,0,
+estimator-oracles,1,11,0,
+comparison-residuals,1,3,0,
+"""
+
+
+def test_cli_verify_csv_is_pinned(capsys):
+    argv = ["verify", "--max-level", "3", "--seed", "7", "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == VERIFY_LEVEL_3_SEED_7
+    assert main([*argv, "--inject-fault"]) == 1
+    faulty = VERIFY_LEVEL_3_SEED_7.replace(
+        "fork-relations,1,3,0,\n",
+        "fork-relations,0,3,3,\"relations fail at fork (1,1); "
+        "relations fail at fork (2,1); relations fail at fork (2,2)\"\n",
+    )
+    assert capsys.readouterr().out == faulty
 
 
 def test_cli_sweep_csv_deterministic(capsys):

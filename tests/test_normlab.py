@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from haarlab.combination import HaarCombination
-from haarlab.dyadic import full_tree
+from haarlab.dyadic import dyadic_band, full_tree
 from haarlab.errors import DomainError
 from haarlab.normlab import (
     EstimateMethod,
@@ -404,6 +404,33 @@ def test_monotonicity_check_diagonal():
     assert report.passed()
     names = [c["name"] for c in report.checks]
     assert names == ["shift-monotonicity", "band-domination", "band-equality"]
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        example_diagonal(4, 4.0 / 3.0, dim=6),
+        OperatorSpec.dense(
+            np.random.default_rng(3).standard_normal((4, 4)),
+            NormedSpaceSpec(4, Norm.LINF),
+            NormedSpaceSpec(4, Norm.L1),
+        ),
+    ],
+)
+def test_monotonicity_check_rows_are_the_public_band_estimates(T):
+    """Each band row is tau_estimate on the band as an index set."""
+    m, n = 2, 3
+    report = monotonicity_check(T, m, n, restarts=2, iterations=20, seed=4)
+    bands = {
+        "shiftedBand": dyadic_band(m + 1, n + 1),
+        "baseBand": dyadic_band(m, n),
+        "squeezedBand": dyadic_band(m + 1, m + n),
+        "tree": dyadic_band(1, n),
+    }
+    assert [row["band"] for row in report.rows] == list(bands)
+    for row in report.rows:
+        est = tau_estimate(T, bands[row["band"]], restarts=2, iterations=20, seed=4)
+        assert row["lowerBound"] == est.lower_bound, row["band"]
 
 
 def test_monotonicity_check_rejects_bad_band():

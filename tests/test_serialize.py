@@ -43,6 +43,21 @@ def test_index_set_field_paths():
     assert err.value.field == "indexSet[0]"
 
 
+def test_index_set_rejects_a_repeated_pair_at_its_second_position():
+    with pytest.raises(SchemaError) as err:
+        parse_index_set([[1, 1], [2, 1], [1, 1]])
+    assert err.value.field == "indexSet[2]"
+    assert "duplicate index (1, 1)" in str(err.value)
+    with pytest.raises(SchemaError) as err:
+        parse_index_set_document({"indexSet": [[2, 2], [3, 1], [3, 1], [2, 2]]})
+    assert err.value.field == "indexSet[2]"
+    # an out-of-range pair is reported at its own position, before any repeat
+    with pytest.raises(SchemaError) as err:
+        parse_index_set([[1, 1], [1, 1], [2, 3]])
+    assert err.value.field == "indexSet[2]"
+    assert "duplicate" not in str(err.value)
+
+
 def test_index_set_document_accepts_both_shapes():
     bare = [[1, 1], [2, 2]]
     wrapped = {"indexSet": bare}

@@ -87,8 +87,6 @@ def test_operator_validation():
     with pytest.raises(DomainError):
         OperatorSpec(OperatorKind.DIAGONAL, l2, l2, entries=np.ones(3))
     with pytest.raises(DomainError):
-        OperatorSpec(OperatorKind.IDENTITY, l2, l3)
-    with pytest.raises(DomainError):
         OperatorSpec(OperatorKind.DENSE, l2, l2)
 
 

@@ -48,8 +48,9 @@ def test_result_record_shape():
 
 
 def test_fault_injection_breaks_only_the_relation_suite():
+    relations = {**QUICK_SCALES["fork-relations"], "rows": verify.corrupted_fork_rows()}
     results = verify.run_all_suites(
-        seed=7, fork_rows=verify.corrupted_fork_rows(), scales=QUICK_SCALES
+        seed=7, scales={**QUICK_SCALES, "fork-relations": relations}
     )
     failed = [r["name"] for r in results if not r["passed"]]
     assert failed == ["fork-relations"]
