@@ -329,6 +329,32 @@ class _GridLevels:
             full = hi - lo == 1 << (k - 1)
             positions = None if full else ids[lo:hi] - (1 << (k - 1))
             self.levels.append((k, lo, hi, positions, half_power(k - 1)))
+        self.top = self.levels[-1][0] if self.levels else 0
+        self.leaves = 1 << self.top  # rows of the grid at the top level
+
+    def on_partition(self) -> "_GridLevels":
+        """This kernel on the id list's own dyadic partition, or itself
+        where that partition is the 2^top cells of the top level."""
+        edges = [np.array([0, self.leaves])]
+        for level in self.levels:
+            starts, w = self._supports(level)
+            edges += [starts, starts + w, starts + 2 * w]
+        bounds = np.unique(np.concatenate(edges))
+        if len(bounds) - 1 == self.leaves:
+            return self
+        return _PartitionLevels(self, bounds)
+
+    def _supports(self, level) -> tuple[np.ndarray, int]:
+        """The first top-level cell of the support of each index of a level
+        of self.levels, and the width of a half support in those cells."""
+        k, lo, hi, positions, _scale = level
+        if positions is None:
+            positions = np.arange(hi - lo)
+        return positions << (self.top - k + 1), 1 << (self.top - k)
+
+    def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
+        """Rows of this kernel's top-level grid, one per cell of the top level."""
+        return rows
 
     def synthesis(self, out: np.ndarray, rows_of) -> np.ndarray:
         """Add the Haar functions of the id list into the zeroed grid `out`.
@@ -406,6 +432,90 @@ def _spread(out: np.ndarray, g: int, lo: int, hi: int) -> None:
         lead, dim = out.shape[:-2], out.shape[-1]
         blocks = out[..., :: 1 << (g - hi), :].reshape(lead + (1 << lo, -1, dim))
         blocks[..., 1:, :] = blocks[..., :1, :]
+
+
+class _PartitionLevels(_GridLevels):
+    """_GridLevels on the leaves of the id list's own dyadic partition.
+
+    The leaves are the runs of top-level cells between the starts, the
+    midpoints and the ends of the supports of the list's indices, so an
+    id list of m indices has at most 3m + 1 of them.  Each half support is
+    a run of whole leaves, so synthesis makes the same additions in every
+    cell of a leaf and its cells hold the same bits: the grid is kept one
+    row per leaf, (..., leaves, dim).  Built by on_partition only where
+    there are fewer leaves than cells.
+
+    Sums over cells depend on the number and the order of the cells, so
+    analysis sums the halves cell by cell, as _GridLevels.analysis does;
+    to_cells gives the per-cell rows that other such sums need.  Every
+    gather is a take along an axis, which gives a C-contiguous array: a
+    strided gather may change the order numpy sums a row in.
+    """
+
+    def __init__(self, grid: _GridLevels, bounds: np.ndarray):
+        self.count, self.levels, self.top = grid.count, grid.levels, grid.top
+        self.leaves = len(bounds) - 1
+        widths = np.diff(bounds)
+        self.cell_leaf = np.repeat(np.arange(self.leaves), widths)
+        # per level: the leaves inside the supports of its indices in cell
+        # order, the row of the index over each, whether it lies in the
+        # left half, and its width in cells
+        self.plan = []
+        for level in self.levels:
+            starts, w = self._supports(level)
+            a, b, c = np.searchsorted(bounds, [starts, starts + w, starts + 2 * w])
+            counts = c - a
+            row = np.repeat(np.arange(len(starts)), counts)
+            leaf = np.arange(len(row)) + np.repeat(a - np.cumsum(counts) + counts, counts)
+            left = (leaf < b[row])[:, None]
+            self.plan.append((leaf, row, left, ~left, widths[leaf]))
+
+    def synthesis(self, out: np.ndarray, rows_of) -> np.ndarray:
+        """_GridLevels.synthesis into the zeroed leaf grid `out`.
+
+        The level-k step reads the leaves under the level's indices, the
+        parents of both children, adds the scaled row on the left halves
+        and subtracts it on the right halves, and writes them back: the
+        additions the cells of each leaf receive from the cell kernel.
+        """
+        for (_k, lo, hi, _positions, scale), (leaf, row, left, right, _w) in zip(
+            self.levels, self.plan
+        ):
+            block = rows_of(lo, hi)
+            block *= scale
+            parents = out.take(leaf, axis=-2)
+            rows = block.take(row, axis=-2)
+            np.add(parents, rows, out=parents, where=left)
+            np.subtract(parents, rows, out=parents, where=right)
+            out[..., leaf, :] = parents
+        return out
+
+    def analysis(self, leaves: np.ndarray) -> np.ndarray:
+        """_GridLevels.analysis of the cells of the leaf grid `leaves`.
+
+        Each level spreads the leaves under its indices to their cells, in
+        cell order, as one contiguous (..., count, 2, w, dim) array and sums
+        it along w, the cells of each half; where w is 1 the halves are
+        single leaves and are taken as they are, as the cell kernel takes
+        single cells.
+        """
+        lead, dim = leaves.shape[:-2], leaves.shape[-1]
+        out = np.empty(lead + (self.count, dim))
+        for (k, lo, hi, _positions, scale), (leaf, _row, _left, _right, widths) in zip(
+            self.levels, self.plan
+        ):
+            halves = leaves.take(leaf, axis=-2)
+            if k == self.top:
+                sums = halves.reshape(lead + (hi - lo, 2, dim))
+            else:
+                cells = halves.repeat(widths, axis=-2)
+                sums = cells.reshape(lead + (hi - lo, 2, -1, dim)).sum(axis=-2)
+            rows = np.subtract(sums[..., 0, :], sums[..., 1, :], out=out[..., lo:hi, :])
+            rows *= scale
+        return out
+
+    def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
+        return rows.take(self.cell_leaf, axis=axis)
 
 
 def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:

@@ -352,7 +352,13 @@ class _AscentProblem:
     its adjoint, the per-index sums of the gradient, is taken level by level
     (_GridLevels.analysis); both give the same floats as a loop over the
     indices one at a time.  Each iterate is synthesised once, and its ratio
-    and gradient share that grid.
+    and gradient share that grid.  Where the set's own dyadic partition has
+    fewer leaves than the grid has cells (a sparse or deep set), the grid
+    holds one row per leaf (dyadic._PartitionLevels): its cells hold the
+    same bits, so the codomain norms, the dual rows and the cell scale are
+    taken per leaf.  The sums whose bits depend on the number and the order
+    of the cells, the numerator's and the gradient's sums of nu and the
+    half sums of analysis, still run over the cells.
 
     The restarts of one estimate run in lockstep: X is a batch (R, m, d),
     one restart per entry of the leading axis, and every array operation of
@@ -374,9 +380,8 @@ class _AscentProblem:
         self.T = T
         self.ids = ids  # sorted heap ids
         self.p = p
-        self.grid = _GridLevels(self.ids)
-        self.kmax = self.grid.levels[-1][0]
-        self.cells = 1 << self.kmax
+        self.grid = _GridLevels(self.ids).on_partition()
+        self.cells = 1 << self.grid.top
         self.batch = max(1, _BATCH_FLOATS // (self.cells * T.codomain.dim))
         self.scale = np.empty(len(self.ids))
         for _k, lo, hi, _positions, scale in self.grid.levels:
@@ -387,9 +392,9 @@ class _AscentProblem:
                 self.weights[lo:hi] = 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
 
     def grid_values(self, Y: np.ndarray) -> np.ndarray:
-        """Grids (R, cells, d') of the combinations with rows Y (R, m, d');
-        scales Y in place."""
-        out = np.zeros((len(Y), self.cells, Y.shape[-1]))
+        """Grids (R, leaves, d') of the combinations with rows Y (R, m, d'),
+        one row per leaf of the grid kernel; scales Y in place."""
+        out = np.zeros((len(Y), self.grid.leaves, Y.shape[-1]))
         return self.grid.synthesis(out, lambda lo, hi: Y[:, lo:hi])
 
     def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,38 +403,42 @@ class _AscentProblem:
         return V, self.T.codomain.norms_of(V)
 
     def numerators(self, nu: np.ndarray) -> list[float]:
+        nu = self.grid.to_cells(nu, -1)
         if self.p is None:
             return [math.sqrt(s / self.cells) for s in np.vecdot(nu, nu).tolist()]
         sums = ((nu**self.p).sum(axis=-1) / self.cells).tolist()
         return [s ** (1.0 / self.p) for s in sums]
 
-    def denominators(self, X: np.ndarray) -> list[float]:
-        norms = self.T.domain.norms_of(X)
+    def denominators(self, norms: np.ndarray) -> list[float]:
+        """Denominators from the domain norms (R, m) of the rows."""
         if self.p is None:
             return [math.sqrt(s) for s in np.vecdot(norms, norms).tolist()]
         # each s is a numpy float64: numpy's scalar power, as one restart takes it
         return [float(s ** (1.0 / self.p)) for s in np.vecdot(norms**self.p, self.weights)]
 
-    def ratios(self, X: np.ndarray, nu: np.ndarray) -> list[float]:
+    def ratios(self, norms: np.ndarray, nu: np.ndarray) -> list[float]:
         return [
             num / den if den > 0 else 0.0
-            for num, den in zip(self.numerators(nu), self.denominators(X))
+            for num, den in zip(self.numerators(nu), self.denominators(norms))
         ]
 
-    def gradient(self, X: np.ndarray, V: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        """Subgradient of the ratio at each restart of X with grids (V, nu),
-        assuming each denominator is 1; zero where the numerator is.  The
-        gradient cells are built in V's place, so V is overwritten and one
-        grid per restart is held at a time."""
+    def gradient(
+        self, X: np.ndarray, norms: np.ndarray, V: np.ndarray, nu: np.ndarray
+    ) -> np.ndarray:
+        """Subgradient of the ratio at each restart of X with domain norms
+        `norms` and grids (V, nu), assuming each denominator is 1; zero
+        where the numerator is.  The gradient cells are built in V's place,
+        so V is overwritten and one grid per restart is held at a time."""
         pnum = 2.0 if self.p is None else self.p
-        nums = [s ** (1.0 / pnum) for s in ((nu**pnum).sum(axis=-1) / self.cells).tolist()]
+        sums = (self.grid.to_cells(nu, -1) ** pnum).sum(axis=-1) / self.cells
+        nums = [s ** (1.0 / pnum) for s in sums.tolist()]
         factors = np.array([num ** (1.0 - pnum) / self.cells if num else 0.0 for num in nums])
-        cell_scale = (nu ** (pnum - 1.0)) * factors[:, None]
+        # nu ** 1.0 is nu, bit for bit
+        cell_scale = (nu if self.p is None else nu ** (pnum - 1.0)) * factors[:, None]
         G_cells = self.T.codomain.dual_rows(V, out=V)
         G_cells *= cell_scale[..., None]
         G_num = self.T.transpose_apply_rows(self.grid.analysis(G_cells))
 
-        norms = self.T.domain.norms_of(X)
         duals = self.T.domain.dual_rows(X)
         if self.p is None:
             G_den = duals * norms[..., None]
@@ -438,7 +447,8 @@ class _AscentProblem:
             pw = self.weights * safe ** (self.p - 1.0) * (norms > 0)
             G_den = duals * pw[..., None]
         G = G_num - np.array(nums)[:, None, None] * G_den
-        G[[r for r, num in enumerate(nums) if num == 0.0]] = 0.0
+        if 0.0 in nums:
+            G[[r for r, num in enumerate(nums) if num == 0.0]] = 0.0
         return G
 
     def random_starts(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -460,16 +470,17 @@ class _AscentProblem:
         iterate into `best` (which starts as X0).  A restart whose
         denominator is zero or whose gradient vanishes stops there; the
         others go on."""
-        dens = np.array(self.denominators(X0))
+        dens = np.array(self.denominators(self.T.domain.norms_of(X0)))
         live = np.flatnonzero(dens != 0.0)  # a zero start is its own best
         if not len(live):
             return
         X = X0[live] / dens[live, None, None]
+        norms = self.T.domain.norms_of(X)
         V, nu = self.evaluate(X)
         best[live] = X
-        best_r = np.array(self.ratios(X, nu))
+        best_r = np.array(self.ratios(norms, nu))
         for it in range(iterations):
-            G = self.gradient(X, V, nu)
+            G = self.gradient(X, norms, V, nu)
             del V  # free this grid before the next one is built
             flat = G.reshape(len(G), -1)
             gn = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm of each G[i]
@@ -480,15 +491,16 @@ class _AscentProblem:
                 X, G, gn = X[moving], G[moving], gn[moving]
                 live, best_r = live[moving], best_r[moving]
             X = X + (0.35 / math.sqrt(1.0 + it)) * (G / gn[:, None, None])
-            dens = np.array(self.denominators(X))
+            dens = np.array(self.denominators(self.T.domain.norms_of(X)))
             kept = dens != 0.0
             if not kept.all():
                 if not kept.any():
                     return
                 X, dens, live, best_r = X[kept], dens[kept], live[kept], best_r[kept]
             X = X / dens[:, None, None]
+            norms = self.T.domain.norms_of(X)
             V, nu = self.evaluate(X)
-            r = np.array(self.ratios(X, nu))
+            r = np.array(self.ratios(norms, nu))
             better = r > best_r
             best_r = np.where(better, r, best_r)
             best[live[better]] = X[better]
@@ -731,10 +743,11 @@ def comparison_check(
     ids = _nonempty_heap_ids(indices)
     n = _local_height(ids.tolist())
     _check_budget(restarts, iterations)
+    # the trace first: a target band above the level cap fails before any estimate
+    trace = compress(map(from_heap_id, ids.tolist()))
     est_f = _tau_estimate(T, ids, restarts, iterations, seed)
     est_tree = _tau_estimate(T, np.arange(1, 1 << n), restarts, iterations, seed)
 
-    trace = compress(map(from_heap_id, ids.tolist()))
     f = est_f.best_witness
     l2_values = [lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0)]
     sq_values = [f.squared_sum(T.domain)]

@@ -317,6 +317,28 @@ def test_estimator_full_tree_16_speed():
     assert seconds < 1.2
 
 
+def test_estimator_deep_branch_speed():
+    # 14 indices on a 2^14-cell grid: the ascent runs on the branch's own
+    # dyadic partition, 15 leaves, and sums over cells only where their
+    # number and order fix the bits
+    op = _diagonal_op(dim=16)
+    branch = [(k, 1) for k in range(1, 15)]
+    tau_estimate(op, branch)  # untimed, as in the depth-8 gate above
+    t0 = time.perf_counter()
+    est = tau_estimate(op, branch)
+    seconds = time.perf_counter() - t0
+    cf = diagonal_formula_tau(14, P)
+    ok = est.lower_bound <= cf * (1.0 + 1e-9) and seconds < 3.0
+    _report(
+        "tau estimate, branch of depth 14, d = 16",
+        ok,
+        seconds,
+        f"ratio to closed form={est.lower_bound / cf:.5f}",
+    )
+    assert est.lower_bound <= cf * (1.0 + 1e-9)
+    assert seconds < 3.0
+
+
 # ---------------------------------------------------------------------------
 # 8. comparison against the full tree of matching height
 

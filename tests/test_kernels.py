@@ -191,6 +191,25 @@ def test_cell_values_match_the_index_loop_bit_for_bit(dim):
             ), (sorted(indices), grid_level)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+def test_partition_kernel_matches_the_cell_kernel_bit_for_bit(dim):
+    rng = np.random.default_rng(150 + dim)
+    for indices in seeded_sets(rng, 120):
+        ids = heap_ids(indices)
+        cell_grid = _GridLevels(ids)
+        grid = cell_grid.on_partition()
+        cells = 1 << cell_grid.top
+        assert grid.leaves <= min(3 * len(ids) + 1, cells)
+        if grid is cell_grid:  # every cell is a leaf: full top level
+            assert grid.leaves == cells
+            continue
+        rows = rng.standard_normal((3, len(ids), dim))
+        leaves = grid.synthesis(np.zeros((3, grid.leaves, dim)), lambda lo, hi: rows[:, lo:hi].copy())
+        expected = cell_grid.synthesis(np.zeros((3, cells, dim)), lambda lo, hi: rows[:, lo:hi].copy())
+        assert np.array_equal(grid.to_cells(leaves, -2), expected), sorted(indices)
+        assert np.array_equal(grid.analysis(leaves), cell_grid.analysis(expected)), sorted(indices)
+
+
 def test_cell_values_of_the_empty_combination():
     for grid_level in (0, 1, 4):
         values = HaarCombination(3, {}).cell_values(grid_level)
@@ -212,12 +231,15 @@ def test_ascent_grid_gradient_and_path_match_the_index_loops(dim):
             problem = normlab._AscentProblem(T, ids, p)
             reference = ReferenceAscentProblem(T, ids, p)
             X = problem.random_starts(np.random.default_rng(trial), 1)
-            X = X / problem.denominators(X)[0]
+            X = X / problem.denominators(T.domain.norms_of(X))[0]
             Y = T.apply_rows(X)
-            assert np.array_equal(problem.grid_values(Y.copy())[0], reference.grid_values(Y[0]))
+            # the grid has one row per leaf of the set's partition; each cell holds its leaf's
+            cells = problem.grid.to_cells(problem.grid_values(Y.copy())[0], -2)
+            assert np.array_equal(cells, reference.grid_values(Y[0]))
+            norms = T.domain.norms_of(X)
             V, nu = problem.evaluate(X)
-            assert problem.ratios(X, nu) == [reference.ratio(X[0])]
-            assert np.array_equal(problem.gradient(X, V, nu)[0], reference.gradient(X[0]))
+            assert problem.ratios(norms, nu) == [reference.ratio(X[0])]
+            assert np.array_equal(problem.gradient(X, norms, V, nu)[0], reference.gradient(X[0]))
             assert np.array_equal(problem.ascend(X, 12)[0], reference.ascend_one(X[0], 12))
 
 
@@ -295,6 +317,56 @@ def test_batched_ascent_matches_the_serial_reference(restarts):
                 assert_batch_matches_reference(problem, reference, starts, 15)
 
 
+def partition_sets(rng, count):
+    """Sets whose own dyadic partition is coarser than the top-level cells:
+    sparse subsets of depths 6-10 and branches of depths 5-12."""
+    for trial in range(count):
+        if trial % 2:
+            depth = 5 + (trial // 2) % 8
+            q = int(rng.integers(0, 1 << (depth - 1)))
+            yield frozenset((k, (q >> (depth - k)) + 1) for k in range(1, depth + 1))
+        else:
+            depth = 6 + (trial // 2) % 5
+            pool = sorted(full_tree(depth))
+            yield random_subset(rng, pool, int(rng.integers(1, 25)))
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 8])
+def test_ascent_on_the_sets_partition_matches_the_index_loops(restarts):
+    rng = np.random.default_rng(730 + restarts)
+    on_leaves = 0
+    for trial, indices in enumerate(partition_sets(rng, 16)):
+        ids = heap_ids(indices)
+        dim = (1, 2, 5, 16)[trial % 4]
+        ops = [
+            OperatorSpec.diagonal(rng.standard_normal(dim), Norm.L1),
+            OperatorSpec.dense(
+                rng.standard_normal((dim, dim)),
+                NormedSpaceSpec(dim, (Norm.LINF, Norm.L2)[trial % 2]),
+                NormedSpaceSpec(dim, (Norm.L1, Norm.L2, Norm.LINF)[trial % 3]),
+            ),
+        ]
+        for T in ops:
+            for p in (None, 4.0 / 3.0):
+                problem = normlab._AscentProblem(T, ids, p)
+                reference = ReferenceAscentProblem(T, ids, p)
+                on_leaves += problem.grid.leaves < problem.cells
+                X = problem.random_starts(np.random.default_rng(trial), restarts)
+                X = X / np.array(problem.denominators(T.domain.norms_of(X)))[:, None, None]
+                norms = T.domain.norms_of(X)
+                V, nu = problem.evaluate(X)
+                Y = T.apply_rows(X)
+                for r in range(restarts):
+                    cells = problem.grid.to_cells(V[r], -2)
+                    assert np.array_equal(cells, reference.grid_values(Y[r])), sorted(indices)
+                assert problem.ratios(norms, nu) == [reference.ratio(x) for x in X]
+                G = problem.gradient(X, norms, V, nu)
+                for r in range(restarts):
+                    assert np.array_equal(G[r], reference.gradient(X[r])), sorted(indices)
+                assert_batch_matches_reference(problem, reference, X, 15)
+    assert on_leaves == 16 * 2 * 2  # every set ran on its partition
+
+
 def test_batched_ascent_in_smaller_batches_matches_the_serial_reference():
     rng = np.random.default_rng(710)
     T = OperatorSpec.dense(
@@ -323,7 +395,7 @@ def test_batched_ascent_stops_one_restart_and_runs_the_others_on(p):
     assert_batch_matches_reference(problem, reference, starts, 20)
     got = problem.ascend(starts, 20)
     assert not got[1].any()
-    assert np.array_equal(got[3], starts[3] / problem.denominators(starts[3:4])[0])
+    assert np.array_equal(got[3], starts[3] / problem.denominators(T.domain.norms_of(starts[3:4]))[0])
     # the zero operator stops every restart at the first iterate
     zero = OperatorSpec.diagonal(np.zeros(4), Norm.L1)
     problem = normlab._AscentProblem(zero, ids, p)

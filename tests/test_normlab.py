@@ -7,6 +7,7 @@ import pytest
 
 from haarlab.combination import HaarCombination
 from haarlab.dyadic import dyadic_band, full_tree
+from haarlab import normlab
 from haarlab.errors import DomainError
 from haarlab.normlab import (
     EstimateMethod,
@@ -384,6 +385,19 @@ def test_comparison_check_diagonal_pair():
     assert row["localHeight"] == 2
     assert row["setEstimate"] <= row["treeEstimate"] + 1e-6
     assert report.passed()
+
+
+def test_comparison_check_rejects_a_band_above_the_cap_before_any_estimate(monkeypatch):
+    # full_tree(3) has local height 3 and compresses into levels up to 4
+    monkeypatch.setenv("HAARLAB_MAX_LEVEL", "3")
+    calls = []
+    estimate = normlab._tau_estimate
+    monkeypatch.setattr(normlab, "_tau_estimate", lambda *args: calls.append(args) or estimate(*args))
+    T = example_diagonal(4, 4.0 / 3.0, dim=5)
+    with pytest.raises(DomainError) as err:
+        comparison_check(T, full_tree(3), restarts=2, iterations=5)
+    assert str(err.value) == "target band level 4 exceeds the configured maximum level 3"
+    assert calls == []
 
 
 def test_comparison_check_exact_height_sets_agree():
