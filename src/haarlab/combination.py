@@ -16,16 +16,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .config import check_level
-from .dyadic import (
-    DyadicRational,
-    HaarIndex,
-    _GridLevels,
-    _haar_eval,
-    from_heap_id,
-    heap_id,
-    make_index_set,
-)
+from .dyadic import HaarIndex, from_heap_id, heap_id, make_index_set
 from .errors import DomainError
 
 # the finest level whose heap ids, and the grid boundaries above them, fit
@@ -154,31 +145,6 @@ class HaarCombination:
     def max_level(self) -> int:
         return int(self._ids[-1]).bit_length() if len(self._ids) else 0
 
-    def value_at(self, t: DyadicRational) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for (k, j), x in self.items():
-            v = _haar_eval(k, j, t.num, t.level)
-            if v.sign != 0:
-                out += v.as_float() * x
-        return out
-
-    def cell_values(self, grid_level: int) -> np.ndarray:
-        """Values on the 2^grid_level cells as a (cells, dim) array.
-
-        The combination is constant on each cell once grid_level reaches the
-        maximal support level, so this table is exact.  The grid is built
-        level by level in place (dyadic._GridLevels.synthesis): each cell
-        gets 2^((k-1)/2) x_k^(j) added or subtracted for its one index per
-        level, in increasing k, so the floats are those of adding the Haar
-        functions one index at a time in (k, j) order.  Each level's
-        coefficient block exists only while that level is synthesised.
-        """
-        check_level(grid_level, "grid level")
-        if grid_level < self.max_level():
-            raise DomainError("grid level must be at least the maximal index level")
-        values = np.zeros((1 << grid_level, self.dim))
-        return _GridLevels(self._ids).synthesis(values, lambda lo, hi: self._rows[lo:hi].copy())
-
     def restricted_to(self, indices) -> "HaarCombination":
         if not isinstance(indices, (set, frozenset)):
             indices = frozenset(map(tuple, indices))
@@ -192,8 +158,8 @@ class HaarCombination:
         """Sum over indices of ||x||^2 in the given NormedSpaceSpec
         (Euclidean when None).
 
-        The norms of all rows come from one array operation, each the float
-        space.norm_of gives; the squares stay Python float powers, which
+        The norms of all rows come from one array operation
+        (space.norm_of_each); the squares stay Python float powers, which
         numpy's power does not reproduce bit for bit.
         """
         if space is None:

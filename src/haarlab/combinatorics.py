@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate, compress, islice
 from typing import Iterable, Iterator
 
@@ -21,7 +20,6 @@ from .combination import HaarCombination
 from .config import check_level
 from .dyadic import (
     HaarIndex,
-    check_haar_index,
     from_heap_id,
     full_tree,
     half_power,
@@ -61,46 +59,6 @@ def local_height(indices: Iterable[tuple[int, int]]) -> int:
 def exact_local_height(indices: Iterable[tuple[int, int]], n: int) -> bool:
     """True iff every branch meets the set in exactly n indices."""
     return all(c == n for c in _branch_counts([heap_id(k, j) for k, j in make_index_set(indices)]))
-
-
-class Subtree(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class SubtreeIdentification:
-    """Bijection between a half subtree below the root and a full tree.
-
-    The left subtree consists of the indices whose support lies in [0, 1/2),
-    the right one of those supported in [1/2, 1); both are order-isomorphic
-    to the tree that is one level shorter.
-    """
-
-    side: Subtree
-
-    def contains(self, idx: tuple[int, int]) -> bool:
-        k, j = idx
-        if k < 2:
-            return False
-        half = 1 << (k - 2)
-        if self.side is Subtree.LEFT:
-            return 1 <= j <= half
-        return half < j <= 2 * half
-
-    def to_parent(self, idx: tuple[int, int]) -> HaarIndex:
-        if not self.contains(idx):
-            raise DomainError(f"index {idx} is not in the {self.side.value} subtree")
-        k, j = idx
-        if self.side is Subtree.LEFT:
-            return HaarIndex(k - 1, j)
-        return HaarIndex(k - 1, j - (1 << (k - 2)))
-
-    def from_parent(self, idx: tuple[int, int]) -> HaarIndex:
-        k, j = check_haar_index(*idx)
-        if self.side is Subtree.LEFT:
-            return HaarIndex(k + 1, j)
-        return HaarIndex(k + 1, j + (1 << (k - 1)))
 
 
 def _check_fill_preconditions(indices, l: int, n: int) -> list[int]:

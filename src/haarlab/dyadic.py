@@ -119,11 +119,6 @@ class DyadicInterval:
         lhs = t.num << self.level
         return ((self.position - 1) << t.level) <= lhs < (self.position << t.level)
 
-    def contains_interval(self, other: "DyadicInterval") -> bool:
-        lo_ok = (self.position - 1) << other.level <= (other.position - 1) << self.level
-        hi_ok = other.position << self.level <= self.position << other.level
-        return lo_ok and hi_ok
-
 
 class HaarIndex(NamedTuple):
     k: int
@@ -312,12 +307,13 @@ class _GridLevels:
     Build it once per id list; synthesis and analysis then take one block
     of rows per level present.
 
-    Both take leading batch axes: a grid is an array (..., cells, dim) and
-    a coefficient list an array (..., count, dim), the cells and the rows
-    on axis -2.  Each batch entry is computed by the same ufunc calls and
-    reductions along the same axes as a lone 2-D grid, so it gets the same
-    bits as it would on its own.  The ascent stacks its restarts on the
-    leading axis; cell_values passes 2-D arrays.
+    Both take leading batch axes: a grid is an array (..., cells, dim) of
+    the 2^top cells of the top level and a coefficient list an array
+    (..., count, dim), the cells and the rows on axis -2.  Each batch entry
+    is computed by the same ufunc calls and reductions along the same axes
+    as a lone 2-D grid, so it gets the same bits as it would on its own.
+    The ascent stacks its restarts on the leading axis; the norms pass 2-D
+    arrays.
     """
 
     def __init__(self, ids: np.ndarray):
@@ -356,36 +352,32 @@ class _GridLevels:
         """Rows of this kernel's top-level grid, one per cell of the top level."""
         return rows
 
-    def synthesis(self, out: np.ndarray, rows_of) -> np.ndarray:
-        """Add the Haar functions of the id list into the zeroed grid `out`.
+    def synthesis(self, rows: np.ndarray) -> np.ndarray:
+        """The Haar functions of the id list with coefficient rows `rows`,
+        on the 2^top cells of the top level, one row each on axis -2.
 
-        `out` holds the 2^g cells of the level-g grid on axis -2, one row
-        each, with g at least the top level.  rows_of(lo, hi) gives the
-        coefficient rows of ids[lo:hi] (axis -2, with the leading axes of
-        `out`) as an array the kernel may scale in place; it is called once
-        per level, when that level is synthesised, so only one level's rows
-        exist at a time.  The sum of the levels up to k is constant on the
-        level-k cells and is kept in the first row of each of them (stride
-        2^(g-k)).  The level-k step scales the level's rows into a block of
-        2^(k-1) rows, zero where the list has no index, turns each parent
-        into its left child, parent + row, and writes its right child,
-        parent - row, with two ufuncs.  Levels with no index cost one copy
-        for the whole stretch of them.  Every cell receives one addition
-        per level in increasing k, as a loop adding the Haar functions one
-        index at a time in (k, j) order gives it, and a zero row changes
-        nothing (a sum of this kind is never -0.0), so the grid equals that
-        loop's bit for bit.
+        Reads `rows` and never writes it: each level scales a copy of its
+        rows into a block of 2^(k-1) rows, zero where the list has no index.
+        The sum of the levels up to k is constant on the level-k cells and
+        is kept in the first row of each of them (stride 2^(top-k)).  The
+        level-k step turns each parent into its left child, parent + row,
+        and writes its right child, parent - row, with two ufuncs.  Levels
+        with no index cost one copy for the whole stretch of them.  Every
+        cell receives one addition per level in increasing k, as a loop
+        adding the Haar functions one index at a time in (k, j) order gives
+        it, and a zero row changes nothing (a sum of this kind is never
+        -0.0), so the grid equals that loop's bit for bit.
         """
-        lead, dim = out.shape[:-2], out.shape[-1]
-        g = out.shape[-2].bit_length() - 1
+        lead, dim, g = rows.shape[:-2], rows.shape[-1], self.top
+        out = np.zeros(lead + (self.leaves, dim))
         done = 0  # the first row of each level-`done` cell holds the sum so far
         for k, lo, hi, positions, scale in self.levels:
             if positions is None:
-                block = rows_of(lo, hi)
+                block = rows[..., lo:hi, :] * scale
             else:
                 block = np.zeros(lead + (1 << (k - 1), dim))
-                block[..., positions, :] = rows_of(lo, hi)
-            block *= scale
+                block[..., positions, :] = rows[..., lo:hi, :]
+                block *= scale
             wide = 1 << (g - k + 1)
             _spread(out, g, done, k - 1)
             parents = out[..., ::wide, :]
@@ -393,7 +385,6 @@ class _GridLevels:
             np.add(parents, block, out=parents)
             done = k
             del block  # free this level's rows before the next are built
-        _spread(out, g, done, g)
         return out
 
     def analysis(self, cells: np.ndarray) -> np.ndarray:
@@ -409,10 +400,9 @@ class _GridLevels:
         halves in.)
         """
         lead, dim = cells.shape[:-2], cells.shape[-1]
-        g = cells.shape[-2].bit_length() - 1
         out = np.empty(lead + (self.count, dim))
         for k, lo, hi, positions, scale in self.levels:
-            if k == g:  # halves of one cell: the cells themselves, no copy
+            if k == self.top:  # halves of one cell: the cells themselves, no copy
                 sums = cells
             else:
                 sums = cells.reshape(lead + (1 << k, -1, dim)).sum(axis=-2)
@@ -448,15 +438,14 @@ class _PartitionLevels(_GridLevels):
     Sums over cells depend on the number and the order of the cells, so
     analysis sums the halves cell by cell, as _GridLevels.analysis does;
     to_cells gives the per-cell rows that other such sums need.  Every
-    gather is a take along an axis, which gives a C-contiguous array: a
-    strided gather may change the order numpy sums a row in.
+    gather is a take or a repeat along an axis, which gives a C-contiguous
+    array: a strided gather may change the order numpy sums a row in.
     """
 
     def __init__(self, grid: _GridLevels, bounds: np.ndarray):
         self.count, self.levels, self.top = grid.count, grid.levels, grid.top
         self.leaves = len(bounds) - 1
-        widths = np.diff(bounds)
-        self.cell_leaf = np.repeat(np.arange(self.leaves), widths)
+        self.widths = widths = np.diff(bounds)  # cells per leaf
         # per level: the leaves inside the supports of its indices in cell
         # order, the row of the index over each, whether it lies in the
         # left half, and its width in cells
@@ -470,23 +459,22 @@ class _PartitionLevels(_GridLevels):
             left = (leaf < b[row])[:, None]
             self.plan.append((leaf, row, left, ~left, widths[leaf]))
 
-    def synthesis(self, out: np.ndarray, rows_of) -> np.ndarray:
-        """_GridLevels.synthesis into the zeroed leaf grid `out`.
+    def synthesis(self, rows: np.ndarray) -> np.ndarray:
+        """_GridLevels.synthesis on the leaf grid (..., leaves, dim).
 
         The level-k step reads the leaves under the level's indices, the
         parents of both children, adds the scaled row on the left halves
         and subtracts it on the right halves, and writes them back: the
         additions the cells of each leaf receive from the cell kernel.
         """
+        out = np.zeros(rows.shape[:-2] + (self.leaves, rows.shape[-1]))
         for (_k, lo, hi, _positions, scale), (leaf, row, left, right, _w) in zip(
             self.levels, self.plan
         ):
-            block = rows_of(lo, hi)
-            block *= scale
+            block = (rows[..., lo:hi, :] * scale).take(row, axis=-2)
             parents = out.take(leaf, axis=-2)
-            rows = block.take(row, axis=-2)
-            np.add(parents, rows, out=parents, where=left)
-            np.subtract(parents, rows, out=parents, where=right)
+            np.add(parents, block, out=parents, where=left)
+            np.subtract(parents, block, out=parents, where=right)
             out[..., leaf, :] = parents
         return out
 
@@ -515,7 +503,7 @@ class _PartitionLevels(_GridLevels):
         return out
 
     def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
-        return rows.take(self.cell_leaf, axis=axis)
+        return rows.repeat(self.widths, axis=axis)
 
 
 def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:

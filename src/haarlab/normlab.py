@@ -22,7 +22,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combination import HaarCombination
-from .combinatorics import _local_height
+from .combinatorics import (
+    _local_height,
+    band_weight_bound,
+    is_partition,
+    level_set_partition,
+)
 from .config import check_level
 from .dyadic import (
     _GridLevels,
@@ -35,6 +40,7 @@ from .dyadic import (
 from .errors import DomainError
 from .serialize import ExperimentReport, check_row
 from .spaces import Norm, NormedSpaceSpec, OperatorSpec
+from .transforms import compress, rewrite_combination
 
 __all__ = [
     "EstimateMethod",
@@ -66,10 +72,10 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
 
     The function is constant on dyadic cells at the finest level present,
     so the integral is a finite sum; no approximation is involved beyond
-    float arithmetic.  The cell values come from f.cell_values, built level
-    by level in place and equal, bit for bit, to adding the Haar functions
-    one index at a time in (k, j) order, so the norm does not depend on how
-    the grid is built.
+    float arithmetic.  The cell values come from one pass of the grid kernel
+    (dyadic._GridLevels.synthesis), equal, bit for bit, to adding the Haar
+    functions one index at a time in (k, j) order, so the norm does not
+    depend on how the grid is built.
     """
     if not 1 <= p < math.inf:
         raise DomainError(f"exponent p must satisfy 1 <= p < inf, got {p}")
@@ -78,8 +84,7 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
     if not f.rows.any():
         return 0.0
     n = f.max_level()
-    cells = f.cell_values(n)
-    norms = space.norms_of(cells)
+    norms = space.norms_of(_GridLevels(f.heap_ids).synthesis(f.rows))
     total = math.fsum((norms**p).tolist())
     return (total * math.ldexp(1.0, -n)) ** (1.0 / p)
 
@@ -336,6 +341,10 @@ def _coordinate_candidates(T: OperatorSpec, ids: np.ndarray) -> list[HaarCombina
     return out
 
 
+# the ascent runs on index sets of at most this many indices (n <= 10 for
+# the full trees of tau_p); larger sets keep the closed-form candidates
+_ASCENT_MAX_INDICES = 2000
+
 # restarts stacked in one ascent batch: as many as keep the stacked grid
 # within this many floats; a larger grid runs one restart at a time
 _BATCH_FLOATS = 1 << 20
@@ -391,15 +400,10 @@ class _AscentProblem:
             for k, lo, hi, _positions, _scale in self.grid.levels:
                 self.weights[lo:hi] = 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
 
-    def grid_values(self, Y: np.ndarray) -> np.ndarray:
-        """Grids (R, leaves, d') of the combinations with rows Y (R, m, d'),
-        one row per leaf of the grid kernel; scales Y in place."""
-        out = np.zeros((len(Y), self.grid.leaves, Y.shape[-1]))
-        return self.grid.synthesis(out, lambda lo, hi: Y[:, lo:hi])
-
     def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Grid values V of T f and their codomain norms nu, per restart."""
-        V = self.grid_values(self.T.apply_rows(X))
+        """Grid values V (R, leaves, d') of T f, one row per leaf of the grid
+        kernel, and their codomain norms nu, per restart."""
+        V = self.grid.synthesis(self.T.apply_rows(X))
         return V, self.T.codomain.norms_of(V)
 
     def numerators(self, nu: np.ndarray) -> list[float]:
@@ -634,7 +638,7 @@ def _tau_estimate(
 
         cheap = _coordinate_candidates(T, ids) + [_best_column_candidate(T, int(ids[0]))]
         candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, None) for f in cheap]
-        if len(ids) <= 2000:
+        if len(ids) <= _ASCENT_MAX_INDICES:
             problem = _AscentProblem(T, ids, None)
             starts = problem.random_starts(np.random.default_rng(seed), restarts)
             candidates += _ascent_candidates(problem, starts, iterations)
@@ -705,8 +709,9 @@ def tau_p_estimate(
         if exact is not None:
             cheap.append(exact)
         candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, p) for f in cheap]
-        if (1 << n) - 1 <= 2000:
-            problem = _AscentProblem(T, np.arange(1, 1 << n), p)
+        tree = range(1, 1 << n)  # heap ids of the full tree
+        if len(tree) <= _ASCENT_MAX_INDICES:
+            problem = _AscentProblem(T, np.arange(tree.start, tree.stop), p)
             starts = problem.random_starts(np.random.default_rng(seed), restarts)
             candidates += _ascent_candidates(problem, starts, iterations)
             if exact is not None:
@@ -738,8 +743,6 @@ def comparison_check(
 ) -> ExperimentReport:
     """Estimate tau on F and on the full tree of height lh(F), then verify
     the domination and the invariance of the compression rewrite."""
-    from .transforms import compress, rewrite_combination
-
     ids = _nonempty_heap_ids(indices)
     n = _local_height(ids.tolist())
     _check_budget(restarts, iterations)
@@ -840,8 +843,6 @@ def triangle_chain_check(T: OperatorSpec, f: HaarCombination, r: float) -> Exper
     the pieces partition the support exactly, the triangle inequality holds
     for the L2 norms of the images, and every piece obeys its square-sum
     weight bound."""
-    from .combinatorics import band_weight_bound, is_partition, level_set_partition
-
     if T.domain.dim != f.dim:
         raise DomainError(
             f"operator domain dimension {T.domain.dim} does not match combination dim {f.dim}"

@@ -27,17 +27,10 @@ class NormedSpaceSpec:
         if not isinstance(self.norm, Norm):
             object.__setattr__(self, "norm", Norm(self.norm))
 
-    def norm_of(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        if self.norm is Norm.L1:
-            return float(np.abs(v).sum())
-        if self.norm is Norm.L2:
-            return float(np.sqrt(v @ v))
-        return float(np.abs(v).max()) if v.size else 0.0
-
     def norm_of_each(self, rows: np.ndarray) -> np.ndarray:
-        """norm_of of every row of a C-contiguous (N, dim) array, bit for
-        bit (the l2 norm takes each row's dot product, as norm_of does)."""
+        """The norm of every row of a C-contiguous (N, dim) array, each the
+        bits the row gets on its own (the l2 norm takes each row's dot
+        product, as sqrt(x @ x) does)."""
         if self.norm is Norm.L1:
             return np.abs(rows).sum(axis=1)
         if self.norm is Norm.L2:
@@ -47,28 +40,14 @@ class NormedSpaceSpec:
     def norms_of(self, rows: np.ndarray) -> np.ndarray:
         """Norms along the last axis for the grid and the ascent, which may
         stack restarts on leading axes; each row is reduced on its own, so
-        a row's norm does not depend on the rows beside it.  An l2 row may
-        differ from norm_of in the last bit."""
+        a row's norm does not depend on the rows beside it.  An l2 row sums
+        its squares and may differ from norm_of_each in the last bit."""
         rows = np.asarray(rows, dtype=float)
         if self.norm is Norm.L1:
             return np.abs(rows).sum(axis=-1)
         if self.norm is Norm.L2:
             return np.sqrt((rows * rows).sum(axis=-1))
         return np.abs(rows).max(axis=-1)
-
-    def dual_vector(self, v: np.ndarray) -> np.ndarray:
-        """A subgradient of the norm at v; ties and zeros resolve to zero."""
-        v = np.asarray(v, dtype=float)
-        if self.norm is Norm.L1:
-            return np.sign(v)
-        if self.norm is Norm.L2:
-            nv = self.norm_of(v)
-            return v / nv if nv > 0 else np.zeros_like(v)
-        out = np.zeros_like(v)
-        if np.any(v != 0):
-            pos = int(np.argmax(np.abs(v)))
-            out[pos] = np.sign(v[pos])
-        return out
 
     def dual_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A subgradient of the norm at each row (last axis; leading axes
@@ -146,21 +125,16 @@ class OperatorSpec:
     def dense(cls, matrix, domain: NormedSpaceSpec, codomain: NormedSpaceSpec) -> "OperatorSpec":
         return cls(OperatorKind.DENSE, domain, codomain, matrix=np.asarray(matrix, dtype=float))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind is OperatorKind.DIAGONAL:
-            return self.entries * x
-        return self.matrix @ x
-
     def apply_each(self, rows: np.ndarray) -> np.ndarray:
-        """apply of every row of an (N, dim) array, bit for bit: a dense
-        matrix multiplies each row as its own vector, as apply does."""
+        """The operator applied to every row of an (N, dim) array: a dense
+        matrix multiplies each row as its own vector, so a row gets the bits
+        of matrix @ x on its own."""
         if self.kind is OperatorKind.DIAGONAL:
             return rows * self.entries
         return np.matmul(self.matrix, rows[:, :, None])[..., 0]
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """apply along the last axis.  A dense matrix multiplies each 2-D
+        """The operator applied along the last axis.  A dense matrix multiplies each 2-D
         slice of stacked rows as its own product (numpy's stacked matmul),
         so a slice gets the bits it would get alone; one product over all
         the rows flattened to 2-D may not."""

@@ -1,24 +1,21 @@
 """Shared oracles and generators for the test suite."""
 
 import math
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from haarlab.combination import HaarCombination
-from haarlab.combinatorics import (
-    GreedyFamily,
-    Subtree,
-    SubtreeIdentification,
-    fill_to_height,
-    level_set_partition,
-)
+from haarlab.combinatorics import GreedyFamily, fill_to_height, level_set_partition
 from haarlab.dyadic import (
     DyadicInterval,
     DyadicRational,
     HaarIndex,
     _haar_eval,
     branch,
+    check_haar_index,
     from_heap_id,
     full_tree,
     haar_eval,
@@ -27,10 +24,8 @@ from haarlab.dyadic import (
     max_level_of,
 )
 from haarlab.errors import DomainError, PreconditionError
+from haarlab.spaces import Norm, OperatorKind
 from haarlab.transforms import fork_members, swap_point
-
-_LEFT = SubtreeIdentification(Subtree.LEFT)
-_RIGHT = SubtreeIdentification(Subtree.RIGHT)
 
 
 def brute_local_height(indices) -> int:
@@ -113,6 +108,57 @@ def random_exact_height_set(rng, n: int, depth: int) -> frozenset[HaarIndex]:
 # and step for step.
 
 
+class Subtree(Enum):
+    LEFT = "left"
+    RIGHT = "right"
+
+
+@dataclass(frozen=True)
+class SubtreeIdentification:
+    """Bijection between a half subtree below the root and a full tree.
+
+    The left subtree consists of the indices whose support lies in [0, 1/2),
+    the right one of those supported in [1/2, 1); both are order-isomorphic
+    to the tree that is one level shorter.
+    """
+
+    side: Subtree
+
+    def contains(self, idx: tuple[int, int]) -> bool:
+        k, j = idx
+        if k < 2:
+            return False
+        half = 1 << (k - 2)
+        if self.side is Subtree.LEFT:
+            return 1 <= j <= half
+        return half < j <= 2 * half
+
+    def to_parent(self, idx: tuple[int, int]) -> HaarIndex:
+        if not self.contains(idx):
+            raise DomainError(f"index {idx} is not in the {self.side.value} subtree")
+        k, j = idx
+        if self.side is Subtree.LEFT:
+            return HaarIndex(k - 1, j)
+        return HaarIndex(k - 1, j - (1 << (k - 2)))
+
+    def from_parent(self, idx: tuple[int, int]) -> HaarIndex:
+        k, j = check_haar_index(*idx)
+        if self.side is Subtree.LEFT:
+            return HaarIndex(k + 1, j)
+        return HaarIndex(k + 1, j + (1 << (k - 1)))
+
+
+_LEFT = SubtreeIdentification(Subtree.LEFT)
+_RIGHT = SubtreeIdentification(Subtree.RIGHT)
+
+
+def contains_interval(outer: DyadicInterval, inner: DyadicInterval) -> bool:
+    """Whether the dyadic cell `inner` lies inside the cell `outer`."""
+    lo_ok = (outer.position - 1) << inner.level <= (inner.position - 1) << outer.level
+    hi_ok = inner.position << outer.level <= outer.position << inner.level
+    return lo_ok and hi_ok
+
+
 def reference_fill(indices, l: int, n: int) -> HaarIndex:
     """One free index keeping the height of F within l, found by recursing
     into the half subtrees (fill_one's choice)."""
@@ -154,9 +200,9 @@ def _reference_image(h: int, i: int, k: int, j: int) -> HaarIndex:
     containment of its support in the two swapped quarter cells."""
     if k >= h + 2:
         cell = DyadicInterval(k - 1, j)
-        if DyadicInterval(h + 1, 4 * i - 2).contains_interval(cell):
+        if contains_interval(DyadicInterval(h + 1, 4 * i - 2), cell):
             return HaarIndex(k, j + (1 << (k - h - 2)))
-        if DyadicInterval(h + 1, 4 * i - 1).contains_interval(cell):
+        if contains_interval(DyadicInterval(h + 1, 4 * i - 1), cell):
             return HaarIndex(k, j - (1 << (k - h - 2)))
     return HaarIndex(k, j)
 
@@ -197,7 +243,7 @@ def reference_compress(indices):
 def branch_weight_profile(f, indices, space=None):
     """Weights 2^((k-1)/2)*||x|| of f restricted to the given indices, the
     norm that of space (Euclidean when None)."""
-    norm = space.norm_of if space else (lambda x: float(np.linalg.norm(x)))
+    norm = space_norm(space)
     keep = make_index_set(indices)
     return {idx: half_power(idx.k - 1) * norm(x) for idx, x in f.items() if idx in keep}
 
@@ -299,11 +345,68 @@ def reference_fork_relations_hold(fork, grid_level, rows) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# per-vector and per-point twins of the package's array paths
+#
+# haarlab computes norms, subgradients and operator images a whole array of
+# rows at a time (NormedSpaceSpec.norm_of_each, dual_rows, OperatorSpec
+# apply_each) and point values through the grid kernel; these take one
+# vector or one point, the definitions the array paths must reproduce.
+
+
+def reference_norm_of(space, v) -> float:
+    v = np.asarray(v, dtype=float)
+    if space.norm is Norm.L1:
+        return float(np.abs(v).sum())
+    if space.norm is Norm.L2:
+        return float(np.sqrt(v @ v))
+    return float(np.abs(v).max()) if v.size else 0.0
+
+
+def space_norm(space):
+    """The norm of one vector in the space (Euclidean when None)."""
+    if space is None:
+        return lambda x: float(np.linalg.norm(x))
+    return lambda x: reference_norm_of(space, x)
+
+
+def reference_dual_vector(space, v) -> np.ndarray:
+    """A subgradient of the norm at v; ties and zeros resolve to zero."""
+    v = np.asarray(v, dtype=float)
+    if space.norm is Norm.L1:
+        return np.sign(v)
+    if space.norm is Norm.L2:
+        nv = reference_norm_of(space, v)
+        return v / nv if nv > 0 else np.zeros_like(v)
+    out = np.zeros_like(v)
+    if np.any(v != 0):
+        pos = int(np.argmax(np.abs(v)))
+        out[pos] = np.sign(v[pos])
+    return out
+
+
+def reference_apply(T, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if T.kind is OperatorKind.DIAGONAL:
+        return T.entries * x
+    return T.matrix @ x
+
+
+def reference_value_at(f, t: DyadicRational) -> np.ndarray:
+    """The value of the combination f at the point t, index by index."""
+    out = np.zeros(f.dim)
+    for (k, j), x in f.items():
+        v = _haar_eval(k, j, t.num, t.level)
+        if v.sign != 0:
+            out += v.as_float() * x
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference implementations of the grid kernel
 #
-# haarlab's cell_values and ascent synthesise the grid level by level; these
-# loops add one Haar function at a time in (k, j) order, which is the
-# definition the level-by-level kernel must reproduce bit for bit.
+# haarlab's norms and ascent synthesise the grid level by level; these loops
+# add one Haar function at a time in (k, j) order, which is the definition
+# the level-by-level kernel must reproduce bit for bit.
 
 
 def reference_cell_values(f: HaarCombination, grid_level: int) -> np.ndarray:
@@ -474,17 +577,6 @@ class ReferenceHaarCombination:
     def max_level(self):
         return max((k for (k, _j) in self._coeffs), default=0)
 
-    def value_at(self, t):
-        out = np.zeros(self.dim)
-        for (k, j), x in self._coeffs.items():
-            v = _haar_eval(k, j, t.num, t.level)
-            if v.sign != 0:
-                out += v.as_float() * x
-        return out
-
-    def cell_values(self, grid_level):
-        return reference_cell_values(self, grid_level)
-
     def restricted_to(self, indices):
         keep = frozenset(HaarIndex(*i) for i in indices)
         return ReferenceHaarCombination(
@@ -506,7 +598,7 @@ def reference_lp_norm(f, space, p):
     if not f.support():
         return 0.0
     n = f.max_level()
-    norms = space.norms_of(f.cell_values(n))
+    norms = space.norms_of(reference_cell_values(f, n))
     total = math.fsum(float(v) for v in norms**p)
     return (total * math.ldexp(1.0, -n)) ** (1.0 / p)
 
@@ -514,18 +606,19 @@ def reference_lp_norm(f, space, p):
 def reference_levelwise_rhs_p(f, space, p):
     terms = []
     for (k, _), x in f.items():
-        nx = space.norm_of(x)
+        nx = reference_norm_of(space, x)
         if nx:
             terms.append((nx**p) * 2.0 ** ((k - 1) * (p / 2.0 - 1.0)))
     return math.fsum(terms) ** (1.0 / p)
 
 
 def reference_apply_operator(T, f):
-    return ReferenceHaarCombination(T.codomain.dim, {idx: T.apply(x) for idx, x in f.items()})
+    images = {idx: reference_apply(T, x) for idx, x in f.items()}
+    return ReferenceHaarCombination(T.codomain.dim, images)
 
 
 def reference_tau_ratio(T, f):
-    den = math.sqrt(f.squared_sum(T.domain.norm_of))
+    den = math.sqrt(f.squared_sum(space_norm(T.domain)))
     if den == 0.0:
         return 0.0
     return reference_lp_norm(reference_apply_operator(T, f), T.codomain, 2.0) / den

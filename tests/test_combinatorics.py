@@ -8,8 +8,6 @@ import pytest
 from haarlab.combination import HaarCombination
 from haarlab.combinatorics import (
     GreedyFamily,
-    Subtree,
-    SubtreeIdentification,
     band_weight_bound,
     exact_local_height,
     fill_one,
@@ -23,6 +21,8 @@ from haarlab.dyadic import HaarIndex, dyadic_band, full_tree, make_index_set
 from haarlab.errors import DomainError
 from haarlab.spaces import Norm, NormedSpaceSpec
 from helpers import (
+    Subtree,
+    SubtreeIdentification,
     all_subsets,
     branch_count_profile,
     branch_weight_profile,
@@ -31,6 +31,7 @@ from helpers import (
     random_subset,
     reference_greedy_family,
     reference_level_set_partition,
+    space_norm,
 )
 
 def random_families(rng, count, max_depth):
@@ -272,7 +273,7 @@ class TestWeightsFromRows:
         the base of per-index norm calls, bit for bit."""
         rng = np.random.default_rng(17)
         for f, n, space in random_families(rng, 600, 8):
-            norm_fn = space.norm_of if space else (lambda x: float(np.linalg.norm(x)))
+            norm_fn = space_norm(space)
             for r in (1.0, float(rng.uniform(1.0, 2.0)), 2.0):
                 pieces, base = reference_level_set_partition(f, n, r, norm_fn)
                 family = level_set_partition(f, n, r, space)

@@ -23,6 +23,7 @@ from haarlab.dyadic import (
     support,
 )
 from haarlab.errors import DomainError
+from helpers import contains_interval
 
 
 def oracle_sign(k: int, j: int, t: Fraction) -> int:
@@ -105,10 +106,10 @@ class TestDyadicInterval:
 
     def test_contains_interval(self):
         outer = DyadicInterval(1, 2)
-        assert outer.contains_interval(DyadicInterval(3, 5))
-        assert outer.contains_interval(DyadicInterval(1, 2))
-        assert not outer.contains_interval(DyadicInterval(3, 4))
-        assert not DyadicInterval(3, 5).contains_interval(outer)
+        assert contains_interval(outer, DyadicInterval(3, 5))
+        assert contains_interval(outer, DyadicInterval(1, 2))
+        assert not contains_interval(outer, DyadicInterval(3, 4))
+        assert not contains_interval(DyadicInterval(3, 5), outer)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -182,7 +183,7 @@ class TestSupportAndBranch:
             for c in cells:
                 assert c.contains(t)
             for outer, inner in zip(cells, cells[1:]):
-                assert outer.contains_interval(inner)
+                assert contains_interval(outer, inner)
 
     def test_branch_empty_and_errors(self):
         assert branch(DyadicRational(1, 2), 0) == frozenset()

@@ -51,6 +51,8 @@ from helpers import (
     reference_rewrite_combination,
     reference_tau_p_ratio,
     reference_tau_ratio,
+    reference_value_at,
+    space_norm,
 )
 
 DIMS = [1, 2, 5, 16, 33]
@@ -184,11 +186,8 @@ def test_cell_values_match_the_index_loop_bit_for_bit(dim):
     rng = np.random.default_rng(100 + dim)
     for indices in seeded_sets(rng, 120):
         f = HaarCombination(dim, {a: rng.standard_normal(dim) for a in indices})
-        top = f.max_level()
-        for grid_level in (top, top + 1, top + 3):
-            assert np.array_equal(
-                f.cell_values(grid_level), reference_cell_values(f, grid_level)
-            ), (sorted(indices), grid_level)
+        cells = _GridLevels(f.heap_ids).synthesis(f.rows)
+        assert np.array_equal(cells, reference_cell_values(f, f.max_level())), sorted(indices)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
@@ -204,17 +203,33 @@ def test_partition_kernel_matches_the_cell_kernel_bit_for_bit(dim):
             assert grid.leaves == cells
             continue
         rows = rng.standard_normal((3, len(ids), dim))
-        leaves = grid.synthesis(np.zeros((3, grid.leaves, dim)), lambda lo, hi: rows[:, lo:hi].copy())
-        expected = cell_grid.synthesis(np.zeros((3, cells, dim)), lambda lo, hi: rows[:, lo:hi].copy())
+        leaves, expected = grid.synthesis(rows), cell_grid.synthesis(rows)
         assert np.array_equal(grid.to_cells(leaves, -2), expected), sorted(indices)
         assert np.array_equal(grid.analysis(leaves), cell_grid.analysis(expected)), sorted(indices)
 
 
 def test_cell_values_of_the_empty_combination():
-    for grid_level in (0, 1, 4):
-        values = HaarCombination(3, {}).cell_values(grid_level)
-        assert values.shape == (1 << grid_level, 3)
-        assert not values.any()
+    # no level: the grid is the one zero cell of level 0
+    f = HaarCombination(3, {})
+    values = _GridLevels(f.heap_ids).synthesis(f.rows)
+    assert values.shape == (1, 3)
+    assert not values.any()
+
+
+def test_both_kernels_synthesise_from_read_only_rows_and_leave_them_unchanged():
+    rng = np.random.default_rng(160)
+    sparse = random_subset(rng, sorted(full_tree(7)), 20)
+    for indices in (full_tree(5), sparse, [(k, 1) for k in range(1, 9)]):
+        f = HaarCombination(4, {a: rng.standard_normal(4) for a in indices})
+        before = f.rows.copy()
+        assert not f.rows.flags.writeable
+        cell_grid = _GridLevels(f.heap_ids)
+        expected = reference_cell_values(f, f.max_level())
+        for grid in (cell_grid, cell_grid.on_partition()):
+            values = grid.synthesis(f.rows)
+            assert np.array_equal(grid.to_cells(values, -2), expected), sorted(indices)
+            assert np.array_equal(f.rows, before)
+    assert cell_grid.on_partition() is not cell_grid  # the branch ran on its partition
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
@@ -234,7 +249,7 @@ def test_ascent_grid_gradient_and_path_match_the_index_loops(dim):
             X = X / problem.denominators(T.domain.norms_of(X))[0]
             Y = T.apply_rows(X)
             # the grid has one row per leaf of the set's partition; each cell holds its leaf's
-            cells = problem.grid.to_cells(problem.grid_values(Y.copy())[0], -2)
+            cells = problem.grid.to_cells(problem.grid.synthesis(Y)[0], -2)
             assert np.array_equal(cells, reference.grid_values(Y[0]))
             norms = T.domain.norms_of(X)
             V, nu = problem.evaluate(X)
@@ -266,7 +281,7 @@ def test_estimates_match_the_loop_backed_ascent(monkeypatch):
 
     got = [estimates(T, sets, depths) for T, sets, depths in cases]
     monkeypatch.setattr(normlab, "_AscentProblem", ReferenceAscentProblem)
-    monkeypatch.setattr(HaarCombination, "cell_values", reference_cell_values)
+    monkeypatch.setattr(normlab, "lp_norm_of_combination", reference_lp_norm)
     expected = [estimates(T, sets, depths) for T, sets, depths in cases]
 
     for row, ref_row in zip(got, expected):
@@ -411,9 +426,9 @@ def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(mon
     syntheses, ratings = [], []
     synthesis, candidate_ratio = _GridLevels.synthesis, normlab._candidate_ratio
 
-    def counted_synthesis(self, out, rows_of):
-        syntheses.append(out.shape)
-        return synthesis(self, out, rows_of)
+    def counted_synthesis(self, rows):
+        syntheses.append(rows.shape)
+        return synthesis(self, rows)
 
     def counted_ratio(T, f, p):
         ratings.append(f)
@@ -448,11 +463,14 @@ def test_lockstep_estimate_peak_memory_stays_at_one_restart_per_large_grid():
 
 
 def test_cell_values_peak_memory_stays_near_the_output():
+    """Synthesis holds the grid and one level's scaled rows at a time; the
+    top level's rows are half the grid, so the peak is about 1.5 grids."""
     rng = np.random.default_rng(14)
     f = HaarCombination(16, {a: rng.standard_normal(16) for a in full_tree(14)})
+    grid = _GridLevels(f.heap_ids)
     tracemalloc.start()
     try:
-        values = f.cell_values(14)
+        values = grid.synthesis(f.rows)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -508,7 +526,7 @@ def test_squared_sums_and_levelwise_sums_match_the_dict_backed_combination(dim):
     for f, ref in combination_pairs(rng, dim):
         assert f.squared_sum() == ref.squared_sum()
         for space in spaces:
-            assert f.squared_sum(space) == ref.squared_sum(space.norm_of)
+            assert f.squared_sum(space) == ref.squared_sum(space_norm(space))
             for p in EXPONENTS:
                 assert levelwise_rhs_p(f, space, p) == reference_levelwise_rhs_p(ref, space, p)
     # one row each, so a term rounded differently shows in the sum: numpy's
@@ -517,7 +535,7 @@ def test_squared_sums_and_levelwise_sums_match_the_dict_backed_combination(dim):
         f, ref = HaarCombination(dim, {(3, 2): x}), ReferenceHaarCombination(dim, {(3, 2): x})
         assert f.squared_sum() == ref.squared_sum()
         for space in spaces:
-            assert f.squared_sum(space) == ref.squared_sum(space.norm_of)
+            assert f.squared_sum(space) == ref.squared_sum(space_norm(space))
             assert levelwise_rhs_p(f, space, 1.5) == reference_levelwise_rhs_p(ref, space, 1.5)
 
 
@@ -550,9 +568,12 @@ def test_views_restrictions_and_point_values_match_the_dict_backed_combination(d
         for a in pool[:8]:
             assert (a in f) == (a in ref.indices())
             assert f.coefficient(a).tobytes() == ref.coefficient(a).tobytes()
+        # the value at t, index by index, is the grid's value on the cell of t
+        cells = _GridLevels(f.heap_ids).synthesis(f.rows)
         for q in rng.integers(0, 1 << (top + 1), size=6):
             t = DyadicRational(int(q), top + 1)
-            assert f.value_at(t).tobytes() == ref.value_at(t).tobytes()
+            cell = cells[int(q) >> (top + 1 - f.max_level())]
+            assert cell.tobytes() == reference_value_at(ref, t).tobytes()
 
 
 @pytest.mark.parametrize("dim", DIMS)
