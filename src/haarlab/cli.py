@@ -215,9 +215,9 @@ def _cmd_partition(args) -> ExperimentReport:
 
 
 def _cmd_tau(args) -> ExperimentReport:
+    config = _config(args)  # the budgets are checked before any input is read
     operator = parse_operator_document(load_json(args.operator))
     indices = parse_index_set_document(load_json(args.set))
-    config = _config(args)
     est = tau_estimate(operator, indices, config.restarts, config.iterations, config.seed)
     report = ExperimentReport(
         name="tau",
@@ -230,8 +230,8 @@ def _cmd_tau(args) -> ExperimentReport:
 
 
 def _cmd_tau_p(args) -> ExperimentReport:
+    config = _config(args)  # the budgets are checked before any input is read
     operator = parse_operator_document(load_json(args.operator))
-    config = _config(args)
     est = tau_p_estimate(
         operator, args.depth, args.p, config.restarts, config.iterations, config.seed
     )
@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
             "error": {
                 "type": type(exc).__name__,
                 "message": str(exc),
-                "field": getattr(exc, "field", None),
+                "field": exc.field,
             }
         }
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")

@@ -62,22 +62,26 @@ def exact_local_height(indices: Iterable[tuple[int, int]], n: int) -> bool:
 
 
 def _check_fill_preconditions(indices, l: int, n: int) -> list[int]:
-    """The heap ids of a valid F that fill may pad under budget l in depth n."""
+    """The heap ids of a valid F that fill may pad under budget l in depth n.
+
+    An error about n or l names the fill option that sets it, depth or
+    height, as its field.
+    """
     idx = make_index_set(indices)
     if n < 1:
-        raise DomainError(f"tree depth must be >= 1, got {n}")
+        raise DomainError(f"tree depth must be >= 1, got {n}", "depth")
     if idx and max(idx)[0] > n:
-        raise DomainError(f"index set is not contained in the depth-{n} tree")
-    check_level(n, "tree depth")  # the fill kernel's tables have 2^n entries
+        raise DomainError(f"index set is not contained in the depth-{n} tree", "depth")
+    check_level(n, "tree depth", "depth")  # the fill kernel's tables have 2^n entries
     ids = [heap_id(k, j) for k, j in idx]
     height = _local_height(ids)
     if not height <= l <= n:
         raise DomainError(
-            f"height budget l={l} must satisfy localHeight(F)={height} <= l <= n={n}"
+            f"height budget l={l} must satisfy localHeight(F)={height} <= l <= n={n}", "height"
         )
     if len(ids) >= (1 << l) - 1:
         raise DomainError(
-            f"|F|={len(ids)} must be smaller than 2^l - 1 = {(1 << l) - 1}"
+            f"|F|={len(ids)} must be smaller than 2^l - 1 = {(1 << l) - 1}", "height"
         )
     return ids
 

@@ -26,9 +26,10 @@ def max_level() -> int:
     return value
 
 
-def check_level(level: int, what: str = "level") -> int:
-    """Validate a dyadic level against the configured cap."""
+def check_level(level: int, what: str = "level", field: str | None = None) -> int:
+    """Validate a dyadic level against the configured cap; `field` names
+    the option that set the level, if one did."""
     cap = max_level()
     if level > cap:
-        raise DomainError(f"{what} {level} exceeds the configured maximum level {cap}")
+        raise DomainError(f"{what} {level} exceeds the configured maximum level {cap}", field)
     return level

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -298,6 +298,10 @@ def _level_runs(ids: np.ndarray) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # the grid kernel: Haar synthesis and analysis level by level
 
+# _GridLevels.blocks hands the grid out in aligned blocks of at most this
+# many floats, so a norm holds one block of the grid at a time
+_BLOCK_FLOATS = 1 << 16
+
 
 class _GridLevels:
     """Sorted heap ids laid out level by level on a dyadic grid.
@@ -312,8 +316,8 @@ class _GridLevels:
     (..., count, dim), the cells and the rows on axis -2.  Each batch entry
     is computed by the same ufunc calls and reductions along the same axes
     as a lone 2-D grid, so it gets the same bits as it would on its own.
-    The ascent stacks its restarts on the leading axis; the norms pass 2-D
-    arrays.
+    The ascent stacks its restarts on the leading axis; the norms take the
+    grid of 2-D rows in blocks (blocks), so they hold one block at a time.
     """
 
     def __init__(self, ids: np.ndarray):
@@ -354,38 +358,59 @@ class _GridLevels:
 
     def synthesis(self, rows: np.ndarray) -> np.ndarray:
         """The Haar functions of the id list with coefficient rows `rows`,
-        on the 2^top cells of the top level, one row each on axis -2.
+        on the 2^top cells of the top level, one row each on axis -2: the
+        level loop _synthesise on a zero grid, for every level at once.
 
-        Reads `rows` and never writes it: each level scales a copy of its
-        rows into a block of 2^(k-1) rows, zero where the list has no index.
-        The sum of the levels up to k is constant on the level-k cells and
-        is kept in the first row of each of them (stride 2^(top-k)).  The
-        level-k step turns each parent into its left child, parent + row,
-        and writes its right child, parent - row, with two ufuncs.  Levels
-        with no index cost one copy for the whole stretch of them.  Every
-        cell receives one addition per level in increasing k, as a loop
-        adding the Haar functions one index at a time in (k, j) order gives
-        it, and a zero row changes nothing (a sum of this kind is never
-        -0.0), so the grid equals that loop's bit for bit.
+        Reads `rows` and never writes it.  Every cell receives one addition
+        per level in increasing k, as a loop adding the Haar functions one
+        index at a time in (k, j) order gives it, and a zero row changes
+        nothing (a sum of this kind is never -0.0), so the grid equals that
+        loop's bit for bit.
         """
-        lead, dim, g = rows.shape[:-2], rows.shape[-1], self.top
-        out = np.zeros(lead + (self.leaves, dim))
-        done = 0  # the first row of each level-`done` cell holds the sum so far
-        for k, lo, hi, positions, scale in self.levels:
+        lead, dim = rows.shape[:-2], rows.shape[-1]
+        return _synthesise(np.zeros(lead + (self.leaves, dim)), rows, self.levels, self.top)
+
+    def blocks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """synthesis(rows) of 2-D rows, as a run of aligned blocks in cell
+        order: each block is the cells of one level-c cell, with c the
+        least level that keeps a block within _BLOCK_FLOATS floats (one
+        cell at the least).  Where c is 0 the one block is synthesis(rows).
+
+        The levels up to c are synthesised once, by the same level loop, on
+        the 2^c cells of level c; their sum is constant on each block.  Each
+        block then starts with every row at that sum and takes the level
+        steps of the indices under its cell.  So every cell receives the
+        additions that synthesis gives it, in the same order, and the blocks
+        hold synthesis's bits while only one of them is held at a time.
+        """
+        dim = rows.shape[-1]
+        fine = min(self.top, max(0, (_BLOCK_FLOATS // dim).bit_length() - 1))
+        c = self.top - fine
+        if not c:
+            yield self.synthesis(rows)
+            return
+        coarse = [level for level in self.levels if level[0] <= c]
+        sums = _synthesise(np.zeros((1 << c, dim)), rows, coarse, c)
+        # per level below c: the rows of its indices under the q-th block are
+        # ids[cuts[q]:cuts[q + 1]], at positions `inside` of the block's 2^shift
+        below = []
+        for k, lo, _hi, positions, scale in self.levels[len(coarse) :]:
+            shift = k - 1 - c
+            firsts = np.arange((1 << c) + 1) << shift
             if positions is None:
-                block = rows[..., lo:hi, :] * scale
+                inside, cuts = None, lo + firsts
             else:
-                block = np.zeros(lead + (1 << (k - 1), dim))
-                block[..., positions, :] = rows[..., lo:hi, :]
-                block *= scale
-            wide = 1 << (g - k + 1)
-            _spread(out, g, done, k - 1)
-            parents = out[..., ::wide, :]
-            np.subtract(parents, block, out=out[..., wide >> 1 :: wide, :])
-            np.add(parents, block, out=parents)
-            done = k
-            del block  # free this level's rows before the next are built
-        return out
+                inside = positions & ((1 << shift) - 1)
+                cuts = lo + np.searchsorted(positions, firsts)
+            below.append((k - c, lo, inside, scale, cuts.tolist()))
+        for q in range(1 << c):
+            levels = []
+            for k, lo, inside, scale, cuts in below:
+                a, b = cuts[q], cuts[q + 1]
+                if a < b:
+                    part = None if inside is None else inside[a - lo : b - lo]
+                    levels.append((k, a, b, part, scale))
+            yield _synthesise(np.full((1 << fine, dim), sums[q]), rows, levels, fine)
 
     def analysis(self, cells: np.ndarray) -> np.ndarray:
         """The adjoint of synthesis: per index of the list, 2^((k-1)/2) times
@@ -414,10 +439,45 @@ class _GridLevels:
         return out
 
 
+def _synthesise(out: np.ndarray, rows: np.ndarray, levels, g: int) -> np.ndarray:
+    """Add the Haar functions of `levels`, with coefficient rows `rows`, to
+    the grid `out` (..., 2^g, dim), every row of which holds the sum so
+    far, and return `out`.  `levels` are entries as in _GridLevels.levels,
+    their k counted from the cell that `out` covers, which is level 0: the
+    unit interval for synthesis, one block's cell for blocks.
+
+    Each level scales a copy of its rows into a block of 2^(k-1) rows, zero
+    where the list has no index.  The sum of the levels up to k is constant
+    on the level-k cells and is kept in the first row of each of them
+    (stride 2^(g-k)).  The level-k step turns each parent into its left
+    child, parent + row, and writes its right child, parent - row, with two
+    ufuncs.  Levels with no index cost one copy for the whole stretch of
+    them, and a last copy fills the cells below the last level.
+    """
+    lead, dim = out.shape[:-2], out.shape[-1]
+    done = 0  # the first row of each level-`done` cell holds the sum so far
+    for k, lo, hi, positions, scale in levels:
+        if positions is None:
+            scaled = rows[..., lo:hi, :] * scale
+        else:
+            scaled = np.zeros(lead + (1 << (k - 1), dim))
+            scaled[..., positions, :] = rows[..., lo:hi, :]
+            scaled *= scale
+        wide = 1 << (g - k + 1)
+        _spread(out, g, done, k - 1)
+        parents = out[..., ::wide, :]
+        np.subtract(parents, scaled, out=out[..., wide >> 1 :: wide, :])
+        np.add(parents, scaled, out=parents)
+        done = k
+        del scaled  # free this level's rows before the next are built
+    _spread(out, g, done, g)
+    return out
+
+
 def _spread(out: np.ndarray, g: int, lo: int, hi: int) -> None:
     """Copy the first row of each level-lo cell to the first row of each
     level-hi cell inside it: the levels between them are empty.  Before the
-    first level (lo = 0) the grid is zero and there is nothing to copy."""
+    first level (lo = 0) every row already holds the sum so far."""
     if lo and hi > lo:
         lead, dim = out.shape[:-2], out.shape[-1]
         blocks = out[..., :: 1 << (g - hi), :].reshape(lead + (1 << lo, -1, dim))

@@ -2,7 +2,15 @@
 
 
 class HaarLabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    `field` names the input at fault where one is known: a field of a
+    document (SchemaError) or a command-line option (DomainError).
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message if field is None else f"{field}: {message}")
+        self.field = field
 
 
 class DomainError(HaarLabError):
@@ -19,7 +27,3 @@ class UsageError(HaarLabError):
 
 class SchemaError(HaarLabError):
     """Serialized input does not match the expected schema."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message if field is None else f"{field}: {message}")
-        self.field = field

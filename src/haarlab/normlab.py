@@ -72,10 +72,13 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
 
     The function is constant on dyadic cells at the finest level present,
     so the integral is a finite sum; no approximation is involved beyond
-    float arithmetic.  The cell values come from one pass of the grid kernel
-    (dyadic._GridLevels.synthesis), equal, bit for bit, to adding the Haar
+    float arithmetic.  The cell values come from the grid kernel
+    (dyadic._GridLevels.blocks), equal, bit for bit, to adding the Haar
     functions one index at a time in (k, j) order, so the norm does not
-    depend on how the grid is built.
+    depend on how the grid is built.  They come one block at a time, and
+    math.fsum, exactly rounded, takes the terms of each block as they come:
+    the sum does not depend on the blocks, and a norm holds its coefficient
+    rows and one block of the grid.
     """
     if not 1 <= p < math.inf:
         raise DomainError(f"exponent p must satisfy 1 <= p < inf, got {p}")
@@ -84,8 +87,9 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
     if not f.rows.any():
         return 0.0
     n = f.max_level()
-    norms = space.norms_of(_GridLevels(f.heap_ids).synthesis(f.rows))
-    total = math.fsum((norms**p).tolist())
+    blocks = _GridLevels(f.heap_ids).blocks(f.rows)
+    terms = ((space.norms_of(v) ** p).tolist() for v in blocks)
+    total = math.fsum(itertools.chain.from_iterable(terms))
     return (total * math.ldexp(1.0, -n)) ** (1.0 / p)
 
 
@@ -216,11 +220,24 @@ def _nonempty_heap_ids(indices) -> np.ndarray:
     return ids
 
 
+# the largest budgets an estimate takes: the restarts bound what an estimate
+# holds (a start and a best iterate per restart), the iterations its time
+_MAX_RESTARTS = 10_000
+_MAX_ITERATIONS = 100_000
+
+
 def _check_budget(restarts: int, iterations: int):
-    if restarts < 1:
-        raise DomainError(f"restart budget must be >= 1, got {restarts}")
-    if iterations < 1:
-        raise DomainError(f"iteration budget must be >= 1, got {iterations}")
+    """Raises a DomainError whose field names the option, restarts or
+    iters, of a budget out of range; the callers run it before they
+    allocate anything."""
+    if not 1 <= restarts <= _MAX_RESTARTS:
+        raise DomainError(
+            f"restart budget must lie in 1..{_MAX_RESTARTS}, got {restarts}", "restarts"
+        )
+    if not 1 <= iterations <= _MAX_ITERATIONS:
+        raise DomainError(
+            f"iteration budget must lie in 1..{_MAX_ITERATIONS}, got {iterations}", "iters"
+        )
 
 
 def _top_singular_vector(M: np.ndarray) -> np.ndarray:
@@ -320,10 +337,9 @@ def _coordinate_candidates(T: OperatorSpec, ids: np.ndarray) -> list[HaarCombina
     if len(idx) <= 4:
         top = np.argsort(sigma)[::-1][: min(dim, 4)]
         pool = [int(c) for c in top]
-        if len(pool) ** len(idx) <= 256:
-            for cand in itertools.product(pool, repeat=len(idx)):
-                if _branch_injective(idx, cand):
-                    patterns.append(cand)
+        for cand in itertools.product(pool, repeat=len(idx)):
+            if _branch_injective(idx, cand):
+                patterns.append(cand)
 
     seen = set()
     for coords in patterns:
@@ -556,11 +572,15 @@ def _normalized_estimate(
     iterations: int,
 ) -> TauEstimate:
     """Pick the best rated candidate and normalise it; raises DomainError
-    when the normalised witness's ratio is not finite."""
-    best_f, best_method, best_r = None, None, -1.0
-    for f, method, r in candidates:
-        if r > best_r:
-            best_f, best_method, best_r = f, method, r
+    when the normalised witness's ratio is not finite.
+
+    Takes the list over and empties it once the winner is picked, so the
+    losing witnesses, whose rows can be as large as the winner's, are freed
+    before the winner is scaled, and the unscaled winner once it is.
+    """
+    # max keeps the first of equal ratios, in the order the candidates were built
+    best_f, best_method, _r = max(candidates, key=lambda c: c[2])
+    candidates.clear()
     den = (
         math.sqrt(best_f.squared_sum(T.domain))
         if p is None
@@ -619,9 +639,8 @@ def tau_estimate(
     DomainError before the search; overflow inside the numerics is silent,
     since every ratio that counts is checked to be finite.
     """
-    ids = _nonempty_heap_ids(indices)
     _check_budget(restarts, iterations)
-    return _tau_estimate(T, ids, restarts, iterations, seed)
+    return _tau_estimate(T, _nonempty_heap_ids(indices), restarts, iterations, seed)
 
 
 def _tau_estimate(
@@ -638,13 +657,13 @@ def _tau_estimate(
 
         cheap = _coordinate_candidates(T, ids) + [_best_column_candidate(T, int(ids[0]))]
         candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, None) for f in cheap]
+        del cheap  # the candidates hold the only reference to each witness
         if len(ids) <= _ASCENT_MAX_INDICES:
             problem = _AscentProblem(T, ids, None)
             starts = problem.random_starts(np.random.default_rng(seed), restarts)
             candidates += _ascent_candidates(problem, starts, iterations)
             # polish the best exact candidate with a short ascent
-            ranked = max(candidates, key=lambda c: c[2])[0]
-            polish = problem.from_combination(ranked)[None]
+            polish = problem.from_combination(max(candidates, key=lambda c: c[2])[0])[None]
             candidates += _ascent_candidates(problem, polish, iterations)
         return _normalized_estimate(T, candidates, None, restarts, iterations)
 
@@ -709,6 +728,7 @@ def tau_p_estimate(
         if exact is not None:
             cheap.append(exact)
         candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, p) for f in cheap]
+        del cheap  # the candidates hold the only reference to each witness
         tree = range(1, 1 << n)  # heap ids of the full tree
         if len(tree) <= _ASCENT_MAX_INDICES:
             problem = _AscentProblem(T, np.arange(tree.start, tree.stop), p)
@@ -717,6 +737,7 @@ def tau_p_estimate(
             if exact is not None:
                 polish = problem.from_combination(exact)[None]
                 candidates += _ascent_candidates(problem, polish, iterations)
+        del exact  # as cheap
         return _normalized_estimate(T, candidates, p, restarts, iterations)
 
 
@@ -743,9 +764,9 @@ def comparison_check(
 ) -> ExperimentReport:
     """Estimate tau on F and on the full tree of height lh(F), then verify
     the domination and the invariance of the compression rewrite."""
+    _check_budget(restarts, iterations)
     ids = _nonempty_heap_ids(indices)
     n = _local_height(ids.tolist())
-    _check_budget(restarts, iterations)
     # the trace first: a target band above the level cap fails before any estimate
     trace = compress(map(from_heap_id, ids.tolist()))
     est_f = _tau_estimate(T, ids, restarts, iterations, seed)

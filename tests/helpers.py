@@ -1,6 +1,7 @@
 """Shared oracles and generators for the test suite."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -69,6 +70,16 @@ def quadrature_lp(values, p: float) -> float:
     """Reference L_p norm of a cell-value table under the Euclidean norm."""
     cell_norms = [math.sqrt(float(v @ v)) for v in values]
     return (math.fsum(c**p for c in cell_norms) / len(values)) ** (1.0 / p)
+
+
+def peak_traced_bytes(call) -> int:
+    """The peak of the memory tracemalloc traces while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_subset(rng, pool, size: int):

@@ -374,6 +374,33 @@ def test_cli_negative_seed_and_huge_operator_exit_2(tmp_path, capsys):
     assert (record["type"], record["field"]) == ("SchemaError", "operator.dim")
 
 
+def test_cli_option_errors_exit_2_and_name_the_option(tmp_path, capsys):
+    """Budgets are bounded (1..10,000 restarts, 1..100,000 iterations) and
+    checked before any array is built: 10^8 restarts used to escape as a
+    numpy memory error with exit 1."""
+    ExperimentConfig(restarts=10_000, iterations=100_000)  # the bounds themselves are budgets
+    op = _write(tmp_path / "op.json", {"kind": "dense", "rows": [[1.0, 2.0], [3.0, 4.0]]})
+    st = _write(tmp_path / "set.json", [[1, 1], [2, 1]])
+    tau = ["tau", "--operator", op, "--set", st]
+    tau_p = ["tau-p", "--operator", op, "--depth", "2", "--p", "1.5"]
+    comparison = ["check", "--kind", "comparison", "--operator", op, "--set", st]
+    for argv, option in (
+        ([*tau, "--restarts", "100000000", "--iters", "1"], "restarts"),
+        ([*tau, "--restarts", "0"], "restarts"),
+        ([*tau, "--iters", "100001"], "iters"),
+        ([*tau_p, "--restarts", "10001"], "restarts"),
+        ([*comparison, "--iters", "0"], "iters"),
+        (["fill", "--set", st, "--height", "99", "--depth", "3"], "height"),
+        (["fill", "--set", st, "--height", "2", "--depth", "99"], "depth"),
+        (["fill", "--set", st, "--height", "2", "--depth", "0"], "depth"),
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        record = json.loads(out)["error"]
+        assert (record["type"], record["field"]) == ("DomainError", option), argv
+        assert record["message"].startswith(f"{option}: ") and err == "", argv
+
+
 def test_cli_verify_inject_fault_exits_nonzero(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(

@@ -2,12 +2,12 @@
 and the array-backed combination against loop-based references, and the
 level cap read at call time by every entry point."""
 
-import tracemalloc
+import math
 
 import numpy as np
 import pytest
 
-from haarlab import normlab
+from haarlab import dyadic, normlab
 from haarlab.combination import HaarCombination
 from haarlab.combinatorics import (
     _fill,
@@ -41,6 +41,7 @@ from helpers import (
     ReferenceAscentProblem,
     ReferenceHaarCombination,
     all_subsets,
+    peak_traced_bytes,
     random_subset,
     reference_apply_operator,
     reference_cell_values,
@@ -206,6 +207,52 @@ def test_partition_kernel_matches_the_cell_kernel_bit_for_bit(dim):
         leaves, expected = grid.synthesis(rows), cell_grid.synthesis(rows)
         assert np.array_equal(grid.to_cells(leaves, -2), expected), sorted(indices)
         assert np.array_equal(grid.analysis(leaves), cell_grid.analysis(expected)), sorted(indices)
+
+
+def blocked_sets(rng):
+    """Per depth 1-12: the full tree and a sparse set that reaches it."""
+    for depth in range(1, 13):
+        pool = sorted(full_tree(depth))
+        sparse = random_subset(rng, pool, int(rng.integers(1, min(len(pool), 40) + 1)))
+        yield full_tree(depth)
+        yield sparse | {(depth, int(rng.integers(1, (1 << (depth - 1)) + 1)))}
+
+
+@pytest.mark.parametrize("block_floats", [1, 8, 64])
+def test_blocks_match_the_whole_grid_bit_for_bit(monkeypatch, block_floats):
+    """With blocks of one cell (budget 1, and 8 for d = 16) and of a few
+    cells, every cell of every block holds the bits of the whole-grid
+    synthesis, in cell order."""
+    monkeypatch.setattr(dyadic, "_BLOCK_FLOATS", block_floats)
+    rng = np.random.default_rng(170 + block_floats)
+    for dim in [1, 2, 5, 16]:
+        for indices in blocked_sets(rng):
+            f = HaarCombination(dim, {a: rng.standard_normal(dim) for a in indices})
+            grid = _GridLevels(f.heap_ids)
+            blocks = list(grid.blocks(f.rows))
+            assert max(block.size for block in blocks) <= max(block_floats, dim)
+            whole = grid.synthesis(f.rows)
+            assert np.concatenate(blocks).tobytes() == whole.tobytes(), (dim, sorted(indices))
+
+
+@pytest.mark.parametrize("block_floats", [16, 64])
+def test_lp_norm_in_blocks_matches_the_norm_of_the_whole_grid(monkeypatch, block_floats):
+    """The norm takes the grid in blocks (of one cell for d = 16 at budget
+    16); fsum is exactly rounded, so it equals the fsum of the norms of the
+    whole grid for every norm and p."""
+    monkeypatch.setattr(dyadic, "_BLOCK_FLOATS", block_floats)
+    rng = np.random.default_rng(180 + block_floats)
+    for dim in [1, 2, 5, 16]:
+        for indices in blocked_sets(rng):
+            f = HaarCombination(dim, {a: rng.standard_normal(dim) for a in indices})
+            whole = _GridLevels(f.heap_ids).synthesis(f.rows)
+            scale = math.ldexp(1.0, -f.max_level())
+            for norm in Norm:
+                space = NormedSpaceSpec(dim, norm)
+                norms = space.norms_of(whole)
+                for p in [1.0, 4.0 / 3.0, 2.0, 3.0]:
+                    expected = (math.fsum((norms**p).tolist()) * scale) ** (1.0 / p)
+                    assert lp_norm_of_combination(f, space, p) == expected, (dim, norm, p)
 
 
 def test_cell_values_of_the_empty_combination():
@@ -443,22 +490,18 @@ def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(mon
 
 
 def test_lockstep_estimate_peak_memory_stays_at_one_restart_per_large_grid():
-    """On one branch of depth 16 with d = 16 one grid alone is 2^16 x 16 =
-    2^20 floats (8 MiB), so the restarts run one at a time.  Measured peak
-    of this call with one restart at a time in a loop: 31,558,215 bytes,
-    about 3.76 grids (the grid V, the dual rows of V and the gradient cells
-    at 8 MiB each, with the cell norms and the analysis sums); 18,985,146
-    bytes once the gradient cells are built in V's place.  A stacked grid
-    would add 8 MiB per restart stacked."""
+    """One branch of depth 16 with d = 16.  The bound is the peak measured
+    when the ascent ran on the 2^16 cells, one restart at a time in a loop:
+    31,558,215 bytes, about 3.76 grids of 8 MiB.  The ascent now runs on the
+    branch's own partition of 17 leaves, so a grid is 17 x 16 floats; what
+    remains is the cell-order sums of the gradient and the analysis, whose
+    cell rows are 2^16 x 16 floats (8 MiB) each, and the rated witnesses.
+    Measured: 17.4 MB when each norm took its whole grid, 12.7 MB with
+    norms that take it in blocks."""
     T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
     branch = [(k, 1) for k in range(1, 17)]
     tau_estimate(T, [(1, 1), (2, 1)], restarts=2, iterations=2)  # first calls allocate caches
-    tracemalloc.start()
-    try:
-        tau_estimate(T, branch, restarts=8, iterations=2)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(lambda: tau_estimate(T, branch, restarts=8, iterations=2))
     assert peak <= 1.25 * 31_558_215, peak
 
 
@@ -468,13 +511,34 @@ def test_cell_values_peak_memory_stays_near_the_output():
     rng = np.random.default_rng(14)
     f = HaarCombination(16, {a: rng.standard_normal(16) for a in full_tree(14)})
     grid = _GridLevels(f.heap_ids)
-    tracemalloc.start()
-    try:
-        values = grid.synthesis(f.rows)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * values.nbytes, peak / values.nbytes
+    peak = peak_traced_bytes(lambda: grid.synthesis(f.rows))
+    assert peak < 2 * (1 << 14) * 16 * 8, peak
+
+
+def test_norm_of_a_deep_sparse_set_holds_one_block_of_the_grid():
+    """{(1,1), (20,1)} with d = 16: the grid is 2^20 x 16 floats (128 MiB),
+    and a norm that held it whole peaked at 264 MiB.  In blocks of 2^16
+    floats the measured peak is 1.1 MiB."""
+    T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
+    rng = np.random.default_rng(20)
+    f = HaarCombination(16, {a: rng.standard_normal(16) for a in [(1, 1), (20, 1)]})
+    tau_ratio(T, HaarCombination(16, {(1, 1): np.ones(16)}))  # first calls allocate caches
+    peak = peak_traced_bytes(lambda: tau_ratio(T, f))
+    assert peak < 16 << 20, peak
+
+
+def test_estimate_on_a_depth_16_tree_holds_one_witness_beside_its_image():
+    """full_tree(16) with d = 16, where a witness and its image are 2^16 x
+    16 floats (8 MiB) each.  Rating a candidate used to hold the witness,
+    its image, the grid, a temporary of the grid's size and, in the
+    certification, the unscaled witness beside the scaled one: 41.0 MiB
+    measured.  With the norm in blocks and the losing and unscaled
+    witnesses released, the measured peak is 17.9 MiB."""
+    T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
+    tree = full_tree(16)
+    tau_estimate(T, [(1, 1), (2, 1)], restarts=2, iterations=2)  # first calls allocate caches
+    peak = peak_traced_bytes(lambda: tau_estimate(T, tree))
+    assert peak < 28 << 20, peak
 
 
 # ---------------------------------------------------------------------------
