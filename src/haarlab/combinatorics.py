@@ -21,7 +21,6 @@ from .config import check_level
 from .dyadic import (
     HaarIndex,
     from_heap_id,
-    full_tree,
     half_power,
     heap_id,
     make_index_set,
@@ -309,12 +308,12 @@ def greedy_family(
     if n < 1:
         raise DomainError(f"tree depth must be >= 1, got {n}")
     ids, bands, base_power = _band_assignments(f, n, p, space)
+    check_level(n, "band level")  # the cover lists all 2^n - 1 indices
     m = n.bit_length() - 1
-    nodes = sorted(full_tree(n))  # nodes[id - 1] is the index with heap id id
 
     if base_power == 0.0:
         return GreedyFamily(
-            pieces=(frozenset(),) * m + (frozenset(nodes),),
+            pieces=(frozenset(),) * m + (frozenset(map(from_heap_id, range(1, 1 << n))),),
             m=m,
             threshold_base=0.0,
             exponent=p,
@@ -338,9 +337,9 @@ def greedy_family(
             band = band + _fill(*_fill_state(band, n), 1 << l, n, target - len(band))
         piece = set(band) - used
         used |= piece
-        pieces.append(frozenset(nodes[node - 1] for node in piece))
+        pieces.append(frozenset(map(from_heap_id, piece)))
         cumulative += len(piece)
-    pieces.append(frozenset(nodes[node - 1] for node in range(1, 1 << n) if node not in used))
+    pieces.append(frozenset(from_heap_id(node) for node in range(1, 1 << n) if node not in used))
     return GreedyFamily(
         pieces=tuple(pieces),
         m=m,

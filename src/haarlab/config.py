@@ -26,6 +26,13 @@ def max_level() -> int:
     return value
 
 
+def _level_limit(limit: int | None) -> int:
+    """The finest level a run may use: `limit` where one is given, never
+    above the configured cap."""
+    cap = max_level()
+    return cap if limit is None else min(limit, cap)
+
+
 def check_level(level: int, what: str = "level", field: str | None = None) -> int:
     """Validate a dyadic level against the configured cap; `field` names
     the option that set the level, if one did."""

@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combination import HaarCombination
-from .combinatorics import band_weight_bound, greedy_family, local_height
-from .config import check_level, max_level as level_cap
-from .dyadic import half_power
+from .combinatorics import _local_height, band_weight_bound, greedy_family, is_partition
+from .config import _level_limit, check_level, max_level as level_cap
+from .dyadic import half_power, heap_id
 from .errors import DomainError
 from .normlab import (
     QUADRATURE_TOLERANCE,
@@ -48,20 +48,22 @@ class ExperimentConfig:
     iterations: int = 60
 
     def __post_init__(self):
+        """Each error names the option that sets the field at fault."""
         if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
+            raise DomainError(f"seed must be non-negative, got {self.seed}", "seed")
         if not self.optimizer_tolerance > 0:
-            raise DomainError("optimizer_tolerance must be positive")
+            raise DomainError("optimizer_tolerance must be positive", "tol-opt")
         cap = level_cap()
         if self.max_level is not None and not 1 <= self.max_level <= cap:
             raise DomainError(
                 f"max_level must lie in 1..{cap} (the HAARLAB_MAX_LEVEL cap), "
-                f"got {self.max_level}"
+                f"got {self.max_level}",
+                "max-level",
             )
         _check_budget(self.restarts, self.iterations)
 
     def level_limit(self) -> int:
-        return level_cap() if self.max_level is None else min(self.max_level, level_cap())
+        return _level_limit(self.max_level)
 
     def as_dict(self) -> dict:
         return {
@@ -230,22 +232,18 @@ def log_variant_certificate(
     image = apply_operator(op, f)
     direct = lp_norm_of_combination(image, op.codomain, 2.0)
 
-    cover_ok = True
-    union: set = set()
+    # the pieces are valid indices greedy_family built: their heap ids go
+    # straight to the partition and height checks
+    piece_ids = [frozenset(heap_id(k, j) for k, j in piece) for piece in family.pieces]
+    cover_ok = is_partition(piece_ids, frozenset(range(1, 1 << n))) and all(
+        _local_height(list(ids)) <= ((1 << l) if l <= m else n)
+        for l, ids in enumerate(piece_ids, start=1)
+    )
     piece_norm_sum = 0.0
-    for l, piece in enumerate(family.pieces, start=1):
-        if union & piece:
-            cover_ok = False
-        union |= piece
-        budget = (1 << l) if l <= m else n
-        if local_height(piece) > budget:
-            cover_ok = False
+    for piece in family.pieces:
         piece_norm_sum += lp_norm_of_combination(
             image.restricted_to(piece), op.codomain, 2.0
         )
-    # 2^n - 1 distinct indices of levels at most n are the depth-n tree
-    if len(union) != (1 << n) - 1 or max(k for k, _j in union) > n:
-        cover_ok = False
 
     certificate = 0.0
     for l in range(1, m + 2):

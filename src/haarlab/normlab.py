@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -93,6 +93,11 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
     return (total * math.ldexp(1.0, -n)) ** (1.0 / p)
 
 
+def _level_weight(k: int, p: float) -> float:
+    """The weight 2^{(k-1)(p/2-1)} of level k in the p sum, a Python float power."""
+    return 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
+
+
 def levelwise_rhs_p(f: HaarCombination, space: NormedSpaceSpec, p: float) -> float:
     """Weighted coefficient sum (sum_F 2^{(k-1)(p/2-1)} ||x||^p)^{1/p}.
 
@@ -106,7 +111,7 @@ def levelwise_rhs_p(f: HaarCombination, space: NormedSpaceSpec, p: float) -> flo
     norms = space.norm_of_each(f.rows).tolist()
     terms = []
     for k, lo, hi in _level_runs(f.heap_ids):
-        weight = 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
+        weight = _level_weight(k, p)
         terms += [(nx**p) * weight for nx in norms[lo:hi] if nx]
     total = math.fsum(terms)
     return total ** (1.0 / p)
@@ -117,25 +122,36 @@ def apply_operator(T: OperatorSpec, f: HaarCombination) -> HaarCombination:
         raise DomainError(
             f"operator domain dimension {T.domain.dim} does not match combination dim {f.dim}"
         )
-    return HaarCombination._from_arrays(T.codomain.dim, f.heap_ids, T.apply_each(f.rows))
+    # each row a (1, d) product of its own: the bits of T applied to it alone
+    images = T.apply_rows(f.rows[:, None, :])[:, 0, :]
+    return HaarCombination._from_arrays(T.codomain.dim, f.heap_ids, images)
+
+
+def _denominator(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
+    """The ratio's denominator: the plain coefficient square sum's root for
+    tau (p None), the level-weighted p sum for tau_p."""
+    if p is None:
+        return math.sqrt(f.squared_sum(T.domain))
+    return levelwise_rhs_p(f, T.domain, p)
+
+
+def _ratio(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
+    """The L_p norm of T applied to f (L2 for p None) over _denominator."""
+    den = _denominator(T, f, p)
+    if den == 0.0:
+        return 0.0
+    num = lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0 if p is None else p)
+    return num / den
 
 
 def tau_ratio(T: OperatorSpec, f: HaarCombination) -> float:
     """L2 norm of T applied to f over the plain coefficient square sum."""
-    den = math.sqrt(f.squared_sum(T.domain))
-    if den == 0.0:
-        return 0.0
-    num = lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0)
-    return num / den
+    return _ratio(T, f, None)
 
 
 def tau_p_ratio(T: OperatorSpec, f: HaarCombination, p: float) -> float:
     """L_p norm of T applied to f over the level-weighted p sum."""
-    den = levelwise_rhs_p(f, T.domain, p)
-    if den == 0.0:
-        return 0.0
-    num = lp_norm_of_combination(apply_operator(T, f), T.codomain, p)
-    return num / den
+    return _ratio(T, f, p)
 
 
 # ---------------------------------------------------------------------------
@@ -251,55 +267,74 @@ def _top_singular_vector(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(scaled.T @ scaled)[1][:, -1]
 
 
-def _nested_levels(a, b) -> bool:
-    """True iff the support cells of two valid indices are nested."""
-    (ka, ja), (kb, jb) = (a, b) if a[0] <= b[0] else (b, a)
-    return (jb - 1) >> (kb - ka) == ja - 1
+def _nesting(nodes: list[int]) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The nested pairs of the sorted heap ids `nodes` and the Gram factors.
 
-
-def _pattern_gram_witness(
-    idx: Sequence[tuple[int, int]], sigma: np.ndarray, coords: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Best coefficient magnitudes for a fixed coordinate assignment.
-
-    With every x_a restricted to a single coordinate e_{c_a} (c_a =
-    coords[a]), the squared ratio becomes a Rayleigh quotient of the PSD
-    Gram matrix
-    A[a,b] = |sigma_{c_a} sigma_{c_b}| 2^{-|k_a-k_b|/2} [supports nested].
-    Requires the assignment to be injective along every branch so that the
-    l1 norm of the image splits into per-coordinate absolute values.
-    None when the Gram matrix overflows.
+    A pair (a, b) has nodes[a] above nodes[b] on one branch; shifting each id
+    up to the set's top level finds them.  H[a, b] = 2^{-|k_a-k_b|/2} on the
+    diagonal and for the nested pairs, in both orders, else 0.
     """
-    m = len(idx)
-    A = np.zeros((m, m))
-    for a in range(m):
-        ka = idx[a][0]
-        sa = abs(sigma[coords[a]])
-        for b in range(a, m):
-            kb = idx[b][0]
-            if a != b and not _nested_levels(idx[a], idx[b]):
-                continue
-            val = sa * abs(sigma[coords[b]]) * half_power(-abs(ka - kb))
-            A[a, b] = A[b, a] = val
-    if not np.isfinite(A).all():
-        return None
-    vals, vecs = np.linalg.eigh(A)
-    u = np.abs(vecs[:, -1])
-    return vals[-1], u
+    position = {node: i for i, node in enumerate(nodes)}
+    k_min = nodes[0].bit_length()
+    pairs = []
+    factors = np.eye(len(nodes))  # half_power(0) is 1.0
+    for b, node in enumerate(nodes):
+        for s in range(1, node.bit_length() - k_min + 1):
+            a = position.get(node >> s)
+            if a is not None:
+                pairs.append((a, b))
+                factors[a, b] = factors[b, a] = half_power(-s)
+    return pairs, factors
 
 
-def _branch_injective(idx: Sequence[tuple[int, int]], coords: Sequence[int]) -> bool:
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if coords[a] == coords[b] and _nested_levels(idx[a], idx[b]):
-                return False
-    return True
+def _coordinate_patterns(
+    nodes: list[int], pairs: list[tuple[int, int]], sigma: np.ndarray
+) -> list[tuple[int, ...]]:
+    """The distinct patterns, each a coordinate per id, in the order they
+    are tried: the number of each id's ancestors in the set, its depth below
+    the set's top level, and for at most four ids every pattern over the
+    four largest sigma that no nested pair shares (injective along every
+    branch)."""
+    dim = len(sigma)
+    k_min = nodes[0].bit_length()
+    by_level = [node.bit_length() - k_min for node in nodes]
+    ancestors = [0] * len(nodes)
+    for _a, b in pairs:
+        ancestors[b] += 1
+    patterns = []
+    if max(ancestors) < dim:
+        patterns.append(ancestors)
+    if max(by_level) < dim and by_level != ancestors:
+        patterns.append(by_level)
+    if len(nodes) <= 4:
+        pool = [int(c) for c in np.argsort(sigma)[::-1][: min(dim, 4)]]
+        for cand in itertools.product(pool, repeat=len(nodes)):
+            if all(cand[a] != cand[b] for a, b in pairs):
+                patterns.append(cand)
+    return list(dict.fromkeys(map(tuple, patterns)))
+
+
+def _level_profile(dim: int, ids: np.ndarray, top: int, amplitude: np.ndarray) -> HaarCombination:
+    """The witness on the sorted heap ids `ids` that puts amplitude[c] *
+    2^{-c/2} on coordinate c at every index c levels below level `top`."""
+    rows = np.zeros((len(ids), dim))
+    for k, lo, hi in _level_runs(ids):
+        c = k - top
+        rows[lo:hi, c] = amplitude[c] * half_power(-c)
+    return HaarCombination._from_arrays(dim, ids, rows)
 
 
 def _coordinate_candidates(T: OperatorSpec, ids: np.ndarray) -> list[HaarCombination]:
-    """Witnesses with one active coordinate per index, chosen by patterns.
+    """Witnesses with one active coordinate per index.
 
-    A pattern is a list of coordinates, one per id."""
+    With every x_a restricted to a single coordinate e_{c_a}, a pattern
+    (c_a), the squared ratio is a Rayleigh quotient of the PSD Gram matrix
+    A[a,b] = sigma_{c_a} sigma_{c_b} 2^{-|k_a-k_b|/2} [supports nested],
+    whose top eigenvector gives the best magnitudes.  This needs the pattern
+    to be injective along every branch, so that the l1 norm of the image
+    splits into per-coordinate absolute values.  A pattern whose Gram matrix
+    overflows is skipped.
+    """
     sigma = T.diagonal_magnitudes()
     if sigma is None or T.codomain.norm is not Norm.L1:
         return []
@@ -309,50 +344,24 @@ def _coordinate_candidates(T: OperatorSpec, ids: np.ndarray) -> list[HaarCombina
     # closed-form level profile: amplitude sigma_c at depth c below the top
     # level; on full trees and bands this attains the Cauchy-Schwarz optimum
     # of the branchwise ratio, and it stays cheap for large sets
-    runs = _level_runs(ids)
-    k_min = runs[0][0]
-    if runs[-1][0] - k_min < dim:
-        rows = np.zeros((len(ids), dim))
-        for k, lo, hi in runs:
-            c = k - k_min
-            rows[lo:hi, c] = sigma[c] * half_power(-c)
-        if rows.any():
-            out.append(HaarCombination._from_arrays(dim, ids, rows))
+    k_min = int(ids[0]).bit_length()
+    if int(ids[-1]).bit_length() - k_min < dim:
+        profile = _level_profile(dim, ids, k_min, sigma)
+        if profile.rows.any():
+            out.append(profile)
 
     if len(ids) > 300:
         return out
-    idx = [from_heap_id(node) for node in ids.tolist()]
-    patterns = []
-
-    by_level = [a[0] - k_min for a in idx]
-    ancestors = [
-        sum(1 for b in idx if b != a and b[0] < a[0] and _nested_levels(a, b)) for a in idx
-    ]
-    if max(ancestors) < dim:
-        patterns.append(ancestors)
-
-    if max(by_level) < dim and by_level != ancestors:
-        patterns.append(by_level)
-
-    if len(idx) <= 4:
-        top = np.argsort(sigma)[::-1][: min(dim, 4)]
-        pool = [int(c) for c in top]
-        for cand in itertools.product(pool, repeat=len(idx)):
-            if _branch_injective(idx, cand):
-                patterns.append(cand)
-
-    seen = set()
-    for coords in patterns:
-        key = tuple(coords)
-        if key in seen:
+    nodes = ids.tolist()
+    pairs, factors = _nesting(nodes)
+    for coords in _coordinate_patterns(nodes, pairs, sigma):
+        s = sigma[list(coords)]
+        A = np.outer(s, s)
+        A *= factors
+        if not np.isfinite(A).all():
             continue
-        seen.add(key)
-        res = _pattern_gram_witness(idx, sigma, coords)
-        if res is None:
-            continue
-        _, u = res
         rows = np.zeros((len(ids), dim))
-        rows[np.arange(len(ids)), key] = u
+        rows[np.arange(len(ids)), coords] = np.abs(np.linalg.eigh(A)[1][:, -1])
         out.append(HaarCombination._from_arrays(dim, ids, rows))
     return out
 
@@ -414,7 +423,7 @@ class _AscentProblem:
         if p is not None:
             self.weights = np.empty(len(self.ids))
             for k, lo, hi, _positions, _scale in self.grid.levels:
-                self.weights[lo:hi] = 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
+                self.weights[lo:hi] = _level_weight(k, p)
 
     def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid values V (R, leaves, d') of T f, one row per leaf of the grid
@@ -581,11 +590,7 @@ def _normalized_estimate(
     # max keeps the first of equal ratios, in the order the candidates were built
     best_f, best_method, _r = max(candidates, key=lambda c: c[2])
     candidates.clear()
-    den = (
-        math.sqrt(best_f.squared_sum(T.domain))
-        if p is None
-        else levelwise_rhs_p(best_f, T.domain, p)
-    )
+    den = _denominator(T, best_f, p)
     if den > 0:
         best_f = best_f.scaled(1.0 / den)
     value = _candidate_ratio(T, best_f, p)
@@ -599,7 +604,7 @@ def _normalized_estimate(
 def _candidate_ratio(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
     """The public ratio of f, or NaN where float arithmetic overflows."""
     try:
-        return tau_ratio(T, f) if p is None else tau_p_ratio(T, f, p)
+        return _ratio(T, f, p)
     except OverflowError:
         return math.nan
 
@@ -673,7 +678,6 @@ def _level_constant_candidate(T: OperatorSpec, n: int, p: float) -> HaarCombinat
     sigma = T.diagonal_magnitudes()
     if sigma is None or T.codomain.norm is not Norm.L1 or T.domain.dim < n:
         return None
-    dim = T.domain.dim
     lead = sigma[:n]
     if p == 1.0:
         b = np.zeros(n)
@@ -683,17 +687,9 @@ def _level_constant_candidate(T: OperatorSpec, n: int, p: float) -> HaarCombinat
             b = np.where(lead > 0, lead ** (1.0 / (p - 1.0)), 0.0)
         if not np.any(b > 0):
             return None
-    levels = [k for k in range(1, n + 1) if b[k - 1] != 0.0]
-    if not levels:
-        return None
-    ids = np.concatenate([np.arange(1 << (k - 1), 1 << k) for k in levels])
-    rows = np.zeros((len(ids), dim))
-    lo = 0
-    for k in levels:
-        hi = lo + (1 << (k - 1))
-        rows[lo:hi, k - 1] = b[k - 1] * half_power(-(k - 1))
-        lo = hi
-    return HaarCombination._from_arrays(dim, ids, rows)
+    # the full tree's levels k with b[k - 1] != 0, coordinate k - 1 on level k
+    ids = np.concatenate([np.arange(1 << k, 2 << k) for k in np.flatnonzero(b)])
+    return _level_profile(T.domain.dim, ids, 1, b)
 
 
 def tau_p_estimate(

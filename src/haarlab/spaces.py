@@ -29,20 +29,17 @@ class NormedSpaceSpec:
 
     def norm_of_each(self, rows: np.ndarray) -> np.ndarray:
         """The norm of every row of a C-contiguous (N, dim) array, each the
-        bits the row gets on its own (the l2 norm takes each row's dot
-        product, as sqrt(x @ x) does)."""
-        if self.norm is Norm.L1:
-            return np.abs(rows).sum(axis=1)
+        bits the row gets on its own: the l2 norm takes each row's dot
+        product, as sqrt(x @ x) does; the others are norms_of's."""
         if self.norm is Norm.L2:
             return np.sqrt(np.vecdot(rows, rows))
-        return np.abs(rows).max(axis=1)
+        return self.norms_of(rows)
 
     def norms_of(self, rows: np.ndarray) -> np.ndarray:
         """Norms along the last axis for the grid and the ascent, which may
         stack restarts on leading axes; each row is reduced on its own, so
         a row's norm does not depend on the rows beside it.  An l2 row sums
         its squares and may differ from norm_of_each in the last bit."""
-        rows = np.asarray(rows, dtype=float)
         if self.norm is Norm.L1:
             return np.abs(rows).sum(axis=-1)
         if self.norm is Norm.L2:
@@ -53,7 +50,6 @@ class NormedSpaceSpec:
         """A subgradient of the norm at each row (last axis; leading axes
         stack rows); ties and zeros resolve to zero.  `out` may be `rows`
         itself, which then holds the subgradients."""
-        rows = np.asarray(rows, dtype=float)
         if self.norm is Norm.L1:
             return np.sign(rows, out=out)
         if self.norm is Norm.L2:
@@ -125,26 +121,16 @@ class OperatorSpec:
     def dense(cls, matrix, domain: NormedSpaceSpec, codomain: NormedSpaceSpec) -> "OperatorSpec":
         return cls(OperatorKind.DENSE, domain, codomain, matrix=np.asarray(matrix, dtype=float))
 
-    def apply_each(self, rows: np.ndarray) -> np.ndarray:
-        """The operator applied to every row of an (N, dim) array: a dense
-        matrix multiplies each row as its own vector, so a row gets the bits
-        of matrix @ x on its own."""
-        if self.kind is OperatorKind.DIAGONAL:
-            return rows * self.entries
-        return np.matmul(self.matrix, rows[:, :, None])[..., 0]
-
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """The operator applied along the last axis.  A dense matrix multiplies each 2-D
         slice of stacked rows as its own product (numpy's stacked matmul),
         so a slice gets the bits it would get alone; one product over all
         the rows flattened to 2-D may not."""
-        rows = np.asarray(rows, dtype=float)
         if self.kind is OperatorKind.DIAGONAL:
             return rows * self.entries
         return rows @ self.matrix.T
 
     def transpose_apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
         if self.kind is OperatorKind.DIAGONAL:
             return rows * self.entries
         return rows @ self.matrix

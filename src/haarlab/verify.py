@@ -26,7 +26,7 @@ from .combinatorics import (
     level_set_partition,
     local_height,
 )
-from .config import max_level as level_cap
+from .config import _level_limit
 from .dyadic import (
     DyadicRational,
     HaarIndex,
@@ -84,10 +84,6 @@ def _result(name: str, checked: int, failures: list[str]) -> SuiteResult:
     }
 
 
-def _cap(max_level: int | None) -> int:
-    return level_cap() if max_level is None else min(max_level, level_cap())
-
-
 def _indices_up_to(k_max: int) -> list[HaarIndex]:
     return sorted(full_tree(k_max)) if k_max >= 1 else []
 
@@ -105,7 +101,7 @@ def haar_identity_suite(
     wherever the shifted point stays inside [0, 1); scaling relates level k+1
     to level k on the left half.
     """
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     failures: list[str] = []
     checked = 0
 
@@ -141,7 +137,7 @@ def orthonormality_suite(max_level: int | None = None, k_max: int = 6) -> SuiteR
     integer dot product: 0 off the diagonal, 2^(L-k+1) support cells on it
     (which the height normalization 2^(k-1) turns into exactly 1).
     """
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     k_top = min(k_max, cap)
     grid = k_top
     members = _indices_up_to(k_top)
@@ -161,7 +157,7 @@ def orthonormality_suite(max_level: int | None = None, k_max: int = 6) -> SuiteR
 
 def branch_structure_suite(max_level: int | None = None) -> SuiteResult:
     """Branches hit one index per level, exactly where the function is nonzero."""
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     depth = min(6, cap)
     tree = full_tree(depth)
     failures: list[str] = []
@@ -192,7 +188,7 @@ def _forks_up_to(h_max: int, cap: int) -> list[HaarIndex]:
 
 def swap_involution_suite(max_level: int | None = None, h_max: int = 6) -> SuiteResult:
     """Each swap is an involutive bijection of every fine enough dyadic grid."""
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     failures: list[str] = []
     checked = 0
     for h, i in _forks_up_to(h_max, cap):
@@ -222,7 +218,7 @@ def fork_relation_suite(
     The rows argument lets a fault-injection harness pass a corrupted
     coefficient table; the suite must then fail.
     """
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     scaled = _scaled_rows(rows)
     failures: list[str] = []
     checked = 0
@@ -250,7 +246,7 @@ def composition_contract_suite(
     identity haar_eval(image, t) == haar_eval(idx, swap(t)) reduces to a
     permutation identity between the two tables.
     """
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     failures: list[str] = []
     checked = 0
     k_top = min(k_max, cap)
@@ -321,7 +317,7 @@ def fork_split_compression_suite(
     local height; compression lands inside the band of the local height.
     Subsets are heap-id bitmasks, run through the kernels of the public maps.
     """
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     depth = max(1, min(n, cap - 1))  # splits at the bottom level reach depth+1
     members = _indices_up_to(depth)
     heights = _height_table(depth)
@@ -388,7 +384,7 @@ def rewrite_invariance_suite(
     coefficient sum must come out unchanged, to 1e-9 relative, after every
     step.
     """
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
     depth = max(1, min(n, cap - 1))
     pool = sorted(full_tree(depth))
@@ -430,7 +426,7 @@ def fill_suite(max_level: int | None = None, n_max: int = 4) -> SuiteResult:
     state unchanged, so one state per depth serves every budget and is
     moved from each subset to the next in place.
     """
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     failures: list[str] = []
     checked = 0
     for n in range(1, min(n_max, cap) + 1):
@@ -474,7 +470,7 @@ def partition_suite(
 ) -> SuiteResult:
     """Weight level sets: exact partition, height bound, squared-sum bound
     (to 1e-9 relative), for each exponent r in 1, 1.5 and 2."""
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
     depth = min(6, cap)
     pool = sorted(full_tree(depth))
@@ -513,7 +509,7 @@ def greedy_cover_suite(
 ) -> SuiteResult:
     """Padded cover at p = 4/3: disjoint pieces, height budgets, per-index
     weight bounds (to 1e-9 relative)."""
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
     depth = min(6, cap)
     tree = full_tree(depth)
@@ -569,7 +565,7 @@ def norm_identity_suite(
 ) -> SuiteResult:
     """Parseval on Euclidean coefficients and the levelwise p-sum identity,
     to 1e-12 relative."""
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
     depth = min(5, cap)
     pool = sorted(full_tree(depth))
@@ -607,7 +603,7 @@ def estimator_oracle_suite(
     rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """Estimator sanity against closed forms and an independent SVD oracle."""
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
     failures: list[str] = []
     checked = 0
@@ -675,7 +671,7 @@ def comparison_residual_suite(
     rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """comparison_check passes with tiny trace residuals on random sets."""
-    cap = _cap(max_level)
+    cap = _level_limit(max_level)
     rng = rng if rng is not None else np.random.default_rng(0)
     depth = max(1, min(4, cap - 1))
     pool = sorted(full_tree(depth))

@@ -1,5 +1,6 @@
 """Shared oracles and generators for the test suite."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -359,9 +360,10 @@ def reference_fork_relations_hold(fork, grid_level, rows) -> bool:
 # per-vector and per-point twins of the package's array paths
 #
 # haarlab computes norms, subgradients and operator images a whole array of
-# rows at a time (NormedSpaceSpec.norm_of_each, dual_rows, OperatorSpec
-# apply_each) and point values through the grid kernel; these take one
-# vector or one point, the definitions the array paths must reproduce.
+# rows at a time (NormedSpaceSpec.norm_of_each, dual_rows,
+# normlab.apply_operator) and point values through the grid kernel; these
+# take one vector or one point, the definitions the array paths must
+# reproduce.
 
 
 def reference_norm_of(space, v) -> float:
@@ -661,3 +663,91 @@ def reference_rewrite_combination(f, fork):
         out[s1] = shared
         out[s2] = shared
     return ReferenceHaarCombination(f.dim, out)
+
+
+# ---------------------------------------------------------------------------
+# the estimate's coordinate patterns on (k, j) pairs
+#
+# normlab builds the patterns, the nesting relation and the Gram matrices of
+# its coordinate candidates on heap ids; these are the same objects built
+# from sorted (k, j) pairs, one pair at a time.
+
+
+def reference_nested(a, b) -> bool:
+    """True iff the support cells of two valid indices are nested."""
+    (ka, ja), (kb, jb) = (a, b) if a[0] <= b[0] else (b, a)
+    return (jb - 1) >> (kb - ka) == ja - 1
+
+
+def reference_branch_injective(idx, coords) -> bool:
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            if coords[a] == coords[b] and reference_nested(idx[a], idx[b]):
+                return False
+    return True
+
+
+def reference_coordinate_patterns(idx, sigma) -> list[tuple[int, ...]]:
+    """The distinct patterns for the sorted pairs idx, in the order tried."""
+    dim = len(sigma)
+    k_min = idx[0][0]
+    by_level = [a[0] - k_min for a in idx]
+    ancestors = [
+        sum(1 for b in idx if b != a and b[0] < a[0] and reference_nested(a, b)) for a in idx
+    ]
+    patterns = []
+    if max(ancestors) < dim:
+        patterns.append(ancestors)
+    if max(by_level) < dim and by_level != ancestors:
+        patterns.append(by_level)
+    if len(idx) <= 4:
+        pool = [int(c) for c in np.argsort(sigma)[::-1][: min(dim, 4)]]
+        for cand in itertools.product(pool, repeat=len(idx)):
+            if reference_branch_injective(idx, cand):
+                patterns.append(cand)
+    out = []
+    for coords in patterns:
+        if tuple(coords) not in out:
+            out.append(tuple(coords))
+    return out
+
+
+def reference_pattern_gram(idx, sigma, coords) -> np.ndarray:
+    """A[a,b] = |sigma_{c_a} sigma_{c_b}| 2^{-|k_a-k_b|/2} [supports nested]."""
+    m = len(idx)
+    A = np.zeros((m, m))
+    for a in range(m):
+        ka = idx[a][0]
+        sa = abs(sigma[coords[a]])
+        for b in range(a, m):
+            kb = idx[b][0]
+            if a != b and not reference_nested(idx[a], idx[b]):
+                continue
+            A[a, b] = A[b, a] = sa * abs(sigma[coords[b]]) * half_power(-abs(ka - kb))
+    return A
+
+
+def reference_level_constant_candidate(T, n, p):
+    """The Holder-optimal level-constant witness on the depth-n tree, built
+    level by level; None where it has no nonzero amplitude."""
+    sigma = T.diagonal_magnitudes()
+    if sigma is None or T.codomain.norm is not Norm.L1 or T.domain.dim < n:
+        return None
+    lead = sigma[:n]
+    if p == 1.0:
+        b = np.zeros(n)
+        b[int(np.argmax(lead))] = 1.0
+    else:
+        with np.errstate(divide="ignore"):
+            b = np.where(lead > 0, lead ** (1.0 / (p - 1.0)), 0.0)
+        if not np.any(b > 0):
+            return None
+    levels = [k for k in range(1, n + 1) if b[k - 1] != 0.0]
+    ids = np.concatenate([np.arange(1 << (k - 1), 1 << k) for k in levels])
+    rows = np.zeros((len(ids), T.domain.dim))
+    lo = 0
+    for k in levels:
+        hi = lo + (1 << (k - 1))
+        rows[lo:hi, k - 1] = b[k - 1] * half_power(-(k - 1))
+        lo = hi
+    return HaarCombination._from_arrays(T.domain.dim, ids, rows)

@@ -231,6 +231,44 @@ def test_log_variant_zero_family_all_zero():
     assert row["thresholdBase"] == 0.0
 
 
+# depth-3 covers with m = 1: piece 1 has height budget 2, the final piece 3
+_BAD_COVERS = {
+    "overlapping pieces": (
+        frozenset({(1, 1), (2, 1), (2, 2)}),
+        frozenset({(2, 2), (3, 1), (3, 2), (3, 3), (3, 4)}),
+    ),
+    "missing tree index": (
+        frozenset({(1, 1), (2, 1), (2, 2)}),
+        frozenset({(3, 1), (3, 2), (3, 3)}),
+    ),
+    "piece over its height budget": (
+        frozenset({(1, 1), (2, 1), (3, 1)}),
+        frozenset({(2, 2), (3, 2), (3, 3), (3, 4)}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_COVERS))
+def test_log_variant_flags_a_bad_cover(case, monkeypatch):
+    f = HaarCombination(4, {(1, 1): [1.0, 0.0, 0.0, 0.0]})
+    rep = run_log_variant_experiment(4.0 / 3.0, n=3, trials=1, families=[f])
+    assert rep.rows[0]["coverOk"] == 1 and rep.checks[0]["passed"]
+
+    real = experiments.greedy_family
+
+    def bad_family(*args):
+        family = real(*args)
+        assert family.m == 1
+        pieces = tuple(frozenset(HaarIndex(*idx) for idx in p) for p in _BAD_COVERS[case])
+        return dataclasses.replace(family, pieces=pieces)
+
+    monkeypatch.setattr(experiments, "greedy_family", bad_family)
+    rep = run_log_variant_experiment(4.0 / 3.0, n=3, trials=1, families=[f])
+    assert rep.rows[0]["coverOk"] == 0
+    assert rep.checks[0]["name"] == "cover-contracts" and not rep.checks[0]["passed"]
+    assert not rep.passed()
+
+
 def test_log_variant_single_index_collapses_to_one_term():
     f = HaarCombination(8, {(1, 1): [1.0] + [0.0] * 7})
     rep = run_log_variant_experiment(4.0 / 3.0, n=4, trials=1, families=[f])
@@ -505,10 +543,40 @@ def test_config_max_level_is_checked_against_the_configured_level_cap(monkeypatc
     assert ExperimentConfig(max_level=3).level_limit() == 3
     with pytest.raises(DomainError) as err:
         ExperimentConfig(max_level=10)
-    assert str(err.value) == "max_level must lie in 1..3 (the HAARLAB_MAX_LEVEL cap), got 10"
+    assert str(err.value) == (
+        "max-level: max_level must lie in 1..3 (the HAARLAB_MAX_LEVEL cap), got 10"
+    )
     assert main(["verify", "--max-level", "10"]) == 2
     record = json.loads(capsys.readouterr().out)
     assert record["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["verify", "--seed", "-1", "--max-level", "2"], "seed"),
+        (["verify", "--max-level", "0"], "max-level"),
+        (["experiment-log-variant", "--p", "1.5", "--tol-opt", "0"], "tol-opt"),
+    ],
+)
+def test_cli_config_errors_name_their_option(argv, field, capsys):
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert (record["type"], record["field"]) == ("DomainError", field)
+    assert record["message"].startswith(f"{field}: ")
+
+
+def test_cli_zero_operators_give_zero_bounds(tmp_path, capsys):
+    # the level-constant candidate of a zero diagonal is empty, and the top
+    # singular vector of a zero matrix is the first basis vector
+    diag = _write(tmp_path / "diag.json", {"kind": "diagonal", "norm": "l1", "entries": [0, 0, 0]})
+    argv = ["tau-p", "--operator", diag, "--depth", "3", "--p", "1.5", "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "3,1.5,0.0,coordinate-aligned,8,60"
+    dense = _write(tmp_path / "dense.json", {"kind": "dense", "rows": [[0, 0], [0, 0]]})
+    st = _write(tmp_path / "set.json", [[1, 1], [2, 1]])
+    assert main(["tau", "--operator", dense, "--set", st, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "2,0.0,power-iteration,1,1"
 
 
 def test_cli_tau_rejects_nan_operator_entry(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Norm evaluation, closed forms, and the lower-bound estimators."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from haarlab.combination import HaarCombination
-from haarlab.dyadic import dyadic_band, full_tree
+from haarlab.dyadic import dyadic_band, full_tree, heap_ids
 from haarlab import normlab
 from haarlab.errors import DomainError
 from haarlab.normlab import (
@@ -34,6 +35,9 @@ from helpers import (
     random_combination,
     random_exact_height_set,
     reference_cell_values,
+    reference_coordinate_patterns,
+    reference_level_constant_candidate,
+    reference_pattern_gram,
 )
 
 
@@ -366,6 +370,62 @@ def test_tau_p_estimate_validation_errors():
         tau_p_estimate(T, 2, 2.5)
     with pytest.raises(DomainError):
         tau_p_estimate(T, 2, 1.5, restarts=0)
+
+
+# ---------------------------------------------------------------------------
+# coordinate candidates against their (k, j) forms
+
+
+def _pattern_cases():
+    """(sorted pairs, sigma): every set of at most four indices of the depth-3
+    tree, and seeded sets of depths 1-9 and sizes 1-300; sigma has zeros."""
+    rng = np.random.default_rng(31)
+    tree = sorted(full_tree(3))
+    small = [c for size in range(1, 5) for c in itertools.combinations(tree, size)]
+    seeded = []
+    for depth in range(1, 10):
+        pool = sorted(full_tree(depth))
+        top = min(300, len(pool))
+        for size in sorted({min(size, top) for size in (1, 2, 4, top // 3, top)} - {0}):
+            picks = rng.choice(len(pool), size=size, replace=False)
+            seeded.append([pool[int(b)] for b in sorted(picks)])
+    for idx in small + seeded:
+        # at least as many coordinates as levels, so that the large sets
+        # have patterns too
+        sigma = rng.random(int(rng.integers(idx[-1][0], 11))) * (rng.random() < 0.8)
+        sigma[rng.random(len(sigma)) < 0.2] = 0.0
+        yield list(idx), sigma
+
+
+def test_coordinate_patterns_and_grams_match_the_pair_forms():
+    for idx, sigma in _pattern_cases():
+        nodes = heap_ids(frozenset(idx)).tolist()
+        pairs, factors = normlab._nesting(nodes)
+        patterns = normlab._coordinate_patterns(nodes, pairs, sigma)
+        assert patterns == reference_coordinate_patterns(idx, sigma)
+        for coords in patterns:
+            # the estimate's Gram matrix of a pattern is outer(s, s) * factors
+            s = sigma[list(coords)]
+            gram = np.outer(s, s) * factors
+            assert np.array_equal(gram, reference_pattern_gram(idx, sigma, coords))
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 1.5, 2.0])
+def test_level_constant_candidate_matches_the_level_by_level_builder(p):
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        entries = rng.standard_normal(int(rng.integers(1, 9)))
+        entries[rng.random(len(entries)) < 0.3] = 0.0
+        T = OperatorSpec.diagonal(entries, Norm.L1)
+        for n in range(1, len(entries) + 2):
+            got = normlab._level_constant_candidate(T, n, p)
+            want = reference_level_constant_candidate(T, n, p)
+            if want is None:
+                assert got is None
+                continue
+            assert np.array_equal(got.heap_ids, want.heap_ids)
+            assert got.heap_ids.dtype == want.heap_ids.dtype
+            assert np.array_equal(got.rows, want.rows)
 
 
 # ---------------------------------------------------------------------------

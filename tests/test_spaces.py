@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from haarlab.combination import HaarCombination
 from haarlab.errors import DomainError
+from haarlab.normlab import apply_operator
 from haarlab.spaces import Norm, NormedSpaceSpec, OperatorKind, OperatorSpec
 from helpers import reference_apply, reference_dual_vector, reference_norm_of
 
@@ -103,12 +105,30 @@ def test_apply_agrees_with_matrix():
     for T in ops:
         M = T.as_matrix()
         rows = rng.standard_normal((6, T.domain.dim))
-        assert np.allclose(T.apply_each(rows), rows @ M.T, rtol=1e-14, atol=0)
-        # apply_each maps each row as a lone vector is mapped, bit for bit
-        assert np.array_equal(T.apply_each(rows), [reference_apply(T, x) for x in rows])
+        f = HaarCombination._from_arrays(T.domain.dim, np.arange(1, 7), rows)
+        assert np.allclose(apply_operator(T, f).rows, rows @ M.T, rtol=1e-14, atol=0)
         assert np.allclose(T.apply_rows(rows), rows @ M.T, rtol=1e-14, atol=0)
         back = rng.standard_normal((6, T.codomain.dim))
         assert np.allclose(T.transpose_apply_rows(back), back @ M, rtol=1e-14, atol=0)
+
+
+def test_apply_operator_maps_each_row_alone():
+    # apply_operator maps each row as a lone vector is mapped, bit for bit,
+    # whatever the shapes and the number of rows
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        d, e, n = (int(v) for v in rng.integers(1, [65, 65, 400]))
+        if rng.random() < 0.25:
+            T = OperatorSpec.diagonal(rng.standard_normal(d), Norm.L1)
+        else:
+            M = rng.standard_normal((e, d))
+            T = OperatorSpec.dense(M, NormedSpaceSpec(d, Norm.LINF), NormedSpaceSpec(e, Norm.L1))
+        rows = rng.standard_normal((n, d))
+        f = HaarCombination._from_arrays(d, np.arange(1, n + 1), rows)
+        image = apply_operator(T, f)
+        assert image.dim == T.codomain.dim
+        assert np.array_equal(image.heap_ids, f.heap_ids)
+        assert np.array_equal(image.rows, [reference_apply(T, x) for x in rows])
 
 
 def test_diagonal_magnitudes():
