@@ -567,8 +567,8 @@ def test_cli_config_errors_name_their_option(argv, field, capsys):
 
 
 def test_cli_zero_operators_give_zero_bounds(tmp_path, capsys):
-    # the level-constant candidate of a zero diagonal is empty, and the top
-    # singular vector of a zero matrix is the first basis vector
+    # a zero diagonal has no level-constant candidate, and the top singular
+    # vector of a zero matrix is the first basis vector
     diag = _write(tmp_path / "diag.json", {"kind": "diagonal", "norm": "l1", "entries": [0, 0, 0]})
     argv = ["tau-p", "--operator", diag, "--depth", "3", "--p", "1.5", "--format", "csv"]
     assert main(argv) == 0

@@ -386,7 +386,7 @@ def _pattern_cases():
     for depth in range(1, 10):
         pool = sorted(full_tree(depth))
         top = min(300, len(pool))
-        for size in sorted({min(size, top) for size in (1, 2, 4, top // 3, top)} - {0}):
+        for size in sorted({max(1, min(s, top)) for s in (1, 2, 4, top // 3, top)}):
             picks = rng.choice(len(pool), size=size, replace=False)
             seeded.append([pool[int(b)] for b in sorted(picks)])
     for idx in small + seeded:
