@@ -94,10 +94,6 @@ class HaarCombination:
         order = np.argsort(ids)
         return cls._from_arrays(dim, ids[order], rows[order])
 
-    @classmethod
-    def zero(cls, dim: int) -> "HaarCombination":
-        return cls(dim, {})
-
     @property
     def heap_ids(self) -> np.ndarray:
         """Sorted heap ids of the stored indices (read-only)."""
@@ -111,33 +107,20 @@ class HaarCombination:
     def _keys(self) -> list[HaarIndex]:
         return [from_heap_id(node) for node in self._ids.tolist()]
 
-    def _position(self, idx) -> int:
-        """Row of an index, or -1 when it is not stored."""
-        node = _node(idx)
-        if node is None:
-            return -1
-        pos = int(np.searchsorted(self._ids, node))
-        return pos if pos < len(self._ids) and self._ids[pos] == node else -1
-
     def items(self) -> Iterator[tuple[HaarIndex, np.ndarray]]:
         return zip(self._keys(), self._rows)
-
-    def indices(self) -> frozenset[HaarIndex]:
-        """All stored indices, explicit zeros included."""
-        return frozenset(self._keys())
 
     def support(self) -> frozenset[HaarIndex]:
         nonzero = self._ids[self._rows.any(axis=1)]
         return frozenset(from_heap_id(node) for node in nonzero.tolist())
 
     def coefficient(self, idx: tuple[int, int]) -> np.ndarray:
-        pos = self._position(idx)
-        if pos < 0:
-            return np.zeros(self.dim)
-        return self._rows[pos]
-
-    def __contains__(self, idx) -> bool:
-        return self._position(idx) >= 0
+        """The row of idx, zeros when it is not stored."""
+        node = _node(idx)
+        pos = len(self._ids) if node is None else int(np.searchsorted(self._ids, node))
+        if pos < len(self._ids) and self._ids[pos] == node:
+            return self._rows[pos]
+        return np.zeros(self.dim)
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -217,12 +217,6 @@ class PartitionFamily:
 
     pieces: tuple[frozenset[HaarIndex], ...]
     threshold_base: float
-    exponent: float
-
-    def piece(self, l: int) -> frozenset[HaarIndex]:
-        if not 1 <= l <= len(self.pieces):
-            return frozenset()
-        return self.pieces[l - 1]
 
 
 def is_partition(pieces: Iterable[frozenset], whole) -> bool:
@@ -266,13 +260,11 @@ def level_set_partition(
         raise DomainError(f"exponent r must lie in [1, 2], got {r}")
     ids, bands, base_power = _band_assignments(f, n, r, space)
     if not bands:
-        return PartitionFamily((), 0.0, r)
+        return PartitionFamily((), 0.0)
     pieces = [[] for _ in range(max(bands))]
     for node, l in zip(ids, bands):
         pieces[l - 1].append(from_heap_id(node))
-    return PartitionFamily(
-        tuple(frozenset(p) for p in pieces), base_power ** (1.0 / r), r
-    )
+    return PartitionFamily(tuple(frozenset(p) for p in pieces), base_power ** (1.0 / r))
 
 
 @dataclass(frozen=True)
@@ -287,7 +279,6 @@ class GreedyFamily:
     pieces: tuple[frozenset[HaarIndex], ...]
     m: int
     threshold_base: float
-    exponent: float
     padded: tuple[bool, ...]
 
 
@@ -316,7 +307,6 @@ def greedy_family(
             pieces=(frozenset(),) * m + (frozenset(map(from_heap_id, range(1, 1 << n))),),
             m=m,
             threshold_base=0.0,
-            exponent=p,
             padded=(False,) * m,
         )
 
@@ -344,7 +334,6 @@ def greedy_family(
         pieces=tuple(pieces),
         m=m,
         threshold_base=base_power ** (1.0 / p),
-        exponent=p,
         padded=tuple(padded),
     )
 

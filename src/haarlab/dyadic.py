@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -72,9 +71,6 @@ class DyadicRational:
             level -= 1
         return (num, level)
 
-    def as_float(self) -> float:
-        return math.ldexp(float(self.num), -self.level)
-
     def shifted(self, sign: int, exponent: int) -> "DyadicRational":
         """This point plus sign * 2^(-exponent), staying inside [0, 1)."""
         if exponent < 0:
@@ -84,12 +80,6 @@ class DyadicRational:
         if not 0 <= num < (1 << level):
             raise DomainError("shifted point leaves [0, 1)")
         return DyadicRational(num, level)
-
-    def doubled(self) -> "DyadicRational":
-        """2t for t in [0, 1/2)."""
-        if self.level == 0 or self.num >= (1 << (self.level - 1)):
-            raise DomainError("doubling requires t < 1/2")
-        return DyadicRational(self.num, self.level - 1)
 
 
 @dataclass(frozen=True)
@@ -107,12 +97,6 @@ class DyadicInterval:
             raise DomainError(
                 f"position {self.position} out of range for level {self.level}"
             )
-
-    def lower(self) -> Fraction:
-        return Fraction(self.position - 1, 1 << self.level)
-
-    def measure(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
 
     def contains(self, t: DyadicRational) -> bool:
         # (position-1)/2^level <= num/2^b < position/2^level, cross-multiplied
@@ -137,14 +121,6 @@ class HaarValue(NamedTuple):
 
     sign: int
     half_exponent: int
-
-    def as_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * half_power(self.half_exponent)
-
-    def squared(self) -> int:
-        return 0 if self.sign == 0 else 1 << self.half_exponent
 
 
 ZERO_VALUE = HaarValue(0, 0)

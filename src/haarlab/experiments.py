@@ -18,7 +18,7 @@ import numpy as np
 from .combination import HaarCombination
 from .combinatorics import _local_height, band_weight_bound, greedy_family, is_partition
 from .config import _level_limit, check_level, max_level as level_cap
-from .dyadic import half_power, heap_id
+from .dyadic import heap_id
 from .errors import DomainError
 from .normlab import (
     QUADRATURE_TOLERANCE,
@@ -33,7 +33,7 @@ from .normlab import (
     lp_norm_of_combination,
 )
 from .serialize import ExperimentReport, check_row
-from .verify import corrupted_fork_rows, run_all_suites
+from .verify import _random_family, corrupted_fork_rows, run_all_suites
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,10 @@ def run_weak_type_sweep(p: float, n_max: int = 10**6) -> ExperimentReport:
     column above the logarithmic floor (1/2)(1+ln n)^(1/p').
     """
     if not 1.0 < p < 2.0:
-        raise DomainError(f"exponent p must lie in (1, 2), got {p}")
-    if n_max < 1:
-        raise DomainError(f"sweep length must be >= 1, got {n_max}")
+        raise DomainError(f"exponent p must lie in (1, 2), got {p}", "p")
+    # the default length already peaks near 570 MB; bound it before any array
+    if not 1 <= n_max <= 10**6:
+        raise DomainError(f"sweep length must lie in 1..1000000, got {n_max}", "n-max")
     q = conjugate_exponent(p)
 
     n = np.arange(1, n_max + 1, dtype=np.float64)
@@ -196,12 +197,11 @@ def _tree_tau_table(
     """Estimated tau over the full trees of depth 2^l for l = 1..m+1.
 
     The depth-2^l tree is the heap ids 1 .. 2^(2^l) - 1, passed as an array
-    to the estimator's unchecked entry: the only check it needs is the
-    level cap on its depth.
+    to the estimator's unchecked entry; the caller has checked the level cap
+    on the deepest tree.
     """
     table = []
     for l in range(1, m + 2):
-        check_level(1 << l, "tree height")
         est = _tau_estimate(
             op, np.arange(1, 1 << (1 << l)), config.restarts, config.iterations, config.seed
         )
@@ -284,31 +284,22 @@ def run_log_variant_experiment(
     """
     config = config or ExperimentConfig()
     if not 1.0 <= p < 2.0:
-        raise DomainError(f"exponent p must lie in [1, 2), got {p}")
+        raise DomainError(f"exponent p must lie in [1, 2), got {p}", "p")
     if n < 1:
-        raise DomainError(f"tree depth must be >= 1, got {n}")
+        raise DomainError(f"tree depth must be >= 1, got {n}", "depth")
     if trials < 1 and families is None:
-        raise DomainError(f"trial count must be >= 1, got {trials}")
+        raise DomainError(f"trial count must be >= 1, got {trials}", "trials")
 
     m = n.bit_length() - 1
+    # the deepest tree estimate, 2^(m+1) > n, bounds every level the chain uses
+    check_level(1 << (m + 1), "tree height", "depth")
     dim = 1 << (m + 1)
     op = _diagonal_example(p, dim)
     tau_table = _tree_tau_table(op, m, config)
-    pool = (1 << n) - 1  # heap ids 1 .. 2^n - 1 number the depth-n tree in order
-
-    def random_family(trial: int) -> HaarCombination:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
-        size = int(rng.integers(1, min(pool, 40) + 1))
-        ids = rng.choice(pool, size=size, replace=False) + 1
-        rows = np.array(
-            [rng.standard_normal(dim) * half_power(-(int(node).bit_length() - 1)) for node in ids]
-        )
-        return HaarCombination._from_unsorted(dim, ids, rows)
-
     if families is None:
-        family_list = [random_family(t) for t in range(trials)]
-    else:
-        family_list = list(families)
+        seeds = (np.random.SeedSequence([config.seed, t]) for t in range(trials))
+        families = [_random_family(np.random.default_rng(s), n, 40, dim) for s in seeds]
+    family_list = list(families)
 
     report = ExperimentReport(
         name="log-variant",

@@ -706,10 +706,10 @@ def tau_p_estimate(
     rejected before the search.
     """
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise DomainError(f"n must be >= 1, got {n}", "depth")
     if not 1 <= p <= 2:
-        raise DomainError(f"exponent p must satisfy 1 <= p <= 2, got {p}")
-    check_level(n, "tree height")
+        raise DomainError(f"exponent p must satisfy 1 <= p <= 2, got {p}", "p")
+    check_level(n, "tree height", "depth")
     _check_budget(restarts, iterations)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -813,9 +813,8 @@ def monotonicity_check(
     """Band estimates: shifting a band down dominates it, and the squeezed
     band D_{m+1}^{m+n} matches the plain tree D_1^n."""
     if m < 1 or n < m:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    check_level(m + n, "band level")
-    check_level(n + 1, "band level")
+        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}", "m" if m < 1 else "depth")
+    check_level(m + n, "band level", "depth")  # the top band; m >= 1 puts n + 1 below it
     _check_budget(restarts, iterations)
 
     def band(lo: int, hi: int) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -357,26 +357,26 @@ def fork_split_compression_suite(
     return _result("fork-split-compression", checked, failures)
 
 
-def _random_subset(rng: np.random.Generator, pool: Sequence[HaarIndex], size: int):
-    picks = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
-    return frozenset(pool[int(b)] for b in picks)
-
-
-def _random_combination(
-    rng: np.random.Generator, indices: Iterable[HaarIndex], dim: int
+def _random_family(
+    rng: np.random.Generator, depth: int, max_size: int, dim: int
 ) -> HaarCombination:
-    # level-balanced draws: standard normal scaled by 2^(-(k-1)/2)
-    indices = list(indices)
-    ids = np.array([heap_id(k, j) for k, j in indices], dtype=np.int64)
-    rows = [rng.standard_normal(dim) * half_power(-(k - 1)) for k, _j in indices]
-    return HaarCombination._from_unsorted(dim, ids, np.array(rows).reshape(len(ids), dim))
+    """A random combination on 1 .. max_size indices of the depth-`depth`
+    tree: the size, then distinct heap ids, then one level-balanced row per
+    id in draw order (standard normals scaled by 2^(-(k-1)/2))."""
+    pool = (1 << depth) - 1  # heap ids 1 .. 2^depth - 1 number the tree in order
+    size = int(rng.integers(1, min(pool, max_size) + 1))
+    ids = rng.choice(pool, size=size, replace=False) + 1
+    rows = np.array(
+        [rng.standard_normal(dim) * half_power(-(int(node).bit_length() - 1)) for node in ids]
+    )
+    return HaarCombination._from_unsorted(dim, ids, rows)
 
 
 def rewrite_invariance_suite(
+    rng: np.random.Generator,
     max_level: int | None = None,
     trials: int = 500,
     n: int = 6,
-    rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """Norm invariance of coefficient rewrites along full compression traces.
 
@@ -385,16 +385,13 @@ def rewrite_invariance_suite(
     step.
     """
     cap = _level_limit(max_level)
-    rng = rng if rng is not None else np.random.default_rng(0)
     depth = max(1, min(n, cap - 1))
-    pool = sorted(full_tree(depth))
     dim, tolerance = 3, 1e-9
     space = NormedSpaceSpec(dim=dim, norm="l2")
     failures: list[str] = []
     checked = 0
     for trial in range(trials):
-        size = int(rng.integers(1, min(len(pool), 20) + 1))
-        f = _random_combination(rng, _random_subset(rng, pool, size), dim)
+        f = _random_family(rng, depth, 20, dim)
         norm0 = lp_norm_of_combination(f, space, 2.0)
         square0 = f.squared_sum()
         current = f
@@ -464,22 +461,19 @@ def fill_suite(max_level: int | None = None, n_max: int = 4) -> SuiteResult:
 
 
 def partition_suite(
+    rng: np.random.Generator,
     max_level: int | None = None,
     trials: int = 1000,
-    rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """Weight level sets: exact partition, height bound, squared-sum bound
     (to 1e-9 relative), for each exponent r in 1, 1.5 and 2."""
     cap = _level_limit(max_level)
-    rng = rng if rng is not None else np.random.default_rng(0)
     depth = min(6, cap)
-    pool = sorted(full_tree(depth))
     dim, slack = 2, 1e-9
     failures: list[str] = []
     checked = 0
     for trial in range(trials):
-        size = int(rng.integers(1, min(len(pool), 30) + 1))
-        f = _random_combination(rng, _random_subset(rng, pool, size), dim)
+        f = _random_family(rng, depth, 30, dim)
         support = f.support()
         rows = f.rows[f.rows.any(axis=1)]  # the support's rows, in (k, j) order
         squares = dict(zip(sorted(support), np.vecdot(rows, rows).tolist()))
@@ -503,24 +497,21 @@ def partition_suite(
 
 
 def greedy_cover_suite(
+    rng: np.random.Generator,
     max_level: int | None = None,
     trials: int = 200,
-    rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """Padded cover at p = 4/3: disjoint pieces, height budgets, per-index
     weight bounds (to 1e-9 relative)."""
     cap = _level_limit(max_level)
-    rng = rng if rng is not None else np.random.default_rng(0)
     depth = min(6, cap)
     tree = full_tree(depth)
-    pool = sorted(tree)
     m = depth.bit_length() - 1
     dim, p, slack = 2, 4.0 / 3.0, 1e-9
     failures: list[str] = []
     checked = 0
     for trial in range(trials):
-        size = int(rng.integers(1, min(len(pool), 30) + 1))
-        f = _random_combination(rng, _random_subset(rng, pool, size), dim)
+        f = _random_family(rng, depth, 30, dim)
         family = greedy_family(f, depth, p)
         checked += 1
         pieces = family.pieces
@@ -559,23 +550,20 @@ def greedy_cover_suite(
 
 
 def norm_identity_suite(
+    rng: np.random.Generator,
     max_level: int | None = None,
     trials: int = 500,
-    rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """Parseval on Euclidean coefficients and the levelwise p-sum identity,
     to 1e-12 relative."""
     cap = _level_limit(max_level)
-    rng = rng if rng is not None else np.random.default_rng(0)
     depth = min(5, cap)
-    pool = sorted(full_tree(depth))
     dim, tolerance = 2, 1e-12
     space = NormedSpaceSpec(dim=dim, norm="l2")
     failures: list[str] = []
     checked = 0
     for trial in range(trials):
-        size = int(rng.integers(1, min(len(pool), 15) + 1))
-        f = _random_combination(rng, _random_subset(rng, pool, size), dim)
+        f = _random_family(rng, depth, 15, dim)
         checked += 1
         parseval = lp_norm_of_combination(f, space, 2.0)
         direct = math.sqrt(f.squared_sum())
@@ -597,14 +585,13 @@ def norm_identity_suite(
 
 
 def estimator_oracle_suite(
+    rng: np.random.Generator,
     max_level: int | None = None,
     restarts: int = 6,
     iterations: int = 60,
-    rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """Estimator sanity against closed forms and an independent SVD oracle."""
     cap = _level_limit(max_level)
-    rng = rng if rng is not None else np.random.default_rng(0)
     failures: list[str] = []
     checked = 0
 
@@ -666,13 +653,12 @@ def estimator_oracle_suite(
 
 
 def comparison_residual_suite(
+    rng: np.random.Generator,
     max_level: int | None = None,
     trials: int = 3,
-    rng: np.random.Generator | None = None,
 ) -> SuiteResult:
     """comparison_check passes with tiny trace residuals on random sets."""
     cap = _level_limit(max_level)
-    rng = rng if rng is not None else np.random.default_rng(0)
     depth = max(1, min(4, cap - 1))
     pool = sorted(full_tree(depth))
     op = _diagonal_example(4.0 / 3.0, 8)
@@ -680,7 +666,8 @@ def comparison_residual_suite(
     checked = 0
     for trial in range(trials):
         size = int(rng.integers(2, 7))
-        subset = _random_subset(rng, pool, size)
+        picks = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
+        subset = frozenset(pool[int(b)] for b in picks)
         report = comparison_check(op, subset, restarts=4, iterations=50, seed=trial)
         checked += 1
         row = report.rows[0]
@@ -735,8 +722,6 @@ def run_all_suites(
         kwargs = dict(overrides.get(name, {}))
         kwargs["max_level"] = max_level
         if name in _RANDOMIZED:
-            kwargs.setdefault(
-                "rng", np.random.default_rng(np.random.SeedSequence([seed, position]))
-            )
+            kwargs["rng"] = np.random.default_rng(np.random.SeedSequence([seed, position]))
         results.append(suite(**kwargs))
     return results

@@ -15,6 +15,7 @@ from haarlab.dyadic import (
     DyadicInterval,
     DyadicRational,
     HaarIndex,
+    HaarValue,
     _haar_eval,
     branch,
     check_haar_index,
@@ -295,11 +296,11 @@ def reference_greedy_family(f, n, p, space=None) -> GreedyFamily:
     m = n.bit_length() - 1
     tree = full_tree(n)
     if not partition.pieces:
-        return GreedyFamily((frozenset(),) * m + (tree,), m, 0.0, p, (False,) * m)
+        return GreedyFamily((frozenset(),) * m + (tree,), m, 0.0, (False,) * m)
     used, pieces, padded = set(), [], []
     cumulative = 0
     for l in range(1, m + 1):
-        band = partition.piece(l)
+        band = partition.pieces[l - 1] if l <= len(partition.pieces) else frozenset()
         target = (1 << (1 << l)) - 1
         padded.append(cumulative + len(band) < target)
         if padded[-1]:
@@ -309,7 +310,7 @@ def reference_greedy_family(f, n, p, space=None) -> GreedyFamily:
         used |= piece
         cumulative += len(piece)
     pieces.append(tree - used)
-    return GreedyFamily(tuple(pieces), m, partition.threshold_base, p, tuple(padded))
+    return GreedyFamily(tuple(pieces), m, partition.threshold_base, tuple(padded))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +411,13 @@ def reference_value_at(f, t: DyadicRational) -> np.ndarray:
     for (k, j), x in f.items():
         v = _haar_eval(k, j, t.num, t.level)
         if v.sign != 0:
-            out += v.as_float() * x
+            out += haar_value_float(v) * x
     return out
+
+
+def haar_value_float(v: HaarValue) -> float:
+    """The float of sign * 2^(half_exponent / 2), with at most one rounding."""
+    return 0.0 if v.sign == 0 else v.sign * half_power(v.half_exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -234,11 +234,11 @@ class TestLevelSetPartition:
         f = HaarCombination(1, {(1, 1): [1.0], (2, 1): [0.1]})
         fam = level_set_partition(f, 2, 2.0)
         # weights^2 are 1 and 0.02 against S^2 = 1.02: bands 1 and 6
-        assert fam.piece(1) == {HaarIndex(1, 1)}
-        assert fam.piece(6) == {HaarIndex(2, 1)}
+        assert fam.pieces[0] == {HaarIndex(1, 1)}
+        assert fam.pieces[5] == {HaarIndex(2, 1)}
         assert len(fam.pieces) == 6
         for l in (2, 3, 4, 5):
-            assert fam.piece(l) == frozenset()
+            assert fam.pieces[l - 1] == frozenset()
 
     def test_zero_combination_empty_family(self):
         fam = level_set_partition(HaarCombination(1, {}), 3, 1.5)

@@ -23,7 +23,7 @@ from haarlab.dyadic import (
     support,
 )
 from haarlab.errors import DomainError
-from helpers import contains_interval
+from helpers import contains_interval, haar_value_float
 
 
 def oracle_sign(k: int, j: int, t: Fraction) -> int:
@@ -59,8 +59,8 @@ class TestDyadicRational:
 
     def test_fraction_and_float(self):
         t = DyadicRational(9, 4)
-        assert Fraction(t.as_float()) == fraction(t) == Fraction(9, 16)
-        assert t.as_float() == 9 / 16
+        assert fraction(t) == Fraction(9, 16)
+        assert math.ldexp(t.num, -t.level) == float(fraction(t)) == 9 / 16
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -85,18 +85,13 @@ class TestDyadicRational:
         with pytest.raises(DomainError):
             DyadicRational(3, 2).shifted(1, 1)  # 3/4 + 1/2 >= 1
 
-    def test_doubled(self):
-        assert DyadicRational(3, 3).doubled() == DyadicRational(3, 2)
-        with pytest.raises(DomainError):
-            DyadicRational(2, 2).doubled()
-
 
 class TestDyadicInterval:
     def test_endpoints_and_measure(self):
-        cell = DyadicInterval(2, 3)
-        assert cell.lower() == Fraction(1, 2)
-        assert cell.lower() + cell.measure() == Fraction(3, 4)
-        assert cell.measure() == Fraction(1, 4)
+        cell = DyadicInterval(2, 3)  # [1/2, 3/4)
+        inside = [t for t in grid(6) if cell.contains(t)]
+        assert (fraction(inside[0]), fraction(inside[-1])) == (Fraction(1, 2), Fraction(47, 64))
+        assert len(inside) == 16  # measure 16/64 = 1/4
 
     def test_contains_is_half_open(self):
         cell = DyadicInterval(2, 3)
@@ -127,14 +122,12 @@ class TestHaarEval:
     def test_level_two_value(self):
         v = haar_eval(2, 1, DyadicRational(1, 2))
         assert v == HaarValue(-1, 1)
-        assert v.squared() == 2
-        assert v.as_float() == pytest.approx(-math.sqrt(2), rel=1e-15)
+        assert haar_value_float(v) == pytest.approx(-math.sqrt(2), rel=1e-15)
 
     def test_outside_support_is_zero(self):
         v = haar_eval(3, 2, DyadicRational(9, 4))  # 9/16 not in [1/4, 1/2)
         assert v.sign == 0
-        assert v.squared() == 0
-        assert v.as_float() == 0.0
+        assert haar_value_float(v) == 0.0
 
     def test_against_fraction_oracle(self):
         for k in range(1, 5):
@@ -154,9 +147,7 @@ class TestHaarEval:
 class TestSupportAndBranch:
     def test_support_cell(self):
         cell = support(3, 2)
-        assert cell == DyadicInterval(2, 2)
-        assert cell.lower() == Fraction(1, 4)
-        assert cell.lower() + cell.measure() == Fraction(1, 2)
+        assert cell == DyadicInterval(2, 2)  # [1/4, 1/2)
 
     def test_support_matches_nonzero_set(self):
         for k in range(1, 5):
@@ -225,7 +216,7 @@ class TestIdentities:
 
     def test_scaling_domain_error(self):
         with pytest.raises(DomainError):
-            DyadicRational(1, 1).doubled()  # 2t needs t < 1/2
+            DyadicRational(1, 0)  # 2t = num/2^(level-1) leaves [0, 1) at t = 1/2
 
 
 class TestIndexSets:

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import re
 import shlex
@@ -24,7 +25,7 @@ from haarlab.experiments import (
 from haarlab.normlab import diagonal_formula_tau, diagonal_formula_tau_p
 from haarlab.serialize import ExperimentReport
 from haarlab.transforms import FORK_RELATION_ROWS, compress
-from helpers import reference_greedy_family
+from helpers import peak_traced_bytes, reference_greedy_family
 
 QUICK = {
     "haar-identities": {"k_max": 4, "grid_level": 6},
@@ -221,7 +222,7 @@ def test_comparison_experiment_schema_error_names_field(tmp_path, capsys):
 
 def test_log_variant_zero_family_all_zero():
     rep = run_log_variant_experiment(
-        4.0 / 3.0, n=4, trials=1, families=[HaarCombination.zero(8)]
+        4.0 / 3.0, n=4, trials=1, families=[HaarCombination(8, {})]
     )
     assert rep.passed()
     row = rep.rows[0]
@@ -478,6 +479,38 @@ comparison-residuals,1,3,0,
 """
 
 
+# the battery at the bench scale, --max-level 4 --seed 3
+VERIFY_LEVEL_4_SEED_3 = """suite,passed,checked,failures,sample
+haar-identities,1,170,0,
+orthonormality,1,120,0,
+branch-structure,1,16,0,
+swap-involution,1,104,0,
+fork-relations,1,7,0,
+composition-contract,1,84,0,
+fork-split-compression,1,431,0,
+rewrite-invariance,1,1386,0,
+fill-combinatorics,1,42520,0,
+partition-bounds,1,3000,0,
+greedy-cover,1,200,0,
+norm-identities,1,500,0,
+estimator-oracles,1,11,0,
+comparison-residuals,1,3,0,
+"""
+
+
+def test_cli_verify_csv_at_the_bench_scale_is_pinned(capsys):
+    assert main(["verify", "--max-level", "4", "--seed", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == VERIFY_LEVEL_4_SEED_3
+
+
+def test_cli_log_variant_csv_is_pinned(capsys):
+    # every drawn family shows in the rows' norms, so the hash pins the draws
+    argv = ["experiment-log-variant", "--p", "1.3333333333333333", "--depth", "4"]
+    assert main([*argv, "--trials", "8", "--seed", "3", "--format", "csv"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "68259ab049de794e7d4860c9552c6b5551c90223e9c610095d162a6d5846f5c8"
+
+
 def test_cli_verify_csv_is_pinned(capsys):
     argv = ["verify", "--max-level", "3", "--seed", "7", "--format", "csv"]
     assert main(argv) == 0
@@ -489,6 +522,17 @@ def test_cli_verify_csv_is_pinned(capsys):
         "relations fail at fork (2,1); relations fail at fork (2,2)\"\n",
     )
     assert capsys.readouterr().out == faulty
+
+
+@pytest.mark.parametrize("n_max", [10**6 + 1, 10**15])
+def test_cli_sweep_length_is_bounded_before_any_array(n_max, capsys):
+    argv = ["sweep-weak-type", "--p", "1.5", "--n-max", str(n_max)]
+    codes = []
+    peak = peak_traced_bytes(lambda: codes.append(main(argv)))
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert codes == [2]
+    assert (record["type"], record["field"]) == ("DomainError", "n-max")
+    assert peak < 1 << 20  # the first n_max floats alone would take 8 MB
 
 
 def test_cli_sweep_csv_deterministic(capsys):
@@ -551,16 +595,32 @@ def test_config_max_level_is_checked_against_the_configured_level_cap(monkeypatc
     assert record["error"]["type"] == "DomainError"
 
 
+TAU_P = ["tau-p", "--operator", "OP", "--depth", "3", "--p", "1.5"]
+MONOTONICITY = ["check", "--kind", "monotonicity", "--operator", "OP"]
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
         (["verify", "--seed", "-1", "--max-level", "2"], "seed"),
         (["verify", "--max-level", "0"], "max-level"),
         (["experiment-log-variant", "--p", "1.5", "--tol-opt", "0"], "tol-opt"),
+        ([*TAU_P, "--depth", "0"], "depth"),
+        ([*TAU_P, "--p", "3"], "p"),
+        (["sweep-weak-type", "--p", "2.5"], "p"),
+        (["sweep-weak-type", "--p", "1.5", "--n-max", "0"], "n-max"),
+        (["experiment-log-variant", "--p", "2.5"], "p"),
+        (["experiment-log-variant", "--p", "1.5", "--depth", "0"], "depth"),
+        (["experiment-log-variant", "--p", "1.5", "--trials", "0"], "trials"),
+        # tree height 32: refused before any tree estimate
+        (["experiment-log-variant", "--p", "1.5", "--depth", "16"], "depth"),
+        ([*MONOTONICITY, "--m", "0"], "m"),
+        ([*MONOTONICITY, "--m", "2", "--depth", "1"], "depth"),
     ],
 )
-def test_cli_config_errors_name_their_option(argv, field, capsys):
-    assert main(argv) == 2
+def test_cli_config_errors_name_their_option(argv, field, tmp_path, capsys):
+    op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": "l1", "entries": [1.0, 0.5]})
+    assert main([op if arg == "OP" else arg for arg in argv]) == 2
     record = json.loads(capsys.readouterr().out)["error"]
     assert (record["type"], record["field"]) == ("DomainError", field)
     assert record["message"].startswith(f"{field}: ")

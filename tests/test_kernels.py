@@ -335,7 +335,7 @@ def test_estimates_match_the_loop_backed_ascent(monkeypatch):
         for est, ref in zip(row, ref_row):
             assert est.lower_bound == ref.lower_bound
             assert est.method is ref.method
-            assert est.best_witness.indices() == ref.best_witness.indices()
+            assert est.best_witness.heap_ids.tolist() == ref.best_witness.heap_ids.tolist()
             for idx, x in est.best_witness.items():
                 assert np.array_equal(x, ref.best_witness.coefficient(idx))
 
@@ -580,7 +580,7 @@ def assert_same_combination(f, ref):
     for (a, x), (_a, y) in zip(got, want):
         assert x.tobytes() == y.tobytes(), a
     assert f.support() == ref.support()
-    assert f.indices() == ref.indices()
+    assert frozenset(a for a, _x in got) == ref.indices()
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -630,7 +630,7 @@ def test_views_restrictions_and_point_values_match_the_dict_backed_combination(d
         wanted = random_subset(rng, pool, int(rng.integers(0, len(pool) + 1)))
         assert_same_combination(f.restricted_to(wanted), ref.restricted_to(wanted))
         for a in pool[:8]:
-            assert (a in f) == (a in ref.indices())
+            assert (a in dict(f.items())) == (a in ref.indices())
             assert f.coefficient(a).tobytes() == ref.coefficient(a).tobytes()
         # the value at t, index by index, is the grid's value on the cell of t
         cells = _GridLevels(f.heap_ids).synthesis(f.rows)
