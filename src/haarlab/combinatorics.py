@@ -189,7 +189,7 @@ def _weight_powers(
     nonzero = f.rows.any(axis=1)
     ids = f.heap_ids[nonzero].tolist()
     if ids and ids[-1].bit_length() > n:
-        raise DomainError(f"support is not contained in the depth-{n} tree")
+        raise DomainError(f"support is not contained in the depth-{n} tree", "depth")
     norms = (space or NormedSpaceSpec(f.dim, Norm.L2)).norm_of_each(f.rows[nonzero]).tolist()
     powers = [(half_power(node.bit_length() - 1) * x) ** r for node, x in zip(ids, norms)]
     sums = np.zeros(1 << n)
@@ -206,7 +206,7 @@ def threshold_base(
 ) -> float:
     """Largest branch weight aggregate S_r = max_t (sum over B(t) of w^r)^(1/r)."""
     if not 1 <= r <= 2:
-        raise DomainError(f"exponent r must lie in [1, 2], got {r}")
+        raise DomainError(f"exponent r must lie in [1, 2], got {r}", "exponent")
     _, _, base_power = _weight_powers(f, n, r, space)
     return base_power ** (1.0 / r)
 
@@ -257,7 +257,7 @@ def level_set_partition(
     zero combination yields the empty family.
     """
     if not 1 <= r <= 2:
-        raise DomainError(f"exponent r must lie in [1, 2], got {r}")
+        raise DomainError(f"exponent r must lie in [1, 2], got {r}", "exponent")
     ids, bands, base_power = _band_assignments(f, n, r, space)
     if not bands:
         return PartitionFamily((), 0.0)
@@ -295,9 +295,9 @@ def greedy_family(
     sums to at most S^r), so the fill kernel pads it without checks.
     """
     if not 1 <= p < 2:
-        raise DomainError(f"exponent p must lie in [1, 2), got {p}")
+        raise DomainError(f"exponent p must lie in [1, 2), got {p}", "exponent")
     if n < 1:
-        raise DomainError(f"tree depth must be >= 1, got {n}")
+        raise DomainError(f"tree depth must be >= 1, got {n}", "depth")
     ids, bands, base_power = _band_assignments(f, n, p, space)
     check_level(n, "band level")  # the cover lists all 2^n - 1 indices
     m = n.bit_length() - 1

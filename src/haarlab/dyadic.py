@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -306,17 +307,27 @@ class _GridLevels:
             positions = None if full else ids[lo:hi] - (1 << (k - 1))
             self.levels.append((k, lo, hi, positions, half_power(k - 1)))
         self.top = self.levels[-1][0] if self.levels else 0
-        self.leaves = 1 << self.top  # rows of the grid at the top level
+        # the 2^top cells of the top level; on this kernel each is a row
+        # (a leaf) of the grid
+        self.cells = self.leaves = 1 << self.top
 
-    def on_partition(self) -> "_GridLevels":
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """The scale 2^((k-1)/2) of each row's level, one per row."""
+        out = np.empty(self.count)
+        for _k, lo, hi, _positions, scale in self.levels:
+            out[lo:hi] = scale
+        return out
+
+    def on_partition(self) -> "_GridLevels | _PartitionLevels":
         """This kernel on the id list's own dyadic partition, or itself
         where that partition is the 2^top cells of the top level."""
-        edges = [np.array([0, self.leaves])]
+        edges = [np.array([0, self.cells])]
         for level in self.levels:
             starts, w = self._supports(level)
             edges += [starts, starts + w, starts + 2 * w]
         bounds = np.unique(np.concatenate(edges))
-        if len(bounds) - 1 == self.leaves:
+        if len(bounds) - 1 == self.cells:
             return self
         return _PartitionLevels(self, bounds)
 
@@ -344,7 +355,7 @@ class _GridLevels:
         loop's bit for bit.
         """
         lead, dim = rows.shape[:-2], rows.shape[-1]
-        return _synthesise(np.zeros(lead + (self.leaves, dim)), rows, self.levels, self.top)
+        return _synthesise(np.zeros(lead + (self.cells, dim)), rows, self.levels, self.top)
 
     def blocks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         """synthesis(rows) of 2-D rows, as a run of aligned blocks in cell
@@ -460,8 +471,9 @@ def _spread(out: np.ndarray, g: int, lo: int, hi: int) -> None:
         blocks[..., 1:, :] = blocks[..., :1, :]
 
 
-class _PartitionLevels(_GridLevels):
-    """_GridLevels on the leaves of the id list's own dyadic partition.
+class _PartitionLevels:
+    """The levels of a _GridLevels on the leaves of the id list's own
+    dyadic partition.
 
     The leaves are the runs of top-level cells between the starts, the
     midpoints and the ends of the supports of the list's indices, so an
@@ -480,6 +492,7 @@ class _PartitionLevels(_GridLevels):
 
     def __init__(self, grid: _GridLevels, bounds: np.ndarray):
         self.count, self.levels, self.top = grid.count, grid.levels, grid.top
+        self.cells, self.scale = grid.cells, grid.scale
         self.leaves = len(bounds) - 1
         self.widths = widths = np.diff(bounds)  # cells per leaf
         # per level: the leaves inside the supports of its indices in cell
@@ -487,7 +500,7 @@ class _PartitionLevels(_GridLevels):
         # left half, and its width in cells
         self.plan = []
         for level in self.levels:
-            starts, w = self._supports(level)
+            starts, w = grid._supports(level)
             a, b, c = np.searchsorted(bounds, [starts, starts + w, starts + 2 * w])
             counts = c - a
             row = np.repeat(np.arange(len(starts)), counts)

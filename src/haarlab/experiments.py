@@ -287,8 +287,9 @@ def run_log_variant_experiment(
         raise DomainError(f"exponent p must lie in [1, 2), got {p}", "p")
     if n < 1:
         raise DomainError(f"tree depth must be >= 1, got {n}", "depth")
-    if trials < 1 and families is None:
-        raise DomainError(f"trial count must be >= 1, got {trials}", "trials")
+    # a family and a report row per trial: bound them before any estimate
+    if families is None and not 1 <= trials <= 100_000:
+        raise DomainError(f"trial count must lie in 1..100000, got {trials}", "trials")
 
     m = n.bit_length() - 1
     # the deepest tree estimate, 2^(m+1) > n, bounds every level the chain uses

@@ -67,6 +67,12 @@ __all__ = [
 # norms of combinations
 
 
+def _check_dim(space: NormedSpaceSpec, f: HaarCombination, name: str = "space") -> None:
+    """Raises a DomainError where the coefficients of f do not live in space."""
+    if space.dim != f.dim:
+        raise DomainError(f"{name} dimension {space.dim} does not match combination dim {f.dim}")
+
+
 def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float) -> float:
     """Exact L_p norm of the vector-valued step function built from f.
 
@@ -82,15 +88,13 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
     """
     if not 1 <= p < math.inf:
         raise DomainError(f"exponent p must satisfy 1 <= p < inf, got {p}")
-    if space.dim != f.dim:
-        raise DomainError(f"space dimension {space.dim} does not match combination dim {f.dim}")
+    _check_dim(space, f)
     if not f.rows.any():
         return 0.0
-    n = f.max_level()
-    blocks = _GridLevels(f.heap_ids).blocks(f.rows)
-    terms = ((space.norms_of(v) ** p).tolist() for v in blocks)
+    grid = _GridLevels(f.heap_ids)
+    terms = ((space.norms_of(v) ** p).tolist() for v in grid.blocks(f.rows))
     total = math.fsum(itertools.chain.from_iterable(terms))
-    return (total * math.ldexp(1.0, -n)) ** (1.0 / p)
+    return (total / grid.cells) ** (1.0 / p)
 
 
 def _level_weight(k: int, p: float) -> float:
@@ -106,8 +110,7 @@ def levelwise_rhs_p(f: HaarCombination, space: NormedSpaceSpec, p: float) -> flo
     """
     if not 1 <= p <= 2:
         raise DomainError(f"exponent p must satisfy 1 <= p <= 2, got {p}")
-    if space.dim != f.dim:
-        raise DomainError(f"space dimension {space.dim} does not match combination dim {f.dim}")
+    _check_dim(space, f)
     norms = space.norm_of_each(f.rows).tolist()
     terms = []
     for k, lo, hi in _level_runs(f.heap_ids):
@@ -118,10 +121,7 @@ def levelwise_rhs_p(f: HaarCombination, space: NormedSpaceSpec, p: float) -> flo
 
 
 def apply_operator(T: OperatorSpec, f: HaarCombination) -> HaarCombination:
-    if T.domain.dim != f.dim:
-        raise DomainError(
-            f"operator domain dimension {T.domain.dim} does not match combination dim {f.dim}"
-        )
+    _check_dim(T.domain, f, "operator domain")
     # each row a (1, d) product of its own: the bits of T applied to it alone
     images = T.apply_rows(f.rows[:, None, :])[:, 0, :]
     return HaarCombination._from_arrays(T.codomain.dim, f.heap_ids, images)
@@ -415,28 +415,29 @@ class _AscentProblem:
         self.ids = ids  # sorted heap ids
         self.p = p
         self.grid = _GridLevels(self.ids).on_partition()
-        self.cells = 1 << self.grid.top
-        self.batch = max(1, _BATCH_FLOATS // (self.cells * T.codomain.dim))
-        self.scale = np.empty(len(self.ids))
-        for _k, lo, hi, _positions, scale in self.grid.levels:
-            self.scale[lo:hi] = scale
+        self.batch = max(1, _BATCH_FLOATS // (self.grid.cells * T.codomain.dim))
         if p is not None:
             self.weights = np.empty(len(self.ids))
-            for k, lo, hi, _positions, _scale in self.grid.levels:
+            for k, lo, hi in _level_runs(self.ids):
                 self.weights[lo:hi] = _level_weight(k, p)
 
-    def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid values V (R, leaves, d') of T f, one row per leaf of the grid
-        kernel, and their codomain norms nu, per restart."""
+        kernel, their codomain norms nu, and nu on the cells (R, cells),
+        gathered once for the iterate's ratio and its gradient."""
         V = self.grid.synthesis(self.T.apply_rows(X))
-        return V, self.T.codomain.norms_of(V)
+        nu = self.T.codomain.norms_of(V)
+        return V, nu, self.grid.to_cells(nu, -1)
 
-    def numerators(self, nu: np.ndarray) -> list[float]:
-        nu = self.grid.to_cells(nu, -1)
+    def _power_numerators(self, cell_nu: np.ndarray, q: float) -> list[float]:
+        """(mean of cell_nu ** q) ** (1/q) per restart."""
+        sums = ((cell_nu**q).sum(axis=-1) / self.grid.cells).tolist()
+        return [s ** (1.0 / q) for s in sums]
+
+    def numerators(self, cell_nu: np.ndarray) -> list[float]:
         if self.p is None:
-            return [math.sqrt(s / self.cells) for s in np.vecdot(nu, nu).tolist()]
-        sums = ((nu**self.p).sum(axis=-1) / self.cells).tolist()
-        return [s ** (1.0 / self.p) for s in sums]
+            return [math.sqrt(s / self.grid.cells) for s in np.vecdot(cell_nu, cell_nu).tolist()]
+        return self._power_numerators(cell_nu, self.p)
 
     def denominators(self, norms: np.ndarray) -> list[float]:
         """Denominators from the domain norms (R, m) of the rows."""
@@ -445,23 +446,23 @@ class _AscentProblem:
         # each s is a numpy float64: numpy's scalar power, as one restart takes it
         return [float(s ** (1.0 / self.p)) for s in np.vecdot(norms**self.p, self.weights)]
 
-    def ratios(self, norms: np.ndarray, nu: np.ndarray) -> list[float]:
+    def ratios(self, norms: np.ndarray, cell_nu: np.ndarray) -> list[float]:
         return [
             num / den if den > 0 else 0.0
-            for num, den in zip(self.numerators(nu), self.denominators(norms))
+            for num, den in zip(self.numerators(cell_nu), self.denominators(norms))
         ]
 
     def gradient(
-        self, X: np.ndarray, norms: np.ndarray, V: np.ndarray, nu: np.ndarray
+        self, X: np.ndarray, norms: np.ndarray, V: np.ndarray, nu: np.ndarray, cell_nu: np.ndarray
     ) -> np.ndarray:
         """Subgradient of the ratio at each restart of X with domain norms
-        `norms` and grids (V, nu), assuming each denominator is 1; zero
-        where the numerator is.  The gradient cells are built in V's place,
-        so V is overwritten and one grid per restart is held at a time."""
+        `norms` and grids (V, nu, cell_nu) from evaluate, assuming each
+        denominator is 1; zero where the numerator is.  The gradient cells
+        are built in V's place, so V is overwritten and one grid per restart
+        is held at a time."""
         pnum = 2.0 if self.p is None else self.p
-        sums = (self.grid.to_cells(nu, -1) ** pnum).sum(axis=-1) / self.cells
-        nums = [s ** (1.0 / pnum) for s in sums.tolist()]
-        factors = np.array([num ** (1.0 - pnum) / self.cells if num else 0.0 for num in nums])
+        nums = self._power_numerators(cell_nu, pnum)
+        factors = np.array([num ** (1.0 - pnum) / self.grid.cells if num else 0.0 for num in nums])
         # nu ** 1.0 is nu, bit for bit
         cell_scale = (nu if self.p is None else nu ** (pnum - 1.0)) * factors[:, None]
         G_cells = self.T.codomain.dual_rows(V, out=V)
@@ -484,7 +485,7 @@ class _AscentProblem:
         """`count` starts (count, m, d) from one draw, which gives the same
         numbers as `count` draws of (m, d) one after another."""
         X = rng.standard_normal((count, len(self.ids), self.T.domain.dim))
-        return X * (1.0 / self.scale)[:, None]
+        return X * (1.0 / self.grid.scale)[:, None]
 
     def ascend(self, X0: np.ndarray, iterations: int) -> np.ndarray:
         """The best iterate of each restart of X0 (R, m, d), the restarts
@@ -505,12 +506,12 @@ class _AscentProblem:
             return
         X = X0[live] / dens[live, None, None]
         norms = self.T.domain.norms_of(X)
-        V, nu = self.evaluate(X)
+        V, nu, cell_nu = self.evaluate(X)
         best[live] = X
-        best_r = np.array(self.ratios(norms, nu))
+        best_r = np.array(self.ratios(norms, cell_nu))
         for it in range(iterations):
-            G = self.gradient(X, norms, V, nu)
-            del V  # free this grid before the next one is built
+            G = self.gradient(X, norms, V, nu, cell_nu)
+            del V, cell_nu  # free this grid before the next one is built
             flat = G.reshape(len(G), -1)
             gn = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm of each G[i]
             moving = ~(gn < 1e-14)
@@ -528,8 +529,8 @@ class _AscentProblem:
                 X, dens, live, best_r = X[kept], dens[kept], live[kept], best_r[kept]
             X = X / dens[:, None, None]
             norms = self.T.domain.norms_of(X)
-            V, nu = self.evaluate(X)
-            r = np.array(self.ratios(norms, nu))
+            V, nu, cell_nu = self.evaluate(X)
+            r = np.array(self.ratios(norms, cell_nu))
             better = r > best_r
             best_r = np.where(better, r, best_r)
             best[live[better]] = X[better]
@@ -619,10 +620,15 @@ def _best_column_candidate(T: OperatorSpec, node: int) -> HaarCombination:
     return HaarCombination._from_arrays(T.domain.dim, np.array([node]), x)
 
 
-def _singular_candidate(T: OperatorSpec, node: int) -> HaarCombination:
-    """A top right singular vector of T on the index with heap id `node`."""
+def _singular_estimate(T: OperatorSpec, node: int, p: float | None) -> TauEstimate | None:
+    """The estimate of an l2 -> l2 operator, whose ratio is at most its top
+    singular value on any set: a top right singular vector of T on the index
+    with heap id `node` attains it.  None for any other pair of norms."""
+    if T.domain.norm is not Norm.L2 or T.codomain.norm is not Norm.L2:
+        return None
     v = _top_singular_vector(T.as_matrix())
-    return HaarCombination._from_arrays(T.domain.dim, np.array([node]), v[None, :])
+    f = HaarCombination._from_arrays(T.domain.dim, np.array([node]), v[None, :])
+    return _normalized_estimate(T, [_rated(T, f, EstimateMethod.POWER_ITERATION, p)], p, 1, 1)
 
 
 def tau_estimate(
@@ -654,11 +660,8 @@ def _tau_estimate(
     """tau_estimate on a nonempty array of sorted heap ids, with checked
     budgets: the entry for sets the package builds itself."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
-            f = _singular_candidate(T, int(ids[0]))
-            return _normalized_estimate(
-                T, [_rated(T, f, EstimateMethod.POWER_ITERATION, None)], None, 1, 1
-            )
+        if (singular := _singular_estimate(T, int(ids[0]), None)) is not None:
+            return singular
 
         cheap = _coordinate_candidates(T, ids) + [_best_column_candidate(T, int(ids[0]))]
         candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, None) for f in cheap]
@@ -667,7 +670,8 @@ def _tau_estimate(
             problem = _AscentProblem(T, ids, None)
             starts = problem.random_starts(np.random.default_rng(seed), restarts)
             candidates += _ascent_candidates(problem, starts, iterations)
-            # polish the best exact candidate with a short ascent
+            # polish the best candidate so far, ascent iterates included,
+            # with a short ascent
             polish = problem.from_combination(max(candidates, key=lambda c: c[2])[0])[None]
             candidates += _ascent_candidates(problem, polish, iterations)
         return _normalized_estimate(T, candidates, None, restarts, iterations)
@@ -713,11 +717,8 @@ def tau_p_estimate(
     _check_budget(restarts, iterations)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if p == 2.0 and T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
-            f = _singular_candidate(T, 1)
-            return _normalized_estimate(
-                T, [_rated(T, f, EstimateMethod.POWER_ITERATION, p)], p, 1, 1
-            )
+        if p == 2.0 and (singular := _singular_estimate(T, 1, p)) is not None:
+            return singular
 
         cheap = [_best_column_candidate(T, 1)]
         exact = _level_constant_candidate(T, n, p)
@@ -858,23 +859,20 @@ def triangle_chain_check(T: OperatorSpec, f: HaarCombination, r: float) -> Exper
     """Split f by the weight thresholds and verify the resulting chain:
     the pieces partition the support exactly, the triangle inequality holds
     for the L2 norms of the images, and every piece obeys its square-sum
-    weight bound."""
-    if T.domain.dim != f.dim:
-        raise DomainError(
-            f"operator domain dimension {T.domain.dim} does not match combination dim {f.dim}"
-        )
+    weight bound.  T maps each row alone, so a piece's image is the image
+    of f restricted to the piece, bit for bit."""
+    image = apply_operator(T, f)
     supp = frozenset(f.support())
     n = max((k for k, _ in supp), default=1)
     family = level_set_partition(f, n, r, T.domain)
 
-    direct = lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0)
+    direct = lp_norm_of_combination(image, T.codomain, 2.0)
     piece_norms = []
     piece_checks = []
     S = family.threshold_base
     for l, piece in enumerate(family.pieces, start=1):
-        g = f.restricted_to(piece)
-        piece_norms.append(lp_norm_of_combination(apply_operator(T, g), T.codomain, 2.0))
-        sq = g.squared_sum(T.domain)
+        piece_norms.append(lp_norm_of_combination(image.restricted_to(piece), T.codomain, 2.0))
+        sq = f.restricted_to(piece).squared_sum(T.domain)
         bound = band_weight_bound(l, r, S)
         piece_checks.append(sq <= bound * (1.0 + QUADRATURE_TOLERANCE))
     total = math.fsum(piece_norms)

@@ -229,7 +229,16 @@ def parse_combination(value, field: str = "coefficients") -> HaarCombination:
         if (k, j) in coeffs:
             raise SchemaError(f"duplicate index ({k}, {j})", here)
         coeffs[(k, j)] = [_as_number(c, f"{here}.x[{q}]") for q, c in enumerate(vec)]
-    return _checked(lambda: HaarCombination(dim, coeffs), field)
+
+    def build() -> HaarCombination:
+        try:
+            return HaarCombination(dim, coeffs)
+        except IndexSetError as exc:
+            # the constructor's one index check reads the pairs in entry
+            # order, so the position it reports is the entry's
+            raise SchemaError(str(exc), f"{field}.entries[{exc.position}]") from exc
+
+    return _checked(build, field)
 
 
 def dump_combination(f: HaarCombination) -> dict:

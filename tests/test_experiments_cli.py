@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import shlex
+import time
 import warnings
 from pathlib import Path
 
@@ -535,6 +536,20 @@ def test_cli_sweep_length_is_bounded_before_any_array(n_max, capsys):
     assert peak < 1 << 20  # the first n_max floats alone would take 8 MB
 
 
+@pytest.mark.parametrize("trials", [100_001, 10**12])
+def test_cli_log_variant_trials_are_bounded_before_any_estimate(trials, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_tau_estimate", lambda *args: calls.append("estimate"))
+    monkeypatch.setattr(experiments, "_random_family", lambda *args: calls.append("family"))
+    argv = ["experiment-log-variant", "--p", "1.5", "--depth", "2", "--trials", str(trials)]
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert (record["type"], record["field"]) == ("DomainError", "trials")
+    assert calls == []
+
+
 def test_cli_sweep_csv_deterministic(capsys):
     assert main(["sweep-weak-type", "--p", "1.5", "--n-max", "32", "--format", "csv"]) == 1
     first = capsys.readouterr().out
@@ -597,6 +612,7 @@ def test_config_max_level_is_checked_against_the_configured_level_cap(monkeypatc
 
 TAU_P = ["tau-p", "--operator", "OP", "--depth", "3", "--p", "1.5"]
 MONOTONICITY = ["check", "--kind", "monotonicity", "--operator", "OP"]
+TRIANGLE = ["check", "--kind", "triangle", "--operator", "OP", "--combination", "COMB"]
 
 
 @pytest.mark.parametrize(
@@ -616,11 +632,17 @@ MONOTONICITY = ["check", "--kind", "monotonicity", "--operator", "OP"]
         (["experiment-log-variant", "--p", "1.5", "--depth", "16"], "depth"),
         ([*MONOTONICITY, "--m", "0"], "m"),
         ([*MONOTONICITY, "--m", "2", "--depth", "1"], "depth"),
+        # the combination has an index at level 3
+        (["partition", "--combination", "COMB", "--depth", "1"], "depth"),
+        (["partition", "--combination", "COMB", "--depth", "3", "--exponent", "3"], "exponent"),
+        ([*TRIANGLE, "--exponent", "3"], "exponent"),
     ],
 )
 def test_cli_config_errors_name_their_option(argv, field, tmp_path, capsys):
     op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": "l1", "entries": [1.0, 0.5]})
-    assert main([op if arg == "OP" else arg for arg in argv]) == 2
+    entries = [{"k": 1, "j": 1, "x": [1.0, 0.0]}, {"k": 3, "j": 2, "x": [0.5, 0.25]}]
+    comb = _write(tmp_path / "comb.json", {"dim": 2, "entries": entries})
+    assert main([{"OP": op, "COMB": comb}.get(arg, arg) for arg in argv]) == 2
     record = json.loads(capsys.readouterr().out)["error"]
     assert (record["type"], record["field"]) == ("DomainError", field)
     assert record["message"].startswith(f"{field}: ")

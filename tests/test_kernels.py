@@ -20,6 +20,7 @@ from haarlab.combinatorics import (
 from haarlab.dyadic import (
     DyadicRational,
     _GridLevels,
+    _PartitionLevels,
     dyadic_band,
     full_tree,
     heap_ids,
@@ -299,9 +300,10 @@ def test_ascent_grid_gradient_and_path_match_the_index_loops(dim):
             cells = problem.grid.to_cells(problem.grid.synthesis(Y)[0], -2)
             assert np.array_equal(cells, reference.grid_values(Y[0]))
             norms = T.domain.norms_of(X)
-            V, nu = problem.evaluate(X)
-            assert problem.ratios(norms, nu) == [reference.ratio(X[0])]
-            assert np.array_equal(problem.gradient(X, norms, V, nu)[0], reference.gradient(X[0]))
+            V, nu, cell_nu = problem.evaluate(X)
+            assert problem.ratios(norms, cell_nu) == [reference.ratio(X[0])]
+            G = problem.gradient(X, norms, V, nu, cell_nu)
+            assert np.array_equal(G[0], reference.gradient(X[0]))
             assert np.array_equal(problem.ascend(X, 12)[0], reference.ascend_one(X[0], 12))
 
 
@@ -412,17 +414,18 @@ def test_ascent_on_the_sets_partition_matches_the_index_loops(restarts):
             for p in (None, 4.0 / 3.0):
                 problem = normlab._AscentProblem(T, ids, p)
                 reference = ReferenceAscentProblem(T, ids, p)
-                on_leaves += problem.grid.leaves < problem.cells
+                on_leaves += problem.grid.leaves < problem.grid.cells
                 X = problem.random_starts(np.random.default_rng(trial), restarts)
                 X = X / np.array(problem.denominators(T.domain.norms_of(X)))[:, None, None]
                 norms = T.domain.norms_of(X)
-                V, nu = problem.evaluate(X)
+                V, nu, cell_nu = problem.evaluate(X)
                 Y = T.apply_rows(X)
                 for r in range(restarts):
                     cells = problem.grid.to_cells(V[r], -2)
                     assert np.array_equal(cells, reference.grid_values(Y[r])), sorted(indices)
-                assert problem.ratios(norms, nu) == [reference.ratio(x) for x in X]
-                G = problem.gradient(X, norms, V, nu)
+                assert np.array_equal(cell_nu, problem.grid.to_cells(nu, -1))
+                assert problem.ratios(norms, cell_nu) == [reference.ratio(x) for x in X]
+                G = problem.gradient(X, norms, V, nu, cell_nu)
                 for r in range(restarts):
                     assert np.array_equal(G[r], reference.gradient(X[r])), sorted(indices)
                 assert_batch_matches_reference(problem, reference, X, 15)
@@ -487,6 +490,35 @@ def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(mon
     tau_estimate(T, full_tree(6), restarts=8, iterations=60)
     assert len(ratings) >= 10  # the 8 restarts, the polish and the certified witness
     assert len(syntheses) <= 2 * 61 + len(ratings), (len(syntheses), len(ratings))
+
+
+@pytest.mark.parametrize("p", [None, 4.0 / 3.0])
+def test_an_iterate_on_the_partition_gathers_its_cells_once(monkeypatch, p):
+    """The ratio and the gradient of an iterate share one gather of nu to
+    the cells: one to_cells call per evaluated iterate.  The branch of
+    depth 10 runs on its partition of 11 leaves, a kernel of its own that
+    has neither blocks nor on_partition."""
+    T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 9)], Norm.L1)
+    problem = normlab._AscentProblem(T, heap_ids({(k, 1) for k in range(1, 11)}), p)
+    assert type(problem.grid) is _PartitionLevels
+    assert not issubclass(_PartitionLevels, _GridLevels)
+    assert not hasattr(problem.grid, "blocks") and not hasattr(problem.grid, "on_partition")
+    evaluations, gathers = [], []
+    evaluate, to_cells = normlab._AscentProblem.evaluate, _PartitionLevels.to_cells
+
+    def counted_evaluate(self, X):
+        evaluations.append(len(X))
+        return evaluate(self, X)
+
+    def counted_to_cells(self, rows, axis):
+        gathers.append(rows.shape)
+        return to_cells(self, rows, axis)
+
+    monkeypatch.setattr(normlab._AscentProblem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(_PartitionLevels, "to_cells", counted_to_cells)
+    problem.ascend(problem.random_starts(np.random.default_rng(9), 4), 30)
+    assert evaluations == [4] * 31  # the starts and 30 iterates, no restart stopped
+    assert gathers == [(4, 11)] * 31
 
 
 def test_lockstep_estimate_peak_memory_stays_at_one_restart_per_large_grid():

@@ -96,6 +96,21 @@ def test_combination_schema_errors():
 
 
 @pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"k": 0, "j": 1}, "Haar index level must be >= 1, got k=0"),
+        ({"k": 3, "j": 9}, "Haar index position 9 out of range for level 3"),
+    ],
+)
+def test_combination_index_errors_name_their_entry(bad, message):
+    entries = [{"k": 1, "j": 1, "x": [1.0]}, {**bad, "x": [2.0]}, {"k": 2, "j": 1, "x": [0.5]}]
+    with pytest.raises(SchemaError) as err:
+        parse_combination({"dim": 1, "entries": entries})
+    assert err.value.field == "coefficients.entries[1]"
+    assert str(err.value) == f"coefficients.entries[1]: {message}"
+
+
+@pytest.mark.parametrize(
     "op",
     [
         (
