@@ -3,19 +3,28 @@
 Each entry is built here from a seed, with nothing taken from the benchmark
 directory: the 40 tau-search recipes at seeds 3 and 11, tau_p on the full
 trees of depths 3-5, sparse deep sets that the ascent runs on their own
-dyadic partition, and the JSON of the tau, tau-p and check commands without
-their wall time.  An estimate is pinned by the float.hex of its bound, its
-method, and the sha256 of its witness's heap ids and rows.
+dyadic partition, the log-variant experiment's tree estimates at its
+default depth (full trees up to depth 16), the ratios of a deep sparse
+set and of full_tree(14), and the JSON of the tau, tau-p and check commands
+without their wall time.  An estimate is pinned by the float.hex of its
+bound, its method, and the sha256 of its witness's heap ids and rows; a
+ratio by its float.hex.
 
-Every np.vecdot row the estimates take has at most 10,000 elements (grids
-of at most 2^13 cells, m * d well below 10,000), so OpenBLAS sums each row
-on one thread and the table does not depend on the thread count.  The
+Every np.vecdot row the estimates take has at most 10,000 elements (the
+ascent's grids have at most 2^13 cells and m * d stays well below 10,000;
+the deeper sets are rated without an ascent, on l1 and linf codomains or
+row by row), so OpenBLAS sums each row on one thread and the table does not
+depend on the thread count.  The
 `ddot` kernel still depends on the CPU type, so the table records the CPU
 model and the numpy version it was made with.
 
 Regenerate the table (after a change that is meant to move bits) with
 
     PYTHONPATH=src python tests/golden.py
+
+and list what moved, old value beside new, without writing the table, with
+
+    PYTHONPATH=src python tests/golden.py --diff
 """
 
 from __future__ import annotations
@@ -33,8 +42,17 @@ from pathlib import Path
 import numpy as np
 
 from haarlab.cli import main
+from haarlab.combination import HaarCombination
 from haarlab.dyadic import dyadic_band, full_tree
-from haarlab.normlab import tau_estimate, tau_p_estimate
+from haarlab.experiments import ExperimentConfig
+from haarlab.normlab import (
+    _diagonal_example,
+    _tau_estimate,
+    tau_estimate,
+    tau_p_estimate,
+    tau_p_ratio,
+    tau_ratio,
+)
 from haarlab.spaces import Norm, NormedSpaceSpec, OperatorSpec
 
 TABLE = Path(__file__).resolve().parent / "golden_table.json"
@@ -135,6 +153,37 @@ def partition_cases() -> list[tuple[str, object]]:
     ]
 
 
+def tree_table_cases() -> list[tuple[str, object]]:
+    """The log-variant experiment's tree estimates at its default depth
+    (p = 4/3, n = 8): tau of the diagonal example on the full trees of
+    depths 2, 4, 8 and 16, d = 16, called as experiments._tree_tau_table
+    calls them, with the default budgets and seed."""
+    config = ExperimentConfig()
+    op = _diagonal_example(P, 16)
+    budget = (config.restarts, config.iterations, config.seed)
+    return [
+        (f"log-variant tree {depth}", partial(_tau_estimate, op, np.arange(1, 1 << depth), *budget))
+        for depth in (2, 4, 8, 16)
+    ]
+
+
+def ratio_entries() -> dict:
+    """tau_ratio and tau_p_ratio (p = 4/3) of random combinations on
+    {(1,1), (20,1)} and on full_tree(14), d = 16, whose grids stream through
+    the norm in many blocks, for the diagonal example into l1 and a dense
+    l2 -> linf operator."""
+    rng = np.random.default_rng(51)
+    sets = {"{(1,1), (20,1)}": [(1, 1), (20, 1)], "tree 14": sorted(full_tree(14))}
+    ops = {"diag l1": _diagonal_example(P, 16), "dense l2->linf": dense(52, 16, "l2", "linf")}
+    out = {}
+    for set_name, indices in sets.items():
+        f = HaarCombination(16, {a: rng.standard_normal(16) for a in indices})
+        for op_name, op in ops.items():
+            out[f"tau {op_name} {set_name}"] = tau_ratio(op, f).hex()
+            out[f"tau_p {op_name} {set_name}"] = tau_p_ratio(op, f, P).hex()
+    return out
+
+
 def _write(name: str, obj) -> None:
     with open(name, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
@@ -198,15 +247,47 @@ def golden_entries() -> dict:
     for seed in (3, 11):
         for label, call in tau_search_recipes(seed):
             estimates[f"seed {seed}: {label}"] = pin(call())
-    for label, call in tau_p_cases() + partition_cases():
+    for label, call in tau_p_cases() + partition_cases() + tree_table_cases():
         estimates[label] = pin(call())
-    return {"estimates": estimates, "cli": cli_reports()}
+    return {"estimates": estimates, "ratios": ratio_entries(), "cli": cli_reports()}
 
 
 def build_table() -> dict:
     return {"numpy": np.__version__, "cpu": cpu_model(), **golden_entries()}
 
 
+def _leaves(obj, path: str = ""):
+    """(path, value) for every scalar in nested dicts and lists, dict keys
+    and list positions joined by ' / '."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        yield path, obj
+        return
+    for key, value in items:
+        yield from _leaves(value, f"{path} / {key}" if path else str(key))
+
+
+def diff(old: dict, new: dict) -> list[str]:
+    """One line per entry that moved between two tables, old value beside
+    new, in the old table's order and then the new entries."""
+    before, after = dict(_leaves(old)), dict(_leaves(new))
+    absent = "(absent)"
+    return [
+        f"{path}: {before.get(path, absent)} -> {after.get(path, absent)}"
+        for path in {**before, **after}
+        if before.get(path, absent) != after.get(path, absent)
+    ]
+
+
 if __name__ == "__main__":
-    TABLE.write_text(json.dumps(build_table(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {TABLE}", file=sys.stderr)
+    table = build_table()
+    if sys.argv[1:] == ["--diff"]:
+        old = json.loads(TABLE.read_text(encoding="utf-8"))
+        # the JSON round trip turns the new table's tuples into lists, as in the file
+        print("\n".join(diff(old, json.loads(json.dumps(table)))) or "no entry moved")
+    else:
+        TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {TABLE}", file=sys.stderr)

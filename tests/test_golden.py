@@ -2,8 +2,9 @@
 
 The table (tests/golden_table.json, written by tests/golden.py) holds the
 float.hex bound, the method and the witness digest of each pinned estimate,
-and the JSON reports of the tau, tau-p and check commands.  A change meant
-to keep every result recomputes all of them here and finds them unchanged.
+the float.hex of each pinned ratio, and the JSON reports of the tau, tau-p
+and check commands.  A change meant to keep every result recomputes all of
+them here and finds them unchanged.
 """
 
 import json
@@ -25,8 +26,9 @@ def test_estimates_and_reports_keep_their_bits():
     if golden.cpu_model() != TABLE["cpu"]:
         pytest.skip(f"the table holds for the CPU {TABLE['cpu']!r}; this is {golden.cpu_model()!r}")
     got = golden.golden_entries()
-    assert len(got["estimates"]) == 2 * 40 + 7 + 3
-    for part in ("estimates", "cli"):
+    assert len(got["estimates"]) == 2 * 40 + 7 + 3 + 4
+    assert len(got["ratios"]) == 8
+    for part in ("estimates", "ratios", "cli"):
         moved = [name for name, pin in TABLE[part].items() if got[part].get(name) != pin]
         assert not moved, moved
         assert got[part] == TABLE[part]
