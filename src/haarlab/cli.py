@@ -5,8 +5,9 @@ time on it and emits it as JSON (default) or CSV, and --output redirects to
 a file.  Each subcommand registers only the shared knobs it reads, and each
 check kind accepts only the options it reads.  Exit codes: 0 when all
 asserted checks pass, 1 when an asserted check fails, 2 for usage, input or
-schema errors, which are reported as a machine-readable JSON record on
-stdout.
+schema errors, and 3 for an unexpected exception (a fault of the program,
+not of the input).  Exit codes 2 and 3 print one machine-readable JSON
+record on stdout, never a traceback.
 """
 
 from __future__ import annotations
@@ -396,15 +397,16 @@ def main(argv: list[str] | None = None) -> int:
         report.wall_time = time.perf_counter() - started
         return _emit(report, args)
     except HaarLabError as exc:
-        record = {
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "field": exc.field,
-            }
-        }
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-        return 2
+        return _error(exc, exc.field, 2)
+    except Exception as exc:  # a fault of the program: a record, not a traceback
+        return _error(exc, None, 3)
+
+
+def _error(exc: Exception, field: str | None, code: int) -> int:
+    """Print the JSON error record of exc and return the exit code."""
+    record = {"error": {"type": type(exc).__name__, "message": str(exc), "field": field}}
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ coefficient, support, restricted_to) is a view of the two arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator, Mapping
 
@@ -22,6 +23,15 @@ from .errors import DomainError
 # the finest level whose heap ids, and the grid boundaries above them, fit
 # in int64
 _STORED_LEVELS = 62
+
+# the coefficient sums take the norms of this many rows at a time, so they
+# hold one chunk of Python floats, not one per row
+_CHUNK_ROWS = 1 << 12
+
+
+def row_chunks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive runs of at most _CHUNK_ROWS of `rows`, in order."""
+    return (rows[lo : lo + _CHUNK_ROWS] for lo in range(0, len(rows), _CHUNK_ROWS))
 
 
 def _node(idx) -> int | None:
@@ -134,20 +144,30 @@ class HaarCombination:
         keep = np.array([idx in indices for idx in self._keys()], dtype=bool)
         return HaarCombination._from_arrays(self.dim, self._ids[keep], self._rows[keep])
 
-    def scaled(self, c: float) -> "HaarCombination":
-        return HaarCombination._from_arrays(self.dim, self._ids, c * self._rows)
+    def _scale_in_place(self, c: float) -> None:
+        """Multiply every row by c where it is stored: for the one holder of
+        rows that nothing else reads.  The rows stay read-only to everyone
+        else."""
+        self._rows.flags.writeable = True
+        self._rows *= c
+        self._rows.flags.writeable = False
 
     def squared_sum(self, space=None) -> float:
         """Sum over indices of ||x||^2 in the given NormedSpaceSpec
         (Euclidean when None).
 
-        The norms of all rows come from one array operation
-        (space.norm_of_each); the squares stay Python float powers, which
-        numpy's power does not reproduce bit for bit.
+        The norms come from one array operation (space.norm_of_each) per
+        chunk of rows (row_chunks); the squares stay Python float powers,
+        which numpy's power does not reproduce bit for bit.  math.fsum,
+        exactly rounded, takes them a chunk at a time, so the sum does not
+        depend on the chunks.
         """
+        chunks = row_chunks(self._rows)
         if space is None:
-            return math.fsum(np.vecdot(self._rows, self._rows).tolist())
-        return math.fsum([v**2 for v in space.norm_of_each(self._rows).tolist()])
+            terms = (np.vecdot(rows, rows).tolist() for rows in chunks)
+        else:
+            terms = ([v**2 for v in space.norm_of_each(rows).tolist()] for rows in chunks)
+        return math.fsum(itertools.chain.from_iterable(terms))
 
     def __repr__(self) -> str:
         return f"HaarCombination(dim={self.dim}, indices={len(self._ids)})"

@@ -355,13 +355,18 @@ class _GridLevels:
         loop's bit for bit.
         """
         lead, dim = rows.shape[:-2], rows.shape[-1]
-        return _synthesise(np.zeros(lead + (self.cells, dim)), rows, self.levels, self.top)
+        levels = [(k, rows[..., lo:hi, :], pos, scale) for k, lo, hi, pos, scale in self.levels]
+        return _synthesise(np.zeros(lead + (self.cells, dim)), levels, self.top)
 
-    def blocks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        """synthesis(rows) of 2-D rows, as a run of aligned blocks in cell
-        order: each block is the cells of one level-c cell, with c the
+    def blocks(self, rows: np.ndarray, image=None) -> Iterator[np.ndarray]:
+        """synthesis(image(rows)) of 2-D rows, as a run of aligned blocks in
+        cell order: each block is the cells of one level-c cell, with c the
         least level that keeps a block within _BLOCK_FLOATS floats (one
-        cell at the least).  Where c is 0 the one block is synthesis(rows).
+        cell at the least).  Where c is 0 the one block is
+        synthesis(image(rows)).  `image` (the identity when None) maps any
+        run of rows to rows of one width, each row on its own, as a linear
+        map applied row by row does; it is applied only to the rows that a
+        block reads, so the image of all the rows is never held at once.
 
         The levels up to c are synthesised once, by the same level loop, on
         the 2^c cells of level c; their sum is constant on each block.  Each
@@ -370,16 +375,22 @@ class _GridLevels:
         additions that synthesis gives it, in the same order, and the blocks
         hold synthesis's bits while only one of them is held at a time.
         """
-        dim = rows.shape[-1]
+        owned = image is not None  # its rows are the blocks' own, scaled in place
+        image = image or (lambda part: part)
+        dim = image(rows[:0]).shape[-1]  # the image's width, from no rows
         fine = min(self.top, max(0, (_BLOCK_FLOATS // dim).bit_length() - 1))
         c = self.top - fine
         if not c:
-            yield self.synthesis(rows)
+            yield self.synthesis(image(rows))
             return
         coarse = [level for level in self.levels if level[0] <= c]
-        sums = _synthesise(np.zeros((1 << c, dim)), rows, coarse, c)
+        # the coarse levels' rows come first: rows[:hi] of the last of them
+        head = image(rows[: coarse[-1][2]]) if coarse else None
+        levels = [(k, head[lo:hi], pos, scale) for k, lo, hi, pos, scale in coarse]
+        sums = _synthesise(np.zeros((1 << c, dim)), levels, c, owned)
+        del head, levels
         # per level below c: the rows of its indices under the q-th block are
-        # ids[cuts[q]:cuts[q + 1]], at positions `inside` of the block's 2^shift
+        # rows[cuts[q]:cuts[q + 1]], at positions `inside` of the block's 2^shift
         below = []
         for k, lo, _hi, positions, scale in self.levels[len(coarse) :]:
             shift = k - 1 - c
@@ -390,14 +401,18 @@ class _GridLevels:
                 inside = positions & ((1 << shift) - 1)
                 cuts = lo + np.searchsorted(positions, firsts)
             below.append((k - c, lo, inside, scale, cuts.tolist()))
-        for q in range(1 << c):
-            levels = []
+
+        def under(q: int):
+            """The levels of the indices under block q, each level's image
+            made only when the level loop reaches it."""
             for k, lo, inside, scale, cuts in below:
                 a, b = cuts[q], cuts[q + 1]
                 if a < b:
                     part = None if inside is None else inside[a - lo : b - lo]
-                    levels.append((k, a, b, part, scale))
-            yield _synthesise(np.full((1 << fine, dim), sums[q]), rows, levels, fine)
+                    yield k, image(rows[a:b]), part, scale
+
+        for q in range(1 << c):
+            yield _synthesise(np.full((1 << fine, dim), sums[q]), under(q), fine, owned)
 
     def analysis(self, cells: np.ndarray) -> np.ndarray:
         """The adjoint of synthesis: per index of the list, 2^((k-1)/2) times
@@ -426,15 +441,18 @@ class _GridLevels:
         return out
 
 
-def _synthesise(out: np.ndarray, rows: np.ndarray, levels, g: int) -> np.ndarray:
-    """Add the Haar functions of `levels`, with coefficient rows `rows`, to
-    the grid `out` (..., 2^g, dim), every row of which holds the sum so
-    far, and return `out`.  `levels` are entries as in _GridLevels.levels,
-    their k counted from the cell that `out` covers, which is level 0: the
-    unit interval for synthesis, one block's cell for blocks.
+def _synthesise(out: np.ndarray, levels, g: int, owned: bool = False) -> np.ndarray:
+    """Add the Haar functions of `levels` to the grid `out` (..., 2^g, dim),
+    every row of which holds the sum so far, and return `out`.  `levels`
+    is an iterable of (k, rows, positions, scale) in increasing k: the
+    coefficient rows (..., count, dim) of a level, the rest as in
+    _GridLevels.levels, with k counted from the cell that `out` covers,
+    which is level 0: the unit interval for synthesis, one block's cell for
+    blocks.  Where `owned`, the level rows are temporaries that nothing
+    else reads, and a full level's rows are scaled in place.
 
-    Each level scales a copy of its rows into a block of 2^(k-1) rows, zero
-    where the list has no index.  The sum of the levels up to k is constant
+    Each level scales its rows into a block of 2^(k-1) rows, zero where the
+    list has no index.  The sum of the levels up to k is constant
     on the level-k cells and is kept in the first row of each of them
     (stride 2^(g-k)).  The level-k step turns each parent into its left
     child, parent + row, and writes its right child, parent - row, with two
@@ -443,12 +461,12 @@ def _synthesise(out: np.ndarray, rows: np.ndarray, levels, g: int) -> np.ndarray
     """
     lead, dim = out.shape[:-2], out.shape[-1]
     done = 0  # the first row of each level-`done` cell holds the sum so far
-    for k, lo, hi, positions, scale in levels:
+    for k, rows, positions, scale in levels:
         if positions is None:
-            scaled = rows[..., lo:hi, :] * scale
+            scaled = np.multiply(rows, scale, out=rows if owned else None)
         else:
             scaled = np.zeros(lead + (1 << (k - 1), dim))
-            scaled[..., positions, :] = rows[..., lo:hi, :]
+            scaled[..., positions, :] = rows
             scaled *= scale
         wide = 1 << (g - k + 1)
         _spread(out, g, done, k - 1)
@@ -456,7 +474,7 @@ def _synthesise(out: np.ndarray, rows: np.ndarray, levels, g: int) -> np.ndarray
         np.subtract(parents, scaled, out=out[..., wide >> 1 :: wide, :])
         np.add(parents, scaled, out=parents)
         done = k
-        del scaled  # free this level's rows before the next are built
+        del rows, scaled  # free this level's rows before the next are built
     _spread(out, g, done, g)
     return out
 

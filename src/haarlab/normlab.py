@@ -17,11 +17,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
-from .combination import HaarCombination
+from .combination import HaarCombination, row_chunks
 from .combinatorics import (
     _local_height,
     band_weight_bound,
@@ -91,8 +92,15 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
     _check_dim(space, f)
     if not f.rows.any():
         return 0.0
+    return _lp_norm(f, space, p)
+
+
+def _lp_norm(f: HaarCombination, space: NormedSpaceSpec, p: float, image=None) -> float:
+    """lp_norm_of_combination of the combination with rows image(f.rows),
+    f's when image is None, taken block by block (_GridLevels.blocks): the
+    image of f's rows is made a block's rows at a time."""
     grid = _GridLevels(f.heap_ids)
-    terms = ((space.norms_of(v) ** p).tolist() for v in grid.blocks(f.rows))
+    terms = ((space.norms_of(v) ** p).tolist() for v in grid.blocks(f.rows, image))
     total = math.fsum(itertools.chain.from_iterable(terms))
     return (total / grid.cells) ** (1.0 / p)
 
@@ -105,26 +113,33 @@ def _level_weight(k: int, p: float) -> float:
 def levelwise_rhs_p(f: HaarCombination, space: NormedSpaceSpec, p: float) -> float:
     """Weighted coefficient sum (sum_F 2^{(k-1)(p/2-1)} ||x||^p)^{1/p}.
 
-    The norms come from one array operation; the powers stay Python float
-    powers, which numpy's power does not reproduce bit for bit.
+    The norms come from one array operation per chunk of rows; the powers
+    stay Python float powers, which numpy's power does not reproduce bit
+    for bit.  math.fsum, exactly rounded, takes the terms a chunk at a
+    time, so the sum does not depend on the chunks.
     """
     if not 1 <= p <= 2:
         raise DomainError(f"exponent p must satisfy 1 <= p <= 2, got {p}")
     _check_dim(space, f)
-    norms = space.norm_of_each(f.rows).tolist()
-    terms = []
-    for k, lo, hi in _level_runs(f.heap_ids):
-        weight = _level_weight(k, p)
-        terms += [(nx**p) * weight for nx in norms[lo:hi] if nx]
-    total = math.fsum(terms)
-    return total ** (1.0 / p)
+
+    def terms():
+        for k, lo, hi in _level_runs(f.heap_ids):
+            weight = _level_weight(k, p)
+            for rows in row_chunks(f.rows[lo:hi]):
+                yield [(nx**p) * weight for nx in space.norm_of_each(rows).tolist() if nx]
+
+    return math.fsum(itertools.chain.from_iterable(terms())) ** (1.0 / p)
+
+
+def _image_rows(T: OperatorSpec, rows: np.ndarray) -> np.ndarray:
+    """T applied to each of `rows` as a (1, d) product of its own: the bits
+    of T applied to the row alone, whatever rows are beside it."""
+    return T.apply_rows(rows[:, None, :])[:, 0, :]
 
 
 def apply_operator(T: OperatorSpec, f: HaarCombination) -> HaarCombination:
     _check_dim(T.domain, f, "operator domain")
-    # each row a (1, d) product of its own: the bits of T applied to it alone
-    images = T.apply_rows(f.rows[:, None, :])[:, 0, :]
-    return HaarCombination._from_arrays(T.codomain.dim, f.heap_ids, images)
+    return HaarCombination._from_arrays(T.codomain.dim, f.heap_ids, _image_rows(T, f.rows))
 
 
 def _denominator(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
@@ -136,11 +151,17 @@ def _denominator(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
 
 
 def _ratio(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
-    """The L_p norm of T applied to f (L2 for p None) over _denominator."""
+    """The L_p norm of T applied to f (L2 for p None) over _denominator.
+
+    The numerator is the norm of apply_operator(T, f), bit for bit, but T
+    is applied only to the rows each grid block reads, so the image of f
+    is never held whole.
+    """
     den = _denominator(T, f, p)
     if den == 0.0:
         return 0.0
-    num = lp_norm_of_combination(apply_operator(T, f), T.codomain, 2.0 if p is None else p)
+    _check_dim(T.domain, f, "operator domain")
+    num = _lp_norm(f, T.codomain, 2.0 if p is None else p, partial(_image_rows, T))
     return num / den
 
 
@@ -548,10 +569,12 @@ class _AscentProblem:
 def _ascent_candidates(
     problem: _AscentProblem, starts: np.ndarray, iterations: int
 ) -> list[tuple[HaarCombination, EstimateMethod, float]]:
-    """The rated best iterates of the ascents from `starts`, in order."""
+    """The rated best iterates of the ascents from `starts`, in order, each
+    with rows of its own: the winner is scaled in place, and a view would
+    keep the whole batch alive with it."""
     method = EstimateMethod.RANDOM_RESTART_ASCENT
     return [
-        _rated(problem.T, problem.to_combination(X), method, problem.p)
+        _rated(problem.T, problem.to_combination(X.copy()), method, problem.p)
         for X in problem.ascend(starts, iterations)
     ]
 
@@ -586,14 +609,15 @@ def _normalized_estimate(
 
     Takes the list over and empties it once the winner is picked, so the
     losing witnesses, whose rows can be as large as the winner's, are freed
-    before the winner is scaled, and the unscaled winner once it is.
+    before the winner is scaled.  The estimate built every candidate and
+    nothing else reads their rows, so the winner is scaled in place.
     """
     # max keeps the first of equal ratios, in the order the candidates were built
     best_f, best_method, _r = max(candidates, key=lambda c: c[2])
     candidates.clear()
     den = _denominator(T, best_f, p)
     if den > 0:
-        best_f = best_f.scaled(1.0 / den)
+        best_f._scale_in_place(1.0 / den)
     value = _candidate_ratio(T, best_f, p)
     if not math.isfinite(value):
         raise DomainError(

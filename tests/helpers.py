@@ -17,6 +17,7 @@ from haarlab.dyadic import (
     HaarIndex,
     HaarValue,
     _haar_eval,
+    _level_runs,
     branch,
     check_haar_index,
     from_heap_id,
@@ -27,6 +28,7 @@ from haarlab.dyadic import (
     max_level_of,
 )
 from haarlab.errors import DomainError, PreconditionError
+from haarlab.normlab import apply_operator, lp_norm_of_combination
 from haarlab.spaces import Norm, OperatorKind
 from haarlab.transforms import fork_members, swap_point
 
@@ -648,6 +650,29 @@ def reference_tau_p_ratio(T, f, p):
     if den == 0.0:
         return 0.0
     return reference_lp_norm(reference_apply_operator(T, f), T.codomain, p) / den
+
+
+def whole_image_norm(T, f, p):
+    """The ratio's numerator as it was taken before the image streamed: the
+    whole image of T (apply_operator), then its L_p norm."""
+    return lp_norm_of_combination(apply_operator(T, f), T.codomain, p)
+
+
+def one_list_squared_sum(f, space=None):
+    """HaarCombination.squared_sum with every row's term in one list."""
+    if space is None:
+        return math.fsum(np.vecdot(f.rows, f.rows).tolist())
+    return math.fsum([v**2 for v in space.norm_of_each(f.rows).tolist()])
+
+
+def one_list_levelwise_rhs_p(f, space, p):
+    """levelwise_rhs_p with every row's norm, then every term, in one list."""
+    norms = space.norm_of_each(f.rows).tolist()
+    terms = []
+    for k, lo, hi in _level_runs(f.heap_ids):
+        weight = 2.0 ** ((k - 1) * (p / 2.0 - 1.0))
+        terms += [(nx**p) * weight for nx in norms[lo:hi] if nx]
+    return math.fsum(terms) ** (1.0 / p)
 
 
 def reference_rewrite_combination(f, fork):

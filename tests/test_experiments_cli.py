@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from haarlab import experiments
+from haarlab import cli, experiments
 from haarlab.cli import build_parser, main
 from haarlab.combination import HaarCombination
 from haarlab.dyadic import HaarIndex
@@ -729,6 +729,18 @@ def test_cli_usage_errors_print_the_error_record(tmp_path, capsys):
         record = json.loads(capsys.readouterr().out)["error"]
         assert record["type"] == "UsageError"
         assert record["message"] == f"check --kind {kind} requires {option}"
+
+
+def test_cli_unexpected_exception_prints_the_error_record_and_exits_3(monkeypatch, capfd):
+    def broken(args):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(cli, "_cmd_lh", broken)
+    assert main(["lh", "--set", "unread.json"]) == 3
+    out, err = capfd.readouterr()
+    record = {"error": {"type": "RuntimeError", "message": "planted fault", "field": None}}
+    assert json.loads(out) == record
+    assert err == ""  # no traceback
 
 
 @pytest.mark.parametrize("target", ["missing-dir/out.json", "."])

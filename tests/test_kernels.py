@@ -3,6 +3,7 @@ and the array-backed combination against loop-based references, and the
 level cap read at call time by every entry point."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from helpers import (
     ReferenceAscentProblem,
     ReferenceHaarCombination,
     all_subsets,
+    one_list_levelwise_rhs_p,
+    one_list_squared_sum,
     peak_traced_bytes,
     random_subset,
     reference_apply_operator,
@@ -55,6 +58,7 @@ from helpers import (
     reference_tau_ratio,
     reference_value_at,
     space_norm,
+    whole_image_norm,
 )
 
 DIMS = [1, 2, 5, 16, 33]
@@ -573,6 +577,107 @@ def test_estimate_on_a_depth_16_tree_holds_one_witness_beside_its_image():
     assert peak < 28 << 20, peak
 
 
+def test_tree_16_estimate_peaks_near_its_witness():
+    """The log-variant tree estimate of depth 16, d = 16: the witness is
+    2^16 - 1 rows of 16 floats (8 MiB).  Rating streams T f through the
+    norm a block's rows at a time and the winner is scaled in place, so the
+    estimate holds the witness plus about one grid block: 9.6 MiB measured,
+    1.2 witnesses (17.4 MiB, 2.2 witnesses, with the whole image and a
+    scaled copy)."""
+    T = normlab._diagonal_example(4.0 / 3.0, 16)
+    ids = np.arange(1, 1 << 16)
+    normlab._tau_estimate(T, ids[:3], 2, 2, 0)  # first calls allocate caches
+    peak = peak_traced_bytes(lambda: normlab._tau_estimate(T, ids, 8, 60, 0))
+    assert peak <= 1.4 * len(ids) * 16 * 8, peak
+
+
+def test_ratio_of_a_tree_14_combination_allocates_at_most_its_rows():
+    """full_tree(14) with d = 16: 2.0 MiB of rows, a grid of four blocks.
+    The ratio holds one block, the image of the rows that block reads and
+    one chunk of the denominator's terms: 1.6 MiB measured (3.4 MiB with
+    the whole image and one list of every row's norm)."""
+    T = normlab._diagonal_example(4.0 / 3.0, 16)
+    rng = np.random.default_rng(14)
+    ids = np.arange(1, 1 << 14)
+    f = HaarCombination._from_arrays(16, ids, rng.standard_normal((len(ids), 16)))
+    tau_ratio(T, HaarCombination(16, {(1, 1): np.ones(16)}))  # first calls allocate caches
+    peak = peak_traced_bytes(lambda: tau_ratio(T, f))
+    assert peak <= f.rows.nbytes, peak
+
+
+# ---------------------------------------------------------------------------
+# the streamed ratio against the whole-image and one-list forms, bit for bit
+
+EXPONENTS_OF_RATIOS = [1.0, 4.0 / 3.0, 1.5, 2.0]
+
+
+def deep_combination(rng, top: int, dim: int, zero_share: float) -> HaarCombination:
+    """A random combination whose top level is `top`: the full levels up to
+    a random depth of at most 8, then about 150 random indices below, one of
+    them on level `top`, with about a `zero_share` of its rows zero."""
+    full = np.arange(1, 1 << int(rng.integers(0, 9)))
+    deep = rng.integers(1 << 8, 1 << top, size=150)
+    last = rng.integers(1 << (top - 1), 1 << top, size=1)
+    ids = np.unique(np.concatenate([full, deep, last]))
+    rows = rng.standard_normal((len(ids), dim)) * 2.0 ** rng.integers(-3, 4, size=(len(ids), 1))
+    rows[rng.random(len(ids)) < zero_share] = 0.0
+    return HaarCombination._from_arrays(dim, ids, rows)
+
+
+def codomain_operators(rng, image_dim: int):
+    """Operators from d = 16 with l1, l2 and linf domains into `image_dim`
+    with every codomain norm: dense ones, a diagonal where `image_dim` is 16,
+    and the zero operator."""
+    for i, codomain in enumerate(NORMS):
+        domain = NormedSpaceSpec(16, NORMS[(i + 1) % 3])
+        out = NormedSpaceSpec(image_dim, codomain)
+        yield OperatorSpec.dense(rng.standard_normal((image_dim, 16)), domain, out)
+        if image_dim == 16:
+            yield OperatorSpec.diagonal(rng.standard_normal(16), codomain)
+    spaces = NormedSpaceSpec(16, Norm.L2), NormedSpaceSpec(image_dim, Norm.L1)
+    yield OperatorSpec.dense(np.zeros((image_dim, 16)), *spaces)
+
+
+@pytest.mark.parametrize("image_dim", [1, 2, 5, 16])
+def test_streamed_image_norm_matches_the_whole_image_bit_for_bit(image_dim):
+    """Tops 10-17 at d = 16: one grid block up to top 12 for d' = 16 (up to
+    16 for d' = 1), many above it."""
+    rng = np.random.default_rng(700 + image_dim)
+    for top in range(10, 18):
+        f = deep_combination(rng, top, 16, zero_share=0.2)
+        for i, T in enumerate(codomain_operators(rng, image_dim)):
+            p = EXPONENTS_OF_RATIOS[(top + i) % 4]
+            image = partial(normlab._image_rows, T)
+            want = whole_image_norm(T, f, p)
+            assert normlab._lp_norm(f, T.codomain, p, image) == want, (top, i, p)
+            den = one_list_levelwise_rhs_p(f, T.domain, p)
+            assert tau_p_ratio(T, f, p) == (want / den if den else 0.0)
+            if p == 2.0:
+                den = math.sqrt(one_list_squared_sum(f, T.domain))
+                assert tau_ratio(T, f) == (want / den if den else 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+def test_chunked_coefficient_sums_match_one_list_bit_for_bit(dim):
+    """Sets of up to three chunks of rows, and combinations whose rows are
+    all zero."""
+    rng = np.random.default_rng(800 + dim)
+    for size in (1, 4095, 4096, 4097, 9000):
+        ids = np.sort(rng.choice(np.arange(1, 1 << 14), size=size, replace=False))
+        rows = rng.standard_normal((size, dim)) * 2.0 ** rng.integers(-8, 9, size=(size, 1))
+        rows[rng.random(size) < 0.2] = 0.0
+        for f in (
+            HaarCombination._from_arrays(dim, ids, rows),
+            HaarCombination._from_arrays(dim, ids, np.zeros((size, dim))),
+        ):
+            assert f.squared_sum() == one_list_squared_sum(f)
+            for norm in NORMS:
+                space = NormedSpaceSpec(dim, norm)
+                assert f.squared_sum(space) == one_list_squared_sum(f, space)
+                for p in EXPONENTS_OF_RATIOS:
+                    assert levelwise_rhs_p(f, space, p) == one_list_levelwise_rhs_p(f, space, p)
+
+
 # ---------------------------------------------------------------------------
 # the array-backed combination against the dict-backed one, bit for bit
 
@@ -655,7 +760,10 @@ def test_views_restrictions_and_point_values_match_the_dict_backed_combination(d
     rng = np.random.default_rng(500 + dim)
     for f, ref in combination_pairs(rng, dim):
         assert_same_combination(f, ref)
-        assert_same_combination(f.scaled(0.7), ref.scaled(0.7))
+        g = HaarCombination._from_arrays(dim, f.heap_ids, f.rows.copy())
+        g._scale_in_place(0.7)
+        assert_same_combination(g, ref.scaled(0.7))
+        assert not g.rows.flags.writeable
         assert len(f) == len(ref) and f.max_level() == ref.max_level()
         top = max(f.max_level(), 1)
         pool = sorted(full_tree(top))
