@@ -283,6 +283,8 @@ def diff(old: dict, new: dict) -> list[str]:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--diff"]):
+        sys.exit("usage: golden.py [--diff]")
     table = build_table()
     if sys.argv[1:] == ["--diff"]:
         old = json.loads(TABLE.read_text(encoding="utf-8"))
