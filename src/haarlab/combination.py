@@ -114,11 +114,8 @@ class HaarCombination:
         """The (N, dim) coefficients, row i at heap_ids[i] (read-only)."""
         return self._rows
 
-    def _keys(self) -> list[HaarIndex]:
-        return [from_heap_id(node) for node in self._ids.tolist()]
-
     def items(self) -> Iterator[tuple[HaarIndex, np.ndarray]]:
-        return zip(self._keys(), self._rows)
+        return zip(map(from_heap_id, self._ids.tolist()), self._rows)
 
     def support(self) -> frozenset[HaarIndex]:
         nonzero = self._ids[self._rows.any(axis=1)]
@@ -139,9 +136,11 @@ class HaarCombination:
         return int(self._ids[-1]).bit_length() if len(self._ids) else 0
 
     def restricted_to(self, indices) -> "HaarCombination":
-        if not isinstance(indices, (set, frozenset)):
-            indices = frozenset(map(tuple, indices))
-        keep = np.array([idx in indices for idx in self._keys()], dtype=bool)
+        return self._restricted_to_ids({_node(idx) for idx in indices})
+
+    def _restricted_to_ids(self, ids) -> "HaarCombination":
+        """The stored rows at the heap ids in the set `ids`, in their order."""
+        keep = [node in ids for node in self._ids.tolist()]
         return HaarCombination._from_arrays(self.dim, self._ids[keep], self._rows[keep])
 
     def _scale_in_place(self, c: float) -> None:

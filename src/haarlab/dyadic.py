@@ -421,23 +421,21 @@ class _GridLevels:
 
         Each half is summed in cell order, as cells[lo:mid].sum(axis=0) sums
         it, and gives the same bits; the sum runs along axis -2 of
-        cells.reshape(..., 2^k, w, dim), so batch entries on the leading
-        axes are summed as they would be alone.  (Stacking a batch as
-        columns, (cells, batch * dim), changes the order numpy sums some
-        halves in.)
+        cells.reshape(..., 2^(k-1), 2, w, dim), so batch entries on the
+        leading axes are summed as they would be alone.  (Stacking a batch
+        as columns, (cells, batch * dim), changes the order numpy sums some
+        halves in.)  The rows of all levels are scaled at the end, at once.
         """
         lead, dim = cells.shape[:-2], cells.shape[-1]
         out = np.empty(lead + (self.count, dim))
-        for k, lo, hi, positions, scale in self.levels:
-            if k == self.top:  # halves of one cell: the cells themselves, no copy
-                sums = cells
-            else:
-                sums = cells.reshape(lead + (1 << k, -1, dim)).sum(axis=-2)
-            left, right = sums[..., 0::2, :], sums[..., 1::2, :]
+        for k, lo, hi, positions, _scale in self.levels:
+            halves = cells.reshape(lead + (1 << (k - 1), 2, -1, dim))
+            # halves of one cell (k = top): the cells themselves, no copy
+            sums = halves[..., 0, :] if k == self.top else np.add.reduce(halves, axis=-2)
             if positions is not None:
-                left, right = left[..., positions, :], right[..., positions, :]
-            rows = np.subtract(left, right, out=out[..., lo:hi, :])
-            rows *= scale
+                sums = sums.take(positions, axis=-3)
+            np.subtract(sums[..., 0, :], sums[..., 1, :], out=out[..., lo:hi, :])
+        out *= self.scale[:, None]
         return out
 
 
@@ -513,60 +511,52 @@ class _PartitionLevels:
         self.cells, self.scale = grid.cells, grid.scale
         self.leaves = len(bounds) - 1
         self.widths = widths = np.diff(bounds)  # cells per leaf
-        # per level: the leaves inside the supports of its indices in cell
-        # order, the row of the index over each, whether it lies in the
-        # left half, and its width in cells
+        # per level and leaf: the row of synthesis's buffer [S; -S; 0] that
+        # the leaf adds (its index's row on a left half, the negated row on a
+        # right half, else the zero row) and the cells it spreads to in analysis
+        zero = 2 * self.count
         self.plan = []
         for level in self.levels:
             starts, w = grid._supports(level)
             a, b, c = np.searchsorted(bounds, [starts, starts + w, starts + 2 * w])
-            counts = c - a
-            row = np.repeat(np.arange(len(starts)), counts)
-            leaf = np.arange(len(row)) + np.repeat(a - np.cumsum(counts) + counts, counts)
-            left = (leaf < b[row])[:, None]
-            self.plan.append((leaf, row, left, ~left, widths[leaf]))
+            rows = np.arange(level[1], level[2])
+            picks = np.column_stack([np.full(len(rows), zero), rows, rows + self.count])
+            runs = np.column_stack([a - np.r_[0, c[:-1]], b - a, c - b])
+            table = np.repeat(np.append(picks, zero), np.append(runs, self.leaves - c[-1]))
+            self.plan.append((table, np.where(table < zero, widths, 0)))
 
     def synthesis(self, rows: np.ndarray) -> np.ndarray:
         """_GridLevels.synthesis on the leaf grid (..., leaves, dim).
 
-        The level-k step reads the leaves under the level's indices, the
-        parents of both children, adds the scaled row on the left halves
-        and subtracts it on the right halves, and writes them back: the
-        additions the cells of each leaf receive from the cell kernel.
+        The scaled rows S and -S are written once, into a buffer [S; -S; 0].
+        Each level gathers each leaf's row of it by its table and adds it:
+        the additions each leaf's cells receive from the cell kernel, where
+        x - s rounds as x + (-s).  The grid starts at +0.0 and such a sum is
+        never -0.0, so the zero row changes no bit (a NaN row may flip sign).
         """
-        out = np.zeros(rows.shape[:-2] + (self.leaves, rows.shape[-1]))
-        for (_k, lo, hi, _positions, scale), (leaf, row, left, right, _w) in zip(
-            self.levels, self.plan
-        ):
-            block = (rows[..., lo:hi, :] * scale).take(row, axis=-2)
-            parents = out.take(leaf, axis=-2)
-            np.add(parents, block, out=parents, where=left)
-            np.subtract(parents, block, out=parents, where=right)
-            out[..., leaf, :] = parents
+        lead, dim = rows.shape[:-2], rows.shape[-1]
+        stacked = np.zeros(lead + (2 * self.count + 1, dim))
+        scaled = np.multiply(rows, self.scale[:, None], out=stacked[..., : self.count, :])
+        np.negative(scaled, out=stacked[..., self.count : -1, :])
+        out = np.zeros(lead + (self.leaves, dim))
+        for table, _reps in self.plan:
+            np.add(out, stacked.take(table, axis=-2), out=out)
         return out
 
     def analysis(self, leaves: np.ndarray) -> np.ndarray:
         """_GridLevels.analysis of the cells of the leaf grid `leaves`.
 
         Each level spreads the leaves under its indices to their cells, in
-        cell order, as one contiguous (..., count, 2, w, dim) array and sums
-        it along w, the cells of each half; where w is 1 the halves are
-        single leaves and are taken as they are, as the cell kernel takes
-        single cells.
+        cell order, by one repeat into a contiguous (..., count, 2, w, dim)
+        array, and sums each half along w as the cell kernel does.
         """
         lead, dim = leaves.shape[:-2], leaves.shape[-1]
         out = np.empty(lead + (self.count, dim))
-        for (k, lo, hi, _positions, scale), (leaf, _row, _left, _right, widths) in zip(
-            self.levels, self.plan
-        ):
-            halves = leaves.take(leaf, axis=-2)
-            if k == self.top:
-                sums = halves.reshape(lead + (hi - lo, 2, dim))
-            else:
-                cells = halves.repeat(widths, axis=-2)
-                sums = cells.reshape(lead + (hi - lo, 2, -1, dim)).sum(axis=-2)
-            rows = np.subtract(sums[..., 0, :], sums[..., 1, :], out=out[..., lo:hi, :])
-            rows *= scale
+        for (k, lo, hi, _positions, _scale), (_table, reps) in zip(self.levels, self.plan):
+            halves = leaves.repeat(reps, axis=-2).reshape(lead + (hi - lo, 2, -1, dim))
+            sums = halves[..., 0, :] if k == self.top else np.add.reduce(halves, axis=-2)
+            np.subtract(sums[..., 0, :], sums[..., 1, :], out=out[..., lo:hi, :])
+        out *= self.scale[:, None]
         return out
 
     def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:

@@ -240,10 +240,8 @@ def log_variant_certificate(
         for l, ids in enumerate(piece_ids, start=1)
     )
     piece_norm_sum = 0.0
-    for piece in family.pieces:
-        piece_norm_sum += lp_norm_of_combination(
-            image.restricted_to(piece), op.codomain, 2.0
-        )
+    for ids in piece_ids:
+        piece_norm_sum += lp_norm_of_combination(image._restricted_to_ids(ids), op.codomain, 2.0)
 
     certificate = 0.0
     for l in range(1, m + 2):

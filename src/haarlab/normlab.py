@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -520,7 +520,8 @@ class _AscentProblem:
         """Ascend the restarts of X0 in lockstep, writing each one's best
         iterate into `best` (which starts as X0).  A restart whose
         denominator is zero or whose gradient vanishes stops there; the
-        others go on."""
+        others go on.  The step and the normalisation run in place, with
+        the bits of X + step * (G / gn) and X / den."""
         dens = np.array(self.denominators(self.T.domain.norms_of(X0)))
         live = np.flatnonzero(dens != 0.0)  # a zero start is its own best
         if not len(live):
@@ -530,25 +531,24 @@ class _AscentProblem:
         V, nu, cell_nu = self.evaluate(X)
         best[live] = X
         best_r = np.array(self.ratios(norms, cell_nu))
-        for it in range(iterations):
+        for step in [0.35 / math.sqrt(1.0 + it) for it in range(iterations)]:
             G = self.gradient(X, norms, V, nu, cell_nu)
             del V, cell_nu  # free this grid before the next one is built
             flat = G.reshape(len(G), -1)
             gn = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm of each G[i]
-            moving = ~(gn < 1e-14)
-            if not moving.all():
-                if not moving.any():
+            if (stopped := gn < 1e-14).any():
+                if stopped.all():
                     return
-                X, G, gn = X[moving], G[moving], gn[moving]
-                live, best_r = live[moving], best_r[moving]
-            X = X + (0.35 / math.sqrt(1.0 + it)) * (G / gn[:, None, None])
+                X, G, gn, live, best_r = (a[~stopped] for a in (X, G, gn, live, best_r))
+            G /= gn[:, None, None]
+            G *= step
+            X += G
             dens = np.array(self.denominators(self.T.domain.norms_of(X)))
-            kept = dens != 0.0
-            if not kept.all():
-                if not kept.any():
+            if (stopped := dens == 0.0).any():
+                if stopped.all():
                     return
-                X, dens, live, best_r = X[kept], dens[kept], live[kept], best_r[kept]
-            X = X / dens[:, None, None]
+                X, dens, live, best_r = (a[~stopped] for a in (X, dens, live, best_r))
+            X /= dens[:, None, None]
             norms = self.T.domain.norms_of(X)
             V, nu, cell_nu = self.evaluate(X)
             r = np.array(self.ratios(norms, cell_nu))
@@ -566,17 +566,29 @@ class _AscentProblem:
         return X
 
 
-def _ascent_candidates(
-    problem: _AscentProblem, starts: np.ndarray, iterations: int
-) -> list[tuple[HaarCombination, EstimateMethod, float]]:
-    """The rated best iterates of the ascents from `starts`, in order, each
-    with rows of its own: the winner is scaled in place, and a view would
-    keep the whole batch alive with it."""
+def _ascent_candidate(
+    problem: _AscentProblem, batches: Iterable[np.ndarray], iterations: int
+) -> tuple[HaarCombination, EstimateMethod, float]:
+    """The best rated iterate of the ascents from the start batches, the
+    first of equal ratios in build order, as max keeps it.  Each batch is
+    rated as it ends, so one batch is held at a time.  The witness has rows
+    of its own: the winner is scaled in place, and a view would keep the
+    whole batch alive with it."""
     method = EstimateMethod.RANDOM_RESTART_ASCENT
-    return [
-        _rated(problem.T, problem.to_combination(X.copy()), method, problem.p)
-        for X in problem.ascend(starts, iterations)
-    ]
+    best = None
+    for starts in batches:
+        for X in problem.ascend(starts, iterations):
+            rated = _rated(problem.T, problem.to_combination(X.copy()), method, problem.p)
+            if best is None or rated[2] > best[2]:
+                best = rated
+    return best
+
+
+def _random_batches(problem: _AscentProblem, seed: int, restarts: int) -> Iterator[np.ndarray]:
+    """random_starts(default_rng(seed), restarts), drawn a batch at a time: the same numbers."""
+    rng = np.random.default_rng(seed)
+    for lo in range(0, restarts, problem.batch):
+        yield problem.random_starts(rng, min(problem.batch, restarts - lo))
 
 
 def _rated(
@@ -692,12 +704,12 @@ def _tau_estimate(
         del cheap  # the candidates hold the only reference to each witness
         if len(ids) <= _ASCENT_MAX_INDICES:
             problem = _AscentProblem(T, ids, None)
-            starts = problem.random_starts(np.random.default_rng(seed), restarts)
-            candidates += _ascent_candidates(problem, starts, iterations)
+            batches = _random_batches(problem, seed, restarts)
+            candidates.append(_ascent_candidate(problem, batches, iterations))
             # polish the best candidate so far, ascent iterates included,
             # with a short ascent
             polish = problem.from_combination(max(candidates, key=lambda c: c[2])[0])[None]
-            candidates += _ascent_candidates(problem, polish, iterations)
+            candidates.append(_ascent_candidate(problem, [polish], iterations))
         return _normalized_estimate(T, candidates, None, restarts, iterations)
 
 
@@ -753,11 +765,11 @@ def tau_p_estimate(
         tree = range(1, 1 << n)  # heap ids of the full tree
         if len(tree) <= _ASCENT_MAX_INDICES:
             problem = _AscentProblem(T, np.arange(tree.start, tree.stop), p)
-            starts = problem.random_starts(np.random.default_rng(seed), restarts)
-            candidates += _ascent_candidates(problem, starts, iterations)
+            batches = _random_batches(problem, seed, restarts)
+            candidates.append(_ascent_candidate(problem, batches, iterations))
             if exact is not None:
                 polish = problem.from_combination(exact)[None]
-                candidates += _ascent_candidates(problem, polish, iterations)
+                candidates.append(_ascent_candidate(problem, [polish], iterations))
         del exact  # as cheap
         return _normalized_estimate(T, candidates, p, restarts, iterations)
 

@@ -441,11 +441,52 @@ def reference_cell_values(f: HaarCombination, grid_level: int) -> np.ndarray:
     return values
 
 
+def reference_analysis(ids: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The adjoint of synthesis one index at a time: per index, 2^((k-1)/2)
+    times the sum of the cells (2^top, dim) over the left half of its
+    support minus the sum over the right half."""
+    top = int(ids[-1]).bit_length()
+    out = np.empty((len(ids), cells.shape[-1]))
+    for a, node in enumerate(ids.tolist()):
+        k, j = from_heap_id(node)
+        width = 1 << (top - k)
+        lo, mid = (2 * j - 2) * width, (2 * j - 1) * width
+        left, right = cells[lo:mid].sum(axis=0), cells[mid : mid + width].sum(axis=0)
+        out[a] = half_power(k - 1) * (left - right)
+    return out
+
+
+def level_loop_partition_synthesis(cell_grid, widths: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The partition kernel's synthesis as a level loop with masked ufuncs:
+    on the leaves of widths `widths` (cells per leaf) of the partition of
+    the cell kernel `cell_grid`, the level-k step reads the leaves under
+    the level's indices, adds the scaled row on the left halves, subtracts
+    it on the right halves and scatters them back."""
+    bounds = np.concatenate([[0], np.cumsum(widths)])
+    out = np.zeros(rows.shape[:-2] + (len(widths), rows.shape[-1]))
+    for level in cell_grid.levels:
+        _k, lo, hi, _positions, scale = level
+        starts, w = cell_grid._supports(level)
+        a, b, c = np.searchsorted(bounds, [starts, starts + w, starts + 2 * w])
+        counts = c - a
+        row = np.repeat(np.arange(len(starts)), counts)
+        leaf = np.arange(len(row)) + np.repeat(a - np.cumsum(counts) + counts, counts)
+        left = (leaf < b[row])[:, None]
+        block = (rows[..., lo:hi, :] * scale).take(row, axis=-2)
+        parents = out.take(leaf, axis=-2)
+        np.add(parents, block, out=parents, where=left)
+        np.subtract(parents, block, out=parents, where=~left)
+        out[..., leaf, :] = parents
+    return out
+
+
 class ReferenceAscentProblem:
     """The projected subgradient ascent with per-index grid loops, and a
     fresh grid for the ratio and for the gradient of each iterate, on the
     indices with the given sorted heap ids.  One restart at a time: the
     batch methods random_starts and ascend loop over the serial ones."""
+
+    batch = 1  # the estimate draws its starts one restart at a time
 
     def __init__(self, T, ids, p):
         self.T = T
