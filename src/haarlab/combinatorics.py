@@ -294,6 +294,20 @@ def greedy_family(
     Band l has height at most 2^l (its weights exceed S^r/2^l and a branch
     sums to at most S^r), so the fill kernel pads it without checks.
     """
+    pieces, m, threshold_base, padded = _greedy_cover(f, n, p, space)
+    return GreedyFamily(
+        pieces=tuple(frozenset(map(from_heap_id, piece)) for piece in pieces),
+        m=m,
+        threshold_base=threshold_base,
+        padded=padded,
+    )
+
+
+def _greedy_cover(
+    f: HaarCombination, n: int, p: float, space: NormedSpaceSpec | None = None
+) -> tuple[tuple[frozenset[int], ...], int, float, tuple[bool, ...]]:
+    """greedy_family as (pieces, m, threshold_base, padded), each piece the
+    frozenset of its heap ids: the cover for callers that work on heap ids."""
     if not 1 <= p < 2:
         raise DomainError(f"exponent p must lie in [1, 2), got {p}", "exponent")
     if n < 1:
@@ -303,12 +317,7 @@ def greedy_family(
     m = n.bit_length() - 1
 
     if base_power == 0.0:
-        return GreedyFamily(
-            pieces=(frozenset(),) * m + (frozenset(map(from_heap_id, range(1, 1 << n))),),
-            m=m,
-            threshold_base=0.0,
-            padded=(False,) * m,
-        )
+        return (frozenset(),) * m + (frozenset(range(1, 1 << n)),), m, 0.0, (False,) * m
 
     raw: list[list[int]] = [[] for _ in range(m)]
     for node, l in zip(ids, bands):
@@ -317,7 +326,7 @@ def greedy_family(
         # lower bands have small weights; they are picked up by the leftover
 
     used: set[int] = set()
-    pieces: list[frozenset[HaarIndex]] = []
+    pieces: list[frozenset[int]] = []
     padded: list[bool] = []
     cumulative = 0
     for l, band in enumerate(raw, start=1):
@@ -325,17 +334,12 @@ def greedy_family(
         padded.append(cumulative + len(band) < target)
         if padded[-1]:
             band = band + _fill(*_fill_state(band, n), 1 << l, n, target - len(band))
-        piece = set(band) - used
+        piece = frozenset(band) - used
         used |= piece
-        pieces.append(frozenset(map(from_heap_id, piece)))
+        pieces.append(piece)
         cumulative += len(piece)
-    pieces.append(frozenset(from_heap_id(node) for node in range(1, 1 << n) if node not in used))
-    return GreedyFamily(
-        pieces=tuple(pieces),
-        m=m,
-        threshold_base=base_power ** (1.0 / p),
-        padded=tuple(padded),
-    )
+    pieces.append(frozenset(node for node in range(1, 1 << n) if node not in used))
+    return tuple(pieces), m, base_power ** (1.0 / p), tuple(padded)
 
 
 def band_weight_bound(l: int, r: float, base: float) -> float:

@@ -273,7 +273,8 @@ def _level_runs(ids: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# the grid kernel: Haar synthesis and analysis level by level
+# the grid kernel: Haar synthesis and analysis level by level, and by
+# gather tables for the ascent
 
 # _GridLevels.blocks hands the grid out in aligned blocks of at most this
 # many floats, so a norm holds one block of the grid at a time
@@ -285,8 +286,10 @@ class _GridLevels:
 
     The one place that knows the grid encoding: which rows of the id list
     are each level's, where they sit in their level and how they are scaled.
-    Build it once per id list; synthesis and analysis then take one block
-    of rows per level present.
+    Build it once per id list; synthesis, the level loop that the norms
+    take through blocks, then takes one block of rows per level present.
+    Analysis, and the ascent's synthesis, run through the kernel's gather
+    plan (plan, a _GatherPlan), built on first use.
 
     Both take leading batch axes: a grid is an array (..., cells, dim) of
     the 2^top cells of the top level and a coefficient list an array
@@ -298,7 +301,7 @@ class _GridLevels:
     """
 
     def __init__(self, ids: np.ndarray):
-        self.count = len(ids)
+        self.ids, self.count = ids, len(ids)
         # (k, lo, hi, positions, 2^((k-1)/2)): ids[lo:hi] are the level-k
         # indices, at positions j - 1 of their level (None: all 2^(k-1))
         self.levels = []
@@ -414,29 +417,16 @@ class _GridLevels:
         for q in range(1 << c):
             yield _synthesise(np.full((1 << fine, dim), sums[q]), under(q), fine, owned)
 
+    @cached_property
+    def plan(self) -> "_GatherPlan":
+        """The gather plan of this kernel, every cell a leaf: built on first use."""
+        return _GatherPlan(self, np.arange(self.cells + 1))
+
     def analysis(self, cells: np.ndarray) -> np.ndarray:
         """The adjoint of synthesis: per index of the list, 2^((k-1)/2) times
         the sum of `cells` over the left half of its support minus the sum
-        over the right half, one row each on axis -2.
-
-        Each half is summed in cell order, as cells[lo:mid].sum(axis=0) sums
-        it, and gives the same bits; the sum runs along axis -2 of
-        cells.reshape(..., 2^(k-1), 2, w, dim), so batch entries on the
-        leading axes are summed as they would be alone.  (Stacking a batch
-        as columns, (cells, batch * dim), changes the order numpy sums some
-        halves in.)  The rows of all levels are scaled at the end, at once.
-        """
-        lead, dim = cells.shape[:-2], cells.shape[-1]
-        out = np.empty(lead + (self.count, dim))
-        for k, lo, hi, positions, _scale in self.levels:
-            halves = cells.reshape(lead + (1 << (k - 1), 2, -1, dim))
-            # halves of one cell (k = top): the cells themselves, no copy
-            sums = halves[..., 0, :] if k == self.top else np.add.reduce(halves, axis=-2)
-            if positions is not None:
-                sums = sums.take(positions, axis=-3)
-            np.subtract(sums[..., 0, :], sums[..., 1, :], out=out[..., lo:hi, :])
-        out *= self.scale[:, None]
-        return out
+        over the right half, one row each on axis -2; see _GatherPlan.analysis."""
+        return self.plan.analysis(cells)
 
 
 def _synthesise(out: np.ndarray, levels, g: int, owned: bool = False) -> np.ndarray:
@@ -501,66 +491,162 @@ class _PartitionLevels:
 
     Sums over cells depend on the number and the order of the cells, so
     analysis sums the halves cell by cell, as _GridLevels.analysis does;
-    to_cells gives the per-cell rows that other such sums need.  Every
-    gather is a take or a repeat along an axis, which gives a C-contiguous
-    array: a strided gather may change the order numpy sums a row in.
+    to_cells gives the per-cell rows that other such sums need.  Synthesis
+    and analysis run through the kernel's _GatherPlan, built with it.
     """
 
     def __init__(self, grid: _GridLevels, bounds: np.ndarray):
-        self.count, self.levels, self.top = grid.count, grid.levels, grid.top
+        self.count, self.top = grid.count, grid.top
         self.cells, self.scale = grid.cells, grid.scale
         self.leaves = len(bounds) - 1
-        self.widths = widths = np.diff(bounds)  # cells per leaf
-        # per level and leaf: the row of synthesis's buffer [S; -S; 0] that
-        # the leaf adds (its index's row on a left half, the negated row on a
-        # right half, else the zero row) and the cells it spreads to in analysis
-        zero = 2 * self.count
-        self.plan = []
-        for level in self.levels:
-            starts, w = grid._supports(level)
-            a, b, c = np.searchsorted(bounds, [starts, starts + w, starts + 2 * w])
-            rows = np.arange(level[1], level[2])
-            picks = np.column_stack([np.full(len(rows), zero), rows, rows + self.count])
-            runs = np.column_stack([a - np.r_[0, c[:-1]], b - a, c - b])
-            table = np.repeat(np.append(picks, zero), np.append(runs, self.leaves - c[-1]))
-            self.plan.append((table, np.where(table < zero, widths, 0)))
+        self.widths = np.diff(bounds)  # cells per leaf
+        self.plan = _GatherPlan(grid, bounds)
 
     def synthesis(self, rows: np.ndarray) -> np.ndarray:
-        """_GridLevels.synthesis on the leaf grid (..., leaves, dim).
-
-        The scaled rows S and -S are written once, into a buffer [S; -S; 0].
-        Each level gathers each leaf's row of it by its table and adds it:
-        the additions each leaf's cells receive from the cell kernel, where
-        x - s rounds as x + (-s).  The grid starts at +0.0 and such a sum is
-        never -0.0, so the zero row changes no bit (a NaN row may flip sign).
-        """
-        lead, dim = rows.shape[:-2], rows.shape[-1]
-        stacked = np.zeros(lead + (2 * self.count + 1, dim))
-        scaled = np.multiply(rows, self.scale[:, None], out=stacked[..., : self.count, :])
-        np.negative(scaled, out=stacked[..., self.count : -1, :])
-        out = np.zeros(lead + (self.leaves, dim))
-        for table, _reps in self.plan:
-            np.add(out, stacked.take(table, axis=-2), out=out)
-        return out
+        """_GridLevels.synthesis on the leaf grid (..., leaves, dim)."""
+        return self.plan.synthesis(rows)
 
     def analysis(self, leaves: np.ndarray) -> np.ndarray:
-        """_GridLevels.analysis of the cells of the leaf grid `leaves`.
-
-        Each level spreads the leaves under its indices to their cells, in
-        cell order, by one repeat into a contiguous (..., count, 2, w, dim)
-        array, and sums each half along w as the cell kernel does.
-        """
-        lead, dim = leaves.shape[:-2], leaves.shape[-1]
-        out = np.empty(lead + (self.count, dim))
-        for (k, lo, hi, _positions, _scale), (_table, reps) in zip(self.levels, self.plan):
-            halves = leaves.repeat(reps, axis=-2).reshape(lead + (hi - lo, 2, -1, dim))
-            sums = halves[..., 0, :] if k == self.top else np.add.reduce(halves, axis=-2)
-            np.subtract(sums[..., 0, :], sums[..., 1, :], out=out[..., lo:hi, :])
-        out *= self.scale[:, None]
-        return out
+        """_GridLevels.analysis of the cells of the leaf grid `leaves`."""
+        return self.plan.analysis(leaves)
 
     def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
         return rows.repeat(self.widths, axis=axis)
+
+
+class _GatherPlan:
+    """Synthesis and analysis of a _GridLevels on the leaves of a partition
+    of its cells (`bounds`, the first cell of each leaf and the end; every
+    cell a leaf for the cell kernel itself), by gather tables built once.
+    The ascent builds one per problem and runs every iterate through it.
+
+    Synthesis.  The table holds, per level and leaf, the row of the buffer
+    [S; -S; 0] (S the scaled rows) that the leaf adds: its index's row on a
+    left half, the negated row on a right half, else the zero row.  One
+    take gathers (..., L, leaves, dim) and one reduction adds the L levels
+    to +0.0 in level order, along an outer axis, so one addition at a time:
+    the additions the level loop _synthesise makes, where x - s rounds as
+    x + (-s).  A sum that starts at +0.0 is never -0.0, so the zero row
+    changes no bit (a NaN that a row holds may flip sign).
+
+    Analysis.  Each half is summed cell by cell in cell order, as
+    cells[lo:mid].sum(axis=0) sums it.  For dim > 1 that sum runs along the
+    outer axis of a (w, dim) block, one addition at a time; so one take
+    puts the cells under a level's n indices in (offset, half, index)
+    order, and one reduction along the offset axis sums the whole level
+    into a (2, m, dim) buffer of left and right sums, in inner loops of
+    n dim floats, not dim; a level of one cell a half is copied.  For
+    dim = 1 numpy sums a contiguous run pairwise, and the outer-axis
+    layout would change the bits: there each level repeats its leaves to
+    their cells in cell order, each half contiguous, and the sum runs
+    along them.  One subtraction of the halves and one scale end it.
+
+    Memory.  A gather holds at most _BLOCK_FLOATS floats, or one grid of
+    cells where that is larger.  Synthesis where all levels do not fit
+    runs the cell kernel's level loop (O(cells), faster on large full
+    trees) and keeps the first cell of each leaf; analysis gathers runs of
+    consecutive levels that fit.  For dim > 1 the plan keeps the index of
+    every cell it gathers, at most one int per cell and level.  Batch
+    entries on the leading axes are summed as they would be alone.
+    """
+
+    def __init__(self, grid: _GridLevels, bounds: np.ndarray):
+        self.grid, self.count, self.cells = grid, grid.count, grid.cells
+        self.leaves = len(bounds) - 1
+        self.firsts = firsts = bounds[:-1]
+        # per level (rows) and leaf (columns): the heap id of the index whose
+        # support holds the leaf, whether it is the right half, and the row
+        # of that id, where the id list has it (a leaf lies in one half of a
+        # support or outside it: every support's ends and midpoint bound leaves)
+        ks = np.array([level[0] for level in grid.levels], dtype=np.int64)[:, None]
+        shift = grid.top - ks  # a half support is 2^shift cells
+        node = (1 << (ks - 1)) + (firsts >> (shift + 1))
+        right = (firsts >> shift) & 1
+        row = np.searchsorted(grid.ids, node).clip(max=self.count - 1)
+        held = grid.ids[row] == node
+        self.table = np.where(held, row + right * self.count, 2 * self.count)
+        # per level and leaf: the cells it spreads to in analysis, 0 outside
+        # the level's supports
+        self.reps = np.where(held, np.diff(bounds), 0)
+        # per level: (lo, hi, half width in cells); a level's cells are
+        # ends[i]:ends[i + 1] of the levels' cells end to end
+        self.levels = [(lo, hi, 1 << (grid.top - k)) for k, lo, hi, _p, _s in grid.levels]
+        self.ends = np.cumsum([0] + [2 * (hi - lo) * w for lo, hi, w in self.levels]).tolist()
+        self._group_cache, self._scales = {}, {}  # _groups by limit, _scale by dim
+
+    def synthesis(self, rows: np.ndarray) -> np.ndarray:
+        """_GridLevels.synthesis on the leaves (..., leaves, dim)."""
+        lead, dim = rows.shape[:-2], rows.shape[-1]
+        batch = math.prod(lead) * dim
+        if batch * self.table.size > max(_BLOCK_FLOATS, batch * self.cells):
+            cells = self.grid.synthesis(rows)
+            return cells if self.leaves == self.cells else cells.take(self.firsts, axis=-2)
+        stacked = np.zeros(lead + (2 * self.count + 1, dim))
+        scaled = np.multiply(rows, self._scale(dim), out=stacked[..., : self.count, :])
+        np.negative(scaled, out=stacked[..., self.count : -1, :])
+        return np.add.reduce(stacked.take(self.table, axis=-2), axis=-3, initial=0.0)
+
+    def analysis(self, leaves: np.ndarray) -> np.ndarray:
+        """_GridLevels.analysis of the cells of the leaf grid `leaves`."""
+        lead, dim = leaves.shape[:-2], leaves.shape[-1]
+        sums = np.empty(lead + (2, self.count, dim))  # the left and the right half sums
+        if dim == 1:
+            for (lo, hi, w), reps in zip(self.levels, self.reps):
+                halves = leaves.repeat(reps, axis=-2).reshape(lead + (hi - lo, 2, w, 1))
+                sums[..., lo:hi, :] = np.add.reduce(halves, axis=-2).swapaxes(-2, -3)
+        else:
+            limit = max(_BLOCK_FLOATS // (math.prod(lead) * dim), self.cells)
+            for first, last in self._groups(limit):
+                self._outer_sums(leaves, first, last, sums)
+        out = np.subtract(sums[..., 0, :, :], sums[..., 1, :, :])
+        out *= self._scale(dim)
+        return out
+
+    def _outer_sums(self, leaves: np.ndarray, first: int, last: int, sums: np.ndarray) -> None:
+        """Write the half sums of the levels first..last - 1 into `sums`,
+        from one gather of their cells, released on return."""
+        lead, dim = leaves.shape[:-2], leaves.shape[-1]
+        base = self.ends[first]
+        gathered = leaves.take(self._outer_order[base : self.ends[last]], axis=-2)
+        for i in range(first, last):
+            lo, hi, w = self.levels[i]
+            part = gathered[..., self.ends[i] - base : self.ends[i + 1] - base, :]
+            if w == 1:  # one cell a half: the sums are the cells
+                sums[..., lo:hi, :] = part.reshape(lead + (2, hi - lo, dim))
+            else:
+                halves = part.reshape(lead + (w, 2, hi - lo, dim))
+                np.add.reduce(halves, axis=-4, out=sums[..., lo:hi, :])
+
+    def _scale(self, dim: int) -> np.ndarray:
+        """The scale of each row in each of `dim` columns, (m, dim): a product
+        with it runs in loops over whole batch entries, not over one row
+        of dim floats at a time."""
+        if dim not in self._scales:
+            self._scales[dim] = np.repeat(self.grid.scale[:, None], dim, axis=1)
+        return self._scales[dim]
+
+    def _groups(self, limit: int) -> list[tuple[int, int]]:
+        """Runs [first, last) of consecutive levels whose cells number at
+        most `limit` together; one level has at most the grid's cells."""
+        if limit not in self._group_cache:
+            runs, first = [], 0
+            for last in range(1, len(self.levels) + 1):
+                if self.ends[last] - self.ends[first] > limit:
+                    runs.append((first, last - 1))
+                    first = last - 1
+            self._group_cache[limit] = runs + [(first, len(self.levels))] if self.levels else []
+        return self._group_cache[limit]
+
+    @cached_property
+    def _outer_order(self) -> np.ndarray:
+        """The leaf of each cell that analysis gathers for dim > 1, the
+        levels end to end, each level's cells in (offset, half, index) order."""
+        out = np.empty(self.ends[-1], dtype=np.intp)
+        every = np.arange(self.leaves)
+        for (lo, hi, w), reps, a, b in zip(self.levels, self.reps, self.ends, self.ends[1:]):
+            in_cell_order = every.repeat(reps).reshape(hi - lo, 2, w)
+            out[a:b].reshape(w, 2, hi - lo)[...] = in_cell_order.transpose(2, 1, 0)
+        return out
 
 
 def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:

@@ -16,9 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combination import HaarCombination
-from .combinatorics import _local_height, band_weight_bound, greedy_family, is_partition
+from .combinatorics import _greedy_cover, _local_height, band_weight_bound, is_partition
 from .config import _level_limit, check_level, max_level as level_cap
-from .dyadic import heap_id
 from .errors import DomainError
 from .normlab import (
     QUADRATURE_TOLERANCE,
@@ -225,16 +224,13 @@ def log_variant_certificate(
     times the band weight bound).  A family supported on a single piece
     collapses the triangle sum to one term that equals the direct norm.
     """
-    family = greedy_family(f, n, p, op.domain)
-    m = family.m
-    base = family.threshold_base
+    # the cover on heap ids, which go straight to the partition and height
+    # checks and to the restrictions
+    piece_ids, m, base, _padded = _greedy_cover(f, n, p, op.domain)
 
     image = apply_operator(op, f)
     direct = lp_norm_of_combination(image, op.codomain, 2.0)
 
-    # the pieces are valid indices greedy_family built: their heap ids go
-    # straight to the partition and height checks
-    piece_ids = [frozenset(heap_id(k, j) for k, j in piece) for piece in family.pieces]
     cover_ok = is_partition(piece_ids, frozenset(range(1, 1 << n))) and all(
         _local_height(list(ids)) <= ((1 << l) if l <= m else n)
         for l, ids in enumerate(piece_ids, start=1)

@@ -95,11 +95,15 @@ def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float)
     return _lp_norm(f, space, p)
 
 
-def _lp_norm(f: HaarCombination, space: NormedSpaceSpec, p: float, image=None) -> float:
+def _lp_norm(
+    f: HaarCombination, space: NormedSpaceSpec, p: float, image=None, grid=None
+) -> float:
     """lp_norm_of_combination of the combination with rows image(f.rows),
     f's when image is None, taken block by block (_GridLevels.blocks): the
-    image of f's rows is made a block's rows at a time."""
-    grid = _GridLevels(f.heap_ids)
+    image of f's rows is made a block's rows at a time.  `grid` is the
+    _GridLevels of f's heap ids where the caller has one."""
+    if grid is None:
+        grid = _GridLevels(f.heap_ids)
     terms = ((space.norms_of(v) ** p).tolist() for v in grid.blocks(f.rows, image))
     total = math.fsum(itertools.chain.from_iterable(terms))
     return (total / grid.cells) ** (1.0 / p)
@@ -150,18 +154,19 @@ def _denominator(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
     return levelwise_rhs_p(f, T.domain, p)
 
 
-def _ratio(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
+def _ratio(T: OperatorSpec, f: HaarCombination, p: float | None, grid=None) -> float:
     """The L_p norm of T applied to f (L2 for p None) over _denominator.
 
     The numerator is the norm of apply_operator(T, f), bit for bit, but T
     is applied only to the rows each grid block reads, so the image of f
-    is never held whole.
+    is never held whole.  `grid`, where given, is the _GridLevels of f's
+    heap ids, so the norm does not build one.
     """
     den = _denominator(T, f, p)
     if den == 0.0:
         return 0.0
     _check_dim(T.domain, f, "operator domain")
-    num = _lp_norm(f, T.codomain, 2.0 if p is None else p, partial(_image_rows, T))
+    num = _lp_norm(f, T.codomain, 2.0 if p is None else p, partial(_image_rows, T), grid)
     return num / den
 
 
@@ -402,18 +407,24 @@ class _AscentProblem:
     Coefficients are stored as a matrix X with one row per index (sorted
     order, so each level's indices are a block of rows), the layout of a
     HaarCombination's rows; the denominator is evaluated directly from the
-    rows, the numerator on the dyadic grid at the finest level.  The grid
-    of T f is synthesised level by level (dyadic._GridLevels.synthesis) and
-    its adjoint, the per-index sums of the gradient, is taken level by level
-    (_GridLevels.analysis); both give the same floats as a loop over the
-    indices one at a time.  Each iterate is synthesised once, and its ratio
-    and gradient share that grid.  Where the set's own dyadic partition has
-    fewer leaves than the grid has cells (a sparse or deep set), the grid
-    holds one row per leaf (dyadic._PartitionLevels): its cells hold the
-    same bits, so the codomain norms, the dual rows and the cell scale are
-    taken per leaf.  The sums whose bits depend on the number and the order
-    of the cells, the numerator's and the gradient's sums of nu and the
-    half sums of analysis, still run over the cells.
+    rows, the numerator on the dyadic grid at the finest level.  Where the
+    set's own dyadic partition has fewer leaves than the grid has cells (a
+    sparse or deep set), the grid holds one row per leaf
+    (dyadic._PartitionLevels): its cells hold the same bits, so the
+    codomain norms, the dual rows and the cell scale are taken per leaf.
+    The sums whose bits depend on the number and the order of the cells,
+    the numerator's and the gradient's sums of nu and the half sums of
+    analysis, still run over the cells.
+
+    The problem builds the kernel's gather plan (dyadic._GatherPlan) once,
+    and every iterate runs through it: synthesis of the grid of T f is one
+    gather of the scaled rows and one reduction over the levels, and its
+    adjoint, the per-index sums of the gradient, one gather of the cells in
+    the order the half sums need and one reduction per level.  Both give
+    the same floats as a loop over the indices one at a time.  Each iterate
+    is synthesised once, and its ratio and gradient share that grid.  The
+    rated witnesses take their norms on the problem's own _GridLevels
+    (cell_grid), the kernel of their heap ids.
 
     The restarts of one estimate run in lockstep: X is a batch (R, m, d),
     one restart per entry of the leading axis, and every array operation of
@@ -435,7 +446,9 @@ class _AscentProblem:
         self.T = T
         self.ids = ids  # sorted heap ids
         self.p = p
-        self.grid = _GridLevels(self.ids).on_partition()
+        self.cell_grid = _GridLevels(self.ids)  # the witnesses' kernel, for their ratios
+        self.grid = self.cell_grid.on_partition()
+        self.plan = self.grid.plan
         self.batch = max(1, _BATCH_FLOATS // (self.grid.cells * T.codomain.dim))
         if p is not None:
             self.weights = np.empty(len(self.ids))
@@ -446,7 +459,7 @@ class _AscentProblem:
         """Grid values V (R, leaves, d') of T f, one row per leaf of the grid
         kernel, their codomain norms nu, and nu on the cells (R, cells),
         gathered once for the iterate's ratio and its gradient."""
-        V = self.grid.synthesis(self.T.apply_rows(X))
+        V = self.plan.synthesis(self.T.apply_rows(X))
         nu = self.T.codomain.norms_of(V)
         return V, nu, self.grid.to_cells(nu, -1)
 
@@ -486,11 +499,11 @@ class _AscentProblem:
         factors = np.array([num ** (1.0 - pnum) / self.grid.cells if num else 0.0 for num in nums])
         # nu ** 1.0 is nu, bit for bit
         cell_scale = (nu if self.p is None else nu ** (pnum - 1.0)) * factors[:, None]
-        G_cells = self.T.codomain.dual_rows(V, out=V)
+        G_cells = self.T.codomain.dual_rows(V, out=V, norms=nu)
         G_cells *= cell_scale[..., None]
-        G_num = self.T.transpose_apply_rows(self.grid.analysis(G_cells))
+        G_num = self.T.transpose_apply_rows(self.plan.analysis(G_cells))
 
-        duals = self.T.domain.dual_rows(X)
+        duals = self.T.domain.dual_rows(X, norms=norms)
         if self.p is None:
             G_den = duals * norms[..., None]
         else:
@@ -521,16 +534,17 @@ class _AscentProblem:
         iterate into `best` (which starts as X0).  A restart whose
         denominator is zero or whose gradient vanishes stops there; the
         others go on.  The step and the normalisation run in place, with
-        the bits of X + step * (G / gn) and X / den."""
+        the bits of X + step * (G / gn) and X / den.  Each restart's best
+        ratio is kept as the Python float that ratios returns."""
         dens = np.array(self.denominators(self.T.domain.norms_of(X0)))
-        live = np.flatnonzero(dens != 0.0)  # a zero start is its own best
-        if not len(live):
+        live = np.flatnonzero(dens != 0.0).tolist()  # a zero start is its own best
+        if not live:
             return
         X = X0[live] / dens[live, None, None]
         norms = self.T.domain.norms_of(X)
         V, nu, cell_nu = self.evaluate(X)
         best[live] = X
-        best_r = np.array(self.ratios(norms, cell_nu))
+        best_r = self.ratios(norms, cell_nu)
         for step in [0.35 / math.sqrt(1.0 + it) for it in range(iterations)]:
             G = self.gradient(X, norms, V, nu, cell_nu)
             del V, cell_nu  # free this grid before the next one is built
@@ -539,22 +553,27 @@ class _AscentProblem:
             if (stopped := gn < 1e-14).any():
                 if stopped.all():
                     return
-                X, G, gn, live, best_r = (a[~stopped] for a in (X, G, gn, live, best_r))
+                keep = np.flatnonzero(~stopped).tolist()
+                X, G, gn = X[keep], G[keep], gn[keep]
+                live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
             G /= gn[:, None, None]
             G *= step
             X += G
-            dens = np.array(self.denominators(self.T.domain.norms_of(X)))
-            if (stopped := dens == 0.0).any():
-                if stopped.all():
+            dens = self.denominators(self.T.domain.norms_of(X))
+            if 0.0 in dens:
+                keep = [i for i, den in enumerate(dens) if den != 0.0]
+                if not keep:
                     return
-                X, dens, live, best_r = (a[~stopped] for a in (X, dens, live, best_r))
-            X /= dens[:, None, None]
+                X, dens = X[keep], [dens[i] for i in keep]
+                live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
+            X /= np.array(dens)[:, None, None]
             norms = self.T.domain.norms_of(X)
             V, nu, cell_nu = self.evaluate(X)
-            r = np.array(self.ratios(norms, cell_nu))
-            better = r > best_r
-            best_r = np.where(better, r, best_r)
-            best[live[better]] = X[better]
+            ratios = self.ratios(norms, cell_nu)
+            if better := [i for i, (r, b) in enumerate(zip(ratios, best_r)) if r > b]:
+                for i in better:
+                    best_r[i] = ratios[i]
+                best[[live[i] for i in better]] = X[better]
 
     def to_combination(self, X: np.ndarray) -> HaarCombination:
         return HaarCombination._from_arrays(self.T.domain.dim, self.ids, X)
@@ -578,7 +597,8 @@ def _ascent_candidate(
     best = None
     for starts in batches:
         for X in problem.ascend(starts, iterations):
-            rated = _rated(problem.T, problem.to_combination(X.copy()), method, problem.p)
+            f = problem.to_combination(X.copy())
+            rated = _rated(problem.T, f, method, problem.p, problem.cell_grid)
             if best is None or rated[2] > best[2]:
                 best = rated
     return best
@@ -592,16 +612,17 @@ def _random_batches(problem: _AscentProblem, seed: int, restarts: int) -> Iterat
 
 
 def _rated(
-    T: OperatorSpec, f: HaarCombination, method: EstimateMethod, p: float | None
+    T: OperatorSpec, f: HaarCombination, method: EstimateMethod, p: float | None, grid=None
 ) -> tuple[HaarCombination, EstimateMethod, float]:
-    """A candidate with its public ratio.
+    """A candidate with its public ratio; `grid`, where given, is the
+    _GridLevels of f's heap ids (_ratio).
 
     Raises DomainError when float arithmetic overflows, that is when the
     ratio is not finite: a bound from the candidates that stay finite would
     ignore the directions in which T is largest.  tau is homogeneous in T,
     so a scaled operator gives the bound.
     """
-    r = _candidate_ratio(T, f, p)
+    r = _candidate_ratio(T, f, p, grid)
     if not math.isfinite(r):
         raise DomainError(
             "a candidate witness has no finite ratio: the operator overflows float arithmetic"
@@ -638,10 +659,10 @@ def _normalized_estimate(
     return TauEstimate(value, best_f, best_method, restarts, iterations)
 
 
-def _candidate_ratio(T: OperatorSpec, f: HaarCombination, p: float | None) -> float:
+def _candidate_ratio(T: OperatorSpec, f: HaarCombination, p: float | None, grid=None) -> float:
     """The public ratio of f, or NaN where float arithmetic overflows."""
     try:
-        return _ratio(T, f, p)
+        return _ratio(T, f, p, grid)
     except OverflowError:
         return math.nan
 

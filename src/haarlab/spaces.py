@@ -46,25 +46,34 @@ class NormedSpaceSpec:
             return np.sqrt((rows * rows).sum(axis=-1))
         return np.abs(rows).max(axis=-1)
 
-    def dual_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def dual_rows(
+        self, rows: np.ndarray, out: np.ndarray | None = None, norms: np.ndarray | None = None
+    ) -> np.ndarray:
         """A subgradient of the norm at each row (last axis; leading axes
-        stack rows); ties and zeros resolve to zero.  `out` may be `rows`
-        itself, which then holds the subgradients."""
+        stack rows).  A zero row gets zero.  On l1 a zero coordinate gets
+        zero (np.sign); on l2 the row is divided by its norm; on linf the
+        sign goes to the first coordinate of largest magnitude (np.argmax),
+        so a tie goes to the first of the tied coordinates and the others
+        get zero.  `out` may be `rows` itself, which then holds the
+        subgradients.  `norms`, where the caller has them, are
+        norms_of(rows), which l2 divides by instead of taking them again."""
         if self.norm is Norm.L1:
             return np.sign(rows, out=out)
         if self.norm is Norm.L2:
-            norms = self.norms_of(rows)
+            if norms is None:
+                norms = self.norms_of(rows)
             safe = np.where(norms > 0, norms, 1.0)
             return np.divide(rows, safe[..., None], out=out)
-        nonzero = np.any(rows != 0, axis=-1)
-        sel = np.nonzero(nonzero)
-        at = sel + (np.argmax(np.abs(rows), axis=-1)[sel],)
-        signs = np.sign(rows[at])
+        # the flat (C order) position of each row's first largest coordinate;
+        # a zero row picks a zero, whose sign is +0.0
+        at = np.argmax(np.abs(rows), axis=-1).ravel()
+        at += np.arange(0, rows.size, rows.shape[-1])
+        signs = np.sign(rows.take(at))
         if out is None:
             out = np.zeros_like(rows)
         else:
             out[...] = 0.0
-        out[at] = signs
+        out.put(at, signs)
         return out
 
 

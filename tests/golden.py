@@ -25,6 +25,8 @@ Regenerate the table (after a change that is meant to move bits) with
 and list what moved, old value beside new, without writing the table, with
 
     PYTHONPATH=src python tests/golden.py --diff
+
+which exits 1 when an entry moved and 0 when none did.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from haarlab.cli import main
+from haarlab.cli import main as cli_main
 from haarlab.combination import HaarCombination
 from haarlab.dyadic import dyadic_band, full_tree
 from haarlab.experiments import ExperimentConfig
@@ -197,7 +199,7 @@ def _read(name: str):
 def _run(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = cli_main(argv)
     doc = json.loads(out.getvalue())
     doc.pop("wallTime")
     return {"exit": code, "report": doc}
@@ -282,14 +284,24 @@ def diff(old: dict, new: dict) -> list[str]:
     ]
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--diff"]):
-        sys.exit("usage: golden.py [--diff]")
+def main(argv: list[str]) -> int:
+    """Write the table (no arguments) and return 0; with --diff, print what
+    moved against the written table and return 1 when any entry moved, 0
+    when none did; 2 for any other arguments."""
+    if argv not in ([], ["--diff"]):
+        print("usage: golden.py [--diff]", file=sys.stderr)
+        return 2
     table = build_table()
-    if sys.argv[1:] == ["--diff"]:
+    if argv == ["--diff"]:
         old = json.loads(TABLE.read_text(encoding="utf-8"))
         # the JSON round trip turns the new table's tuples into lists, as in the file
-        print("\n".join(diff(old, json.loads(json.dumps(table)))) or "no entry moved")
-    else:
-        TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {TABLE}", file=sys.stderr)
+        moved = diff(old, json.loads(json.dumps(table)))
+        print("\n".join(moved) or "no entry moved")
+        return 1 if moved else 0
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {TABLE}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

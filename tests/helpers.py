@@ -386,7 +386,8 @@ def space_norm(space):
 
 
 def reference_dual_vector(space, v) -> np.ndarray:
-    """A subgradient of the norm at v; ties and zeros resolve to zero."""
+    """A subgradient of the norm at v: zero at zero; on linf the sign of the
+    first coordinate of largest magnitude, zero elsewhere."""
     v = np.asarray(v, dtype=float)
     if space.norm is Norm.L1:
         return np.sign(v)
@@ -487,6 +488,7 @@ class ReferenceAscentProblem:
     batch methods random_starts and ascend loop over the serial ones."""
 
     batch = 1  # the estimate draws its starts one restart at a time
+    cell_grid = None  # the witnesses' ratios build their own grid kernel
 
     def __init__(self, T, ids, p):
         self.T = T

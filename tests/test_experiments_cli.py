@@ -1,7 +1,6 @@
 """Experiment reports and the command line: determinism, exit codes, errors."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import re
@@ -15,7 +14,7 @@ import pytest
 from haarlab import cli, experiments
 from haarlab.cli import build_parser, main
 from haarlab.combination import HaarCombination
-from haarlab.dyadic import HaarIndex
+from haarlab.dyadic import HaarIndex, heap_id
 from haarlab.errors import DomainError
 from haarlab.experiments import (
     ExperimentConfig,
@@ -256,15 +255,15 @@ def test_log_variant_flags_a_bad_cover(case, monkeypatch):
     rep = run_log_variant_experiment(4.0 / 3.0, n=3, trials=1, families=[f])
     assert rep.rows[0]["coverOk"] == 1 and rep.checks[0]["passed"]
 
-    real = experiments.greedy_family
+    real = experiments._greedy_cover
 
-    def bad_family(*args):
-        family = real(*args)
-        assert family.m == 1
-        pieces = tuple(frozenset(HaarIndex(*idx) for idx in p) for p in _BAD_COVERS[case])
-        return dataclasses.replace(family, pieces=pieces)
+    def bad_cover(*args):
+        _pieces, m, base, padded = real(*args)
+        assert m == 1
+        pieces = tuple(frozenset(heap_id(*idx) for idx in p) for p in _BAD_COVERS[case])
+        return pieces, m, base, padded
 
-    monkeypatch.setattr(experiments, "greedy_family", bad_family)
+    monkeypatch.setattr(experiments, "_greedy_cover", bad_cover)
     rep = run_log_variant_experiment(4.0 / 3.0, n=3, trials=1, families=[f])
     assert rep.rows[0]["coverOk"] == 0
     assert rep.checks[0]["name"] == "cover-contracts" and not rep.checks[0]["passed"]
@@ -291,7 +290,12 @@ def test_log_variant_random_trials_pass_and_merge_in_order():
 def test_log_variant_rows_match_the_public_greedy_path(monkeypatch):
     cfg = ExperimentConfig(seed=4)
     got = run_log_variant_experiment(4.0 / 3.0, n=8, trials=12, config=cfg)
-    monkeypatch.setattr(experiments, "greedy_family", reference_greedy_family)
+    def reference_cover(*args):
+        family = reference_greedy_family(*args)
+        pieces = tuple(frozenset(heap_id(*idx) for idx in p) for p in family.pieces)
+        return pieces, family.m, family.threshold_base, family.padded
+
+    monkeypatch.setattr(experiments, "_greedy_cover", reference_cover)
     want = run_log_variant_experiment(4.0 / 3.0, n=8, trials=12, config=cfg)
     assert got.to_csv() == want.to_csv()
     assert got.parameters == want.parameters
@@ -301,19 +305,18 @@ def test_log_variant_rows_match_the_public_greedy_path(monkeypatch):
 def test_log_variant_cover_check_sees_an_index_off_the_tree(monkeypatch, replacement):
     """A cover missing one index of the depth-4 tree, or holding a level-5
     index in its place, is not a cover."""
-    greedy = experiments.greedy_family
+    greedy = experiments._greedy_cover
 
     def broken(f, n, p, space=None):
-        family = greedy(f, n, p, space)
-        l = next(l for l, piece in enumerate(family.pieces) if piece)
-        piece = set(family.pieces[l])
+        pieces, *rest = greedy(f, n, p, space)
+        l = next(l for l, piece in enumerate(pieces) if piece)
+        piece = set(pieces[l])
         piece.remove(min(piece))
         if replacement is not None:
-            piece.add(replacement)
-        pieces = family.pieces[:l] + (frozenset(piece),) + family.pieces[l + 1 :]
-        return dataclasses.replace(family, pieces=pieces)
+            piece.add(heap_id(*replacement))
+        return (pieces[:l] + (frozenset(piece),) + pieces[l + 1 :], *rest)
 
-    monkeypatch.setattr(experiments, "greedy_family", broken)
+    monkeypatch.setattr(experiments, "_greedy_cover", broken)
     f = HaarCombination(8, {(1, 1): [1.0] + [0.0] * 7, (3, 2): [0.5] * 8})
     rep = run_log_variant_experiment(4.0 / 3.0, n=4, trials=1, families=[f])
     assert rep.rows[0]["coverOk"] == 0

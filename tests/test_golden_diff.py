@@ -1,6 +1,16 @@
-"""The format of tests/golden.py --diff, on two small hand-made tables."""
+"""The format and the exit code of tests/golden.py --diff, on two small
+hand-made tables."""
+
+import json
 
 import golden
+
+OLD = {
+    "numpy": "2.4.6",
+    "estimates": {"tree 3": {"bound": "0x1.8p+0", "method": "coordinate-aligned", "witness": "aa"}},
+    "ratios": {"tau tree 14": "0x1.4p-1"},
+}
+MOVED = {**OLD, "ratios": {"tau tree 14": "0x1.5p-1"}}
 
 
 def test_diff_lists_each_moved_entry_old_beside_new():
@@ -31,3 +41,19 @@ def test_diff_lists_each_moved_entry_old_beside_new():
         "ratios / tau tree 16: (absent) -> 0x1.6p-1",
     ]
     assert golden.diff(old, old) == []
+
+
+def test_diff_exits_1_when_an_entry_moved_and_0_when_none_did(monkeypatch, tmp_path, capsys):
+    table = tmp_path / "golden_table.json"
+    table.write_text(json.dumps(OLD), encoding="utf-8")
+    monkeypatch.setattr(golden, "TABLE", table)
+    monkeypatch.setattr(golden, "build_table", lambda: OLD)
+    assert golden.main(["--diff"]) == 0
+    assert capsys.readouterr().out == "no entry moved\n"
+    monkeypatch.setattr(golden, "build_table", lambda: MOVED)
+    assert golden.main(["--diff"]) == 1
+    assert capsys.readouterr().out == "ratios / tau tree 14: 0x1.4p-1 -> 0x1.5p-1\n"
+    assert json.loads(table.read_text(encoding="utf-8")) == OLD  # --diff writes nothing
+    assert golden.main(["--write"]) == 2
+    assert golden.main([]) == 0
+    assert json.loads(table.read_text(encoding="utf-8")) == MOVED

@@ -20,6 +20,7 @@ from haarlab.combinatorics import (
 )
 from haarlab.dyadic import (
     DyadicRational,
+    _GatherPlan,
     _GridLevels,
     _PartitionLevels,
     dyadic_band,
@@ -540,20 +541,27 @@ def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(mon
     (489 here, where the polish stops at its first iterate)."""
     syntheses, ratings = [], []
     synthesis, candidate_ratio = _GridLevels.synthesis, normlab._candidate_ratio
+    plan_synthesis = _GatherPlan.synthesis
 
     def counted_synthesis(self, rows):
         syntheses.append(rows.shape)
         return synthesis(self, rows)
 
-    def counted_ratio(T, f, p):
+    def counted_plan_synthesis(self, rows):
+        syntheses.append(rows.shape)
+        return plan_synthesis(self, rows)
+
+    def counted_ratio(T, f, p, grid=None):
         ratings.append(f)
-        return candidate_ratio(T, f, p)
+        return candidate_ratio(T, f, p, grid)
 
     monkeypatch.setattr(_GridLevels, "synthesis", counted_synthesis)
+    monkeypatch.setattr(_GatherPlan, "synthesis", counted_plan_synthesis)
     monkeypatch.setattr(normlab, "_candidate_ratio", counted_ratio)
     T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
     tau_estimate(T, full_tree(6), restarts=8, iterations=60)
     assert len(ratings) >= 10  # the 8 restarts, the polish and the certified witness
+    assert (8, 63, 16) in syntheses  # the ascent's iterates, all restarts at once
     assert len(syntheses) <= 2 * 61 + len(ratings), (len(syntheses), len(ratings))
 
 

@@ -80,6 +80,32 @@ def test_dual_rows_matches_dual_vector(norm):
     assert np.array_equal(stacked, expected)
 
 
+def test_linf_dual_gives_a_tie_to_the_first_largest_coordinate():
+    """On linf the whole subgradient goes to the first coordinate of largest
+    magnitude (np.argmax), with that coordinate's sign; the coordinates tied
+    with it after it get zero, and a zero row gets zero."""
+    space = NormedSpaceSpec(4, Norm.LINF)
+    rows = np.array([[1.0, -3.0, 3.0, -3.0], [-2.0, 2.0, 0.0, 0.5], [0.0, -0.0, 0.0, 0.0]])
+    expected = [[0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    assert space.dual_rows(rows).tolist() == expected
+    reversed_expected = [[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0] * 4]
+    assert space.dual_rows(rows[:, ::-1]).tolist() == reversed_expected
+    g = space.dual_rows(rows)
+    assert np.signbit(g[2]).tolist() == [False] * 4  # a zero row gets +0.0
+
+
+def test_l2_dual_rows_divide_by_the_norms_they_are_given():
+    """Given the rows' norms_of, the l2 subgradients are the bits they get
+    when dual_rows takes the norms itself; zero rows stay zero."""
+    rng = np.random.default_rng(3)
+    space = NormedSpaceSpec(5, Norm.L2)
+    rows = rng.standard_normal((3, 10, 5))
+    rows[1, 4] = 0.0
+    got = space.dual_rows(rows, norms=space.norms_of(rows))
+    assert got.tobytes() == space.dual_rows(rows).tobytes()
+    assert not got[1, 4].any()
+
+
 def test_operator_validation():
     l2 = NormedSpaceSpec(2, Norm.L2)
     l3 = NormedSpaceSpec(3, Norm.L2)
