@@ -357,9 +357,7 @@ class _GridLevels:
         nothing (a sum of this kind is never -0.0), so the grid equals that
         loop's bit for bit.
         """
-        lead, dim = rows.shape[:-2], rows.shape[-1]
-        levels = [(k, rows[..., lo:hi, :], pos, scale) for k, lo, hi, pos, scale in self.levels]
-        return _synthesise(np.zeros(lead + (self.cells, dim)), levels, self.top)
+        return _level_loop(self.levels, self.top, rows)
 
     def blocks(self, rows: np.ndarray, image=None) -> Iterator[np.ndarray]:
         """synthesis(image(rows)) of 2-D rows, as a run of aligned blocks in
@@ -427,6 +425,14 @@ class _GridLevels:
         the sum of `cells` over the left half of its support minus the sum
         over the right half, one row each on axis -2; see _GatherPlan.analysis."""
         return self.plan.analysis(cells)
+
+
+def _level_loop(levels, top: int, rows: np.ndarray) -> np.ndarray:
+    """_GridLevels.synthesis of the levels `levels` (_GridLevels.levels)
+    whose top level is `top`."""
+    lead, dim = rows.shape[:-2], rows.shape[-1]
+    parts = [(k, rows[..., lo:hi, :], pos, scale) for k, lo, hi, pos, scale in levels]
+    return _synthesise(np.zeros(lead + (1 << top, dim)), parts, top)
 
 
 def _synthesise(out: np.ndarray, levels, g: int, owned: bool = False) -> np.ndarray:
@@ -551,7 +557,10 @@ class _GatherPlan:
     """
 
     def __init__(self, grid: _GridLevels, bounds: np.ndarray):
-        self.grid, self.count, self.cells = grid, grid.count, grid.cells
+        # the cell kernel's layout, not the kernel: it keeps its plan, and a
+        # plan that kept it would make a cycle that only the collector frees
+        self.count, self.cells, self.top = grid.count, grid.cells, grid.top
+        self.cell_levels, self.scale = grid.levels, grid.scale
         self.leaves = len(bounds) - 1
         self.firsts = firsts = bounds[:-1]
         # per level (rows) and leaf (columns): the heap id of the index whose
@@ -579,7 +588,7 @@ class _GatherPlan:
         lead, dim = rows.shape[:-2], rows.shape[-1]
         batch = math.prod(lead) * dim
         if batch * self.table.size > max(_BLOCK_FLOATS, batch * self.cells):
-            cells = self.grid.synthesis(rows)
+            cells = _level_loop(self.cell_levels, self.top, rows)
             return cells if self.leaves == self.cells else cells.take(self.firsts, axis=-2)
         stacked = np.zeros(lead + (2 * self.count + 1, dim))
         scaled = np.multiply(rows, self._scale(dim), out=stacked[..., : self.count, :])
@@ -622,7 +631,7 @@ class _GatherPlan:
         with it runs in loops over whole batch entries, not over one row
         of dim floats at a time."""
         if dim not in self._scales:
-            self._scales[dim] = np.repeat(self.grid.scale[:, None], dim, axis=1)
+            self._scales[dim] = np.repeat(self.scale[:, None], dim, axis=1)
         return self._scales[dim]
 
     def _groups(self, limit: int) -> list[tuple[int, int]]:

@@ -77,15 +77,15 @@ def test_plan_matches_the_index_loops_bit_for_bit(ids, dim, batch, seed, budget)
             "analysis past": analysis_gather - 1,
         }[budget]
         fallbacks = []
-        synthesise = _GridLevels.synthesis
+        level_loop = dyadic._level_loop
 
-        def counted(self, rows):
+        def counted(levels, top, rows):
             fallbacks.append(rows.shape)
-            return synthesise(self, rows)
+            return level_loop(levels, top, rows)
 
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
             mp.setattr(dyadic, "_BLOCK_FLOATS", block)
-            mp.setattr(_GridLevels, "synthesis", counted)
+            mp.setattr(dyadic, "_level_loop", counted)
             leaves = plan.synthesis(rows)
             sums = plan.analysis(leaves)
             widths = np.diff(np.append(plan.firsts, plan.cells))
