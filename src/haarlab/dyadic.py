@@ -502,7 +502,6 @@ class _PartitionLevels:
     """
 
     def __init__(self, grid: _GridLevels, bounds: np.ndarray):
-        self.count, self.top = grid.count, grid.top
         self.cells, self.scale = grid.cells, grid.scale
         self.leaves = len(bounds) - 1
         self.widths = np.diff(bounds)  # cells per leaf
@@ -541,19 +540,25 @@ class _GatherPlan:
     puts the cells under a level's n indices in (offset, half, index)
     order, and one reduction along the offset axis sums the whole level
     into a (2, m, dim) buffer of left and right sums, in inner loops of
-    n dim floats, not dim; a level of one cell a half is copied.  For
-    dim = 1 numpy sums a contiguous run pairwise, and the outer-axis
-    layout would change the bits: there each level repeats its leaves to
-    their cells in cell order, each half contiguous, and the sum runs
-    along them.  One subtraction of the halves and one scale end it.
+    n dim floats, not dim.  For dim = 1 numpy sums a contiguous run
+    pairwise, and the outer-axis layout would change the bits: there each
+    level repeats its leaves to their cells in cell order, each half
+    contiguous, and the sum runs along them.  On either path a half of one
+    cell (the top level) is that cell, copied, not summed from +0.0, so a
+    -0.0 cell stays -0.0 there as it did in the per-level loops.  One
+    subtraction of the halves and one scale end it.
 
     Memory.  A gather holds at most _BLOCK_FLOATS floats, or one grid of
     cells where that is larger.  Synthesis where all levels do not fit
     runs the cell kernel's level loop (O(cells), faster on large full
     trees) and keeps the first cell of each leaf; analysis gathers runs of
-    consecutive levels that fit.  For dim > 1 the plan keeps the index of
-    every cell it gathers, at most one int per cell and level.  Batch
-    entries on the leading axes are summed as they would be alone.
+    consecutive levels that fit.  The outer-axis gather takes the index of
+    each cell it gathers, and the plan keeps those of the deepest levels
+    (outer on) whose cells number at most _BLOCK_FLOATS; the levels above
+    them repeat their leaves in cell order, as for dim = 1, and for dim > 1
+    that sum still runs along the outer axis of each (w, dim) block, so
+    the bits are the same, in inner loops of dim floats.  Batch entries on
+    the leading axes are summed as they would be alone.
     """
 
     def __init__(self, grid: _GridLevels, bounds: np.ndarray):
@@ -581,6 +586,11 @@ class _GatherPlan:
         # ends[i]:ends[i + 1] of the levels' cells end to end
         self.levels = [(lo, hi, 1 << (grid.top - k)) for k, lo, hi, _p, _s in grid.levels]
         self.ends = np.cumsum([0] + [2 * (hi - lo) * w for lo, hi, w in self.levels]).tolist()
+        # analysis for dim > 1 gathers levels[outer:], the deepest levels
+        # whose cells number at most one block, by one index per cell
+        self.outer = next(
+            i for i, end in enumerate(self.ends) if self.ends[-1] - end <= _BLOCK_FLOATS
+        )
         self._group_cache, self._scales = {}, {}  # _groups by limit, _scale by dim
 
     def synthesis(self, rows: np.ndarray) -> np.ndarray:
@@ -599,11 +609,13 @@ class _GatherPlan:
         """_GridLevels.analysis of the cells of the leaf grid `leaves`."""
         lead, dim = leaves.shape[:-2], leaves.shape[-1]
         sums = np.empty(lead + (2, self.count, dim))  # the left and the right half sums
-        if dim == 1:
-            for (lo, hi, w), reps in zip(self.levels, self.reps):
-                halves = leaves.repeat(reps, axis=-2).reshape(lead + (hi - lo, 2, w, 1))
-                sums[..., lo:hi, :] = np.add.reduce(halves, axis=-2).swapaxes(-2, -3)
-        else:
+        outer = self.outer if dim > 1 else len(self.levels)
+        for (lo, hi, w), reps in zip(self.levels[:outer], self.reps):
+            halves = leaves.repeat(reps, axis=-2).reshape(lead + (hi - lo, 2, w, dim))
+            half_sums = halves[..., 0, :] if w == 1 else np.add.reduce(halves, axis=-2)
+            sums[..., lo:hi, :] = half_sums.swapaxes(-2, -3)
+            del halves, half_sums  # free this level's cells before the next level's are made
+        if outer < len(self.levels):
             limit = max(_BLOCK_FLOATS // (math.prod(lead) * dim), self.cells)
             for first, last in self._groups(limit):
                 self._outer_sums(leaves, first, last, sums)
@@ -615,12 +627,12 @@ class _GatherPlan:
         """Write the half sums of the levels first..last - 1 into `sums`,
         from one gather of their cells, released on return."""
         lead, dim = leaves.shape[:-2], leaves.shape[-1]
-        base = self.ends[first]
-        gathered = leaves.take(self._outer_order[base : self.ends[last]], axis=-2)
+        base, start = self.ends[first], self.ends[self.outer]
+        gathered = leaves.take(self._outer_order[base - start : self.ends[last] - start], axis=-2)
         for i in range(first, last):
             lo, hi, w = self.levels[i]
             part = gathered[..., self.ends[i] - base : self.ends[i + 1] - base, :]
-            if w == 1:  # one cell a half: the sums are the cells
+            if w == 1:
                 sums[..., lo:hi, :] = part.reshape(lead + (2, hi - lo, dim))
             else:
                 halves = part.reshape(lead + (w, 2, hi - lo, dim))
@@ -635,26 +647,31 @@ class _GatherPlan:
         return self._scales[dim]
 
     def _groups(self, limit: int) -> list[tuple[int, int]]:
-        """Runs [first, last) of consecutive levels whose cells number at
-        most `limit` together; one level has at most the grid's cells."""
+        """Runs [first, last) of consecutive levels from outer on whose
+        cells number at most `limit` together; one level has at most the
+        grid's cells."""
         if limit not in self._group_cache:
-            runs, first = [], 0
-            for last in range(1, len(self.levels) + 1):
+            runs, first = [], self.outer
+            for last in range(first + 1, len(self.levels) + 1):
                 if self.ends[last] - self.ends[first] > limit:
                     runs.append((first, last - 1))
                     first = last - 1
-            self._group_cache[limit] = runs + [(first, len(self.levels))] if self.levels else []
+            self._group_cache[limit] = runs + [(first, len(self.levels))]
         return self._group_cache[limit]
 
     @cached_property
     def _outer_order(self) -> np.ndarray:
         """The leaf of each cell that analysis gathers for dim > 1, the
-        levels end to end, each level's cells in (offset, half, index) order."""
-        out = np.empty(self.ends[-1], dtype=np.intp)
+        levels from outer on end to end, each level's cells in (offset,
+        half, index) order."""
+        start = self.ends[self.outer]
+        out = np.empty(self.ends[-1] - start, dtype=np.intp)
         every = np.arange(self.leaves)
-        for (lo, hi, w), reps, a, b in zip(self.levels, self.reps, self.ends, self.ends[1:]):
-            in_cell_order = every.repeat(reps).reshape(hi - lo, 2, w)
-            out[a:b].reshape(w, 2, hi - lo)[...] = in_cell_order.transpose(2, 1, 0)
+        for i in range(self.outer, len(self.levels)):
+            lo, hi, w = self.levels[i]
+            in_cell_order = every.repeat(self.reps[i]).reshape(hi - lo, 2, w)
+            level = out[self.ends[i] - start : self.ends[i + 1] - start]
+            level.reshape(w, 2, hi - lo)[...] = in_cell_order.transpose(2, 1, 0)
         return out
 
 

@@ -445,14 +445,19 @@ def reference_cell_values(f: HaarCombination, grid_level: int) -> np.ndarray:
 def reference_analysis(ids: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The adjoint of synthesis one index at a time: per index, 2^((k-1)/2)
     times the sum of the cells (2^top, dim) over the left half of its
-    support minus the sum over the right half."""
+    support minus the sum over the right half.  A half of one cell is that
+    cell, as the kernels take it: a sum starts at +0.0 and would turn a
+    -0.0 cell into +0.0."""
     top = int(ids[-1]).bit_length()
     out = np.empty((len(ids), cells.shape[-1]))
     for a, node in enumerate(ids.tolist()):
         k, j = from_heap_id(node)
         width = 1 << (top - k)
         lo, mid = (2 * j - 2) * width, (2 * j - 1) * width
-        left, right = cells[lo:mid].sum(axis=0), cells[mid : mid + width].sum(axis=0)
+        if width == 1:
+            left, right = cells[lo], cells[mid]
+        else:
+            left, right = cells[lo:mid].sum(axis=0), cells[mid : mid + width].sum(axis=0)
         out[a] = half_power(k - 1) * (left - right)
     return out
 

@@ -2,6 +2,9 @@
 oracles, bit for bit, on both kernels: the cell kernel, where every cell
 is a leaf, and the partition kernel of a sparse or deep set."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,6 +110,41 @@ def test_plan_matches_the_index_loops_bit_for_bit(ids, dim, batch, seed, budget)
             assert len(groups) > 1
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ids=id_sets(),
+    dim=st.sampled_from([1, 2, 5, 16]),
+    batch=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.floats(0.0, 1.0),
+)
+def test_analysis_keeps_one_block_of_outer_indices(ids, dim, batch, seed, share):
+    """With the block budget anywhere from none to all of the levels'
+    cells, the plan keeps the outer-axis indices of the deepest levels
+    that fit in it and repeats the levels above them in cell order (dim
+    > 1; dim = 1 always repeats).  Every path gives the index loop's bits,
+    on cells with -0.0 entries too."""
+    block = int(share * _GridLevels(ids).plan.ends[-1])
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(dyadic, "_BLOCK_FLOATS", block)
+        cell_grid = _GridLevels(ids)
+        partition = cell_grid.on_partition()
+        for grid in [cell_grid] if partition is cell_grid else [cell_grid, partition]:
+            plan = grid.plan
+            leaves = edge_rows(np.random.default_rng(seed), (batch, plan.leaves, dim))
+            sums = plan.analysis(leaves)
+            cells = grid.to_cells(leaves, -2)
+            reference = [reference_analysis(ids, cells[r]) for r in range(batch)]
+            for r in range(batch):
+                assert sums[r].tobytes() == reference[r].tobytes(), (ids.tolist(), block)
+            kept = plan.ends[-1] - plan.ends[plan.outer]
+            assert kept <= block and (plan.outer == 0 or kept + plan.ends[plan.outer]
+                                      - plan.ends[plan.outer - 1] > block)
+            if plan.outer < len(plan.levels):
+                assert plan._outer_order.size == kept
+
+
 @pytest.mark.parametrize("pairs", [sorted(full_tree(5)), [(1, 1), (5, 1)]])
 def test_single_column_analysis_keeps_the_pairwise_half_sums(pairs):
     """For dim = 1 numpy sums a contiguous run of cells pairwise, so a half
@@ -149,3 +187,20 @@ def test_one_plan_per_ascent_problem_and_none_for_the_norms(monkeypatch):
     assert built == [16, 11]
     problem = normlab._AscentProblem(T, heap_ids(full_tree(4)), None)
     assert problem.plan is problem.grid.plan
+
+
+def test_a_plan_is_freed_with_its_problem_without_the_collector():
+    """The plan keeps the cell kernel's layout, not the kernel, which caches
+    the plan: no reference cycle, so a problem's kernel, plan and tables go
+    when the problem does, not at the cyclic collector's next pass."""
+    T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 9)], Norm.L1)
+    gc.disable()
+    try:
+        for pairs in (full_tree(4), [(k, 1) for k in range(1, 11)]):
+            problem = normlab._AscentProblem(T, heap_ids(frozenset(pairs)), None)
+            problem.ascend(problem.random_starts(np.random.default_rng(1), 2), 3)
+            plan, kernel = weakref.ref(problem.plan), weakref.ref(problem.cell_grid)
+            del problem
+            assert plan() is None and kernel() is None
+    finally:
+        gc.enable()
