@@ -545,8 +545,8 @@ class _GatherPlan:
     level repeats its leaves to their cells in cell order, each half
     contiguous, and the sum runs along them.  On either path a half of one
     cell (the top level) is that cell, copied, not summed from +0.0, so a
-    -0.0 cell stays -0.0 there as it did in the per-level loops.  One
-    subtraction of the halves and one scale end it.
+    -0.0 cell stays -0.0.  One subtraction of the halves and one scale end
+    it.
 
     Memory.  A gather holds at most _BLOCK_FLOATS floats, or one grid of
     cells where that is larger.  Synthesis where all levels do not fit
