@@ -273,8 +273,8 @@ def _level_runs(ids: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# the grid kernel: Haar synthesis and analysis level by level, and by
-# gather tables for the ascent
+# the grid kernel: Haar synthesis level by level, and the ascent's gather
+# plan on the index set's own dyadic partition
 
 # _GridLevels.blocks hands the grid out in aligned blocks of at most this
 # many floats, so a norm holds one block of the grid at a time
@@ -288,16 +288,16 @@ class _GridLevels:
     are each level's, where they sit in their level and how they are scaled.
     Build it once per id list; synthesis, the level loop that the norms
     take through blocks, then takes one block of rows per level present.
-    Analysis, and the ascent's synthesis, run through the kernel's gather
-    plan (plan, a _GatherPlan), built on first use.
+    The ascent runs on the id list's own partition, through a _GatherPlan
+    of this kernel.
 
-    Both take leading batch axes: a grid is an array (..., cells, dim) of
-    the 2^top cells of the top level and a coefficient list an array
+    Synthesis takes leading batch axes: a grid is an array (..., cells, dim)
+    of the 2^top cells of the top level and a coefficient list an array
     (..., count, dim), the cells and the rows on axis -2.  Each batch entry
     is computed by the same ufunc calls and reductions along the same axes
     as a lone 2-D grid, so it gets the same bits as it would on its own.
-    The ascent stacks its restarts on the leading axis; the norms take the
-    grid of 2-D rows in blocks (blocks), so they hold one block at a time.
+    The norms take the grid of 2-D rows in blocks (blocks), so they hold
+    one block at a time.
     """
 
     def __init__(self, ids: np.ndarray):
@@ -310,9 +310,7 @@ class _GridLevels:
             positions = None if full else ids[lo:hi] - (1 << (k - 1))
             self.levels.append((k, lo, hi, positions, half_power(k - 1)))
         self.top = self.levels[-1][0] if self.levels else 0
-        # the 2^top cells of the top level; on this kernel each is a row
-        # (a leaf) of the grid
-        self.cells = self.leaves = 1 << self.top
+        self.cells = 1 << self.top  # the cells of the top level
 
     @cached_property
     def scale(self) -> np.ndarray:
@@ -321,30 +319,6 @@ class _GridLevels:
         for _k, lo, hi, _positions, scale in self.levels:
             out[lo:hi] = scale
         return out
-
-    def on_partition(self) -> "_GridLevels | _PartitionLevels":
-        """This kernel on the id list's own dyadic partition, or itself
-        where that partition is the 2^top cells of the top level."""
-        edges = [np.array([0, self.cells])]
-        for level in self.levels:
-            starts, w = self._supports(level)
-            edges += [starts, starts + w, starts + 2 * w]
-        bounds = np.unique(np.concatenate(edges))
-        if len(bounds) - 1 == self.cells:
-            return self
-        return _PartitionLevels(self, bounds)
-
-    def _supports(self, level) -> tuple[np.ndarray, int]:
-        """The first top-level cell of the support of each index of a level
-        of self.levels, and the width of a half support in those cells."""
-        k, lo, hi, positions, _scale = level
-        if positions is None:
-            positions = np.arange(hi - lo)
-        return positions << (self.top - k + 1), 1 << (self.top - k)
-
-    def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
-        """Rows of this kernel's top-level grid, one per cell of the top level."""
-        return rows
 
     def synthesis(self, rows: np.ndarray) -> np.ndarray:
         """The Haar functions of the id list with coefficient rows `rows`,
@@ -357,7 +331,9 @@ class _GridLevels:
         nothing (a sum of this kind is never -0.0), so the grid equals that
         loop's bit for bit.
         """
-        return _level_loop(self.levels, self.top, rows)
+        lead, dim = rows.shape[:-2], rows.shape[-1]
+        parts = [(k, rows[..., lo:hi, :], pos, scale) for k, lo, hi, pos, scale in self.levels]
+        return _synthesise(np.zeros(lead + (self.cells, dim)), parts, self.top)
 
     def blocks(self, rows: np.ndarray, image=None) -> Iterator[np.ndarray]:
         """synthesis(image(rows)) of 2-D rows, as a run of aligned blocks in
@@ -415,25 +391,6 @@ class _GridLevels:
         for q in range(1 << c):
             yield _synthesise(np.full((1 << fine, dim), sums[q]), under(q), fine, owned)
 
-    @cached_property
-    def plan(self) -> "_GatherPlan":
-        """The gather plan of this kernel, every cell a leaf: built on first use."""
-        return _GatherPlan(self, np.arange(self.cells + 1))
-
-    def analysis(self, cells: np.ndarray) -> np.ndarray:
-        """The adjoint of synthesis: per index of the list, 2^((k-1)/2) times
-        the sum of `cells` over the left half of its support minus the sum
-        over the right half, one row each on axis -2; see _GatherPlan.analysis."""
-        return self.plan.analysis(cells)
-
-
-def _level_loop(levels, top: int, rows: np.ndarray) -> np.ndarray:
-    """_GridLevels.synthesis of the levels `levels` (_GridLevels.levels)
-    whose top level is `top`."""
-    lead, dim = rows.shape[:-2], rows.shape[-1]
-    parts = [(k, rows[..., lo:hi, :], pos, scale) for k, lo, hi, pos, scale in levels]
-    return _synthesise(np.zeros(lead + (1 << top, dim)), parts, top)
-
 
 def _synthesise(out: np.ndarray, levels, g: int, owned: bool = False) -> np.ndarray:
     """Add the Haar functions of `levels` to the grid `out` (..., 2^g, dim),
@@ -483,47 +440,20 @@ def _spread(out: np.ndarray, g: int, lo: int, hi: int) -> None:
         blocks[..., 1:, :] = blocks[..., :1, :]
 
 
-class _PartitionLevels:
-    """The levels of a _GridLevels on the leaves of the id list's own
-    dyadic partition.
-
-    The leaves are the runs of top-level cells between the starts, the
-    midpoints and the ends of the supports of the list's indices, so an
-    id list of m indices has at most 3m + 1 of them.  Each half support is
-    a run of whole leaves, so synthesis makes the same additions in every
-    cell of a leaf and its cells hold the same bits: the grid is kept one
-    row per leaf, (..., leaves, dim).  Built by on_partition only where
-    there are fewer leaves than cells.
-
-    Sums over cells depend on the number and the order of the cells, so
-    analysis sums the halves cell by cell, as _GridLevels.analysis does;
-    to_cells gives the per-cell rows that other such sums need.  Synthesis
-    and analysis run through the kernel's _GatherPlan, built with it.
-    """
-
-    def __init__(self, grid: _GridLevels, bounds: np.ndarray):
-        self.cells, self.scale = grid.cells, grid.scale
-        self.leaves = len(bounds) - 1
-        self.widths = np.diff(bounds)  # cells per leaf
-        self.plan = _GatherPlan(grid, bounds)
-
-    def synthesis(self, rows: np.ndarray) -> np.ndarray:
-        """_GridLevels.synthesis on the leaf grid (..., leaves, dim)."""
-        return self.plan.synthesis(rows)
-
-    def analysis(self, leaves: np.ndarray) -> np.ndarray:
-        """_GridLevels.analysis of the cells of the leaf grid `leaves`."""
-        return self.plan.analysis(leaves)
-
-    def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
-        return rows.repeat(self.widths, axis=axis)
-
-
 class _GatherPlan:
-    """Synthesis and analysis of a _GridLevels on the leaves of a partition
-    of its cells (`bounds`, the first cell of each leaf and the end; every
-    cell a leaf for the cell kernel itself), by gather tables built once.
-    The ascent builds one per problem and runs every iterate through it.
+    """Synthesis and analysis of a _GridLevels on the leaves of the id
+    list's own dyadic partition, by gather tables built once.  The ascent
+    builds one per problem and runs every iterate through it.
+
+    Leaves.  The leaves are the runs of top-level cells between the starts,
+    the midpoints and the ends of the supports of the list's indices, so
+    an id list of m indices has at most 3m + 1 of them; full trees and
+    bands have every cell a leaf.  Each half support is a run of whole
+    leaves, so synthesis makes the same additions in every cell of a leaf
+    and its cells hold the same bits: the grid is kept one row per leaf,
+    (..., leaves, dim).  Sums over cells depend on the number and the
+    order of the cells, so analysis sums the halves cell by cell; to_cells
+    gives the per-cell rows that other such sums need.
 
     Synthesis.  The table holds, per level and leaf, the row of the buffer
     [S; -S; 0] (S the scaled rows) that the leaf adds: its index's row on a
@@ -534,7 +464,10 @@ class _GatherPlan:
     x + (-s).  A sum that starts at +0.0 is never -0.0, so the zero row
     changes no bit (a NaN that a row holds may flip sign).
 
-    Analysis.  Each half is summed cell by cell in cell order, as
+    Analysis.  The adjoint of synthesis: per index of the list,
+    2^((k-1)/2) times the sum of the cells over the left half of its
+    support minus the sum over the right half, one row each on axis -2.
+    Each half is summed cell by cell in cell order, as
     cells[lo:mid].sum(axis=0) sums it.  For dim > 1 that sum runs along the
     outer axis of a (w, dim) block, one addition at a time; so one take
     puts the cells under a level's n indices in (offset, half, index)
@@ -550,8 +483,8 @@ class _GatherPlan:
 
     Memory.  A gather holds at most _BLOCK_FLOATS floats, or one grid of
     cells where that is larger.  Synthesis where all levels do not fit
-    runs the cell kernel's level loop (O(cells), faster on large full
-    trees) and keeps the first cell of each leaf; analysis gathers runs of
+    runs the grid's level loop (O(cells), faster on large full trees) and
+    keeps the first cell of each leaf; analysis gathers runs of
     consecutive levels that fit.  The outer-axis gather takes the index of
     each cell it gathers, and the plan keeps those of the deepest levels
     (outer on) whose cells number at most _BLOCK_FLOATS; the levels above
@@ -561,13 +494,19 @@ class _GatherPlan:
     the leading axes are summed as they would be alone.
     """
 
-    def __init__(self, grid: _GridLevels, bounds: np.ndarray):
-        # the cell kernel's layout, not the kernel: it keeps its plan, and a
-        # plan that kept it would make a cycle that only the collector frees
-        self.count, self.cells, self.top = grid.count, grid.cells, grid.top
-        self.cell_levels, self.scale = grid.levels, grid.scale
+    def __init__(self, grid: _GridLevels):
+        self.grid, self.count, self.cells = grid, grid.count, grid.cells
+        # the partition's bounds: the start, the midpoint and the end of
+        # every support, in top-level cells, with the ends of the grid
+        edges = [np.array([0, grid.cells])]
+        for k, lo, hi, _positions, _scale in grid.levels:
+            w = 1 << (grid.top - k)  # a half support
+            starts = (grid.ids[lo:hi] - (1 << (k - 1))) * (2 * w)
+            edges += [starts, starts + w, starts + 2 * w]
+        bounds = np.unique(np.concatenate(edges))
         self.leaves = len(bounds) - 1
         self.firsts = firsts = bounds[:-1]
+        self.widths = np.diff(bounds)  # cells per leaf
         # per level (rows) and leaf (columns): the heap id of the index whose
         # support holds the leaf, whether it is the right half, and the row
         # of that id, where the id list has it (a leaf lies in one half of a
@@ -581,7 +520,7 @@ class _GatherPlan:
         self.table = np.where(held, row + right * self.count, 2 * self.count)
         # per level and leaf: the cells it spreads to in analysis, 0 outside
         # the level's supports
-        self.reps = np.where(held, np.diff(bounds), 0)
+        self.reps = np.where(held, self.widths, 0)
         # per level: (lo, hi, half width in cells); a level's cells are
         # ends[i]:ends[i + 1] of the levels' cells end to end
         self.levels = [(lo, hi, 1 << (grid.top - k)) for k, lo, hi, _p, _s in grid.levels]
@@ -593,12 +532,17 @@ class _GatherPlan:
         )
         self._group_cache, self._scales = {}, {}  # _groups by limit, _scale by dim
 
+    def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
+        """Rows of the leaves on `axis`, one per cell of the top level: the
+        rows themselves where every cell is a leaf."""
+        return rows if self.leaves == self.cells else rows.repeat(self.widths, axis=axis)
+
     def synthesis(self, rows: np.ndarray) -> np.ndarray:
         """_GridLevels.synthesis on the leaves (..., leaves, dim)."""
         lead, dim = rows.shape[:-2], rows.shape[-1]
         batch = math.prod(lead) * dim
         if batch * self.table.size > max(_BLOCK_FLOATS, batch * self.cells):
-            cells = _level_loop(self.cell_levels, self.top, rows)
+            cells = self.grid.synthesis(rows)
             return cells if self.leaves == self.cells else cells.take(self.firsts, axis=-2)
         stacked = np.zeros(lead + (2 * self.count + 1, dim))
         scaled = np.multiply(rows, self._scale(dim), out=stacked[..., : self.count, :])
@@ -606,7 +550,8 @@ class _GatherPlan:
         return np.add.reduce(stacked.take(self.table, axis=-2), axis=-3, initial=0.0)
 
     def analysis(self, leaves: np.ndarray) -> np.ndarray:
-        """_GridLevels.analysis of the cells of the leaf grid `leaves`."""
+        """The analysis of the cells of the leaf grid `leaves` (..., leaves,
+        dim), one row per index (..., count, dim)."""
         lead, dim = leaves.shape[:-2], leaves.shape[-1]
         sums = np.empty(lead + (2, self.count, dim))  # the left and the right half sums
         outer = self.outer if dim > 1 else len(self.levels)
@@ -643,7 +588,7 @@ class _GatherPlan:
         with it runs in loops over whole batch entries, not over one row
         of dim floats at a time."""
         if dim not in self._scales:
-            self._scales[dim] = np.repeat(self.scale[:, None], dim, axis=1)
+            self._scales[dim] = np.repeat(self.grid.scale[:, None], dim, axis=1)
         return self._scales[dim]
 
     def _groups(self, limit: int) -> list[tuple[int, int]]:

@@ -31,6 +31,7 @@ from .combinatorics import (
 )
 from .config import check_level
 from .dyadic import (
+    _GatherPlan,
     _GridLevels,
     _level_runs,
     from_heap_id,
@@ -258,7 +259,7 @@ class TauEstimate:
 def _nonempty_heap_ids(indices) -> np.ndarray:
     ids = heap_ids(make_index_set(indices))
     if not len(ids):
-        raise DomainError("index set must be nonempty")
+        raise DomainError("index set must be nonempty", "indexSet")
     return ids
 
 
@@ -407,24 +408,23 @@ class _AscentProblem:
     Coefficients are stored as a matrix X with one row per index (sorted
     order, so each level's indices are a block of rows), the layout of a
     HaarCombination's rows; the denominator is evaluated directly from the
-    rows, the numerator on the dyadic grid at the finest level.  Where the
-    set's own dyadic partition has fewer leaves than the grid has cells (a
-    sparse or deep set), the grid holds one row per leaf
-    (dyadic._PartitionLevels): its cells hold the same bits, so the
-    codomain norms, the dual rows and the cell scale are taken per leaf.
-    The sums whose bits depend on the number and the order of the cells,
-    the numerator's and the gradient's sums of nu and the half sums of
-    analysis, still run over the cells.
+    rows, the numerator on the dyadic grid at the finest level.  The grid
+    holds one row per leaf of the set's own dyadic partition (fewer than
+    the cells for a sparse or deep set): its cells hold the same bits, so
+    the codomain norms, the dual rows and the cell scale are taken per
+    leaf.  The sums whose bits depend on the number and the order of the
+    cells, the numerator's and the gradient's sums of nu and the half sums
+    of analysis, still run over the cells.
 
-    The problem builds the kernel's gather plan (dyadic._GatherPlan) once,
-    and every iterate runs through it: synthesis of the grid of T f is one
-    gather of the scaled rows and one reduction over the levels, and its
-    adjoint, the per-index sums of the gradient, one gather of the cells in
-    the order the half sums need and one reduction per level.  Both give
-    the same floats as a loop over the indices one at a time.  Each iterate
-    is synthesised once, and its ratio and gradient share that grid.  The
-    rated witnesses take their norms on the problem's own _GridLevels
-    (cell_grid), the kernel of their heap ids.
+    The problem builds the gather plan of its heap ids (dyadic._GatherPlan)
+    once, and every iterate runs through it: synthesis of the grid of T f
+    is one gather of the scaled rows and one reduction over the levels, and
+    its adjoint, the per-index sums of the gradient, one gather of the
+    cells in the order the half sums need and one reduction per level.
+    Both give the same floats as a loop over the indices one at a time.
+    Each iterate is synthesised once, and its ratio and gradient share that
+    grid.  The rated witnesses take their norms on the plan's _GridLevels
+    (plan.grid), the kernel of their heap ids.
 
     The restarts of one estimate run in lockstep: X is a batch (R, m, d),
     one restart per entry of the leading axis, and every array operation of
@@ -446,31 +446,29 @@ class _AscentProblem:
         self.T = T
         self.ids = ids  # sorted heap ids
         self.p = p
-        self.cell_grid = _GridLevels(self.ids)  # the witnesses' kernel, for their ratios
-        self.grid = self.cell_grid.on_partition()
-        self.plan = self.grid.plan
-        self.batch = max(1, _BATCH_FLOATS // (self.grid.cells * T.codomain.dim))
+        self.plan = _GatherPlan(_GridLevels(self.ids))
+        self.batch = max(1, _BATCH_FLOATS // (self.plan.cells * T.codomain.dim))
         if p is not None:
             self.weights = np.empty(len(self.ids))
             for k, lo, hi in _level_runs(self.ids):
                 self.weights[lo:hi] = _level_weight(k, p)
 
     def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid values V (R, leaves, d') of T f, one row per leaf of the grid
-        kernel, their codomain norms nu, and nu on the cells (R, cells),
+        """Grid values V (R, leaves, d') of T f, one row per leaf of the
+        plan, their codomain norms nu, and nu on the cells (R, cells),
         gathered once for the iterate's ratio and its gradient."""
         V = self.plan.synthesis(self.T.apply_rows(X))
         nu = self.T.codomain.norms_of(V)
-        return V, nu, self.grid.to_cells(nu, -1)
+        return V, nu, self.plan.to_cells(nu, -1)
 
     def _power_numerators(self, cell_nu: np.ndarray, q: float) -> list[float]:
         """(mean of cell_nu ** q) ** (1/q) per restart."""
-        sums = ((cell_nu**q).sum(axis=-1) / self.grid.cells).tolist()
+        sums = ((cell_nu**q).sum(axis=-1) / self.plan.cells).tolist()
         return [s ** (1.0 / q) for s in sums]
 
     def numerators(self, cell_nu: np.ndarray) -> list[float]:
         if self.p is None:
-            return [math.sqrt(s / self.grid.cells) for s in np.vecdot(cell_nu, cell_nu).tolist()]
+            return [math.sqrt(s / self.plan.cells) for s in np.vecdot(cell_nu, cell_nu).tolist()]
         return self._power_numerators(cell_nu, self.p)
 
     def denominators(self, norms: np.ndarray) -> list[float]:
@@ -496,7 +494,7 @@ class _AscentProblem:
         is held at a time."""
         pnum = 2.0 if self.p is None else self.p
         nums = self._power_numerators(cell_nu, pnum)
-        factors = np.array([num ** (1.0 - pnum) / self.grid.cells if num else 0.0 for num in nums])
+        factors = np.array([num ** (1.0 - pnum) / self.plan.cells if num else 0.0 for num in nums])
         # nu ** 1.0 is nu, bit for bit
         cell_scale = (nu if self.p is None else nu ** (pnum - 1.0)) * factors[:, None]
         G_cells = self.T.codomain.dual_rows(V, out=V, norms=nu)
@@ -519,7 +517,7 @@ class _AscentProblem:
         """`count` starts (count, m, d) from one draw, which gives the same
         numbers as `count` draws of (m, d) one after another."""
         X = rng.standard_normal((count, len(self.ids), self.T.domain.dim))
-        return X * (1.0 / self.grid.scale)[:, None]
+        return X * (1.0 / self.plan.grid.scale)[:, None]
 
     def ascend(self, X0: np.ndarray, iterations: int) -> np.ndarray:
         """The best iterate of each restart of X0 (R, m, d), the restarts
@@ -598,7 +596,7 @@ def _ascent_candidate(
     for starts in batches:
         for X in problem.ascend(starts, iterations):
             f = problem.to_combination(X.copy())
-            rated = _rated(problem.T, f, method, problem.p, problem.cell_grid)
+            rated = _rated(problem.T, f, method, problem.p, problem.plan.grid)
             if best is None or rated[2] > best[2]:
                 best = rated
     return best

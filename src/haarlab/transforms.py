@@ -367,7 +367,7 @@ def compress(indices: Iterable[tuple[int, int]]) -> CompressionTrace:
     """
     start = make_index_set(indices)
     if not start:
-        raise DomainError("cannot compress an empty index set")
+        raise DomainError("cannot compress an empty index set", "indexSet")
     ids = [heap_id(k, j) for k, j in start]
     n = _local_height(ids)
     m = max(1, max_level_of(start) - n)

@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -462,17 +463,38 @@ def reference_analysis(ids: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return out
 
 
+def brute_partition_firsts(ids: np.ndarray) -> list[int]:
+    """The first cell of each leaf of the minimal partition of the 2^top
+    cells of the top level on which every index of the sorted heap ids
+    `ids` is constant: a new leaf starts at every cell whose (index, half)
+    membership differs from the cell before it."""
+    members = set(ids.tolist())
+    top = int(ids[-1]).bit_length()
+
+    def membership(cell: int) -> set[tuple[int, int]]:
+        """(heap id, half) of each index whose support holds the cell."""
+        out = set()
+        for k in range(1, top + 1):
+            node = (1 << (k - 1)) + (cell >> (top - k + 1))
+            if node in members:
+                out.add((node, (cell >> (top - k)) & 1))
+        return out
+
+    cells = [membership(cell) for cell in range(1 << top)]
+    return [c for c in range(1 << top) if c == 0 or cells[c] != cells[c - 1]]
+
+
 def level_loop_partition_synthesis(cell_grid, widths: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The partition kernel's synthesis as a level loop with masked ufuncs:
+    """The gather plan's synthesis as a level loop with masked ufuncs:
     on the leaves of widths `widths` (cells per leaf) of the partition of
     the cell kernel `cell_grid`, the level-k step reads the leaves under
     the level's indices, adds the scaled row on the left halves, subtracts
     it on the right halves and scatters them back."""
     bounds = np.concatenate([[0], np.cumsum(widths)])
     out = np.zeros(rows.shape[:-2] + (len(widths), rows.shape[-1]))
-    for level in cell_grid.levels:
-        _k, lo, hi, _positions, scale = level
-        starts, w = cell_grid._supports(level)
+    for k, lo, hi, _positions, scale in cell_grid.levels:
+        w = 1 << (cell_grid.top - k)  # a half support, in cells
+        starts = (cell_grid.ids[lo:hi] - (1 << (k - 1))) * (2 * w)
         a, b, c = np.searchsorted(bounds, [starts, starts + w, starts + 2 * w])
         counts = c - a
         row = np.repeat(np.arange(len(starts)), counts)
@@ -493,7 +515,7 @@ class ReferenceAscentProblem:
     batch methods random_starts and ascend loop over the serial ones."""
 
     batch = 1  # the estimate draws its starts one restart at a time
-    cell_grid = None  # the witnesses' ratios build their own grid kernel
+    plan = SimpleNamespace(grid=None)  # the witnesses' ratios build their own grid kernel
 
     def __init__(self, T, ids, p):
         self.T = T

@@ -651,6 +651,23 @@ def test_cli_config_errors_name_their_option(argv, field, tmp_path, capsys):
     assert record["message"].startswith(f"{field}: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--operator", "OP", "--set", "SET"],
+        ["check", "--kind", "comparison", "--operator", "OP", "--set", "SET"],
+        ["compress", "--set", "SET"],
+    ],
+)
+def test_cli_empty_index_set_names_its_field(argv, tmp_path, capsys):
+    op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": "l1", "entries": [1.0, 0.5]})
+    st = _write(tmp_path / "set.json", [])
+    assert main([{"OP": op, "SET": st}.get(arg, arg) for arg in argv]) == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert (record["type"], record["field"]) == ("DomainError", "indexSet")
+    assert record["message"].startswith("indexSet: ")
+
+
 def test_cli_zero_operators_give_zero_bounds(tmp_path, capsys):
     # a zero diagonal has no level-constant candidate, and the top singular
     # vector of a zero matrix is the first basis vector

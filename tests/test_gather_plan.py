@@ -1,6 +1,6 @@
 """The ascent's gather plan (dyadic._GatherPlan) against the index-loop
-oracles, bit for bit, on both kernels: the cell kernel, where every cell
-is a leaf, and the partition kernel of a sparse or deep set."""
+oracles, bit for bit, on the set's own dyadic partition: every cell a leaf
+for full trees and bands, fewer leaves than cells for a sparse or deep set."""
 
 import gc
 import weakref
@@ -14,7 +14,7 @@ from haarlab import dyadic, normlab
 from haarlab.dyadic import _GatherPlan, _GridLevels, dyadic_band, full_tree, heap_ids
 from haarlab.normlab import tau_estimate
 from haarlab.spaces import Norm, OperatorSpec
-from helpers import level_loop_partition_synthesis, reference_analysis
+from helpers import brute_partition_firsts, level_loop_partition_synthesis, reference_analysis
 
 
 @st.composite
@@ -60,54 +60,67 @@ def synthesis_floats(plan, batch, dim):
 )
 def test_plan_matches_the_index_loops_bit_for_bit(ids, dim, batch, seed, budget):
     """Synthesis against the masked level loop, analysis against the index
-    loop, on both kernels, with the block budget where the gathers take
-    it: exactly at a gather's size and one float below it.  A synthesis
-    gather past the budget and past one grid runs the cell kernel's level
-    loop; the analysis gathers run in groups of levels that each hold at
-    most the budget or one grid."""
+    loop, with the block budget where the gathers take it: exactly at a
+    gather's size and one float below it.  A synthesis gather past the
+    budget and past one grid runs the grid's level loop; the analysis
+    gathers run in groups of levels that each hold at most the budget or
+    one grid."""
     rows = edge_rows(np.random.default_rng(seed), (batch, len(ids), dim))
     cell_grid = _GridLevels(ids)
-    partition = cell_grid.on_partition()
-    for grid in [cell_grid] if partition is cell_grid else [cell_grid, partition]:
-        plan = grid.plan
-        gather, one_grid = synthesis_floats(plan, batch, dim)
-        analysis_gather = batch * plan.ends[-1] * dim
-        block = {
-            "default": dyadic._BLOCK_FLOATS,
-            "synthesis at": gather,
-            "synthesis past": gather - 1,
-            "analysis at": analysis_gather,
-            "analysis past": analysis_gather - 1,
-        }[budget]
-        fallbacks = []
-        level_loop = dyadic._level_loop
+    plan = _GatherPlan(cell_grid)
+    gather, one_grid = synthesis_floats(plan, batch, dim)
+    analysis_gather = batch * plan.ends[-1] * dim
+    block = {
+        "default": dyadic._BLOCK_FLOATS,
+        "synthesis at": gather,
+        "synthesis past": gather - 1,
+        "analysis at": analysis_gather,
+        "analysis past": analysis_gather - 1,
+    }[budget]
+    fallbacks = []
+    level_loop = _GridLevels.synthesis
 
-        def counted(levels, top, rows):
-            fallbacks.append(rows.shape)
-            return level_loop(levels, top, rows)
+    def counted(self, rows):
+        fallbacks.append(rows.shape)
+        return level_loop(self, rows)
 
-        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
-            mp.setattr(dyadic, "_BLOCK_FLOATS", block)
-            mp.setattr(dyadic, "_level_loop", counted)
-            leaves = plan.synthesis(rows)
-            sums = plan.analysis(leaves)
-            widths = np.diff(np.append(plan.firsts, plan.cells))
-            expected = level_loop_partition_synthesis(cell_grid, widths, rows)
-            cells = leaves.repeat(widths, axis=-2)
-            reference = [reference_analysis(ids, cells[r]) for r in range(batch)]
-        assert leaves.tobytes() == expected.tobytes(), (ids.tolist(), budget)
-        assert len(fallbacks) == (gather > max(block, one_grid)), (ids.tolist(), budget)
-        for r in range(batch):
-            assert sums[r].tobytes() == reference[r].tobytes(), ids.tolist()
-        limit = max(block, batch * plan.cells * dim)
-        groups = plan._groups(max(block // (batch * dim), plan.cells))
-        assert [first for first, _last in groups] == [0] + [last for _first, last in groups[:-1]]
-        assert groups[-1][1] == len(plan.levels)
-        assert all(batch * (plan.ends[b] - plan.ends[a]) * dim <= limit for a, b in groups)
-        if budget == "analysis at" or analysis_gather <= limit:
-            assert len(groups) == 1
-        elif budget == "analysis past":
-            assert len(groups) > 1
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(dyadic, "_BLOCK_FLOATS", block)
+        mp.setattr(_GridLevels, "synthesis", counted)
+        leaves = plan.synthesis(rows)
+        sums = plan.analysis(leaves)
+        widths = np.diff(np.append(plan.firsts, plan.cells))
+        expected = level_loop_partition_synthesis(cell_grid, widths, rows)
+        cells = leaves.repeat(widths, axis=-2)
+        reference = [reference_analysis(ids, cells[r]) for r in range(batch)]
+    assert leaves.tobytes() == expected.tobytes(), (ids.tolist(), budget)
+    assert len(fallbacks) == (gather > max(block, one_grid)), (ids.tolist(), budget)
+    for r in range(batch):
+        assert sums[r].tobytes() == reference[r].tobytes(), ids.tolist()
+    limit = max(block, batch * plan.cells * dim)
+    groups = plan._groups(max(block // (batch * dim), plan.cells))
+    assert [first for first, _last in groups] == [0] + [last for _first, last in groups[:-1]]
+    assert groups[-1][1] == len(plan.levels)
+    assert all(batch * (plan.ends[b] - plan.ends[a]) * dim <= limit for a, b in groups)
+    if budget == "analysis at" or analysis_gather <= limit:
+        assert len(groups) == 1
+    elif budget == "analysis past":
+        assert len(groups) > 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ids=id_sets())
+def test_the_partition_is_minimal(ids):
+    """The plan's leaves start exactly where the (index, half) membership
+    of a cell differs from the cell before it: no leaf could merge with
+    its neighbour.  Full trees and bands have every cell a leaf."""
+    plan = _GatherPlan(_GridLevels(ids))
+    assert plan.firsts.tolist() == brute_partition_firsts(ids), ids.tolist()
+    assert plan.widths.sum() == plan.cells
+    first, top = int(ids[0]), int(ids[-1]).bit_length()
+    if first & (first - 1) == 0 and len(ids) == (1 << top) - first:  # a full tree or a band
+        assert plan.leaves == plan.cells
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None,
@@ -125,24 +138,21 @@ def test_analysis_keeps_one_block_of_outer_indices(ids, dim, batch, seed, share)
     that fit in it and repeats the levels above them in cell order (dim
     > 1; dim = 1 always repeats).  Every path gives the index loop's bits,
     on cells with -0.0 entries too."""
-    block = int(share * _GridLevels(ids).plan.ends[-1])
+    block = int(share * _GatherPlan(_GridLevels(ids)).ends[-1])
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(dyadic, "_BLOCK_FLOATS", block)
-        cell_grid = _GridLevels(ids)
-        partition = cell_grid.on_partition()
-        for grid in [cell_grid] if partition is cell_grid else [cell_grid, partition]:
-            plan = grid.plan
-            leaves = edge_rows(np.random.default_rng(seed), (batch, plan.leaves, dim))
-            sums = plan.analysis(leaves)
-            cells = grid.to_cells(leaves, -2)
-            reference = [reference_analysis(ids, cells[r]) for r in range(batch)]
-            for r in range(batch):
-                assert sums[r].tobytes() == reference[r].tobytes(), (ids.tolist(), block)
-            kept = plan.ends[-1] - plan.ends[plan.outer]
-            assert kept <= block and (plan.outer == 0 or kept + plan.ends[plan.outer]
-                                      - plan.ends[plan.outer - 1] > block)
-            if plan.outer < len(plan.levels):
-                assert plan._outer_order.size == kept
+        plan = _GatherPlan(_GridLevels(ids))
+        leaves = edge_rows(np.random.default_rng(seed), (batch, plan.leaves, dim))
+        sums = plan.analysis(leaves)
+        cells = plan.to_cells(leaves, -2)
+        reference = [reference_analysis(ids, cells[r]) for r in range(batch)]
+        for r in range(batch):
+            assert sums[r].tobytes() == reference[r].tobytes(), (ids.tolist(), block)
+        kept = plan.ends[-1] - plan.ends[plan.outer]
+        assert kept <= block and (plan.outer == 0 or kept + plan.ends[plan.outer]
+                                  - plan.ends[plan.outer - 1] > block)
+        if plan.outer < len(plan.levels):
+            assert plan._outer_order.size == kept
 
 
 @pytest.mark.parametrize("pairs", [sorted(full_tree(5)), [(1, 1), (5, 1)]])
@@ -154,31 +164,31 @@ def test_single_column_analysis_keeps_the_pairwise_half_sums(pairs):
     pairwise sum that cells[lo:mid].sum(axis=0) gives.  On {(1, 1), (5, 1)}
     those cells are the leaves 1e16, 1 and one leaf of 14 cells."""
     ids = heap_ids(frozenset(pairs))
-    grid = _GridLevels(ids).on_partition()
+    plan = _GatherPlan(_GridLevels(ids))
     cells = np.ones((32, 1))
     cells[0] = 1e16
-    leaves = cells[grid.plan.firsts]
-    assert np.array_equal(grid.to_cells(leaves, -2), cells)
+    leaves = cells[plan.firsts]
+    assert np.array_equal(plan.to_cells(leaves, -2), cells)
     one_at_a_time = 0.0
     for value in cells[:16, 0].tolist():
         one_at_a_time += value
     pairwise = cells[:16].sum(axis=0)[0]
     assert one_at_a_time != pairwise  # the trap is real
-    got = grid.analysis(leaves)
+    got = plan.analysis(leaves)
     assert got.tobytes() == reference_analysis(ids, cells).tobytes()
     assert got[0, 0] == pairwise - cells[16:].sum(axis=0)[0]
 
 
 def test_one_plan_per_ascent_problem_and_none_for_the_norms(monkeypatch):
-    """An estimate on full_tree(4) runs on the cell kernel, one on the
-    branch of depth 10 on its partition: each builds one plan, with its
-    problem, and the witnesses' norms build none."""
+    """An estimate on full_tree(4) runs on its 16 cells, one on the branch
+    of depth 10 on its partition of 11 leaves: each builds one plan, with
+    its problem, not per iterate, and the witnesses' norms build none."""
     built = []
     init = _GatherPlan.__init__
 
-    def counted_init(self, grid, bounds):
-        built.append(len(bounds) - 1)
-        init(self, grid, bounds)
+    def counted_init(self, grid):
+        init(self, grid)
+        built.append(self.leaves)
 
     monkeypatch.setattr(_GatherPlan, "__init__", counted_init)
     T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 9)], Norm.L1)
@@ -186,20 +196,20 @@ def test_one_plan_per_ascent_problem_and_none_for_the_norms(monkeypatch):
     tau_estimate(T, [(k, 1) for k in range(1, 11)], restarts=4, iterations=30)
     assert built == [16, 11]
     problem = normlab._AscentProblem(T, heap_ids(full_tree(4)), None)
-    assert problem.plan is problem.grid.plan
+    assert type(problem.plan) is _GatherPlan and problem.plan.grid.ids is problem.ids
 
 
 def test_a_plan_is_freed_with_its_problem_without_the_collector():
-    """The plan keeps the cell kernel's layout, not the kernel, which caches
-    the plan: no reference cycle, so a problem's kernel, plan and tables go
-    when the problem does, not at the cyclic collector's next pass."""
+    """The plan keeps its grid, which keeps no plan: no reference cycle, so
+    a problem's kernel, plan and tables go when the problem does, not at
+    the cyclic collector's next pass."""
     T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 9)], Norm.L1)
     gc.disable()
     try:
         for pairs in (full_tree(4), [(k, 1) for k in range(1, 11)]):
             problem = normlab._AscentProblem(T, heap_ids(frozenset(pairs)), None)
             problem.ascend(problem.random_starts(np.random.default_rng(1), 2), 3)
-            plan, kernel = weakref.ref(problem.plan), weakref.ref(problem.cell_grid)
+            plan, kernel = weakref.ref(problem.plan), weakref.ref(problem.plan.grid)
             del problem
             assert plan() is None and kernel() is None
     finally:

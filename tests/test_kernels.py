@@ -22,7 +22,6 @@ from haarlab.dyadic import (
     DyadicRational,
     _GatherPlan,
     _GridLevels,
-    _PartitionLevels,
     dyadic_band,
     full_tree,
     heap_ids,
@@ -205,16 +204,14 @@ def test_partition_kernel_matches_the_cell_kernel_bit_for_bit(dim):
     for indices in seeded_sets(rng, 120):
         ids = heap_ids(indices)
         cell_grid = _GridLevels(ids)
-        grid = cell_grid.on_partition()
-        cells = 1 << cell_grid.top
-        assert grid.leaves <= min(3 * len(ids) + 1, cells)
-        if grid is cell_grid:  # every cell is a leaf: full top level
-            assert grid.leaves == cells
-            continue
+        plan = _GatherPlan(cell_grid)
+        assert plan.leaves <= min(3 * len(ids) + 1, plan.cells)
         rows = rng.standard_normal((3, len(ids), dim))
-        leaves, expected = grid.synthesis(rows), cell_grid.synthesis(rows)
-        assert np.array_equal(grid.to_cells(leaves, -2), expected), sorted(indices)
-        assert np.array_equal(grid.analysis(leaves), cell_grid.analysis(expected)), sorted(indices)
+        leaves, expected = plan.synthesis(rows), cell_grid.synthesis(rows)
+        assert np.array_equal(plan.to_cells(leaves, -2), expected), sorted(indices)
+        sums = plan.analysis(leaves)
+        for r in range(len(rows)):
+            assert np.array_equal(sums[r], reference_analysis(ids, expected[r])), sorted(indices)
 
 
 def edge_rows(rng, shape):
@@ -231,49 +228,30 @@ def edge_rows(rng, shape):
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
 def test_partition_gather_kernel_matches_the_level_loop_bit_for_bit(dim):
-    """The partition kernel's gather-table synthesis against its former
-    masked level loop, its analysis against the cell kernel's analysis of
-    its cells, and the cell kernel's analysis against the index loop, byte
-    for byte: random sets of depths 1-10, batches of 1-8 restarts, zero
-    rows, -0.0 entries and rows that overflow to inf (then NaN)."""
+    """The gather plan's synthesis against the masked level loop, its cells
+    against the cell kernel's synthesis and its analysis against the index
+    loop, byte for byte: random sets of depths 1-10, batches of 1-8
+    restarts, zero rows, -0.0 entries and rows that overflow to inf (then
+    NaN)."""
     rng = np.random.default_rng(190 + dim)
     on_leaves = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for trial, indices in enumerate(seeded_sets(rng, 200)):
             ids = heap_ids(indices)
             cell_grid = _GridLevels(ids)
+            plan = _GatherPlan(cell_grid)
             rows = edge_rows(rng, (1 + trial % 8, len(ids), dim))
-            cells = cell_grid.synthesis(rows)
-            sums = cell_grid.analysis(cells)
-            for r in range(len(rows)):
-                assert sums[r].tobytes() == reference_analysis(ids, cells[r]).tobytes()
-            grid = cell_grid.on_partition()
-            if grid is cell_grid:
-                continue
-            on_leaves += 1
-            leaves = grid.synthesis(rows)
-            expected = level_loop_partition_synthesis(cell_grid, grid.widths, rows)
+            on_leaves += plan.leaves < plan.cells
+            leaves = plan.synthesis(rows)
+            expected = level_loop_partition_synthesis(cell_grid, plan.widths, rows)
             assert leaves.tobytes() == expected.tobytes(), sorted(indices)
-            assert grid.to_cells(leaves, -2).tobytes() == cells.tobytes(), sorted(indices)
-            got = grid.analysis(leaves).tobytes()
-            assert got == cell_grid.analysis(grid.to_cells(leaves, -2)).tobytes(), sorted(indices)
+            cells = plan.to_cells(leaves, -2)
+            assert cells.tobytes() == cell_grid.synthesis(rows).tobytes(), sorted(indices)
+            sums = plan.analysis(leaves)
+            for r in range(len(rows)):
+                got = sums[r].tobytes()
+                assert got == reference_analysis(ids, cells[r]).tobytes(), sorted(indices)
     assert on_leaves >= 60  # the random subsets and the trees with a gap
-
-
-def test_partition_tables_are_built_once_per_ascent_problem(monkeypatch):
-    """An estimate on the branch of depth 10 runs on its partition: the
-    gather tables are built with the problem, once, not per iterate."""
-    built = []
-    init = _PartitionLevels.__init__
-
-    def counted_init(self, grid, bounds):
-        built.append(len(bounds) - 1)
-        init(self, grid, bounds)
-
-    monkeypatch.setattr(_PartitionLevels, "__init__", counted_init)
-    T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 9)], Norm.L1)
-    tau_estimate(T, [(k, 1) for k in range(1, 11)], restarts=4, iterations=30)
-    assert built == [11]
 
 
 def blocked_sets(rng):
@@ -338,12 +316,13 @@ def test_both_kernels_synthesise_from_read_only_rows_and_leave_them_unchanged():
         before = f.rows.copy()
         assert not f.rows.flags.writeable
         cell_grid = _GridLevels(f.heap_ids)
+        plan = _GatherPlan(cell_grid)
         expected = reference_cell_values(f, f.max_level())
-        for grid in (cell_grid, cell_grid.on_partition()):
-            values = grid.synthesis(f.rows)
-            assert np.array_equal(grid.to_cells(values, -2), expected), sorted(indices)
-            assert np.array_equal(f.rows, before)
-    assert cell_grid.on_partition() is not cell_grid  # the branch ran on its partition
+        assert np.array_equal(cell_grid.synthesis(f.rows), expected), sorted(indices)
+        assert np.array_equal(f.rows, before)
+        assert np.array_equal(plan.to_cells(plan.synthesis(f.rows), -2), expected), sorted(indices)
+        assert np.array_equal(f.rows, before)
+    assert plan.leaves < plan.cells  # the branch ran on its partition
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
@@ -363,7 +342,7 @@ def test_ascent_grid_gradient_and_path_match_the_index_loops(dim):
             X = X / problem.denominators(T.domain.norms_of(X))[0]
             Y = T.apply_rows(X)
             # the grid has one row per leaf of the set's partition; each cell holds its leaf's
-            cells = problem.grid.to_cells(problem.grid.synthesis(Y)[0], -2)
+            cells = problem.plan.to_cells(problem.plan.synthesis(Y)[0], -2)
             assert np.array_equal(cells, reference.grid_values(Y[0]))
             norms = T.domain.norms_of(X)
             V, nu, cell_nu = problem.evaluate(X)
@@ -480,16 +459,16 @@ def test_ascent_on_the_sets_partition_matches_the_index_loops(restarts):
             for p in (None, 4.0 / 3.0):
                 problem = normlab._AscentProblem(T, ids, p)
                 reference = ReferenceAscentProblem(T, ids, p)
-                on_leaves += problem.grid.leaves < problem.grid.cells
+                on_leaves += problem.plan.leaves < problem.plan.cells
                 X = problem.random_starts(np.random.default_rng(trial), restarts)
                 X = X / np.array(problem.denominators(T.domain.norms_of(X)))[:, None, None]
                 norms = T.domain.norms_of(X)
                 V, nu, cell_nu = problem.evaluate(X)
                 Y = T.apply_rows(X)
                 for r in range(restarts):
-                    cells = problem.grid.to_cells(V[r], -2)
+                    cells = problem.plan.to_cells(V[r], -2)
                     assert np.array_equal(cells, reference.grid_values(Y[r])), sorted(indices)
-                assert np.array_equal(cell_nu, problem.grid.to_cells(nu, -1))
+                assert np.array_equal(cell_nu, problem.plan.to_cells(nu, -1))
                 assert problem.ratios(norms, cell_nu) == [reference.ratio(x) for x in X]
                 G = problem.gradient(X, norms, V, nu, cell_nu)
                 for r in range(restarts):
@@ -569,15 +548,14 @@ def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(mon
 def test_an_iterate_on_the_partition_gathers_its_cells_once(monkeypatch, p):
     """The ratio and the gradient of an iterate share one gather of nu to
     the cells: one to_cells call per evaluated iterate.  The branch of
-    depth 10 runs on its partition of 11 leaves, a kernel of its own that
-    has neither blocks nor on_partition."""
+    depth 10 runs on its partition of 11 leaves, through its gather plan,
+    which has no blocks: norms never run on it."""
     T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 9)], Norm.L1)
     problem = normlab._AscentProblem(T, heap_ids({(k, 1) for k in range(1, 11)}), p)
-    assert type(problem.grid) is _PartitionLevels
-    assert not issubclass(_PartitionLevels, _GridLevels)
-    assert not hasattr(problem.grid, "blocks") and not hasattr(problem.grid, "on_partition")
+    assert type(problem.plan) is _GatherPlan and problem.plan.leaves == 11
+    assert not hasattr(problem.plan, "blocks")
     evaluations, gathers = [], []
-    evaluate, to_cells = normlab._AscentProblem.evaluate, _PartitionLevels.to_cells
+    evaluate, to_cells = normlab._AscentProblem.evaluate, _GatherPlan.to_cells
 
     def counted_evaluate(self, X):
         evaluations.append(len(X))
@@ -588,7 +566,7 @@ def test_an_iterate_on_the_partition_gathers_its_cells_once(monkeypatch, p):
         return to_cells(self, rows, axis)
 
     monkeypatch.setattr(normlab._AscentProblem, "evaluate", counted_evaluate)
-    monkeypatch.setattr(_PartitionLevels, "to_cells", counted_to_cells)
+    monkeypatch.setattr(_GatherPlan, "to_cells", counted_to_cells)
     problem.ascend(problem.random_starts(np.random.default_rng(9), 4), 30)
     assert evaluations == [4] * 31  # the starts and 30 iterates, no restart stopped
     assert gathers == [(4, 11)] * 31
