@@ -34,6 +34,7 @@ from .experiments import (
     run_weak_type_sweep,
 )
 from .normlab import (
+    TauEstimate,
     comparison_check,
     monotonicity_check,
     tau_estimate,
@@ -215,19 +216,24 @@ def _cmd_partition(args) -> ExperimentReport:
     return report
 
 
+def _estimate_report(
+    args, name: str, parameters: dict, row: dict, est: TauEstimate
+) -> ExperimentReport:
+    """The one-row report of an estimate of the operator in args.operator:
+    `row`, then the estimate's fields; --witness receives the witness."""
+    report = ExperimentReport(name=name, parameters={"operatorFile": args.operator, **parameters})
+    report.rows.append({**row, **est.as_dict()})
+    if args.witness:
+        dump_json(dump_combination(est.best_witness), args.witness, "witness")
+    return report
+
+
 def _cmd_tau(args) -> ExperimentReport:
     config = _config(args)  # the budgets are checked before any input is read
     operator = parse_operator_document(load_json(args.operator))
     indices = parse_index_set_document(load_json(args.set))
     est = tau_estimate(operator, indices, config.restarts, config.iterations, config.seed)
-    report = ExperimentReport(
-        name="tau",
-        parameters={"operatorFile": args.operator, "setFile": args.set},
-    )
-    report.rows.append({"setSize": len(indices), **est.as_dict()})
-    if args.witness:
-        dump_json(dump_combination(est.best_witness), args.witness, "witness")
-    return report
+    return _estimate_report(args, "tau", {"setFile": args.set}, {"setSize": len(indices)}, est)
 
 
 def _cmd_tau_p(args) -> ExperimentReport:
@@ -236,14 +242,8 @@ def _cmd_tau_p(args) -> ExperimentReport:
     est = tau_p_estimate(
         operator, args.depth, args.p, config.restarts, config.iterations, config.seed
     )
-    report = ExperimentReport(
-        name="tau-p",
-        parameters={"operatorFile": args.operator, "depth": args.depth, "p": args.p},
-    )
-    report.rows.append({"depth": args.depth, "p": args.p, **est.as_dict()})
-    if args.witness:
-        dump_json(dump_combination(est.best_witness), args.witness, "witness")
-    return report
+    tree = {"depth": args.depth, "p": args.p}
+    return _estimate_report(args, "tau-p", tree, tree, est)
 
 
 def _cmd_check(args) -> ExperimentReport:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -583,23 +583,49 @@ class _AscentProblem:
         return X
 
 
+# a candidate: its witness, the method that found it, and its public ratio
+_Candidate = tuple[HaarCombination, EstimateMethod, float]
+
+
+def _best(candidates: Iterable[_Candidate]) -> _Candidate:
+    """The candidate of largest ratio; max keeps the first of equal ratios,
+    in the order the candidates were built."""
+    return max(candidates, key=lambda c: c[2])
+
+
+def _rating(T: OperatorSpec, f: HaarCombination, p: float | None, grid=None) -> float:
+    """The public ratio of f; `grid`, where given, is the _GridLevels of f's
+    heap ids (_ratio).
+
+    Raises a DomainError naming the operator when float arithmetic
+    overflows, that is when the ratio is not finite: a bound from the
+    candidates that stay finite would ignore the directions in which T is
+    largest.  tau is homogeneous in T, so a scaled operator gives the bound.
+    """
+    try:
+        r = _ratio(T, f, p, grid)
+    except OverflowError:
+        r = math.nan
+    if not math.isfinite(r):
+        raise DomainError("a witness's ratio overflows float arithmetic", "operator")
+    return r
+
+
 def _ascent_candidate(
     problem: _AscentProblem, batches: Iterable[np.ndarray], iterations: int
-) -> tuple[HaarCombination, EstimateMethod, float]:
-    """The best rated iterate of the ascents from the start batches, the
-    first of equal ratios in build order, as max keeps it.  Each batch is
-    rated as it ends, so one batch is held at a time.  The witness has rows
-    of its own: the winner is scaled in place, and a view would keep the
-    whole batch alive with it."""
+) -> _Candidate:
+    """The best rated iterate of the ascents from the start batches.  Each
+    batch is rated as it ends, so one batch is held at a time.  The witness
+    has rows of its own: the winner is scaled in place, and a view would
+    keep the whole batch alive with it."""
+    T, p, grid = problem.T, problem.p, problem.plan.grid
     method = EstimateMethod.RANDOM_RESTART_ASCENT
-    best = None
-    for starts in batches:
-        for X in problem.ascend(starts, iterations):
-            f = problem.to_combination(X.copy())
-            rated = _rated(problem.T, f, method, problem.p, problem.plan.grid)
-            if best is None or rated[2] > best[2]:
-                best = rated
-    return best
+    witnesses = (
+        problem.to_combination(X.copy())
+        for starts in batches
+        for X in problem.ascend(starts, iterations)
+    )
+    return _best((f, method, _rating(T, f, p, grid)) for f in witnesses)
 
 
 def _random_batches(problem: _AscentProblem, seed: int, restarts: int) -> Iterator[np.ndarray]:
@@ -607,62 +633,6 @@ def _random_batches(problem: _AscentProblem, seed: int, restarts: int) -> Iterat
     rng = np.random.default_rng(seed)
     for lo in range(0, restarts, problem.batch):
         yield problem.random_starts(rng, min(problem.batch, restarts - lo))
-
-
-def _rated(
-    T: OperatorSpec, f: HaarCombination, method: EstimateMethod, p: float | None, grid=None
-) -> tuple[HaarCombination, EstimateMethod, float]:
-    """A candidate with its public ratio; `grid`, where given, is the
-    _GridLevels of f's heap ids (_ratio).
-
-    Raises DomainError when float arithmetic overflows, that is when the
-    ratio is not finite: a bound from the candidates that stay finite would
-    ignore the directions in which T is largest.  tau is homogeneous in T,
-    so a scaled operator gives the bound.
-    """
-    r = _candidate_ratio(T, f, p, grid)
-    if not math.isfinite(r):
-        raise DomainError(
-            "a candidate witness has no finite ratio: the operator overflows float arithmetic"
-        )
-    return f, method, r
-
-
-def _normalized_estimate(
-    T: OperatorSpec,
-    candidates: list[tuple[HaarCombination, EstimateMethod, float]],
-    p: float | None,
-    restarts: int,
-    iterations: int,
-) -> TauEstimate:
-    """Pick the best rated candidate and normalise it; raises DomainError
-    when the normalised witness's ratio is not finite.
-
-    Takes the list over and empties it once the winner is picked, so the
-    losing witnesses, whose rows can be as large as the winner's, are freed
-    before the winner is scaled.  The estimate built every candidate and
-    nothing else reads their rows, so the winner is scaled in place.
-    """
-    # max keeps the first of equal ratios, in the order the candidates were built
-    best_f, best_method, _r = max(candidates, key=lambda c: c[2])
-    candidates.clear()
-    den = _denominator(T, best_f, p)
-    if den > 0:
-        best_f._scale_in_place(1.0 / den)
-    value = _candidate_ratio(T, best_f, p)
-    if not math.isfinite(value):
-        raise DomainError(
-            "the certified bound is not finite: the operator overflows float arithmetic"
-        )
-    return TauEstimate(value, best_f, best_method, restarts, iterations)
-
-
-def _candidate_ratio(T: OperatorSpec, f: HaarCombination, p: float | None, grid=None) -> float:
-    """The public ratio of f, or NaN where float arithmetic overflows."""
-    try:
-        return _ratio(T, f, p, grid)
-    except OverflowError:
-        return math.nan
 
 
 def _best_column_candidate(T: OperatorSpec, node: int) -> HaarCombination:
@@ -675,15 +645,53 @@ def _best_column_candidate(T: OperatorSpec, node: int) -> HaarCombination:
     return HaarCombination._from_arrays(T.domain.dim, np.array([node]), x)
 
 
-def _singular_estimate(T: OperatorSpec, node: int, p: float | None) -> TauEstimate | None:
-    """The estimate of an l2 -> l2 operator, whose ratio is at most its top
-    singular value on any set: a top right singular vector of T on the index
-    with heap id `node` attains it.  None for any other pair of norms."""
-    if T.domain.norm is not Norm.L2 or T.codomain.norm is not Norm.L2:
-        return None
-    v = _top_singular_vector(T.as_matrix())
-    f = HaarCombination._from_arrays(T.domain.dim, np.array([node]), v[None, :])
-    return _normalized_estimate(T, [_rated(T, f, EstimateMethod.POWER_ITERATION, p)], p, 1, 1)
+def _estimate(
+    T: OperatorSpec,
+    ids: np.ndarray | range,
+    p: float | None,
+    cheap: Callable[[], list[HaarCombination | None]],
+    polish: Callable[[list[_Candidate]], HaarCombination | None],
+    restarts: int,
+    iterations: int,
+    seed: int,
+) -> TauEstimate:
+    """The estimate of tau (p None) or tau_p on the nonempty sorted heap ids
+    `ids`, with checked budgets.  An l2 -> l2 operator at p None or 2 has
+    ratio at most its top singular value on any set, which a top right
+    singular vector on the first index attains: that is the estimate, with
+    restarts and iterations 1.  Otherwise the witnesses cheap() lists (None
+    for one that does not apply) are rated in list order, so an operator
+    that overflows float arithmetic is rejected before the search.  On at
+    most _ASCENT_MAX_INDICES ids the restarts ascend, then one polish
+    ascent starts from polish(candidates so far) unless that is None; only
+    there does `ids`, a range for a full tree, become an array.  The best
+    candidate, scaled to denominator 1, gives the bound.  Overflow inside
+    the numerics is silent, since every ratio that counts is checked to be
+    finite (_rating)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (p is None or p == 2.0) and T.domain.norm is Norm.L2 and T.codomain.norm is Norm.L2:
+            v = _top_singular_vector(T.as_matrix())
+            f = HaarCombination._from_arrays(T.domain.dim, np.array([int(ids[0])]), v[None, :])
+            candidates = [(f, EstimateMethod.POWER_ITERATION, _rating(T, f, p))]
+            restarts = iterations = 1
+        else:
+            method = EstimateMethod.COORDINATE_ALIGNED
+            candidates = [(f, method, _rating(T, f, p)) for f in cheap() if f is not None]
+            if len(ids) <= _ASCENT_MAX_INDICES:
+                problem = _AscentProblem(T, np.asarray(ids), p)
+                batches = _random_batches(problem, seed, restarts)
+                candidates.append(_ascent_candidate(problem, batches, iterations))
+                if (start := polish(candidates)) is not None:
+                    start = problem.from_combination(start)[None]
+                    candidates.append(_ascent_candidate(problem, [start], iterations))
+        best_f, best_method, _r = _best(candidates)
+        # the losing witnesses, whose rows can be as large as the winner's,
+        # are freed before the winner is scaled; nothing else reads its rows
+        candidates.clear()
+        den = _denominator(T, best_f, p)
+        if den > 0:
+            best_f._scale_in_place(1.0 / den)
+        return TauEstimate(_rating(T, best_f, p), best_f, best_method, restarts, iterations)
 
 
 def tau_estimate(
@@ -695,15 +703,18 @@ def tau_estimate(
 ) -> TauEstimate:
     """Certified lower bound for the square-sum ratio over index set F.
 
-    Strategy depends on the operator: for l2 -> l2 the ratio equals the top
-    singular value for any F, found by one eigensolve of M^T M; coordinatewise
-    operators into l1 admit exact Rayleigh-quotient witnesses over
-    one-coordinate patterns; the general fallback is projected subgradient
-    ascent from random starts. The reported bound is always the ratio of
-    the returned witness.  The cheap candidates are rated before any ascent
-    runs, so an operator that overflows float arithmetic is rejected with a
-    DomainError before the search; overflow inside the numerics is silent,
-    since every ratio that counts is checked to be finite.
+    tau_estimate and tau_p_estimate run one pipeline, _estimate: for l2 ->
+    l2 one eigensolve of M^T M (the ratio is the top singular value for any
+    F); otherwise the cheap candidates, then projected subgradient ascent
+    from random starts and a polish.  Three cutoffs bound the search:
+    _estimate ascends only on sets of at most _ASCENT_MAX_INDICES indices,
+    _coordinate_candidates tries one-coordinate patterns on at most 300
+    indices, and _coordinate_patterns every pattern on at most 4.  Here the cheap candidates are
+    those coordinate witnesses of a diagonal operator into l1 and the best
+    column, and the polish starts from the best candidate so far.  The
+    bound is always the ratio of the returned witness; an operator that
+    overflows float arithmetic is rejected with a DomainError naming the
+    operator before the search.
     """
     _check_budget(restarts, iterations)
     return _tau_estimate(T, _nonempty_heap_ids(indices), restarts, iterations, seed)
@@ -714,22 +725,14 @@ def _tau_estimate(
 ) -> TauEstimate:
     """tau_estimate on a nonempty array of sorted heap ids, with checked
     budgets: the entry for sets the package builds itself."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if (singular := _singular_estimate(T, int(ids[0]), None)) is not None:
-            return singular
 
-        cheap = _coordinate_candidates(T, ids) + [_best_column_candidate(T, int(ids[0]))]
-        candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, None) for f in cheap]
-        del cheap  # the candidates hold the only reference to each witness
-        if len(ids) <= _ASCENT_MAX_INDICES:
-            problem = _AscentProblem(T, ids, None)
-            batches = _random_batches(problem, seed, restarts)
-            candidates.append(_ascent_candidate(problem, batches, iterations))
-            # polish the best candidate so far, ascent iterates included,
-            # with a short ascent
-            polish = problem.from_combination(max(candidates, key=lambda c: c[2])[0])[None]
-            candidates.append(_ascent_candidate(problem, [polish], iterations))
-        return _normalized_estimate(T, candidates, None, restarts, iterations)
+    def cheap():
+        return [*_coordinate_candidates(T, ids), _best_column_candidate(T, int(ids[0]))]
+
+    def polish(candidates):
+        return _best(candidates)[0]
+
+    return _estimate(T, ids, None, cheap, polish, restarts, iterations, seed)
 
 
 def _level_constant_candidate(T: OperatorSpec, n: int, p: float) -> HaarCombination | None:
@@ -761,8 +764,11 @@ def tau_p_estimate(
 ) -> TauEstimate:
     """Certified lower bound for the level-weighted p ratio over the full tree.
 
-    As in tau_estimate, an operator that overflows float arithmetic is
-    rejected before the search.
+    It runs tau_estimate's pipeline, cutoffs included, on the tree's heap
+    ids (so the ascent runs for n <= 10, and the eigensolve at p = 2 only).
+    The cheap candidates are the best column and the level-constant witness
+    of a diagonal operator into l1, and the polish starts from the
+    level-constant witness where there is one.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}", "depth")
@@ -771,26 +777,16 @@ def tau_p_estimate(
     check_level(n, "tree height", "depth")
     _check_budget(restarts, iterations)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if p == 2.0 and (singular := _singular_estimate(T, 1, p)) is not None:
-            return singular
+    def cheap():
+        return [_best_column_candidate(T, 1), _level_constant_candidate(T, n, p)]
 
-        cheap = [_best_column_candidate(T, 1)]
-        exact = _level_constant_candidate(T, n, p)
-        if exact is not None:
-            cheap.append(exact)
-        candidates = [_rated(T, f, EstimateMethod.COORDINATE_ALIGNED, p) for f in cheap]
-        del cheap  # the candidates hold the only reference to each witness
-        tree = range(1, 1 << n)  # heap ids of the full tree
-        if len(tree) <= _ASCENT_MAX_INDICES:
-            problem = _AscentProblem(T, np.arange(tree.start, tree.stop), p)
-            batches = _random_batches(problem, seed, restarts)
-            candidates.append(_ascent_candidate(problem, batches, iterations))
-            if exact is not None:
-                polish = problem.from_combination(exact)[None]
-                candidates.append(_ascent_candidate(problem, [polish], iterations))
-        del exact  # as cheap
-        return _normalized_estimate(T, candidates, p, restarts, iterations)
+    def polish(_candidates):
+        # built again, not kept from cheap(): a kept witness would outlive
+        # the candidates, and the pipeline frees the losers before scaling
+        return _level_constant_candidate(T, n, p)
+
+    tree = range(1, 1 << n)  # heap ids of the full tree
+    return _estimate(T, tree, p, cheap, polish, restarts, iterations, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -691,43 +694,63 @@ def test_cli_tau_rejects_nan_operator_entry(tmp_path, capsys):
     assert record["error"]["field"] == "operator.entries[1]"
 
 
+# operators whose witnesses' ratios overflow: the diagonal with entries
+# 1e308 and 1 on each norm, and a dense map whose error record named no field
+OVERFLOWING = {
+    **{n: {"kind": "diagonal", "norm": n, "entries": [1e308, 1.0]} for n in ("l1", "l2", "linf")},
+    "dense": {
+        "kind": "dense",
+        "domainNorm": "linf",
+        "codomainNorm": "linf",
+        "rows": [[-4.4e243, -10590]],
+    },
+}
+
+
+def _assert_rejects_overflow(argv, capfd):
+    """argv exits 2 with a DomainError that names the operator, before the
+    search and silently: pytest records warnings instead of printing them,
+    so both channels are checked."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    out, err = capfd.readouterr()
+    record = json.loads(out)["error"]
+    assert (record["type"], record["field"]) == ("DomainError", "operator")
+    assert "overflows float arithmetic" in record["message"]
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize(
-    "norm, indices",
+    "operator, indices",
     [
         ("linf", [[1, 1], [2, 1], [2, 2]]),  # printed lowerBound inf with exit 0
         ("l1", [[1, 1]]),  # died with an OverflowError traceback
         ("l2", [[1, 1]]),  # died with an AttributeError traceback
+        ("dense", [[1, 1], [2, 1]]),
     ],
 )
-def test_cli_tau_rejects_overflowing_operator(tmp_path, capfd, norm, indices):
-    op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": norm, "entries": [1e308, 1.0]})
+def test_cli_tau_rejects_overflowing_operator(tmp_path, capfd, operator, indices):
+    op = _write(tmp_path / "op.json", OVERFLOWING[operator])
     st = _write(tmp_path / "set.json", indices)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["tau", "--operator", op, "--set", st, "--format", "csv"])
-    assert code == 2
-    out, err = capfd.readouterr()
-    record = json.loads(out)
-    assert record["error"]["type"] == "DomainError"
-    assert "overflows float arithmetic" in record["error"]["message"]
-    # rejected before the search, and silently: pytest records warnings
-    # instead of printing them, so both channels are checked
-    assert err == ""
-    assert [str(w.message) for w in caught] == []
+    _assert_rejects_overflow(["tau", "--operator", op, "--set", st, "--format", "csv"], capfd)
 
 
-@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
-def test_cli_tau_p_rejects_overflowing_operator(tmp_path, capfd, norm):
-    op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": norm, "entries": [1e308, 1.0]})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["tau-p", "--operator", op, "--depth", "2", "--p", "1.5"])
-    assert code == 2
-    out, err = capfd.readouterr()
-    record = json.loads(out)
-    assert record["error"]["type"] == "DomainError"
-    assert err == ""
-    assert [str(w.message) for w in caught] == []
+@pytest.mark.parametrize("operator", ["l1", "l2", "linf", "dense"])
+def test_cli_tau_p_rejects_overflowing_operator(tmp_path, capfd, operator):
+    op = _write(tmp_path / "op.json", OVERFLOWING[operator])
+    _assert_rejects_overflow(["tau-p", "--operator", op, "--depth", "2", "--p", "1.5"], capfd)
+
+
+@pytest.mark.parametrize("operator", ["l1", "dense"])
+@pytest.mark.parametrize("kind", ["comparison", "monotonicity"])
+def test_cli_estimating_checks_reject_overflowing_operator(tmp_path, capfd, kind, operator):
+    op = _write(tmp_path / "op.json", OVERFLOWING[operator])
+    st = _write(tmp_path / "set.json", [[1, 1], [2, 1]])
+    inputs = ["--set", st] if kind == "comparison" else []
+    _assert_rejects_overflow(["check", "--kind", kind, "--operator", op, *inputs], capfd)
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +933,20 @@ def test_readme_synopsis_lines_parse():
         args = build_parser().parse_args(argv[1:])
         commands.add(args.command)
     assert commands == set(SHARED)
+
+
+def test_readme_library_example_runs():
+    """The python block of README's Library section, run as written in a
+    fresh interpreter that imports the package from this checkout."""
+    library = README.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(README.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("command, knob", REMOVED)

@@ -519,7 +519,7 @@ def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(mon
     ratio.  One restart at a time takes up to 9 x 61 = 549 in the ascents
     (489 here, where the polish stops at its first iterate)."""
     syntheses, ratings = [], []
-    synthesis, candidate_ratio = _GridLevels.synthesis, normlab._candidate_ratio
+    synthesis, rating = _GridLevels.synthesis, normlab._rating
     plan_synthesis = _GatherPlan.synthesis
 
     def counted_synthesis(self, rows):
@@ -530,13 +530,13 @@ def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(mon
         syntheses.append(rows.shape)
         return plan_synthesis(self, rows)
 
-    def counted_ratio(T, f, p, grid=None):
+    def counted_rating(T, f, p, grid=None):
         ratings.append(f)
-        return candidate_ratio(T, f, p, grid)
+        return rating(T, f, p, grid)
 
     monkeypatch.setattr(_GridLevels, "synthesis", counted_synthesis)
     monkeypatch.setattr(_GatherPlan, "synthesis", counted_plan_synthesis)
-    monkeypatch.setattr(normlab, "_candidate_ratio", counted_ratio)
+    monkeypatch.setattr(normlab, "_rating", counted_rating)
     T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
     tau_estimate(T, full_tree(6), restarts=8, iterations=60)
     assert len(ratings) >= 10  # the 8 restarts, the polish and the certified witness
@@ -656,6 +656,21 @@ def test_tree_16_estimate_peaks_near_its_witness():
     normlab._tau_estimate(T, ids[:3], 2, 2, 0)  # first calls allocate caches
     peak = peak_traced_bytes(lambda: normlab._tau_estimate(T, ids, 8, 60, 0))
     assert peak <= 1.4 * len(ids) * 16 * 8, peak
+
+
+def test_tau_p_past_the_ascent_cutoff_never_lists_its_tree():
+    """tau_p of a dense linf -> l1 operator, d = 8, on the full tree of
+    depth 20: no ascent runs, and the only candidate is the best column
+    on one index, so the estimate takes 0.01 MiB traced.  The tree's
+    2^20 - 1 heap ids as an array would take 8 MiB."""
+    T = OperatorSpec.dense(
+        np.random.default_rng(3).standard_normal((8, 8)),
+        NormedSpaceSpec(8, "linf"),
+        NormedSpaceSpec(8, "l1"),
+    )
+    tau_p_estimate(T, 2, 1.5)  # first calls allocate caches
+    peak = peak_traced_bytes(lambda: tau_p_estimate(T, 20, 1.5))
+    assert peak < 1 << 20, peak
 
 
 def test_ratio_of_a_tree_14_combination_allocates_at_most_its_rows():
