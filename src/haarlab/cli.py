@@ -295,7 +295,19 @@ def _cmd_log_variant(args) -> ExperimentReport:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a UsageError instead of exiting, so that a usage error gets
-    the JSON error record and exit code 2 like any other unusable input."""
+    the JSON error record and exit code 2 like any other unusable input.
+    A value argparse rejects (not an integer, not a choice) names its
+    option, without the dashes, as the field."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, exit_on_error=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except argparse.ArgumentError as exc:
+            self.print_usage(sys.stderr)
+            raise UsageError(exc.message, (exc.argument_name or "").lstrip("-") or None) from None
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

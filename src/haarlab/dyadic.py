@@ -492,6 +492,11 @@ class _GatherPlan:
     that sum still runs along the outer axis of each (w, dim) block, so
     the bits are the same, in inner loops of dim floats.  Batch entries on
     the leading axes are summed as they would be alone.
+
+    Workspaces.  Synthesis and analysis write through out= into a
+    _GatherWorkspace of the rows' shape: the one an ascent batch binds (ws)
+    for its iterates, else a temporary one.  Operands, order and reduction
+    axes are those of fresh arrays, so no bit moves.
     """
 
     def __init__(self, grid: _GridLevels):
@@ -531,57 +536,52 @@ class _GatherPlan:
             i for i, end in enumerate(self.ends) if self.ends[-1] - end <= _BLOCK_FLOATS
         )
         self._group_cache, self._scales = {}, {}  # _groups by limit, _scale by dim
+        self.ws = None  # the bound _GatherWorkspace: an ascent batch's, for its iterates
 
     def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
         """Rows of the leaves on `axis`, one per cell of the top level: the
         rows themselves where every cell is a leaf."""
         return rows if self.leaves == self.cells else rows.repeat(self.widths, axis=axis)
 
+    def workspace(self, shape: tuple[int, ...]) -> "_GatherWorkspace":
+        """The bound workspace where it has rows of `shape`, else a new one."""
+        ws = self.ws
+        return ws if ws is not None and ws.shape == shape else _GatherWorkspace(self, shape)
+
     def synthesis(self, rows: np.ndarray) -> np.ndarray:
-        """_GridLevels.synthesis on the leaves (..., leaves, dim)."""
-        lead, dim = rows.shape[:-2], rows.shape[-1]
-        batch = math.prod(lead) * dim
-        if batch * self.table.size > max(_BLOCK_FLOATS, batch * self.cells):
+        """_GridLevels.synthesis on the leaves (..., leaves, dim), into the
+        workspace's V where the gather fits; `rows` may be its S."""
+        ws = self.workspace(rows.shape)
+        if ws.V is None:
             cells = self.grid.synthesis(rows)
             return cells if self.leaves == self.cells else cells.take(self.firsts, axis=-2)
-        stacked = np.zeros(lead + (2 * self.count + 1, dim))
-        scaled = np.multiply(rows, self._scale(dim), out=stacked[..., : self.count, :])
-        np.negative(scaled, out=stacked[..., self.count : -1, :])
-        return np.add.reduce(stacked.take(self.table, axis=-2), axis=-3, initial=0.0)
+        np.multiply(rows, ws.scale, out=ws.S)  # in place where rows is S
+        np.negative(ws.S, out=ws.minus_S)
+        ws.zero.fill(0.0)
+        ws.stacked.take(self.table, axis=-2, out=ws.gathered, mode="clip")
+        return np.add.reduce(ws.gathered, axis=-3, initial=0.0, out=ws.V)
 
     def analysis(self, leaves: np.ndarray) -> np.ndarray:
         """The analysis of the cells of the leaf grid `leaves` (..., leaves,
-        dim), one row per index (..., count, dim)."""
+        dim), one row per index (..., count, dim), in the workspace's out."""
         lead, dim = leaves.shape[:-2], leaves.shape[-1]
-        sums = np.empty(lead + (2, self.count, dim))  # the left and the right half sums
-        outer = self.outer if dim > 1 else len(self.levels)
-        for (lo, hi, w), reps in zip(self.levels[:outer], self.reps):
+        ws = self.workspace(lead + (self.count, dim))
+        sums = ws.sums
+        for (lo, hi, w), reps in ws.repeated:
             halves = leaves.repeat(reps, axis=-2).reshape(lead + (hi - lo, 2, w, dim))
             half_sums = halves[..., 0, :] if w == 1 else np.add.reduce(halves, axis=-2)
             sums[..., lo:hi, :] = half_sums.swapaxes(-2, -3)
             del halves, half_sums  # free this level's cells before the next level's are made
-        if outer < len(self.levels):
-            limit = max(_BLOCK_FLOATS // (math.prod(lead) * dim), self.cells)
-            for first, last in self._groups(limit):
-                self._outer_sums(leaves, first, last, sums)
-        out = np.subtract(sums[..., 0, :, :], sums[..., 1, :, :])
-        out *= self._scale(dim)
-        return out
-
-    def _outer_sums(self, leaves: np.ndarray, first: int, last: int, sums: np.ndarray) -> None:
-        """Write the half sums of the levels first..last - 1 into `sums`,
-        from one gather of their cells, released on return."""
-        lead, dim = leaves.shape[:-2], leaves.shape[-1]
-        base, start = self.ends[first], self.ends[self.outer]
-        gathered = leaves.take(self._outer_order[base - start : self.ends[last] - start], axis=-2)
-        for i in range(first, last):
-            lo, hi, w = self.levels[i]
-            part = gathered[..., self.ends[i] - base : self.ends[i + 1] - base, :]
-            if w == 1:
-                sums[..., lo:hi, :] = part.reshape(lead + (2, hi - lo, dim))
-            else:
-                halves = part.reshape(lead + (w, 2, hi - lo, dim))
-                np.add.reduce(halves, axis=-4, out=sums[..., lo:hi, :])
+        for order, gathered, steps in ws.groups:
+            leaves.take(order, axis=-2, out=gathered, mode="clip")
+            for halves, dest in steps:
+                if halves.ndim == dest.ndim:  # halves of one cell: copied, not summed
+                    np.copyto(dest, halves)
+                else:
+                    np.add.reduce(halves, axis=-4, out=dest)
+        np.subtract(ws.left, ws.right, out=ws.out)
+        ws.out *= ws.scale
+        return ws.out
 
     def _scale(self, dim: int) -> np.ndarray:
         """The scale of each row in each of `dim` columns, (m, dim): a product
@@ -618,6 +618,66 @@ class _GatherPlan:
             level = out[self.ends[i] - start : self.ends[i + 1] - start]
             level.reshape(w, 2, hi - lo)[...] = in_cell_order.transpose(2, 1, 0)
         return out
+
+
+class _GatherWorkspace:
+    """A _GatherPlan's synthesis and analysis buffers for rows of one shape
+    (..., count, dim), with their views built once: the stack [S; -S; 0]
+    (S, minus_S, zero), its gather and the leaf grid V (S and V are None
+    where synthesis runs the level loop); the analysis gathers (`groups`:
+    each group's cell order, its gather, and each level's halves beside
+    its rows of `sums`), the half sums (`left`, `right`) and `out`.  It
+    holds no reference to the plan.  Synthesis and analysis never run at
+    once, so all but V share one arena, the size of the larger: `out` lies
+    over the analysis gathers, and the zero row is rewritten at each
+    synthesis.  `spare` floats of it, clear of `out`, are the caller's from
+    the end of an analysis to the next synthesis.
+    """
+
+    def __init__(self, plan: "_GatherPlan", shape: tuple[int, ...], spare: int = 0):
+        self.shape = shape
+        lead, m, dim = shape[:-2], plan.count, shape[-1]
+        batch = math.prod(lead) * dim  # floats per row of the id list, over the batch
+        self.scale = plan._scale(dim)
+        outer = plan.outer if dim > 1 else len(plan.levels)
+        self.repeated = list(zip(plan.levels[:outer], plan.reps))
+        runs = []
+        if outer < len(plan.levels):
+            runs = plan._groups(max(_BLOCK_FLOATS // batch, plan.cells))
+        sizes = [plan.ends[last] - plan.ends[first] for first, last in runs]
+        analysis = 2 * m + max(sizes + [m])
+        synthesis = 2 * m + 1 + plan.table.size
+        gathers = batch * plan.table.size <= max(_BLOCK_FLOATS, batch * plan.cells)
+        # the spare floats lie over the half sums where they fit, else past out
+        at = 0 if spare <= batch * 2 * m else batch * 3 * m
+        arena = np.empty(max(batch * max(analysis, synthesis if gathers else 0), at + spare))
+        self.S = self.V = None
+        if gathers:
+            self.stacked = arena[: batch * (2 * m + 1)].reshape(lead + (2 * m + 1, dim))
+            self.S, self.minus_S = self.stacked[..., :m, :], self.stacked[..., m:-1, :]
+            self.zero = self.stacked[..., -1, :]
+            self.gathered = arena[batch * (2 * m + 1) : batch * synthesis].reshape(
+                lead + plan.table.shape + (dim,)
+            )
+            self.V = np.empty(lead + (plan.leaves, dim))
+        self.sums = arena[: batch * 2 * m].reshape(lead + (2, m, dim))
+        self.left, self.right = self.sums[..., 0, :, :], self.sums[..., 1, :, :]
+        rest = arena[batch * 2 * m :]
+        self.out = rest[: batch * m].reshape(shape)
+        self.spare = arena[at : at + spare]
+        self.groups = []
+        start = plan.ends[plan.outer]
+        for (first, last), size in zip(runs, sizes):
+            base = plan.ends[first]
+            gathered = rest[: batch * size].reshape(lead + (size, dim))
+            steps = []  # per level: its cells as (offset,) half, index, dim; its sums
+            for i in range(first, last):
+                lo, hi, w = plan.levels[i]
+                part = gathered[..., plan.ends[i] - base : plan.ends[i + 1] - base, :]
+                offsets = (2,) if w == 1 else (w, 2)
+                steps.append((part.reshape(lead + offsets + (hi - lo, dim)), self.sums[..., lo:hi, :]))
+            order = plan._outer_order[base - start : base - start + size]
+            self.groups.append((order, gathered, steps))
 
 
 def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:

@@ -32,6 +32,7 @@ from .combinatorics import (
 from .config import check_level
 from .dyadic import (
     _GatherPlan,
+    _GatherWorkspace,
     _GridLevels,
     _level_runs,
     from_heap_id,
@@ -401,6 +402,50 @@ _ASCENT_MAX_INDICES = 2000
 # within this many floats; a larger grid runs one restart at a time
 _BATCH_FLOATS = 1 << 20
 
+# OpenBLAS's ddot, behind np.vecdot, splits a row across threads, and so
+# rounds by thread count, past this many elements
+_DOT_SPLIT = 10_000
+
+
+def _row_dots(length: int) -> Callable[..., np.ndarray]:
+    """The row dot products of two arrays (..., length), whatever the BLAS
+    thread count: np.vecdot, summed in runs of _DOT_SPLIT added in order
+    where a row is longer."""
+    if length <= _DOT_SPLIT:
+        return np.vecdot
+
+    def chunked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.vecdot(a[..., :_DOT_SPLIT], b[..., :_DOT_SPLIT], out=out)
+        for lo in range(_DOT_SPLIT, length, _DOT_SPLIT):
+            out += np.vecdot(a[..., lo : lo + _DOT_SPLIT], b[..., lo : lo + _DOT_SPLIT])
+        return out
+
+    return chunked
+
+
+class _Workspace:
+    """The arrays an iterate of a batch of `restarts` restarts writes:
+    `grid`, the plan's (dyadic._GatherWorkspace, whose S receives T X),
+    the norms, the dual rows, the gradient, the cells' powers and scale,
+    and the per-restart sums.  It holds none of the problem."""
+
+    def __init__(self, problem: "_AscentProblem", restarts: int):
+        R, m, plan = restarts, len(problem.ids), problem.plan
+        d, e = problem.T.domain.dim, problem.T.codomain.dim
+        # G and the dual rows live from an analysis to the next synthesis
+        self.grid = _GatherWorkspace(plan, (R, m, e), spare=2 * R * m * d)
+        self.G, self.duals = self.grid.spare.reshape(2, R, m, d)
+        self.nu = np.empty((R, plan.leaves))
+        self.cell_powers = np.empty((R, plan.cells))
+        self.cell_scale = np.empty((R, plan.leaves))
+        self.norms = np.empty((R, m))
+        self.sums, self.factors, self.nums, self.dens = np.empty((4, R))
+        self.factors_col, self.cell_scale_col = self.factors[:, None], self.cell_scale[..., None]
+        self.nums_col, self.dens_col = self.nums[:, None, None], self.dens[:, None, None]
+        self.G_rows = self.G.reshape(R, m * d)
+        if problem.p is not None:
+            self.powers, self.positive = np.empty((R, m)), np.empty((R, m), dtype=bool)
+
 
 class _AscentProblem:
     """Shared geometry for the projected subgradient ascent.
@@ -434,12 +479,21 @@ class _AscentProblem:
     a dense operator multiplies each entry as its own matrix product (one
     product over the rows of all restarts flattened to 2-D rounds some
     entries differently), and the squared sums, ||G|| among them, are one
-    dot product per restart (np.vecdot), as x @ x and np.linalg.norm take
-    them.  The per-restart scalars (numerator, denominator, ratio,
-    num ** (1 - p)) stay Python float operations, in the forms a lone
-    restart uses: numpy's array power rounds differently from a scalar
-    power in the last bit, which moves bounds.  Restarts leave the batch
-    when they stop; the polish ascent is a batch of one.
+    dot product per restart (_row_dots), as x @ x and np.linalg.norm take
+    them, summed in runs of at most _DOT_SPLIT elements where a row is
+    longer, so no BLAS thread count moves them.  The per-restart scalars
+    (numerator, denominator, ratio, num ** (1 - p)) stay Python float
+    operations, in the forms a lone restart uses: numpy's array power
+    rounds differently from a scalar power in the last bit, which moves
+    bounds.  Restarts leave the batch when they stop; the polish ascent is
+    a batch of one.
+
+    Each batch binds a workspace (_Workspace) of its shape to the problem
+    (ws) and its plan, and every array an iterate writes goes to it through
+    out=, with the operands, order and reduction axes of a fresh result,
+    so no bit moves.  A batch that loses restarts frees it and builds a
+    smaller one; it goes when the batch ends.  Calls outside a batch bind
+    a temporary one.
     """
 
     def __init__(self, T: OperatorSpec, ids: np.ndarray, p: float | None):
@@ -452,31 +506,63 @@ class _AscentProblem:
             self.weights = np.empty(len(self.ids))
             for k, lo, hi in _level_runs(self.ids):
                 self.weights[lo:hi] = _level_weight(k, p)
+        self._dot_cells = _row_dots(self.plan.cells)
+        self._dot_rows = _row_dots(len(ids))
+        self._dot_gradient = _row_dots(len(ids) * T.domain.dim)
+        self.ws = None  # the bound _Workspace: the running batch's
+
+    def _bind(self, restarts: int) -> _Workspace | None:
+        """Bind a workspace for `restarts` restarts to the problem and its
+        plan, freeing the bound one first; 0 binds none."""
+        self.ws = self.plan.ws = None
+        if restarts:
+            self.ws = _Workspace(self, restarts)
+            self.plan.ws = self.ws.grid
+        return self.ws
+
+    def _unbound(self, method: Callable, *args):
+        """method(*args) outside a batch, in a temporary workspace for the
+        restarts of args[0], freed on return."""
+        self._bind(len(args[0]))
+        try:
+            return method(*args)
+        finally:
+            self._bind(0)
 
     def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid values V (R, leaves, d') of T f, one row per leaf of the
         plan, their codomain norms nu, and nu on the cells (R, cells),
         gathered once for the iterate's ratio and its gradient."""
-        V = self.plan.synthesis(self.T.apply_rows(X))
-        nu = self.T.codomain.norms_of(V)
+        if (ws := self.ws) is None:
+            return self._unbound(self.evaluate, X)
+        V = self.plan.synthesis(self.T.apply_rows(X, out=ws.grid.S))
+        nu = self.T.codomain.norms_of(V, out=ws.nu)
         return V, nu, self.plan.to_cells(nu, -1)
 
     def _power_numerators(self, cell_nu: np.ndarray, q: float) -> list[float]:
         """(mean of cell_nu ** q) ** (1/q) per restart."""
-        sums = ((cell_nu**q).sum(axis=-1) / self.plan.cells).tolist()
-        return [s ** (1.0 / q) for s in sums]
+        ws = self.ws
+        sums = np.add.reduce(np.power(cell_nu, q, out=ws.cell_powers), axis=-1, out=ws.sums)
+        # a Python division by cells: the array's division, the same bits
+        return [(s / self.plan.cells) ** (1.0 / q) for s in sums.tolist()]
 
     def numerators(self, cell_nu: np.ndarray) -> list[float]:
+        if (ws := self.ws) is None:
+            return self._unbound(self.numerators, cell_nu)
         if self.p is None:
-            return [math.sqrt(s / self.plan.cells) for s in np.vecdot(cell_nu, cell_nu).tolist()]
+            sums = self._dot_cells(cell_nu, cell_nu, out=ws.sums).tolist()
+            return [math.sqrt(s / self.plan.cells) for s in sums]
         return self._power_numerators(cell_nu, self.p)
 
     def denominators(self, norms: np.ndarray) -> list[float]:
         """Denominators from the domain norms (R, m) of the rows."""
+        if (ws := self.ws) is None:
+            return self._unbound(self.denominators, norms)
         if self.p is None:
-            return [math.sqrt(s) for s in np.vecdot(norms, norms).tolist()]
+            return [math.sqrt(s) for s in self._dot_rows(norms, norms, out=ws.sums).tolist()]
+        powers = np.power(norms, self.p, out=ws.powers)
         # each s is a numpy float64: numpy's scalar power, as one restart takes it
-        return [float(s ** (1.0 / self.p)) for s in np.vecdot(norms**self.p, self.weights)]
+        return [float(s ** (1.0 / self.p)) for s in self._dot_rows(powers, self.weights, out=ws.sums)]
 
     def ratios(self, norms: np.ndarray, cell_nu: np.ndarray) -> list[float]:
         return [
@@ -492,23 +578,35 @@ class _AscentProblem:
         denominator is 1; zero where the numerator is.  The gradient cells
         are built in V's place, so V is overwritten and one grid per restart
         is held at a time."""
+        if (ws := self.ws) is None:
+            return self._unbound(self.gradient, X, norms, V, nu, cell_nu)
         pnum = 2.0 if self.p is None else self.p
         nums = self._power_numerators(cell_nu, pnum)
-        factors = np.array([num ** (1.0 - pnum) / self.plan.cells if num else 0.0 for num in nums])
+        ws.factors[:] = [num ** (1.0 - pnum) / self.plan.cells if num else 0.0 for num in nums]
         # nu ** 1.0 is nu, bit for bit
-        cell_scale = (nu if self.p is None else nu ** (pnum - 1.0)) * factors[:, None]
+        cell_scale = nu if self.p is None else np.power(nu, pnum - 1.0, out=ws.cell_scale)
+        np.multiply(cell_scale, ws.factors_col, out=ws.cell_scale)
         G_cells = self.T.codomain.dual_rows(V, out=V, norms=nu)
-        G_cells *= cell_scale[..., None]
-        G_num = self.T.transpose_apply_rows(self.plan.analysis(G_cells))
+        G_cells *= ws.cell_scale_col
+        G = self.T.transpose_apply_rows(self.plan.analysis(G_cells), out=ws.G)
 
-        duals = self.T.domain.dual_rows(X, norms=norms)
+        # G_den, the denominator's gradient, in the dual rows' place
+        G_den = self.T.domain.dual_rows(X, out=ws.duals, norms=norms)
         if self.p is None:
-            G_den = duals * norms[..., None]
+            G_den *= norms[..., None]
         else:
-            safe = np.where(norms > 0, norms, 1.0)
-            pw = self.weights * safe ** (self.p - 1.0) * (norms > 0)
-            G_den = duals * pw[..., None]
-        G = G_num - np.array(nums)[:, None, None] * G_den
+            # pw = weights * where(norms > 0, norms, 1) ** (p - 1) * (norms > 0)
+            positive = np.greater(norms, 0, out=ws.positive)
+            pw = ws.powers
+            pw[...] = 1.0
+            np.copyto(pw, norms, where=positive)
+            np.power(pw, self.p - 1.0, out=pw)
+            np.multiply(self.weights, pw, out=pw)
+            np.multiply(pw, positive, out=pw)
+            G_den *= pw[..., None]
+        ws.nums[:] = nums
+        np.multiply(ws.nums_col, G_den, out=G_den)
+        np.subtract(G, G_den, out=G)
         if 0.0 in nums:
             G[[r for r, num in enumerate(nums) if num == 0.0]] = 0.0
         return G
@@ -534,44 +632,55 @@ class _AscentProblem:
         others go on.  The step and the normalisation run in place, with
         the bits of X + step * (G / gn) and X / den.  Each restart's best
         ratio is kept as the Python float that ratios returns."""
-        dens = np.array(self.denominators(self.T.domain.norms_of(X0)))
-        live = np.flatnonzero(dens != 0.0).tolist()  # a zero start is its own best
-        if not live:
-            return
-        X = X0[live] / dens[live, None, None]
-        norms = self.T.domain.norms_of(X)
-        V, nu, cell_nu = self.evaluate(X)
-        best[live] = X
-        best_r = self.ratios(norms, cell_nu)
-        for step in [0.35 / math.sqrt(1.0 + it) for it in range(iterations)]:
-            G = self.gradient(X, norms, V, nu, cell_nu)
-            del V, cell_nu  # free this grid before the next one is built
-            flat = G.reshape(len(G), -1)
-            gn = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm of each G[i]
-            if (stopped := gn < 1e-14).any():
-                if stopped.all():
-                    return
-                keep = np.flatnonzero(~stopped).tolist()
-                X, G, gn = X[keep], G[keep], gn[keep]
-                live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
-            G /= gn[:, None, None]
-            G *= step
-            X += G
-            dens = self.denominators(self.T.domain.norms_of(X))
-            if 0.0 in dens:
-                keep = [i for i, den in enumerate(dens) if den != 0.0]
-                if not keep:
-                    return
-                X, dens = X[keep], [dens[i] for i in keep]
-                live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
-            X /= np.array(dens)[:, None, None]
-            norms = self.T.domain.norms_of(X)
-            V, nu, cell_nu = self.evaluate(X)
-            ratios = self.ratios(norms, cell_nu)
-            if better := [i for i, (r, b) in enumerate(zip(ratios, best_r)) if r > b]:
-                for i in better:
-                    best_r[i] = ratios[i]
-                best[[live[i] for i in better]] = X[better]
+        norms_of, evaluate, gradient = self.T.domain.norms_of, self.evaluate, self.gradient
+        ratios_of, denominators = self.ratios, self.denominators
+        try:
+            ws = self._bind(len(X0))
+            dens = np.array(denominators(norms_of(X0, out=ws.norms)))
+            live = np.flatnonzero(dens != 0.0).tolist()  # a zero start is its own best
+            if not live:
+                return
+            if len(live) < len(X0):
+                ws = self._bind(len(live))
+            X = X0[live] / dens[live, None, None]
+            norms = norms_of(X, out=ws.norms)
+            V, nu, cell_nu = evaluate(X)
+            best[live] = X
+            best_r = ratios_of(norms, cell_nu)
+            for step in [0.35 / math.sqrt(1.0 + it) for it in range(iterations)]:
+                G = gradient(X, norms, V, nu, cell_nu)  # ws.G
+                del V, cell_nu  # free a level-loop grid before the next one is built
+                gn = self._dot_gradient(ws.G_rows, ws.G_rows, out=ws.sums)
+                gn = np.sqrt(gn, out=gn)  # np.linalg.norm of each G[i]
+                keep = [i for i, g in enumerate(gn.tolist()) if not g < 1e-14]
+                if len(keep) < len(G):
+                    if not keep:
+                        return
+                    X, G, gn = X[keep], G[keep], gn[keep]
+                    live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
+                    ws = self._bind(len(keep))
+                G /= gn[:, None, None]
+                G *= step
+                X += G
+                dens = denominators(norms_of(X, out=ws.norms))
+                if 0.0 in dens:
+                    keep = [i for i, den in enumerate(dens) if den != 0.0]
+                    if not keep:
+                        return
+                    X, dens = X[keep], [dens[i] for i in keep]
+                    live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
+                    ws = self._bind(len(keep))
+                ws.dens[:] = dens
+                X /= ws.dens_col
+                norms = norms_of(X, out=ws.norms)
+                V, nu, cell_nu = evaluate(X)
+                ratios = ratios_of(norms, cell_nu)
+                if better := [i for i, (r, b) in enumerate(zip(ratios, best_r)) if r > b]:
+                    for i in better:
+                        best_r[i] = ratios[i]
+                    best[[live[i] for i in better]] = X[better]
+        finally:
+            self._bind(0)
 
     def to_combination(self, X: np.ndarray) -> HaarCombination:
         return HaarCombination._from_arrays(self.T.domain.dim, self.ids, X)

@@ -35,16 +35,19 @@ class NormedSpaceSpec:
             return np.sqrt(np.vecdot(rows, rows))
         return self.norms_of(rows)
 
-    def norms_of(self, rows: np.ndarray) -> np.ndarray:
+    def norms_of(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Norms along the last axis for the grid and the ascent, which may
         stack restarts on leading axes; each row is reduced on its own, so
         a row's norm does not depend on the rows beside it.  An l2 row sums
-        its squares and may differ from norm_of_each in the last bit."""
+        its squares and may differ from norm_of_each in the last bit.
+        `out`, where given (rows.shape[:-1]), receives the norms: the same
+        reductions, so the same bits; the absolute values or squares they
+        reduce are a temporary either way."""
         if self.norm is Norm.L1:
-            return np.abs(rows).sum(axis=-1)
+            return np.add.reduce(np.abs(rows), axis=-1, out=out)
         if self.norm is Norm.L2:
-            return np.sqrt((rows * rows).sum(axis=-1))
-        return np.abs(rows).max(axis=-1)
+            return np.sqrt(np.add.reduce(rows * rows, axis=-1, out=out), out=out)
+        return np.maximum.reduce(np.abs(rows), axis=-1, out=out)
 
     def dual_rows(
         self, rows: np.ndarray, out: np.ndarray | None = None, norms: np.ndarray | None = None
@@ -54,9 +57,10 @@ class NormedSpaceSpec:
         zero (np.sign); on l2 the row is divided by its norm; on linf the
         sign goes to the first coordinate of largest magnitude (np.argmax),
         so a tie goes to the first of the tied coordinates and the others
-        get zero.  `out` may be `rows` itself, which then holds the
-        subgradients.  `norms`, where the caller has them, are
-        norms_of(rows), which l2 divides by instead of taking them again."""
+        get zero.  `out`, where given, receives the subgradients, with the
+        bits of a fresh result; it may be `rows` itself.  `norms`, where the
+        caller has them, are norms_of(rows), which l2 divides by instead of
+        taking them again."""
         if self.norm is Norm.L1:
             return np.sign(rows, out=out)
         if self.norm is Norm.L2:
@@ -130,19 +134,20 @@ class OperatorSpec:
     def dense(cls, matrix, domain: NormedSpaceSpec, codomain: NormedSpaceSpec) -> "OperatorSpec":
         return cls(OperatorKind.DENSE, domain, codomain, matrix=np.asarray(matrix, dtype=float))
 
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+    def apply_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The operator applied along the last axis.  A dense matrix multiplies each 2-D
         slice of stacked rows as its own product (numpy's stacked matmul),
         so a slice gets the bits it would get alone; one product over all
-        the rows flattened to 2-D may not."""
+        the rows flattened to 2-D may not.  `out`, where given, receives
+        the image, with the same bits."""
         if self.kind is OperatorKind.DIAGONAL:
-            return rows * self.entries
-        return rows @ self.matrix.T
+            return np.multiply(rows, self.entries, out=out)
+        return np.matmul(rows, self.matrix.T, out=out)
 
-    def transpose_apply_rows(self, rows: np.ndarray) -> np.ndarray:
+    def transpose_apply_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.kind is OperatorKind.DIAGONAL:
-            return rows * self.entries
-        return rows @ self.matrix
+            return np.multiply(rows, self.entries, out=out)
+        return np.matmul(rows, self.matrix, out=out)
 
     def as_matrix(self) -> np.ndarray:
         if self.kind is OperatorKind.DIAGONAL:

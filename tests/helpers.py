@@ -508,11 +508,24 @@ def level_loop_partition_synthesis(cell_grid, widths: np.ndarray, rows: np.ndarr
     return out
 
 
+def ordered_dot(a: np.ndarray, b: np.ndarray, run: int = 10_000) -> float:
+    """The dot product of two vectors as the sum of the dot products of
+    their runs of `run` elements, in order: the form of the ascent's squared
+    sums, whose bits no BLAS thread count moves (a BLAS dot product of one
+    run, on any thread count, is one thread's)."""
+    total = float(a[:run] @ b[:run])
+    for lo in range(run, len(a), run):
+        total += float(a[lo : lo + run] @ b[lo : lo + run])
+    return total
+
+
 class ReferenceAscentProblem:
     """The projected subgradient ascent with per-index grid loops, and a
     fresh grid for the ratio and for the gradient of each iterate, on the
     indices with the given sorted heap ids.  One restart at a time: the
-    batch methods random_starts and ascend loop over the serial ones."""
+    batch methods random_starts and ascend loop over the serial ones.  Its
+    squared sums (the numerator's over the cells, the denominator's and
+    ||G||) are ordered_dot's."""
 
     batch = 1  # the estimate draws its starts one restart at a time
     plan = SimpleNamespace(grid=None)  # the witnesses' ratios build their own grid kernel
@@ -543,14 +556,14 @@ class ReferenceAscentProblem:
         Y = self.T.apply_rows(X)
         nu = self.T.codomain.norms_of(self.grid_values(Y))
         if self.p is None:
-            return math.sqrt(float(nu @ nu) / self.cells)
+            return math.sqrt(ordered_dot(nu, nu) / self.cells)
         return float((nu**self.p).sum() / self.cells) ** (1.0 / self.p)
 
     def denominator(self, X):
         norms = self.T.domain.norms_of(X)
         if self.p is None:
-            return math.sqrt(float(norms @ norms))
-        return float((self.weights @ norms**self.p) ** (1.0 / self.p))
+            return math.sqrt(ordered_dot(norms, norms))
+        return float(np.float64(ordered_dot(self.weights, norms**self.p)) ** (1.0 / self.p))
 
     def ratio(self, X):
         den = self.denominator(X)
@@ -600,7 +613,7 @@ class ReferenceAscentProblem:
         best, best_r = X.copy(), self.ratio(X)
         for it in range(iterations):
             G = self.gradient(X)
-            gn = np.linalg.norm(G)
+            gn = math.sqrt(ordered_dot(G.ravel(), G.ravel()))
             if gn < 1e-14:
                 break
             X = X + (0.35 / math.sqrt(1.0 + it)) * (G / gn)

@@ -563,6 +563,24 @@ def test_cli_sweep_csv_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_sweep_csv_and_json_are_pinned(monkeypatch, capsys):
+    """The bytes of sweep-weak-type --p 1.5 at --n-max 2000, before the
+    report streams.  It exits 1, the known red: the tau column exceeds its
+    envelope from n = 2 on.  The clock is stubbed to 0, so the
+    JSON's wallTime, the one field that varies from run to run, is 0.0."""
+    monkeypatch.setattr(cli, "time", argparse.Namespace(perf_counter=lambda: 0.0))
+    argv = ["sweep-weak-type", "--p", "1.5", "--n-max", "2000"]
+    assert main([*argv, "--format", "csv"]) == 1
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ecb71b9064aba87765a72caca41421dc69c6da04999f106f7177af73134cc900"
+    assert main(argv) == 1
+    text = capsys.readouterr().out
+    failed = [c["name"] for c in json.loads(text)["checks"] if not c["passed"]]
+    assert failed == ["tau-below-weak-type-envelope"]
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c7724a2b6da3535e0697950803464395bf6f5ddee50d59b9cb380a457a3b6921"
+
+
 def test_cli_check_monotonicity(tmp_path, capsys):
     entries = [float(k) ** -0.25 for k in range(1, 9)]
     op = _write(tmp_path / "op.json", {"kind": "diagonal", "norm": "l1", "entries": entries})
