@@ -250,9 +250,9 @@ def _cmd_check(args) -> ExperimentReport:
     required, optional = _CHECK_KINDS[args.kind]
     for flag in _CHECK_OPTIONS:
         if flag != required and flag not in optional and hasattr(args, _dest(flag)):
-            raise UsageError(f"check --kind {args.kind} does not read {flag}")
+            raise UsageError(f"check --kind {args.kind} does not read {flag}", flag[2:])
     if required and not hasattr(args, _dest(required)):
-        raise UsageError(f"check --kind {args.kind} requires {required}")
+        raise UsageError(f"check --kind {args.kind} requires {required}", required[2:])
 
     if args.kind == "triangle":
         operator = parse_operator_document(load_json(args.operator))
@@ -297,7 +297,9 @@ class _Parser(argparse.ArgumentParser):
     """Raises a UsageError instead of exiting, so that a usage error gets
     the JSON error record and exit code 2 like any other unusable input.
     A value argparse rejects (not an integer, not a choice) names its
-    option, without the dashes, as the field."""
+    option, without the dashes, as the field; a missing required option
+    or subcommand names the first one missing (`command` for the
+    subcommand)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, exit_on_error=False, **kwargs)
@@ -306,12 +308,14 @@ class _Parser(argparse.ArgumentParser):
         try:
             return super().parse_known_args(args, namespace)
         except argparse.ArgumentError as exc:
-            self.print_usage(sys.stderr)
-            raise UsageError(exc.message, (exc.argument_name or "").lstrip("-") or None) from None
+            self.error(exc.message, exc.argument_name)
 
-    def error(self, message: str):
+    def error(self, message: str, option: str | None = None):
+        required = "the following arguments are required: "  # argparse names them only here
+        if option is None and message.startswith(required):
+            option = message[len(required) :].split(", ")[0]
         self.print_usage(sys.stderr)
-        raise UsageError(message)
+        raise UsageError(message, (option or "").lstrip("-") or None) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

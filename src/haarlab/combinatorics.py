@@ -186,6 +186,9 @@ def _weight_powers(
     branch sum adds the very same w^r terms in (k, j) order, so every
     individual w^r <= max sum holds exactly.
     """
+    if n < 1:
+        raise DomainError(f"tree depth must be >= 1, got {n}", "depth")
+    check_level(n, "tree depth", "depth")  # the branch sums have 2^n entries
     nonzero = f.rows.any(axis=1)
     ids = f.heap_ids[nonzero].tolist()
     if ids and ids[-1].bit_length() > n:
@@ -240,9 +243,10 @@ def _band_assignments(
     for wr in powers:
         # band l is S^r/2^l < w^r <= S^r/2^(l-1); ldexp halves exactly (and
         # underflows to 0.0 instead of raising), and w^r <= S^r always, so
-        # the smallest qualifying l is the band
+        # the smallest qualifying l is the band.  A w^r that underflowed to
+        # 0.0 takes the first band whose bound underflows too.
         l = 1
-        while math.ldexp(base_power, -l) >= wr:
+        while (bound := math.ldexp(base_power, -l)) >= wr and bound:
             l += 1
         bands.append(l)
     return ids, bands, base_power
@@ -310,10 +314,7 @@ def _greedy_cover(
     frozenset of its heap ids: the cover for callers that work on heap ids."""
     if not 1 <= p < 2:
         raise DomainError(f"exponent p must lie in [1, 2), got {p}", "exponent")
-    if n < 1:
-        raise DomainError(f"tree depth must be >= 1, got {n}", "depth")
     ids, bands, base_power = _band_assignments(f, n, p, space)
-    check_level(n, "band level")  # the cover lists all 2^n - 1 indices
     m = n.bit_length() - 1
 
     if base_power == 0.0:

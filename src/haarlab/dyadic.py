@@ -493,10 +493,10 @@ class _GatherPlan:
     the bits are the same, in inner loops of dim floats.  Batch entries on
     the leading axes are summed as they would be alone.
 
-    Workspaces.  Synthesis and analysis write through out= into a
-    _GatherWorkspace of the rows' shape: the one an ascent batch binds (ws)
-    for its iterates, else a temporary one.  Operands, order and reduction
-    axes are those of fresh arrays, so no bit moves.
+    Workspaces.  The caller passes synthesis and analysis a
+    _GatherWorkspace of shape (..., count, dim), and they write through
+    out= into it.  Operands, order and reduction axes are those of fresh
+    arrays, so no bit moves.  The plan itself holds only its tables.
     """
 
     def __init__(self, grid: _GridLevels):
@@ -535,23 +535,15 @@ class _GatherPlan:
         self.outer = next(
             i for i, end in enumerate(self.ends) if self.ends[-1] - end <= _BLOCK_FLOATS
         )
-        self._group_cache, self._scales = {}, {}  # _groups by limit, _scale by dim
-        self.ws = None  # the bound _GatherWorkspace: an ascent batch's, for its iterates
 
     def to_cells(self, rows: np.ndarray, axis: int) -> np.ndarray:
         """Rows of the leaves on `axis`, one per cell of the top level: the
         rows themselves where every cell is a leaf."""
         return rows if self.leaves == self.cells else rows.repeat(self.widths, axis=axis)
 
-    def workspace(self, shape: tuple[int, ...]) -> "_GatherWorkspace":
-        """The bound workspace where it has rows of `shape`, else a new one."""
-        ws = self.ws
-        return ws if ws is not None and ws.shape == shape else _GatherWorkspace(self, shape)
-
-    def synthesis(self, rows: np.ndarray) -> np.ndarray:
-        """_GridLevels.synthesis on the leaves (..., leaves, dim), into the
-        workspace's V where the gather fits; `rows` may be its S."""
-        ws = self.workspace(rows.shape)
+    def synthesis(self, rows: np.ndarray, ws: "_GatherWorkspace") -> np.ndarray:
+        """_GridLevels.synthesis on the leaves (..., leaves, dim), into ws.V
+        where the gather fits; `rows` may be ws.S."""
         if ws.V is None:
             cells = self.grid.synthesis(rows)
             return cells if self.leaves == self.cells else cells.take(self.firsts, axis=-2)
@@ -561,11 +553,10 @@ class _GatherPlan:
         ws.stacked.take(self.table, axis=-2, out=ws.gathered, mode="clip")
         return np.add.reduce(ws.gathered, axis=-3, initial=0.0, out=ws.V)
 
-    def analysis(self, leaves: np.ndarray) -> np.ndarray:
+    def analysis(self, leaves: np.ndarray, ws: "_GatherWorkspace") -> np.ndarray:
         """The analysis of the cells of the leaf grid `leaves` (..., leaves,
-        dim), one row per index (..., count, dim), in the workspace's out."""
+        dim), one row per index (..., count, dim), in ws.out."""
         lead, dim = leaves.shape[:-2], leaves.shape[-1]
-        ws = self.workspace(lead + (self.count, dim))
         sums = ws.sums
         for (lo, hi, w), reps in ws.repeated:
             halves = leaves.repeat(reps, axis=-2).reshape(lead + (hi - lo, 2, w, dim))
@@ -582,27 +573,6 @@ class _GatherPlan:
         np.subtract(ws.left, ws.right, out=ws.out)
         ws.out *= ws.scale
         return ws.out
-
-    def _scale(self, dim: int) -> np.ndarray:
-        """The scale of each row in each of `dim` columns, (m, dim): a product
-        with it runs in loops over whole batch entries, not over one row
-        of dim floats at a time."""
-        if dim not in self._scales:
-            self._scales[dim] = np.repeat(self.grid.scale[:, None], dim, axis=1)
-        return self._scales[dim]
-
-    def _groups(self, limit: int) -> list[tuple[int, int]]:
-        """Runs [first, last) of consecutive levels from outer on whose
-        cells number at most `limit` together; one level has at most the
-        grid's cells."""
-        if limit not in self._group_cache:
-            runs, first = [], self.outer
-            for last in range(first + 1, len(self.levels) + 1):
-                if self.ends[last] - self.ends[first] > limit:
-                    runs.append((first, last - 1))
-                    first = last - 1
-            self._group_cache[limit] = runs + [(first, len(self.levels))]
-        return self._group_cache[limit]
 
     @cached_property
     def _outer_order(self) -> np.ndarray:
@@ -622,9 +592,10 @@ class _GatherPlan:
 
 class _GatherWorkspace:
     """A _GatherPlan's synthesis and analysis buffers for rows of one shape
-    (..., count, dim), with their views built once: the stack [S; -S; 0]
-    (S, minus_S, zero), its gather and the leaf grid V (S and V are None
-    where synthesis runs the level loop); the analysis gathers (`groups`:
+    (..., count, dim), with their views built once: the rows' scale per
+    column, the stack [S; -S; 0] (S, minus_S, zero), its gather and the
+    leaf grid V (S and V are None where synthesis runs the level loop);
+    the levels that analysis repeats in cell order; its gathers (`groups`:
     each group's cell order, its gather, and each level's halves beside
     its rows of `sums`), the half sums (`left`, `right`) and `out`.  It
     holds no reference to the plan.  Synthesis and analysis never run at
@@ -635,15 +606,23 @@ class _GatherWorkspace:
     """
 
     def __init__(self, plan: "_GatherPlan", shape: tuple[int, ...], spare: int = 0):
-        self.shape = shape
         lead, m, dim = shape[:-2], plan.count, shape[-1]
         batch = math.prod(lead) * dim  # floats per row of the id list, over the batch
-        self.scale = plan._scale(dim)
+        # the scale of each row in each column: a product with it runs in
+        # loops over whole batch entries, not over one row of dim floats
+        self.scale = np.repeat(plan.grid.scale[:, None], dim, axis=1)
         outer = plan.outer if dim > 1 else len(plan.levels)
         self.repeated = list(zip(plan.levels[:outer], plan.reps))
-        runs = []
+        runs = []  # [first, last) of consecutive levels from outer on, gathered at once
         if outer < len(plan.levels):
-            runs = plan._groups(max(_BLOCK_FLOATS // batch, plan.cells))
+            # the levels of a run number at most one block of cells, or one
+            # level where that is larger (a level has at most the grid's cells)
+            first, limit = outer, max(_BLOCK_FLOATS // batch, plan.cells)
+            for last in range(first + 1, len(plan.levels) + 1):
+                if plan.ends[last] - plan.ends[first] > limit:
+                    runs.append((first, last - 1))
+                    first = last - 1
+            runs.append((first, len(plan.levels)))
         sizes = [plan.ends[last] - plan.ends[first] for first, last in runs]
         analysis = 2 * m + max(sizes + [m])
         synthesis = 2 * m + 1 + plan.table.size

@@ -70,10 +70,15 @@ __all__ = [
 # norms of combinations
 
 
-def _check_dim(space: NormedSpaceSpec, f: HaarCombination, name: str = "space") -> None:
-    """Raises a DomainError where the coefficients of f do not live in space."""
+def _check_dim(
+    space: NormedSpaceSpec, f: HaarCombination, name: str = "space", field: str | None = None
+) -> None:
+    """Raises a DomainError naming `field` where the coefficients of f do
+    not live in space."""
     if space.dim != f.dim:
-        raise DomainError(f"{name} dimension {space.dim} does not match combination dim {f.dim}")
+        raise DomainError(
+            f"{name} dimension {space.dim} does not match combination dim {f.dim}", field
+        )
 
 
 def lp_norm_of_combination(f: HaarCombination, space: NormedSpaceSpec, p: float) -> float:
@@ -144,7 +149,7 @@ def _image_rows(T: OperatorSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def apply_operator(T: OperatorSpec, f: HaarCombination) -> HaarCombination:
-    _check_dim(T.domain, f, "operator domain")
+    _check_dim(T.domain, f, "operator domain", "operator")
     return HaarCombination._from_arrays(T.codomain.dim, f.heap_ids, _image_rows(T, f.rows))
 
 
@@ -167,7 +172,7 @@ def _ratio(T: OperatorSpec, f: HaarCombination, p: float | None, grid=None) -> f
     den = _denominator(T, f, p)
     if den == 0.0:
         return 0.0
-    _check_dim(T.domain, f, "operator domain")
+    _check_dim(T.domain, f, "operator domain", "operator")
     num = _lp_norm(f, T.codomain, 2.0 if p is None else p, partial(_image_rows, T), grid)
     return num / den
 
@@ -407,20 +412,16 @@ _BATCH_FLOATS = 1 << 20
 _DOT_SPLIT = 10_000
 
 
-def _row_dots(length: int) -> Callable[..., np.ndarray]:
+def _row_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The row dot products of two arrays (..., length), whatever the BLAS
     thread count: np.vecdot, summed in runs of _DOT_SPLIT added in order
     where a row is longer."""
-    if length <= _DOT_SPLIT:
-        return np.vecdot
-
-    def chunked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.vecdot(a[..., :_DOT_SPLIT], b[..., :_DOT_SPLIT], out=out)
-        for lo in range(_DOT_SPLIT, length, _DOT_SPLIT):
-            out += np.vecdot(a[..., lo : lo + _DOT_SPLIT], b[..., lo : lo + _DOT_SPLIT])
-        return out
-
-    return chunked
+    if a.shape[-1] <= _DOT_SPLIT:
+        return np.vecdot(a, b, out=out)
+    out = np.vecdot(a[..., :_DOT_SPLIT], b[..., :_DOT_SPLIT], out=out)
+    for lo in range(_DOT_SPLIT, a.shape[-1], _DOT_SPLIT):
+        out += np.vecdot(a[..., lo : lo + _DOT_SPLIT], b[..., lo : lo + _DOT_SPLIT])
+    return out
 
 
 class _Workspace:
@@ -479,7 +480,7 @@ class _AscentProblem:
     a dense operator multiplies each entry as its own matrix product (one
     product over the rows of all restarts flattened to 2-D rounds some
     entries differently), and the squared sums, ||G|| among them, are one
-    dot product per restart (_row_dots), as x @ x and np.linalg.norm take
+    dot product per restart (_row_dot), as x @ x and np.linalg.norm take
     them, summed in runs of at most _DOT_SPLIT elements where a row is
     longer, so no BLAS thread count moves them.  The per-restart scalars
     (numerator, denominator, ratio, num ** (1 - p)) stay Python float
@@ -488,12 +489,12 @@ class _AscentProblem:
     bounds.  Restarts leave the batch when they stop; the polish ascent is
     a batch of one.
 
-    Each batch binds a workspace (_Workspace) of its shape to the problem
-    (ws) and its plan, and every array an iterate writes goes to it through
+    The caller passes each iterate method a workspace (_Workspace) of the
+    batch's shape, and every array an iterate writes goes to it through
     out=, with the operands, order and reduction axes of a fresh result,
-    so no bit moves.  A batch that loses restarts frees it and builds a
-    smaller one; it goes when the batch ends.  Calls outside a batch bind
-    a temporary one.
+    so no bit moves.  _ascend_batch builds one per batch; a batch that
+    loses restarts frees it and builds a smaller one.  The problem holds
+    no workspace.
     """
 
     def __init__(self, T: OperatorSpec, ids: np.ndarray, p: float | None):
@@ -506,89 +507,64 @@ class _AscentProblem:
             self.weights = np.empty(len(self.ids))
             for k, lo, hi in _level_runs(self.ids):
                 self.weights[lo:hi] = _level_weight(k, p)
-        self._dot_cells = _row_dots(self.plan.cells)
-        self._dot_rows = _row_dots(len(ids))
-        self._dot_gradient = _row_dots(len(ids) * T.domain.dim)
-        self.ws = None  # the bound _Workspace: the running batch's
 
-    def _bind(self, restarts: int) -> _Workspace | None:
-        """Bind a workspace for `restarts` restarts to the problem and its
-        plan, freeing the bound one first; 0 binds none."""
-        self.ws = self.plan.ws = None
-        if restarts:
-            self.ws = _Workspace(self, restarts)
-            self.plan.ws = self.ws.grid
-        return self.ws
-
-    def _unbound(self, method: Callable, *args):
-        """method(*args) outside a batch, in a temporary workspace for the
-        restarts of args[0], freed on return."""
-        self._bind(len(args[0]))
-        try:
-            return method(*args)
-        finally:
-            self._bind(0)
-
-    def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, X: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid values V (R, leaves, d') of T f, one row per leaf of the
         plan, their codomain norms nu, and nu on the cells (R, cells),
         gathered once for the iterate's ratio and its gradient."""
-        if (ws := self.ws) is None:
-            return self._unbound(self.evaluate, X)
-        V = self.plan.synthesis(self.T.apply_rows(X, out=ws.grid.S))
+        V = self.plan.synthesis(self.T.apply_rows(X, out=ws.grid.S), ws.grid)
         nu = self.T.codomain.norms_of(V, out=ws.nu)
         return V, nu, self.plan.to_cells(nu, -1)
 
-    def _power_numerators(self, cell_nu: np.ndarray, q: float) -> list[float]:
+    def _power_numerators(self, cell_nu: np.ndarray, q: float, ws: _Workspace) -> list[float]:
         """(mean of cell_nu ** q) ** (1/q) per restart."""
-        ws = self.ws
         sums = np.add.reduce(np.power(cell_nu, q, out=ws.cell_powers), axis=-1, out=ws.sums)
         # a Python division by cells: the array's division, the same bits
         return [(s / self.plan.cells) ** (1.0 / q) for s in sums.tolist()]
 
-    def numerators(self, cell_nu: np.ndarray) -> list[float]:
-        if (ws := self.ws) is None:
-            return self._unbound(self.numerators, cell_nu)
+    def numerators(self, cell_nu: np.ndarray, ws: _Workspace) -> list[float]:
         if self.p is None:
-            sums = self._dot_cells(cell_nu, cell_nu, out=ws.sums).tolist()
+            sums = _row_dot(cell_nu, cell_nu, out=ws.sums).tolist()
             return [math.sqrt(s / self.plan.cells) for s in sums]
-        return self._power_numerators(cell_nu, self.p)
+        return self._power_numerators(cell_nu, self.p, ws)
 
-    def denominators(self, norms: np.ndarray) -> list[float]:
+    def denominators(self, norms: np.ndarray, ws: _Workspace) -> list[float]:
         """Denominators from the domain norms (R, m) of the rows."""
-        if (ws := self.ws) is None:
-            return self._unbound(self.denominators, norms)
         if self.p is None:
-            return [math.sqrt(s) for s in self._dot_rows(norms, norms, out=ws.sums).tolist()]
+            return [math.sqrt(s) for s in _row_dot(norms, norms, out=ws.sums).tolist()]
         powers = np.power(norms, self.p, out=ws.powers)
         # each s is a numpy float64: numpy's scalar power, as one restart takes it
-        return [float(s ** (1.0 / self.p)) for s in self._dot_rows(powers, self.weights, out=ws.sums)]
+        return [float(s ** (1.0 / self.p)) for s in _row_dot(powers, self.weights, out=ws.sums)]
 
-    def ratios(self, norms: np.ndarray, cell_nu: np.ndarray) -> list[float]:
+    def ratios(self, norms: np.ndarray, cell_nu: np.ndarray, ws: _Workspace) -> list[float]:
         return [
             num / den if den > 0 else 0.0
-            for num, den in zip(self.numerators(cell_nu), self.denominators(norms))
+            for num, den in zip(self.numerators(cell_nu, ws), self.denominators(norms, ws))
         ]
 
     def gradient(
-        self, X: np.ndarray, norms: np.ndarray, V: np.ndarray, nu: np.ndarray, cell_nu: np.ndarray
+        self,
+        X: np.ndarray,
+        norms: np.ndarray,
+        V: np.ndarray,
+        nu: np.ndarray,
+        cell_nu: np.ndarray,
+        ws: _Workspace,
     ) -> np.ndarray:
         """Subgradient of the ratio at each restart of X with domain norms
         `norms` and grids (V, nu, cell_nu) from evaluate, assuming each
         denominator is 1; zero where the numerator is.  The gradient cells
         are built in V's place, so V is overwritten and one grid per restart
         is held at a time."""
-        if (ws := self.ws) is None:
-            return self._unbound(self.gradient, X, norms, V, nu, cell_nu)
         pnum = 2.0 if self.p is None else self.p
-        nums = self._power_numerators(cell_nu, pnum)
+        nums = self._power_numerators(cell_nu, pnum, ws)
         ws.factors[:] = [num ** (1.0 - pnum) / self.plan.cells if num else 0.0 for num in nums]
         # nu ** 1.0 is nu, bit for bit
         cell_scale = nu if self.p is None else np.power(nu, pnum - 1.0, out=ws.cell_scale)
         np.multiply(cell_scale, ws.factors_col, out=ws.cell_scale)
         G_cells = self.T.codomain.dual_rows(V, out=V, norms=nu)
         G_cells *= ws.cell_scale_col
-        G = self.T.transpose_apply_rows(self.plan.analysis(G_cells), out=ws.G)
+        G = self.T.transpose_apply_rows(self.plan.analysis(G_cells, ws.grid), out=ws.G)
 
         # G_den, the denominator's gradient, in the dual rows' place
         G_den = self.T.domain.dual_rows(X, out=ws.duals, norms=norms)
@@ -632,55 +608,54 @@ class _AscentProblem:
         others go on.  The step and the normalisation run in place, with
         the bits of X + step * (G / gn) and X / den.  Each restart's best
         ratio is kept as the Python float that ratios returns."""
-        norms_of, evaluate, gradient = self.T.domain.norms_of, self.evaluate, self.gradient
-        ratios_of, denominators = self.ratios, self.denominators
-        try:
-            ws = self._bind(len(X0))
-            dens = np.array(denominators(norms_of(X0, out=ws.norms)))
-            live = np.flatnonzero(dens != 0.0).tolist()  # a zero start is its own best
-            if not live:
-                return
-            if len(live) < len(X0):
-                ws = self._bind(len(live))
-            X = X0[live] / dens[live, None, None]
+        norms_of = self.T.domain.norms_of
+        ws = _Workspace(self, len(X0))
+        dens = np.array(self.denominators(norms_of(X0, out=ws.norms), ws))
+        live = np.flatnonzero(dens != 0.0).tolist()  # a zero start is its own best
+        if not live:
+            return
+        if len(live) < len(X0):
+            del ws  # freed before the smaller one is built
+            ws = _Workspace(self, len(live))
+        X = X0[live] / dens[live, None, None]
+        norms = norms_of(X, out=ws.norms)
+        V, nu, cell_nu = self.evaluate(X, ws)
+        best[live] = X
+        best_r = self.ratios(norms, cell_nu, ws)
+        for step in [0.35 / math.sqrt(1.0 + it) for it in range(iterations)]:
+            G = self.gradient(X, norms, V, nu, cell_nu, ws)  # ws.G
+            del V, cell_nu  # free a level-loop grid before the next one is built
+            gn = _row_dot(ws.G_rows, ws.G_rows, out=ws.sums)
+            gn = np.sqrt(gn, out=gn)  # np.linalg.norm of each G[i]
+            keep = [i for i, g in enumerate(gn.tolist()) if not g < 1e-14]
+            if len(keep) < len(G):
+                if not keep:
+                    return
+                X, G, gn = X[keep], G[keep], gn[keep]
+                live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
+                del ws
+                ws = _Workspace(self, len(keep))
+            G /= gn[:, None, None]
+            G *= step
+            X += G
+            dens = self.denominators(norms_of(X, out=ws.norms), ws)
+            if 0.0 in dens:
+                keep = [i for i, den in enumerate(dens) if den != 0.0]
+                if not keep:
+                    return
+                X, dens = X[keep], [dens[i] for i in keep]
+                live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
+                del ws
+                ws = _Workspace(self, len(keep))
+            ws.dens[:] = dens
+            X /= ws.dens_col
             norms = norms_of(X, out=ws.norms)
-            V, nu, cell_nu = evaluate(X)
-            best[live] = X
-            best_r = ratios_of(norms, cell_nu)
-            for step in [0.35 / math.sqrt(1.0 + it) for it in range(iterations)]:
-                G = gradient(X, norms, V, nu, cell_nu)  # ws.G
-                del V, cell_nu  # free a level-loop grid before the next one is built
-                gn = self._dot_gradient(ws.G_rows, ws.G_rows, out=ws.sums)
-                gn = np.sqrt(gn, out=gn)  # np.linalg.norm of each G[i]
-                keep = [i for i, g in enumerate(gn.tolist()) if not g < 1e-14]
-                if len(keep) < len(G):
-                    if not keep:
-                        return
-                    X, G, gn = X[keep], G[keep], gn[keep]
-                    live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
-                    ws = self._bind(len(keep))
-                G /= gn[:, None, None]
-                G *= step
-                X += G
-                dens = denominators(norms_of(X, out=ws.norms))
-                if 0.0 in dens:
-                    keep = [i for i, den in enumerate(dens) if den != 0.0]
-                    if not keep:
-                        return
-                    X, dens = X[keep], [dens[i] for i in keep]
-                    live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
-                    ws = self._bind(len(keep))
-                ws.dens[:] = dens
-                X /= ws.dens_col
-                norms = norms_of(X, out=ws.norms)
-                V, nu, cell_nu = evaluate(X)
-                ratios = ratios_of(norms, cell_nu)
-                if better := [i for i, (r, b) in enumerate(zip(ratios, best_r)) if r > b]:
-                    for i in better:
-                        best_r[i] = ratios[i]
-                    best[[live[i] for i in better]] = X[better]
-        finally:
-            self._bind(0)
+            V, nu, cell_nu = self.evaluate(X, ws)
+            ratios = self.ratios(norms, cell_nu, ws)
+            if better := [i for i, (r, b) in enumerate(zip(ratios, best_r)) if r > b]:
+                for i in better:
+                    best_r[i] = ratios[i]
+                best[[live[i] for i in better]] = X[better]
 
     def to_combination(self, X: np.ndarray) -> HaarCombination:
         return HaarCombination._from_arrays(self.T.domain.dim, self.ids, X)
@@ -818,12 +793,12 @@ def tau_estimate(
     from random starts and a polish.  Three cutoffs bound the search:
     _estimate ascends only on sets of at most _ASCENT_MAX_INDICES indices,
     _coordinate_candidates tries one-coordinate patterns on at most 300
-    indices, and _coordinate_patterns every pattern on at most 4.  Here the cheap candidates are
-    those coordinate witnesses of a diagonal operator into l1 and the best
-    column, and the polish starts from the best candidate so far.  The
-    bound is always the ratio of the returned witness; an operator that
-    overflows float arithmetic is rejected with a DomainError naming the
-    operator before the search.
+    indices, and _coordinate_patterns every pattern on at most 4.  Here the
+    cheap candidates are those coordinate witnesses of a diagonal operator
+    into l1 and the best column, and the polish starts from the best
+    candidate so far.  The bound is always the ratio of the returned
+    witness; an operator that overflows float arithmetic is rejected with a
+    DomainError naming the operator before the search.
     """
     _check_budget(restarts, iterations)
     return _tau_estimate(T, _nonempty_heap_ids(indices), restarts, iterations, seed)

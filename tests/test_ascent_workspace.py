@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarlab import normlab
+from haarlab import dyadic, normlab, serialize
 from haarlab.dyadic import full_tree, heap_ids
-from haarlab.normlab import tau_p_ratio, tau_ratio
+from haarlab.normlab import tau_estimate, tau_p_ratio, tau_ratio
 from haarlab.spaces import Norm, NormedSpaceSpec, OperatorSpec
 from helpers import ReferenceAscentProblem
 
@@ -37,8 +37,7 @@ def workspace_operators(rng, dim):
 
 def record_workspaces(monkeypatch):
     """The restarts of every workspace built, in order, and weak references
-    to each workspace, its plan buffers and every array either holds but
-    the plan's scale, which the plan keeps."""
+    to each workspace, its plan buffers and every array either holds."""
     built, refs = [], []
     init = normlab._Workspace.__init__
 
@@ -47,9 +46,7 @@ def record_workspaces(monkeypatch):
         built.append(restarts)
         for owner in (self, self.grid):
             refs.append(weakref.ref(owner))
-            for name, value in vars(owner).items():
-                if name == "scale":
-                    continue
+            for value in vars(owner).values():
                 arrays = [value] if isinstance(value, np.ndarray) else []
                 if isinstance(value, list):  # the plan's gather groups
                     arrays = [a for group in value for a in _arrays(group)]
@@ -121,10 +118,9 @@ def test_the_batch_of_one_polish_matches_the_serial_reference(monkeypatch, p):
 def test_no_workspace_buffer_outlives_its_batch(monkeypatch):
     """With the cyclic collector off, every workspace, its plan buffers and
     every array they hold are gone once ascend returns, for a batch that
-    lost restarts and for a batch of one; the problem and the plan bind no
-    workspace between batches.  An unbound call (evaluate) builds a
-    temporary workspace and frees it too, leaving only the arrays it
-    returns."""
+    lost restarts and for a batch of one.  A workspace a caller builds for
+    evaluate goes with the caller's last reference, leaving only the
+    arrays evaluate returns."""
     _built, refs = record_workspaces(monkeypatch)
     rng = np.random.default_rng(42)
     ids = heap_ids(full_tree(5))
@@ -138,14 +134,60 @@ def test_no_workspace_buffer_outlives_its_batch(monkeypatch):
         problem.ascend(starts[:1], 10)
         assert len(refs) > 20
         assert all(ref() is None for ref in refs)
-        assert problem.ws is None and problem.plan.ws is None
         refs.clear()
-        V, nu, _cell_nu = problem.evaluate(starts)
-        assert problem.ws is None and problem.plan.ws is None
+        V, nu, _cell_nu = problem.evaluate(starts, normlab._Workspace(problem, len(starts)))
         held = {id(V), id(nu)}
         assert all(ref() is None or id(ref()) in held for ref in refs)
     finally:
         gc.enable()
+
+
+def test_an_estimate_builds_one_workspace_per_batch(monkeypatch):
+    """tau_estimate of a diagonal operator into l1 on full_tree(6), d = 16,
+    with 8 restarts: one workspace for the batch of 8 and one for the
+    polish, each with one gather workspace, and none besides."""
+    built, _refs = record_workspaces(monkeypatch)
+    grids = []
+    init = dyadic._GatherWorkspace.__init__
+
+    def counted(self, plan, shape, spare=0):
+        init(self, plan, shape, spare)
+        grids.append(shape[0])
+
+    monkeypatch.setattr(dyadic._GatherWorkspace, "__init__", counted)
+    T = OperatorSpec.diagonal([k ** -0.25 for k in range(1, 17)], Norm.L1)
+    tau_estimate(T, full_tree(6), restarts=8, iterations=60)
+    assert built == [8, 1]
+    assert grids == [8, 1]
+
+
+@pytest.mark.parametrize("length", [1, 9_999, 10_000, 10_001, 25_000])
+def test_row_dot_sums_rows_in_runs_of_the_split(length):
+    """Batched rows of `length` elements, into out=: np.vecdot's bytes up
+    to _DOT_SPLIT elements, and above it the in-order sum of the np.vecdot
+    of each run of _DOT_SPLIT, which no BLAS thread count moves."""
+    split = normlab._DOT_SPLIT
+    a, b = np.random.default_rng(length).standard_normal((2, 3, 2, length))
+    out = np.empty((3, 2))
+    got = normlab._row_dot(a, b, out=out)
+    assert got is out
+    if length <= split:
+        want = np.vecdot(a, b)
+    else:
+        want = np.empty((3, 2))
+        for i in np.ndindex(want.shape):
+            total = float(np.vecdot(a[i][:split], b[i][:split]))
+            for lo in range(split, length, split):
+                total += float(np.vecdot(a[i][lo : lo + split], b[i][lo : lo + split]))
+            want[i] = total
+    assert got.tobytes() == want.tobytes()
+    assert normlab._row_dot(a, b).tobytes() == want.tobytes()
+
+
+def test_a_row_over_an_operator_dimension_is_one_run():
+    """Every np.vecdot row over an operator dimension stays within one
+    run of _DOT_SPLIT, so it is one BLAS thread's."""
+    assert serialize.MAX_OPERATOR_DIM <= normlab._DOT_SPLIT
 
 
 def test_a_workspace_holds_one_gather_arena():
@@ -156,17 +198,14 @@ def test_a_workspace_holds_one_gather_arena():
     in it over the half sums."""
     T = OperatorSpec.diagonal(np.ones(16), Norm.L1)
     problem = normlab._AscentProblem(T, heap_ids(full_tree(6)), None)
-    ws = problem._bind(8)
-    try:
-        plan, grid = problem.plan, ws.grid
-        arena = grid.stacked.base
-        m, batch = plan.count, 8 * 16
-        assert arena.size == batch * max(2 * m + 1 + plan.table.size, 2 * m + plan.ends[-1])
-        for view in (grid.S, grid.gathered, grid.sums, grid.out, ws.G, ws.duals):
-            assert view.base is arena
-        assert np.shares_memory(ws.G, grid.sums) and not np.shares_memory(ws.G, grid.out)
-    finally:
-        problem._bind(0)
+    ws = normlab._Workspace(problem, 8)
+    plan, grid = problem.plan, ws.grid
+    arena = grid.stacked.base
+    m, batch = plan.count, 8 * 16
+    assert arena.size == batch * max(2 * m + 1 + plan.table.size, 2 * m + plan.ends[-1])
+    for view in (grid.S, grid.gathered, grid.sums, grid.out, ws.G, ws.duals):
+        assert view.base is arena
+    assert np.shares_memory(ws.G, grid.sums) and not np.shares_memory(ws.G, grid.out)
 
 
 THREAD_RUN = """

@@ -230,6 +230,24 @@ class TestLevelSetPartition:
         assert fam.pieces == (frozenset({HaarIndex(1, 1)}),)
         assert fam.threshold_base == pytest.approx(1.0)
 
+    def test_a_weight_that_underflows_takes_the_first_band_whose_bound_does(self):
+        # w^2 of (2, 1) is (sqrt(2) * 1e-200)^2, which underflows to 0.0; S^2 = 1,
+        # and 2^-1075 is the first power of two to underflow.  This looped forever
+        f = HaarCombination(1, {(1, 1): [1.0], (2, 1): [1e-200]})
+        fam = level_set_partition(f, 3, 2.0)
+        assert len(fam.pieces) == 1075 and math.ldexp(1.0, -1075) == 0.0 < math.ldexp(1.0, -1074)
+        assert fam.pieces[0] == {HaarIndex(1, 1)} and fam.pieces[-1] == {HaarIndex(2, 1)}
+        assert not any(fam.pieces[1:-1])
+
+    def test_a_depth_below_one_or_above_the_cap_names_the_depth(self):
+        # an all-zero combination skips the support check: depth -1 raised
+        # a ValueError from the branch sums' 1 << n
+        for f in (HaarCombination(1, {}), HaarCombination(1, {(1, 1): [1.0]})):
+            for n in (-1, 0, 21):
+                with pytest.raises(DomainError) as err:
+                    level_set_partition(f, n, 2.0)
+                assert err.value.field == "depth"
+
     def test_two_bands_with_gap(self):
         f = HaarCombination(1, {(1, 1): [1.0], (2, 1): [0.1]})
         fam = level_set_partition(f, 2, 2.0)

@@ -788,8 +788,8 @@ def test_cli_usage_errors_print_the_error_record(tmp_path, capsys):
     for kind, option in (("comparison", "--set"), ("triangle", "--combination")):
         assert main(["check", "--kind", kind, "--operator", op]) == 2
         record = json.loads(capsys.readouterr().out)["error"]
-        assert record["type"] == "UsageError"
-        assert record["message"] == f"check --kind {kind} requires {option}"
+        assert record["type"] == "UsageError" and record["field"] == option[2:]
+        assert record["message"] == f"{option[2:]}: check --kind {kind} requires {option}"
 
 
 def test_cli_unexpected_exception_prints_the_error_record_and_exits_3(monkeypatch, capfd):
@@ -1039,8 +1039,8 @@ def test_check_rejects_an_option_its_kind_does_not_read(inputs, capsys, kind, fl
     argv = _check_argv(kind, *CHECK_REQUIRED[kind], flag, CHECK_VALUES[flag])
     assert main(argv) == 2
     record = json.loads(capsys.readouterr().out)["error"]
-    assert record["type"] == "UsageError"
-    assert record["message"] == f"check --kind {kind} does not read {flag}"
+    assert record["type"] == "UsageError" and record["field"] == flag[2:]
+    assert record["message"] == f"{flag[2:]}: check --kind {kind} does not read {flag}"
 
 
 def test_check_defaults_equal_the_options_spelled_out(inputs, capsys):

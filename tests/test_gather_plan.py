@@ -11,7 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haarlab import dyadic, normlab
-from haarlab.dyadic import _GatherPlan, _GridLevels, dyadic_band, full_tree, heap_ids
+from haarlab.dyadic import (
+    _GatherPlan,
+    _GatherWorkspace,
+    _GridLevels,
+    dyadic_band,
+    full_tree,
+    heap_ids,
+)
 from haarlab.normlab import tau_estimate
 from haarlab.spaces import Norm, OperatorSpec
 from helpers import brute_partition_firsts, level_loop_partition_synthesis, reference_analysis
@@ -87,8 +94,9 @@ def test_plan_matches_the_index_loops_bit_for_bit(ids, dim, batch, seed, budget)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(dyadic, "_BLOCK_FLOATS", block)
         mp.setattr(_GridLevels, "synthesis", counted)
-        leaves = plan.synthesis(rows)
-        sums = plan.analysis(leaves)
+        ws = _GatherWorkspace(plan, rows.shape)
+        leaves = plan.synthesis(rows, ws)
+        sums = plan.analysis(leaves, ws)
         widths = np.diff(np.append(plan.firsts, plan.cells))
         expected = level_loop_partition_synthesis(cell_grid, widths, rows)
         cells = leaves.repeat(widths, axis=-2)
@@ -97,15 +105,19 @@ def test_plan_matches_the_index_loops_bit_for_bit(ids, dim, batch, seed, budget)
     assert len(fallbacks) == (gather > max(block, one_grid)), (ids.tolist(), budget)
     for r in range(batch):
         assert sums[r].tobytes() == reference[r].tobytes(), ids.tolist()
+    if dim == 1:  # every level repeats its leaves in cell order: no gather
+        assert ws.groups == []
+        return
+    # the groups gather every cell of the levels in order, each level once
     limit = max(block, batch * plan.cells * dim)
-    groups = plan._groups(max(block // (batch * dim), plan.cells))
-    assert [first for first, _last in groups] == [0] + [last for _first, last in groups[:-1]]
-    assert groups[-1][1] == len(plan.levels)
-    assert all(batch * (plan.ends[b] - plan.ends[a]) * dim <= limit for a, b in groups)
+    orders = [order for order, _gathered, _steps in ws.groups]
+    assert np.array_equal(np.concatenate(orders), plan._outer_order)
+    assert sum(len(steps) for _order, _gathered, steps in ws.groups) == len(plan.levels)
+    assert all(gathered.size <= limit for _order, gathered, _steps in ws.groups)
     if budget == "analysis at" or analysis_gather <= limit:
-        assert len(groups) == 1
+        assert len(ws.groups) == 1
     elif budget == "analysis past":
-        assert len(groups) > 1
+        assert len(ws.groups) > 1
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None,
@@ -143,7 +155,7 @@ def test_analysis_keeps_one_block_of_outer_indices(ids, dim, batch, seed, share)
         mp.setattr(dyadic, "_BLOCK_FLOATS", block)
         plan = _GatherPlan(_GridLevels(ids))
         leaves = edge_rows(np.random.default_rng(seed), (batch, plan.leaves, dim))
-        sums = plan.analysis(leaves)
+        sums = plan.analysis(leaves, _GatherWorkspace(plan, (batch, plan.count, dim)))
         cells = plan.to_cells(leaves, -2)
         reference = [reference_analysis(ids, cells[r]) for r in range(batch)]
         for r in range(batch):
@@ -174,7 +186,7 @@ def test_single_column_analysis_keeps_the_pairwise_half_sums(pairs):
         one_at_a_time += value
     pairwise = cells[:16].sum(axis=0)[0]
     assert one_at_a_time != pairwise  # the trap is real
-    got = plan.analysis(leaves)
+    got = plan.analysis(leaves, _GatherWorkspace(plan, (plan.count, 1)))
     assert got.tobytes() == reference_analysis(ids, cells).tobytes()
     assert got[0, 0] == pairwise - cells[16:].sum(axis=0)[0]
 

@@ -21,6 +21,7 @@ from haarlab.combinatorics import (
 from haarlab.dyadic import (
     DyadicRational,
     _GatherPlan,
+    _GatherWorkspace,
     _GridLevels,
     dyadic_band,
     full_tree,
@@ -207,9 +208,10 @@ def test_partition_kernel_matches_the_cell_kernel_bit_for_bit(dim):
         plan = _GatherPlan(cell_grid)
         assert plan.leaves <= min(3 * len(ids) + 1, plan.cells)
         rows = rng.standard_normal((3, len(ids), dim))
-        leaves, expected = plan.synthesis(rows), cell_grid.synthesis(rows)
+        ws = _GatherWorkspace(plan, rows.shape)
+        leaves, expected = plan.synthesis(rows, ws), cell_grid.synthesis(rows)
         assert np.array_equal(plan.to_cells(leaves, -2), expected), sorted(indices)
-        sums = plan.analysis(leaves)
+        sums = plan.analysis(leaves, ws)
         for r in range(len(rows)):
             assert np.array_equal(sums[r], reference_analysis(ids, expected[r])), sorted(indices)
 
@@ -242,12 +244,13 @@ def test_partition_gather_kernel_matches_the_level_loop_bit_for_bit(dim):
             plan = _GatherPlan(cell_grid)
             rows = edge_rows(rng, (1 + trial % 8, len(ids), dim))
             on_leaves += plan.leaves < plan.cells
-            leaves = plan.synthesis(rows)
+            ws = _GatherWorkspace(plan, rows.shape)
+            leaves = plan.synthesis(rows, ws)
             expected = level_loop_partition_synthesis(cell_grid, plan.widths, rows)
             assert leaves.tobytes() == expected.tobytes(), sorted(indices)
             cells = plan.to_cells(leaves, -2)
             assert cells.tobytes() == cell_grid.synthesis(rows).tobytes(), sorted(indices)
-            sums = plan.analysis(leaves)
+            sums = plan.analysis(leaves, ws)
             for r in range(len(rows)):
                 got = sums[r].tobytes()
                 assert got == reference_analysis(ids, cells[r]).tobytes(), sorted(indices)
@@ -320,7 +323,8 @@ def test_both_kernels_synthesise_from_read_only_rows_and_leave_them_unchanged():
         expected = reference_cell_values(f, f.max_level())
         assert np.array_equal(cell_grid.synthesis(f.rows), expected), sorted(indices)
         assert np.array_equal(f.rows, before)
-        assert np.array_equal(plan.to_cells(plan.synthesis(f.rows), -2), expected), sorted(indices)
+        leaves = plan.synthesis(f.rows, _GatherWorkspace(plan, f.rows.shape))
+        assert np.array_equal(plan.to_cells(leaves, -2), expected), sorted(indices)
         assert np.array_equal(f.rows, before)
     assert plan.leaves < plan.cells  # the branch ran on its partition
 
@@ -338,16 +342,17 @@ def test_ascent_grid_gradient_and_path_match_the_index_loops(dim):
         for p in (None, 4.0 / 3.0):
             problem = normlab._AscentProblem(T, ids, p)
             reference = ReferenceAscentProblem(T, ids, p)
+            ws = normlab._Workspace(problem, 1)
             X = problem.random_starts(np.random.default_rng(trial), 1)
-            X = X / problem.denominators(T.domain.norms_of(X))[0]
+            X = X / problem.denominators(T.domain.norms_of(X), ws)[0]
             Y = T.apply_rows(X)
             # the grid has one row per leaf of the set's partition; each cell holds its leaf's
-            cells = problem.plan.to_cells(problem.plan.synthesis(Y)[0], -2)
+            cells = problem.plan.to_cells(problem.plan.synthesis(Y, ws.grid)[0], -2)
             assert np.array_equal(cells, reference.grid_values(Y[0]))
             norms = T.domain.norms_of(X)
-            V, nu, cell_nu = problem.evaluate(X)
-            assert problem.ratios(norms, cell_nu) == [reference.ratio(X[0])]
-            G = problem.gradient(X, norms, V, nu, cell_nu)
+            V, nu, cell_nu = problem.evaluate(X, ws)
+            assert problem.ratios(norms, cell_nu, ws) == [reference.ratio(X[0])]
+            G = problem.gradient(X, norms, V, nu, cell_nu, ws)
             assert np.array_equal(G[0], reference.gradient(X[0]))
             assert np.array_equal(problem.ascend(X, 12)[0], reference.ascend_one(X[0], 12))
 
@@ -460,17 +465,18 @@ def test_ascent_on_the_sets_partition_matches_the_index_loops(restarts):
                 problem = normlab._AscentProblem(T, ids, p)
                 reference = ReferenceAscentProblem(T, ids, p)
                 on_leaves += problem.plan.leaves < problem.plan.cells
+                ws = normlab._Workspace(problem, restarts)
                 X = problem.random_starts(np.random.default_rng(trial), restarts)
-                X = X / np.array(problem.denominators(T.domain.norms_of(X)))[:, None, None]
+                X = X / np.array(problem.denominators(T.domain.norms_of(X), ws))[:, None, None]
                 norms = T.domain.norms_of(X)
-                V, nu, cell_nu = problem.evaluate(X)
+                V, nu, cell_nu = problem.evaluate(X, ws)
                 Y = T.apply_rows(X)
                 for r in range(restarts):
                     cells = problem.plan.to_cells(V[r], -2)
                     assert np.array_equal(cells, reference.grid_values(Y[r])), sorted(indices)
                 assert np.array_equal(cell_nu, problem.plan.to_cells(nu, -1))
-                assert problem.ratios(norms, cell_nu) == [reference.ratio(x) for x in X]
-                G = problem.gradient(X, norms, V, nu, cell_nu)
+                assert problem.ratios(norms, cell_nu, ws) == [reference.ratio(x) for x in X]
+                G = problem.gradient(X, norms, V, nu, cell_nu, ws)
                 for r in range(restarts):
                     assert np.array_equal(G[r], reference.gradient(X[r])), sorted(indices)
                 assert_batch_matches_reference(problem, reference, X, 15)
@@ -505,7 +511,8 @@ def test_batched_ascent_stops_one_restart_and_runs_the_others_on(p):
     assert_batch_matches_reference(problem, reference, starts, 20)
     got = problem.ascend(starts, 20)
     assert not got[1].any()
-    assert np.array_equal(got[3], starts[3] / problem.denominators(T.domain.norms_of(starts[3:4]))[0])
+    den = problem.denominators(T.domain.norms_of(starts[3:4]), normlab._Workspace(problem, 1))[0]
+    assert np.array_equal(got[3], starts[3] / den)
     # the zero operator stops every restart at the first iterate
     zero = OperatorSpec.diagonal(np.zeros(4), Norm.L1)
     problem = normlab._AscentProblem(zero, ids, p)
@@ -526,9 +533,9 @@ def test_lockstep_estimate_synthesises_one_grid_per_iterate_for_all_restarts(mon
         syntheses.append(rows.shape)
         return synthesis(self, rows)
 
-    def counted_plan_synthesis(self, rows):
+    def counted_plan_synthesis(self, rows, ws):
         syntheses.append(rows.shape)
-        return plan_synthesis(self, rows)
+        return plan_synthesis(self, rows, ws)
 
     def counted_rating(T, f, p, grid=None):
         ratings.append(f)
@@ -557,9 +564,9 @@ def test_an_iterate_on_the_partition_gathers_its_cells_once(monkeypatch, p):
     evaluations, gathers = [], []
     evaluate, to_cells = normlab._AscentProblem.evaluate, _GatherPlan.to_cells
 
-    def counted_evaluate(self, X):
+    def counted_evaluate(self, X, ws):
         evaluations.append(len(X))
-        return evaluate(self, X)
+        return evaluate(self, X, ws)
 
     def counted_to_cells(self, rows, axis):
         gathers.append(rows.shape)
