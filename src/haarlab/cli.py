@@ -128,7 +128,7 @@ def _cmd_verify(args) -> ExperimentReport:
 
 
 def _cmd_compress(args) -> ExperimentReport:
-    indices = parse_index_set_document(load_json(args.set))
+    indices = parse_index_set_document(load_json(args.set, "set"))
     trace = compress(indices)
     trace.validate()
     lo, hi = trace.band()
@@ -151,7 +151,7 @@ def _cmd_compress(args) -> ExperimentReport:
 
 
 def _cmd_lh(args) -> ExperimentReport:
-    indices = parse_index_set_document(load_json(args.set))
+    indices = parse_index_set_document(load_json(args.set, "set"))
     height = local_height(indices)
     report = ExperimentReport(name="lh", parameters={"setFile": args.set})
     report.rows.append(
@@ -166,7 +166,7 @@ def _cmd_lh(args) -> ExperimentReport:
 
 
 def _cmd_fill(args) -> ExperimentReport:
-    indices = parse_index_set_document(load_json(args.set))
+    indices = parse_index_set_document(load_json(args.set, "set"))
     added = fill_to_height(indices, args.height, args.depth)
     merged = frozenset(indices) | added
     report = ExperimentReport(
@@ -187,7 +187,7 @@ def _cmd_fill(args) -> ExperimentReport:
 
 
 def _cmd_partition(args) -> ExperimentReport:
-    f = parse_combination(load_json(args.combination))
+    f = parse_combination(load_json(args.combination, "combination"))
     family = level_set_partition(f, args.depth, args.exponent)
     report = ExperimentReport(
         name="partition",
@@ -230,15 +230,15 @@ def _estimate_report(
 
 def _cmd_tau(args) -> ExperimentReport:
     config = _config(args)  # the budgets are checked before any input is read
-    operator = parse_operator_document(load_json(args.operator))
-    indices = parse_index_set_document(load_json(args.set))
+    operator = parse_operator_document(load_json(args.operator, "operator"))
+    indices = parse_index_set_document(load_json(args.set, "set"))
     est = tau_estimate(operator, indices, config.restarts, config.iterations, config.seed)
     return _estimate_report(args, "tau", {"setFile": args.set}, {"setSize": len(indices)}, est)
 
 
 def _cmd_tau_p(args) -> ExperimentReport:
     config = _config(args)  # the budgets are checked before any input is read
-    operator = parse_operator_document(load_json(args.operator))
+    operator = parse_operator_document(load_json(args.operator, "operator"))
     est = tau_p_estimate(
         operator, args.depth, args.p, config.restarts, config.iterations, config.seed
     )
@@ -255,13 +255,13 @@ def _cmd_check(args) -> ExperimentReport:
         raise UsageError(f"check --kind {args.kind} requires {required}", required[2:])
 
     if args.kind == "triangle":
-        operator = parse_operator_document(load_json(args.operator))
-        f = parse_combination(load_json(args.combination))
+        operator = parse_operator_document(load_json(args.operator, "operator"))
+        f = parse_combination(load_json(args.combination, "combination"))
         report = triangle_chain_check(operator, f, getattr(args, "exponent", 2.0))
         report.parameters["combinationFile"] = args.combination
     else:
         config = _config(args)
-        operator = parse_operator_document(load_json(args.operator))
+        operator = parse_operator_document(load_json(args.operator, "operator"))
         budgets = dict(
             restarts=config.restarts,
             iterations=config.iterations,
@@ -269,7 +269,7 @@ def _cmd_check(args) -> ExperimentReport:
             tolerance=config.optimizer_tolerance,
         )
         if args.kind == "comparison":
-            indices = parse_index_set_document(load_json(args.set))
+            indices = parse_index_set_document(load_json(args.set, "set"))
             report = comparison_check(operator, indices, **budgets)
             report.parameters.update(config.as_dict(), setFile=args.set)
         else:
@@ -299,7 +299,8 @@ class _Parser(argparse.ArgumentParser):
     A value argparse rejects (not an integer, not a choice) names its
     option, without the dashes, as the field; a missing required option
     or subcommand names the first one missing (`command` for the
-    subcommand)."""
+    subcommand); an unrecognized argument names the first one, or `extra`
+    for a stray positional."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, exit_on_error=False, **kwargs)
@@ -312,8 +313,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str, option: str | None = None):
         required = "the following arguments are required: "  # argparse names them only here
+        unrecognized = "unrecognized arguments: "
         if option is None and message.startswith(required):
             option = message[len(required) :].split(", ")[0]
+        elif option is None and message.startswith(unrecognized):
+            first = message[len(unrecognized) :].split(" ")[0]
+            name = first.lstrip("-").split("=")[0]  # "-1" and "--" are positionals
+            option = name if first.startswith("-") and name[:1].isalpha() else "extra"
         self.print_usage(sys.stderr)
         raise UsageError(message, (option or "").lstrip("-") or None) from None
 
@@ -396,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("experiment-log-variant", help="certificate chain trials")
-    p.add_argument("--p", type=float, required=True, help="exponent in [1, 2)")
+    p.add_argument("--p", type=float, required=True, help="exponent in (1, 2)")
     p.add_argument("--depth", type=int, default=8, help="tree depth n")
     p.add_argument("--trials", type=int, default=50, help="random families")
     _add_knobs(p, "--seed", "--restarts", "--iters", "--tol-opt")

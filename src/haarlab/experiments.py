@@ -50,8 +50,8 @@ class ExperimentConfig:
         """Each error names the option that sets the field at fault."""
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}", "seed")
-        if not self.optimizer_tolerance > 0:
-            raise DomainError("optimizer_tolerance must be positive", "tol-opt")
+        if not 0 < self.optimizer_tolerance < math.inf:
+            raise DomainError("optimizer_tolerance must be positive and finite", "tol-opt")
         cap = level_cap()
         if self.max_level is not None and not 1 <= self.max_level <= cap:
             raise DomainError(
@@ -277,8 +277,9 @@ def run_log_variant_experiment(
     every trial asserts the direct norm stays below it.
     """
     config = config or ExperimentConfig()
-    if not 1.0 <= p < 2.0:
-        raise DomainError(f"exponent p must lie in [1, 2), got {p}", "p")
+    # the diagonal example sigma_k = k^(-1/p') needs p > 1
+    if not 1.0 < p < 2.0:
+        raise DomainError(f"exponent p must lie in (1, 2), got {p}", "p")
     if n < 1:
         raise DomainError(f"tree depth must be >= 1, got {n}", "depth")
     # a family and a report row per trial: bound them before any estimate

@@ -428,7 +428,8 @@ class _Workspace:
     """The arrays an iterate of a batch of `restarts` restarts writes:
     `grid`, the plan's (dyadic._GatherWorkspace, whose S receives T X),
     the norms, the dual rows, the gradient, the cells' powers and scale,
-    and the per-restart sums.  It holds none of the problem."""
+    and the per-restart sums.  It holds none of the problem, and serves
+    the batch to its last iterate, stopped restarts included."""
 
     def __init__(self, problem: "_AscentProblem", restarts: int):
         R, m, plan = restarts, len(problem.ids), problem.plan
@@ -486,15 +487,14 @@ class _AscentProblem:
     (numerator, denominator, ratio, num ** (1 - p)) stay Python float
     operations, in the forms a lone restart uses: numpy's array power
     rounds differently from a scalar power in the last bit, which moves
-    bounds.  Restarts leave the batch when they stop; the polish ascent is
-    a batch of one.
+    bounds.  A batch keeps its shape from its first iterate to its last: a
+    restart that stops stays in it as zero rows, which no reduction shares
+    with another restart.  The polish ascent is a batch of one.
 
     The caller passes each iterate method a workspace (_Workspace) of the
     batch's shape, and every array an iterate writes goes to it through
     out=, with the operands, order and reduction axes of a fresh result,
-    so no bit moves.  _ascend_batch builds one per batch; a batch that
-    loses restarts frees it and builds a smaller one.  The problem holds
-    no workspace.
+    so no bit moves.  ascend builds one per call; the problem holds none.
     """
 
     def __init__(self, T: OperatorSpec, ids: np.ndarray, p: float | None):
@@ -594,59 +594,42 @@ class _AscentProblem:
         return X * (1.0 / self.plan.grid.scale)[:, None]
 
     def ascend(self, X0: np.ndarray, iterations: int) -> np.ndarray:
-        """The best iterate of each restart of X0 (R, m, d), the restarts
-        run in batches of self.batch."""
-        best = X0.copy()
-        for lo in range(0, len(X0), self.batch):
-            self._ascend_batch(X0[lo : lo + self.batch], iterations, best[lo : lo + self.batch])
-        return best
-
-    def _ascend_batch(self, X0: np.ndarray, iterations: int, best: np.ndarray) -> None:
-        """Ascend the restarts of X0 in lockstep, writing each one's best
-        iterate into `best` (which starts as X0).  A restart whose
-        denominator is zero or whose gradient vanishes stops there; the
-        others go on.  The step and the normalisation run in place, with
-        the bits of X + step * (G / gn) and X / den.  Each restart's best
-        ratio is kept as the Python float that ratios returns."""
+        """The best iterate of each restart of X0 (R, m, d), ascended in
+        lockstep in one workspace.  A restart whose denominator is zero or
+        whose gradient vanishes stops there: its rows of X and G become
+        zero and its gn 1.0, so its numerator and its gradient stay zero
+        and its ratio, 0.0, never beats its best.  Denominators of zero
+        divide as 1.0, so a zero start is its own best.  The loop ends when
+        every restart has stopped.  The step and the normalisation run in
+        place, with the bits of X + step * (G / gn) and X / den.  Each
+        restart's best ratio is kept as the Python float that ratios
+        returns."""
         norms_of = self.T.domain.norms_of
         ws = _Workspace(self, len(X0))
-        dens = np.array(self.denominators(norms_of(X0, out=ws.norms), ws))
-        live = np.flatnonzero(dens != 0.0).tolist()  # a zero start is its own best
-        if not live:
-            return
-        if len(live) < len(X0):
-            del ws  # freed before the smaller one is built
-            ws = _Workspace(self, len(live))
-        X = X0[live] / dens[live, None, None]
+        dens = self.denominators(norms_of(X0, out=ws.norms), ws)
+        ws.dens[:] = [den or 1.0 for den in dens]
+        best = X0 / ws.dens_col
+        X = best.copy()
+        X[[i for i, den in enumerate(dens) if den == 0.0]] = 0.0
         norms = norms_of(X, out=ws.norms)
         V, nu, cell_nu = self.evaluate(X, ws)
-        best[live] = X
         best_r = self.ratios(norms, cell_nu, ws)
         for step in [0.35 / math.sqrt(1.0 + it) for it in range(iterations)]:
             G = self.gradient(X, norms, V, nu, cell_nu, ws)  # ws.G
             del V, cell_nu  # free a level-loop grid before the next one is built
             gn = _row_dot(ws.G_rows, ws.G_rows, out=ws.sums)
             gn = np.sqrt(gn, out=gn)  # np.linalg.norm of each G[i]
-            keep = [i for i, g in enumerate(gn.tolist()) if not g < 1e-14]
-            if len(keep) < len(G):
-                if not keep:
-                    return
-                X, G, gn = X[keep], G[keep], gn[keep]
-                live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
-                del ws
-                ws = _Workspace(self, len(keep))
+            if stopped := [i for i, g in enumerate(gn.tolist()) if g < 1e-14]:
+                if len(stopped) == len(X):
+                    break
+                X[stopped], G[stopped], gn[stopped] = 0.0, 0.0, 1.0
             G /= gn[:, None, None]
             G *= step
             X += G
             dens = self.denominators(norms_of(X, out=ws.norms), ws)
             if 0.0 in dens:
-                keep = [i for i, den in enumerate(dens) if den != 0.0]
-                if not keep:
-                    return
-                X, dens = X[keep], [dens[i] for i in keep]
-                live, best_r = [live[i] for i in keep], [best_r[i] for i in keep]
-                del ws
-                ws = _Workspace(self, len(keep))
+                X[[i for i, den in enumerate(dens) if den == 0.0]] = 0.0
+                dens = [den or 1.0 for den in dens]
             ws.dens[:] = dens
             X /= ws.dens_col
             norms = norms_of(X, out=ws.norms)
@@ -655,7 +638,8 @@ class _AscentProblem:
             if better := [i for i, (r, b) in enumerate(zip(ratios, best_r)) if r > b]:
                 for i in better:
                     best_r[i] = ratios[i]
-                best[[live[i] for i in better]] = X[better]
+                best[better] = X[better]
+        return best
 
     def to_combination(self, X: np.ndarray) -> HaarCombination:
         return HaarCombination._from_arrays(self.T.domain.dim, self.ids, X)

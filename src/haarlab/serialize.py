@@ -88,14 +88,17 @@ def _checked(build, field: str):
         raise SchemaError(str(exc), field) from exc
 
 
-def load_json(path: str) -> Any:
+def load_json(path: str, option: str) -> Any:
+    """Read a JSON file named on the command line; a file that cannot be
+    read or parsed is a SchemaError whose field names the option and whose
+    message names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"cannot read file: {exc}", path) from exc
+        raise SchemaError(f"cannot read file {path}: {exc.strerror or exc}", option) from exc
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", path) from exc
+        raise SchemaError(f"invalid JSON in {path}: {exc}", option) from exc
 
 
 def write_text(text: str, path: str, option: str):

@@ -1,7 +1,7 @@
-"""The ascent's per-batch workspaces: a batch that loses restarts and the
-batch-of-one polish against the serial reference, byte for byte; no
-workspace buffer outliving its batch; and bounds and witnesses that do not
-depend on the BLAS thread count."""
+"""The ascent's per-batch workspaces: a batch whose restarts stop, which
+keeps its shape, and the batch-of-one polish against the serial reference,
+byte for byte; no workspace buffer outliving its batch; and bounds and
+witnesses that do not depend on the BLAS thread count."""
 
 import gc
 import json
@@ -67,11 +67,12 @@ def _arrays(item):
 @pytest.mark.parametrize("p", [None, 4.0 / 3.0])
 def test_a_batch_that_loses_restarts_matches_the_serial_reference(monkeypatch, p):
     """Five starts on full_tree(4) and on a branch of depth 7: start 1 is
-    zero (its denominator is zero, so it never enters the batch) and start
-    3 lies on the first coordinate alone (its gradient vanishes at the
-    first iterate under the diagonal operator).  The batch runs in a
-    workspace of 4 restarts, then of 3; its best iterates, witnesses and
-    ratios equal the serial reference's byte for byte."""
+    zero (its denominator is zero, so it stops before the first iterate)
+    and start 3 lies on the first coordinate alone (its gradient vanishes
+    at the first iterate under the diagonal operator).  The stopped
+    restarts stay in the batch as zero rows, so it runs in one workspace
+    of 5 restarts; its best iterates, witnesses and ratios equal the
+    serial reference's byte for byte."""
     built, _refs = record_workspaces(monkeypatch)
     rng = np.random.default_rng(40)
     for pairs in (full_tree(4), [(k, 1) for k in range(1, 8)]):
@@ -86,12 +87,32 @@ def test_a_batch_that_loses_restarts_matches_the_serial_reference(monkeypatch, p
             got = problem.ascend(starts, 25)
             want = reference.ascend(starts, 25)
             assert got.tobytes() == want.tobytes()
-            # under the dense operators start 3 runs on
-            assert built == ([5, 4, 3] if T.kind.value == "diagonal" else [5, 4])
+            assert built == [5]
             ratio = tau_ratio if p is None else (lambda T, f: tau_p_ratio(T, f, p))
             for x, y in zip(got, want):
                 f, g = problem.to_combination(x.copy()), reference.to_combination(y)
                 assert ratio(T, f) == ratio(T, g)
+
+
+@pytest.mark.parametrize("p", [None, 4.0 / 3.0])
+def test_a_batch_whose_restarts_all_stop_at_once_builds_one_workspace(monkeypatch, p):
+    """Under the zero operator every gradient vanishes at the first
+    iterate, and start 1, zero, has denominator zero: the ascent builds
+    one workspace of 4 restarts and returns the starts, each divided by
+    its denominator (the zero start as it is), as the reference does."""
+    built, _refs = record_workspaces(monkeypatch)
+    ids = heap_ids(full_tree(4))
+    zero = OperatorSpec.diagonal(np.zeros(4), Norm.L1)
+    problem = normlab._AscentProblem(zero, ids, p)
+    starts = problem.random_starts(np.random.default_rng(43), 4)
+    starts[1] = 0.0
+    got = problem.ascend(starts, 20)
+    assert built == [4]
+    dens = problem.denominators(zero.domain.norms_of(starts), normlab._Workspace(problem, 4))
+    assert dens[1] == 0.0 and 0.0 not in dens[:1] + dens[2:]
+    want = starts / np.array([den or 1.0 for den in dens])[:, None, None]
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == ReferenceAscentProblem(zero, ids, p).ascend(starts, 20).tobytes()
 
 
 @pytest.mark.parametrize("p", [None, 4.0 / 3.0])
@@ -117,10 +138,10 @@ def test_the_batch_of_one_polish_matches_the_serial_reference(monkeypatch, p):
 
 def test_no_workspace_buffer_outlives_its_batch(monkeypatch):
     """With the cyclic collector off, every workspace, its plan buffers and
-    every array they hold are gone once ascend returns, for a batch that
-    lost restarts and for a batch of one.  A workspace a caller builds for
-    evaluate goes with the caller's last reference, leaving only the
-    arrays evaluate returns."""
+    every array they hold are gone once ascend returns, for a batch in
+    which a restart stopped and for a batch of one.  A workspace a caller
+    builds for evaluate goes with the caller's last reference, leaving
+    only the arrays evaluate returns."""
     _built, refs = record_workspaces(monkeypatch)
     rng = np.random.default_rng(42)
     ids = heap_ids(full_tree(5))

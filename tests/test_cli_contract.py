@@ -1,8 +1,9 @@
 """The exit-code contract of the commands, judged by generated inputs:
-`tau`, `tau-p`, `lh`, `compress`, `fill`, `partition` and the three `check`
-kinds on malformed operator documents, index sets, combinations, budgets
-and option values exit 0, 1 or 2 with no traceback, and every exit 2 names
-the field or option at fault."""
+`tau`, `tau-p`, `lh`, `compress`, `fill`, `partition`, the three `check`
+kinds, `experiment-log-variant` and `sweep-weak-type` on malformed
+operator documents, index sets, combinations, budgets and option values
+exit 0, 1 or 2 with no traceback, and every exit 2 names the field or
+option at fault."""
 
 import contextlib
 import io
@@ -116,13 +117,13 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def assert_contract(code: int, out: str, fault: str, estimated: bool = False):
-    """Exit 0 for valid inputs, or 1 for a report whose checks compare
-    `estimated` lower bounds (a small budget may leave one short); else 0,
-    1 or 2, and an exit 2 names the broken input (an operator's field is
-    `operator` or one of its keys)."""
+def assert_contract(code: int, out: str, fault: str, may_fail: bool = False):
+    """Exit 0 for valid inputs, or 1 for a report that `may_fail` its
+    checks (estimated lower bounds, which a small budget may leave short,
+    or the sweep's envelope); else 0, 1 or 2, and an exit 2 names the
+    broken input (an operator's field is `operator` or one of its keys)."""
     if fault == "none":
-        assert code == 0 or (estimated and code == 1 and not json.loads(out)["passed"]), out
+        assert code == 0 or (may_fail and code == 1 and not json.loads(out)["passed"]), out
     assert code in (0, 1, 2), out
     if code == 2:
         field = json.loads(out)["error"]["field"]
@@ -178,6 +179,62 @@ def test_tau_p_exits_0_1_or_2_and_names_the_field(fault, data):
     argv = ["tau-p", "--operator", "operator", "--depth", depth, "--p", p,
             "--restarts", restarts, "--iters", iterations]
     assert_contract(*run_with_files(argv, {"operator": operator}), fault)
+
+
+def finite_report(out: str) -> dict:
+    """The JSON report on stdout, which holds no NaN or Infinity."""
+    def reject(constant):
+        raise AssertionError(f"{constant} in the report: {out}")
+    return json.loads(out, parse_constant=reject)
+
+
+BROKEN_TOLERANCES = ["0", "-1", "-inf", "nan", "inf", "1e400", "x", ""]
+
+
+@CONTRACT
+@given(fault=st.sampled_from(["none", "p", "depth", "trials", "seed", "restarts", "iters",
+                              "tol-opt"]),
+       data=st.data())
+def test_log_variant_exits_0_or_2_and_names_the_field(fault, data):
+    """Small valid runs (depth <= 4, trials <= 3, restarts <= 2, iters
+    <= 3) exit 0 with a finite report; a broken p lies outside (1, 2) (the
+    diagonal example needs p > 1), a broken depth needs trees above the
+    level cap or is no integer."""
+    p = draw_input(data, fault, "p", st.sampled_from(["1.25", "1.3333333333333333", "1.5", "1.9"]),
+                   st.sampled_from(["1", "2", "0.5", "2.5", "nan", "inf", "-inf", "x"]))
+    depth = draw_input(data, fault, "depth", st.sampled_from(["1", "2", "3", "4"]),
+                       st.sampled_from(["0", "-1", "16", "64", "2.0", "x"]))
+    trials = draw_input(data, fault, "trials", st.sampled_from(["1", "2", "3"]),
+                        st.sampled_from(["0", "-1", "100001", "2.5", "x"]))
+    seed = draw_input(data, fault, "seed", st.integers(0, 9).map(str), st.sampled_from(BROKEN_SEEDS))
+    restarts = draw_input(data, fault, "restarts", st.sampled_from(["1", "2"]),
+                          st.sampled_from(BROKEN_BUDGETS))
+    iterations = draw_input(data, fault, "iters", st.sampled_from(BUDGETS),
+                            st.sampled_from(BROKEN_BUDGETS))
+    tolerance = draw_input(data, fault, "tol-opt", st.sampled_from(["0.02", "0.5", "1e-3"]),
+                           st.sampled_from(BROKEN_TOLERANCES))
+    code, out = run(["experiment-log-variant", "--p", p, "--depth", depth, "--trials", trials,
+                     "--seed", seed, "--restarts", restarts, "--iters", iterations,
+                     "--tol-opt", tolerance])
+    assert_contract(code, out, fault)
+    if code != 2:
+        finite_report(out)
+
+
+@CONTRACT
+@given(fault=st.sampled_from(["none", "p", "n-max"]), data=st.data())
+def test_sweep_exits_0_1_or_2_and_names_the_field(fault, data):
+    """A broken p lies outside (1, 2), a broken length outside 1..10^6.
+    A valid sweep may fail its tau envelope (exit 1), as
+    test_growth_envelope_formula_bound records; its report is finite."""
+    p = draw_input(data, fault, "p", st.sampled_from(["1.1", "1.25", "1.5", "1.9"]),
+                   st.sampled_from(["1", "2", "0.5", "nan", "inf", "-inf", "x"]))
+    n_max = draw_input(data, fault, "n-max", st.sampled_from(["1", "2", "10", "1000"]),
+                       st.sampled_from(["0", "-1", "1000001", "1e3", "x", ""]))
+    code, out = run(["sweep-weak-type", "--p", p, "--n-max", n_max])
+    assert_contract(code, out, fault, may_fail=True)
+    if code != 2:
+        finite_report(out)
 
 
 BROKEN_FORMATS = ["xml", "", "JSON"]
@@ -352,7 +409,7 @@ def test_check_exits_0_1_or_2_and_names_the_field(kind, fault, data):
         argv += [required, required[2:]]
     if fault == foreign:
         argv += FOREIGN[kind]
-    assert_contract(*run_with_files(argv, files), fault, estimated=kind != "triangle")
+    assert_contract(*run_with_files(argv, files), fault, may_fail=kind != "triangle")
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -367,12 +424,18 @@ def test_check_exits_0_1_or_2_and_names_the_field(kind, fault, data):
     (["partition", "--combination", "empty", "--depth", "-1"], "depth"),
     (["check", "--kind", "triangle", "--operator", "operator", "--combination", "combination"],
      "operator"),
+    (["lh", "--set", "set", "--bogus"], "bogus"),
+    (["lh", "--set", "set", "stray"], "extra"),
+    (["lh", "--set", "set", "--", "-1"], "extra"),
+    (["partition", "--combination", "no-such-file.json", "--depth", "3"], "combination"),
 ])
 def test_every_usage_error_names_its_option(argv, field):
     """A missing required option or subcommand, and the options a check
     kind requires or does not read, exit 2 naming the option without its
     dashes.  A depth below 1 on an empty combination, and a combination
-    outside the operator's domain, name theirs too."""
+    outside the operator's domain, name theirs too.  An unrecognized
+    argument names the first one (`extra` for a stray positional), and a
+    file that cannot be read names its option."""
     code, out = run_with_files(argv, {
         "operator": {"kind": "diagonal", "norm": "l1", "entries": [1.0, 0.5]},
         "set": [[1, 1]],

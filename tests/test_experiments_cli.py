@@ -331,6 +331,10 @@ def test_log_variant_rejects_bad_exponent():
         run_log_variant_experiment(2.0, n=4, trials=1)
     with pytest.raises(DomainError):
         run_log_variant_experiment(0.5, n=4, trials=1)
+    # the diagonal example sigma_k = k^(-1/p') needs p > 1
+    with pytest.raises(DomainError) as err:
+        run_log_variant_experiment(1.0, n=4, trials=1)
+    assert err.value.field == "p"
 
 
 # ---------------------------------------------------------------------------
@@ -971,8 +975,8 @@ def test_readme_library_example_runs():
 def test_removed_knobs_are_usage_errors(command, knob, capsys):
     assert main([command, *BASE_ARGV[command], knob, KNOB_VALUES[knob]]) == 2
     record = json.loads(capsys.readouterr().out)["error"]
-    assert record["type"] == "UsageError"
-    assert record["message"] == f"unrecognized arguments: {knob} {KNOB_VALUES[knob]}"
+    assert (record["type"], record["field"]) == ("UsageError", knob[2:])
+    assert record["message"] == f"{knob[2:]}: unrecognized arguments: {knob} {KNOB_VALUES[knob]}"
 
 
 # ---------------------------------------------------------------------------

@@ -484,16 +484,22 @@ def test_ascent_on_the_sets_partition_matches_the_index_loops(restarts):
 
 
 def test_batched_ascent_in_smaller_batches_matches_the_serial_reference():
+    """Seven restarts drawn and ascended in batches of 1, 2 and 3: the
+    batches, one ascend each, give the reference's best iterates."""
     rng = np.random.default_rng(710)
     T = OperatorSpec.dense(
         rng.standard_normal((4, 4)), NormedSpaceSpec(4, Norm.LINF), NormedSpaceSpec(4, Norm.L1)
     )
     ids = heap_ids(full_tree(4))
+    reference = ReferenceAscentProblem(T, ids, None)
+    want = reference.ascend(reference.random_starts(np.random.default_rng(711), 7), 20)
     for batch in (1, 2, 3):
         problem = normlab._AscentProblem(T, ids, None)
         problem.batch = batch
-        starts = problem.random_starts(rng, 7)
-        assert_batch_matches_reference(problem, ReferenceAscentProblem(T, ids, None), starts, 20)
+        batches = list(normlab._random_batches(problem, 711, 7))
+        assert max(map(len, batches)) == batch and sum(map(len, batches)) == 7
+        got = np.concatenate([problem.ascend(starts, 20) for starts in batches])
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [None, 4.0 / 3.0])

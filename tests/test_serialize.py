@@ -205,15 +205,17 @@ def test_booleans_are_not_numbers():
 
 
 def test_load_json_reports_path(tmp_path):
+    """A file that cannot be read or parsed names its option as the field
+    and its path in the message."""
     missing = tmp_path / "nope.json"
     with pytest.raises(SchemaError) as err:
-        load_json(str(missing))
-    assert err.value.field == str(missing)
+        load_json(str(missing), "set")
+    assert err.value.field == "set" and str(missing) in str(err.value)
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     with pytest.raises(SchemaError) as err:
-        load_json(str(bad))
-    assert err.value.field == str(bad)
+        load_json(str(bad), "operator")
+    assert err.value.field == "operator" and str(bad) in str(err.value)
 
 
 def test_dump_json_is_stable(tmp_path):
