@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .combination import HaarCombination
 from .config import check_level
 from .dyadic import (
@@ -182,36 +180,34 @@ def _weight_powers(
     and the max branch sum of them.
 
     Weights are w = 2^((k-1)/2) * ||x||, in the norm of space (l2 when
-    None).  Comparisons downstream happen in the r-th power domain: the max
-    branch sum adds the very same w^r terms in (k, j) order, so every
-    individual w^r <= max sum holds exactly.
+    None).  Comparisons downstream happen in the r-th power domain: an
+    index's sum adds the very same w^r terms down its chain of support
+    ancestors in (k, j) order, as a branch's sum does, so the largest is
+    S_r^r and every individual w^r <= S_r^r holds exactly.
     """
     if n < 1:
         raise DomainError(f"tree depth must be >= 1, got {n}", "depth")
-    check_level(n, "tree depth", "depth")  # the branch sums have 2^n entries
+    check_level(n, "tree depth", "depth")
     nonzero = f.rows.any(axis=1)
     ids = f.heap_ids[nonzero].tolist()
     if ids and ids[-1].bit_length() > n:
         raise DomainError(f"support is not contained in the depth-{n} tree", "depth")
     norms = (space or NormedSpaceSpec(f.dim, Norm.L2)).norm_of_each(f.rows[nonzero]).tolist()
     powers = [(half_power(node.bit_length() - 1) * x) ** r for node, x in zip(ids, norms)]
-    sums = np.zeros(1 << n)
+    sums: dict[int, float] = {}  # heap id -> its branch sum, ancestors first
     for node, wr in zip(ids, powers):
-        shift = n + 1 - node.bit_length()  # node covers 2^shift cells from first on
-        first = (node << shift) - (1 << n)
-        sums[first : first + (1 << shift)] += wr
-    base_power = float(sums.max()) if powers else 0.0
-    return ids, powers, base_power
+        above = node >> 1
+        while above and above not in sums:
+            above >>= 1
+        sums[node] = sums.get(above, 0.0) + wr
+    return ids, powers, max(sums.values(), default=0.0)
 
 
 def threshold_base(
     f: HaarCombination, n: int, r: float, space: NormedSpaceSpec | None = None
 ) -> float:
     """Largest branch weight aggregate S_r = max_t (sum over B(t) of w^r)^(1/r)."""
-    if not 1 <= r <= 2:
-        raise DomainError(f"exponent r must lie in [1, 2], got {r}", "exponent")
-    _, _, base_power = _weight_powers(f, n, r, space)
-    return base_power ** (1.0 / r)
+    return level_set_partition(f, n, r, space).threshold_base
 
 
 @dataclass(frozen=True)
@@ -234,13 +230,13 @@ def is_partition(pieces: Iterable[frozenset], whole) -> bool:
 
 def _band_assignments(
     f: HaarCombination, n: int, r: float, space: NormedSpaceSpec | None
-) -> tuple[list[int], list[int], float]:
-    """Heap ids of the support, the band of each, and S_r^r."""
+) -> tuple[list[list[int]], float]:
+    """The support's heap ids by band, ascending (bands[l-1] is band l), and S_r^r."""
     ids, powers, base_power = _weight_powers(f, n, r, space)
+    bands: list[list[int]] = []
     if base_power == 0.0:
-        return [], [], 0.0
-    bands = []
-    for wr in powers:
+        return bands, 0.0
+    for node, wr in zip(ids, powers):
         # band l is S^r/2^l < w^r <= S^r/2^(l-1); ldexp halves exactly (and
         # underflows to 0.0 instead of raising), and w^r <= S^r always, so
         # the smallest qualifying l is the band.  A w^r that underflowed to
@@ -248,8 +244,9 @@ def _band_assignments(
         l = 1
         while (bound := math.ldexp(base_power, -l)) >= wr and bound:
             l += 1
-        bands.append(l)
-    return ids, bands, base_power
+        bands.extend([] for _ in range(l - len(bands)))
+        bands[l - 1].append(node)
+    return bands, base_power
 
 
 def level_set_partition(
@@ -262,13 +259,10 @@ def level_set_partition(
     """
     if not 1 <= r <= 2:
         raise DomainError(f"exponent r must lie in [1, 2], got {r}", "exponent")
-    ids, bands, base_power = _band_assignments(f, n, r, space)
-    if not bands:
-        return PartitionFamily((), 0.0)
-    pieces = [[] for _ in range(max(bands))]
-    for node, l in zip(ids, bands):
-        pieces[l - 1].append(from_heap_id(node))
-    return PartitionFamily(tuple(frozenset(p) for p in pieces), base_power ** (1.0 / r))
+    bands, base_power = _band_assignments(f, n, r, space)
+    return PartitionFamily(
+        tuple(frozenset(map(from_heap_id, band)) for band in bands), base_power ** (1.0 / r)
+    )
 
 
 @dataclass(frozen=True)
@@ -314,23 +308,18 @@ def _greedy_cover(
     frozenset of its heap ids: the cover for callers that work on heap ids."""
     if not 1 <= p < 2:
         raise DomainError(f"exponent p must lie in [1, 2), got {p}", "exponent")
-    ids, bands, base_power = _band_assignments(f, n, p, space)
+    bands, base_power = _band_assignments(f, n, p, space)
     m = n.bit_length() - 1
 
     if base_power == 0.0:
         return (frozenset(),) * m + (frozenset(range(1, 1 << n)),), m, 0.0, (False,) * m
-
-    raw: list[list[int]] = [[] for _ in range(m)]
-    for node, l in zip(ids, bands):
-        if l <= m:
-            raw[l - 1].append(node)
-        # lower bands have small weights; they are picked up by the leftover
-
+    # the bands past m have small weights; the leftover picks them up
+    bands = bands[:m] + [[]] * (m - len(bands))
     used: set[int] = set()
     pieces: list[frozenset[int]] = []
     padded: list[bool] = []
     cumulative = 0
-    for l, band in enumerate(raw, start=1):
+    for l, band in enumerate(bands, start=1):
         target = (1 << (1 << l)) - 1
         padded.append(cumulative + len(band) < target)
         if padded[-1]:

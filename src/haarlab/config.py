@@ -20,9 +20,9 @@ def max_level() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise DomainError(f"HAARLAB_MAX_LEVEL must be an integer, got {raw!r}") from exc
+        raise DomainError(f"must be an integer, got {raw!r}", "HAARLAB_MAX_LEVEL") from exc
     if value < 1:
-        raise DomainError(f"HAARLAB_MAX_LEVEL must be >= 1, got {value}")
+        raise DomainError(f"must be >= 1, got {value}", "HAARLAB_MAX_LEVEL")
     return value
 
 

@@ -659,11 +659,15 @@ class _GatherWorkspace:
             self.groups.append((order, gathered, steps))
 
 
-def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:
-    """All indices with level m <= k <= n."""
+def _check_band(m: int, n: int) -> None:
     if m < 1 or n < m:
         raise DomainError(f"band bounds must satisfy 1 <= m <= n, got ({m}, {n})")
     check_level(n, "band level")
+
+
+def dyadic_band(m: int, n: int) -> frozenset[HaarIndex]:
+    """All indices with level m <= k <= n."""
+    _check_band(m, n)
     return frozenset(
         HaarIndex(k, j) for k in range(m, n + 1) for j in range(1, (1 << (k - 1)) + 1)
     )

@@ -169,10 +169,10 @@ def _ratio(T: OperatorSpec, f: HaarCombination, p: float | None, grid=None) -> f
     is never held whole.  `grid`, where given, is the _GridLevels of f's
     heap ids, so the norm does not build one.
     """
+    _check_dim(T.domain, f, "operator domain", "operator")
     den = _denominator(T, f, p)
     if den == 0.0:
         return 0.0
-    _check_dim(T.domain, f, "operator domain", "operator")
     num = _lp_norm(f, T.codomain, 2.0 if p is None else p, partial(_image_rows, T), grid)
     return num / den
 
@@ -403,8 +403,9 @@ def _coordinate_candidates(T: OperatorSpec, ids: np.ndarray) -> list[HaarCombina
 # the full trees of tau_p); larger sets keep the closed-form candidates
 _ASCENT_MAX_INDICES = 2000
 
-# restarts stacked in one ascent batch: as many as keep the stacked grid
-# within this many floats; a larger grid runs one restart at a time
+# restarts stacked in one ascent batch: as many as keep restarts x cells x
+# codomain dim, the size of a workspace's cell-order gathers, within this
+# many floats; a set whose cells alone pass it runs one restart at a time
 _BATCH_FLOATS = 1 << 20
 
 # OpenBLAS's ddot, behind np.vecdot, splits a row across threads, and so

@@ -29,10 +29,10 @@ from .dyadic import (
     DyadicInterval,
     DyadicRational,
     HaarIndex,
+    _check_band,
     _haar_eval,
     _level_runs,
     check_haar_index,
-    dyadic_band,
     from_heap_id,
     heap_id,
     half_power,
@@ -181,8 +181,8 @@ def fork_relations_hold(
 ) -> bool:
     """Exact pointwise check of the three relations on a dyadic grid.
 
-    The default grid level h+3 resolves every breakpoint involved; the rows
-    argument exists so verification suites can inject faults.
+    The default grid level h+3 resolves every breakpoint involved; rows
+    replaces the relation table, so a caller can check a corrupted one.
     """
     h, i = check_fork(fork)
     level = grid_level if grid_level is not None else h + 3
@@ -281,24 +281,27 @@ class CompressionTrace:
 
     def band(self) -> tuple[int, int]:
         """(m+1, m+n): levels of the band containing the final set."""
-        n = self.height()
-        return (self.m + 1, self.m + n)
+        return (self.m + 1, self.m + self.height())
 
     def validate(self) -> None:
-        """Re-run the trace and verify every invariant; raises on failure."""
+        """Re-run the trace holding one set at a time and verify every
+        invariant; raises on failure, for the final set before any step."""
         n = self.height()
-        sets = [self.initial_set]
+        current, fault = self.initial_set, None
         for fork in self.steps:
-            sets.append(fork_split(sets[-1], fork))
-        if sets[-1] != self.final_set:
+            after = fork_split(current, fork)
+            if fault is None and len(after) != len(current) + 1:
+                fault = "step did not grow cardinality by one"
+            elif fault is None and local_height(after) != n:
+                fault = "step changed local height"
+            current = after
+        if current != self.final_set:
             raise AssertionError("trace replay does not reach the final set")
-        for before, after in zip(sets, sets[1:]):
-            if len(after) != len(before) + 1:
-                raise AssertionError("step did not grow cardinality by one")
-            if local_height(after) != n:
-                raise AssertionError("step changed local height")
+        if fault is not None:
+            raise AssertionError(fault)
         lo, hi = self.band()
-        if not self.final_set <= dyadic_band(lo, hi):
+        _check_band(lo, hi)
+        if not all(lo <= k <= hi for k, _ in self.final_set):
             raise AssertionError("final set escapes the target band")
 
 

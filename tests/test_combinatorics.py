@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from haarlab.combination import HaarCombination
 from haarlab.combinatorics import (
@@ -17,7 +19,7 @@ from haarlab.combinatorics import (
     local_height,
     threshold_base,
 )
-from haarlab.dyadic import HaarIndex, dyadic_band, full_tree, make_index_set
+from haarlab.dyadic import HaarIndex, dyadic_band, from_heap_id, full_tree, make_index_set
 from haarlab.errors import DomainError
 from haarlab.spaces import Norm, NormedSpaceSpec
 from helpers import (
@@ -27,6 +29,7 @@ from helpers import (
     branch_count_profile,
     branch_weight_profile,
     brute_local_height,
+    peak_traced_bytes,
     random_combination,
     random_subset,
     reference_greedy_family,
@@ -298,6 +301,63 @@ class TestWeightsFromRows:
                 assert family.pieces == pieces
                 assert family.threshold_base == base
                 assert threshold_base(f, n, r, space) == base
+
+    def test_a_deep_sparse_set_takes_its_bands_without_a_tree_sized_table(self):
+        """{(1,1), (20,1)} at depth 20: branch sums over the 2^20 cells of
+        the tree took 8.0 MiB traced; the sums down the set's own chains
+        and the bands take about 4 KiB."""
+        f = HaarCombination(1, {(1, 1): [1.0], (20, 1): [1.0]})
+        for call in (threshold_base, level_set_partition):
+            call(f, 20, 1.5)  # first calls allocate caches
+            peak = peak_traced_bytes(lambda: call(f, 20, 1.5))
+            assert peak <= 64 << 10, (call.__name__, peak)
+
+
+# entries of one sign and a magnitude whose weights stay clear of underflow
+# (the reference's halving loop would not end on a weight of 0.0), and
+# values whose weights land on band bounds exactly
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 0.25]),
+    st.builds(math.copysign, st.floats(1e-6, 1e3), st.sampled_from([1.0, -1.0])),
+)
+EXPONENTS = st.one_of(st.sampled_from([1.0, 4 / 3, 1.5, 2.0]), st.floats(1.0, 2.0))
+
+
+@st.composite
+def weighted_families(draw):
+    """(f, n, space): a combination on up to 30 indices of the depth-n tree,
+    n from 1 to 12, with rows of dimension 1 to 4 (zero rows included)
+    and the space l1, l2, linf or the default l2 (None)."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 4))
+    nodes = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=30))
+    rows = {
+        from_heap_id(node): draw(st.lists(ENTRIES, min_size=dim, max_size=dim))
+        for node in sorted(nodes)
+    }
+    norm = draw(st.sampled_from([None, *Norm]))
+    return HaarCombination(dim, rows), n, None if norm is None else NormedSpaceSpec(dim, norm)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=weighted_families(), r=EXPONENTS,
+       p=st.one_of(st.sampled_from([1.0, 4 / 3, 1.5]), st.floats(1.0, 2.0, exclude_max=True)))
+def test_bands_and_the_greedy_cover_match_the_branch_grid_references(family, r, p):
+    """Bands and thresholds from each index's chain of support ancestors
+    equal the references that sum every cell of the depth-n tree: the same
+    pieces and the same threshold bits."""
+    f, n, space = family
+    pieces, base = reference_level_set_partition(f, n, r, space_norm(space))
+    partition = level_set_partition(f, n, r, space)
+    assert partition.pieces == pieces
+    assert partition.threshold_base.hex() == base.hex()
+    assert threshold_base(f, n, r, space).hex() == base.hex()
+    cover = greedy_family(f, n, p, space)
+    expected = reference_greedy_family(f, n, p, space)
+    assert (cover.pieces, cover.m, cover.padded) == (expected.pieces, expected.m, expected.padded)
+    assert cover.threshold_base.hex() == reference_level_set_partition(
+        f, n, p, space_norm(space))[1].hex()
 
 
 class TestGreedyFamily:

@@ -623,6 +623,20 @@ def test_cli_rejects_out_of_range_max_level(capsys):
     assert record["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "HAARLAB_MAX_LEVEL: must be an integer, got 'abc'"),
+    ("0", "HAARLAB_MAX_LEVEL: must be >= 1, got 0"),
+])
+def test_a_level_cap_that_is_no_level_names_its_variable(raw, message, monkeypatch, capsys,
+                                                         tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text("[[1, 1]]")
+    monkeypatch.setenv("HAARLAB_MAX_LEVEL", raw)
+    assert main(["lh", "--set", str(path)]) == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert record == {"type": "DomainError", "message": message, "field": "HAARLAB_MAX_LEVEL"}
+
+
 def test_config_max_level_is_checked_against_the_configured_level_cap(monkeypatch, capsys):
     monkeypatch.setenv("HAARLAB_MAX_LEVEL", "24")
     assert ExperimentConfig(max_level=22).level_limit() == 22

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -544,3 +545,19 @@ def test_apply_operator_maps_coefficients():
     assert np.array_equal(g.coefficient((1, 1)), [2.0, -3.0])
     with pytest.raises(DomainError):
         apply_operator(T, HaarCombination(3, {(1, 1): [1.0, 0.0, 0.0]}))
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+def test_a_ratio_checks_the_operator_domain_before_its_denominator(x):
+    """A zero f of the wrong dimension gave tau_ratio 0.0, and tau_p_ratio
+    raised the denominator's space error with no field; both raise
+    apply_operator's error, which names the operator."""
+    T = OperatorSpec.diagonal([2.0, 3.0], Norm.L1)
+    f = HaarCombination(3, {(1, 1): x})
+    with pytest.raises(DomainError) as expected:
+        apply_operator(T, f)
+    assert expected.value.field == "operator"
+    for ratio in (tau_ratio, partial(tau_p_ratio, p=1.5)):
+        with pytest.raises(DomainError) as err:
+            ratio(T, f)
+        assert (err.value.field, str(err.value)) == ("operator", str(expected.value))

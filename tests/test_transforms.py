@@ -1,10 +1,12 @@
 """Quarter swaps, index shifts, fork relations, set transforms, compression."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from haarlab import transforms
 from haarlab.combination import HaarCombination
 from haarlab.combinatorics import local_height
 from haarlab.dyadic import (
@@ -34,6 +36,7 @@ from haarlab.transforms import (
 from haarlab.verify import corrupted_fork_rows
 from helpers import (
     all_subsets,
+    peak_traced_bytes,
     random_combination,
     reference_fork_relations_hold,
     reference_value_at,
@@ -317,3 +320,72 @@ class TestCompress:
             n = local_height(subset)
             top = trace.m + n
             assert len(trace.steps) <= (1 << top) - 1 - len(subset)
+
+
+def replayed(trace):
+    """The final set of the trace's steps fired one after another."""
+    current = trace.initial_set
+    for fork in trace.steps:
+        current = fork_split(current, fork)
+    return current
+
+
+def fault_at(monkeypatch, node, change):
+    """Patch transforms._split so that its output at the fork with heap id
+    node passes through change; every other split is left as it is."""
+    split = transforms._split
+    monkeypatch.setattr(
+        transforms, "_split", lambda ids, at: change(split(ids, at)) if at == node else split(ids, at)
+    )
+
+
+class TestValidate:
+    """validate() replays a trace and rejects each single fault with its
+    own exception and message."""
+
+    def check(self, trace, error, message):
+        with pytest.raises(error) as err:
+            trace.validate()
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_a_changed_final_set(self):
+        trace = compress([(1, 1), (4, 1)])
+        changed = replace(trace, final_set=trace.final_set - {HaarIndex(4, 8)})
+        self.check(changed, AssertionError, "trace replay does not reach the final set")
+
+    def test_a_step_at_a_fork_whose_successor_is_present(self):
+        trace = compress([(1, 1), (2, 1)])
+        assert trace.steps[0] == (2, 1)  # (1, 1) is admissible only once (2, 1) split
+        early = replace(trace, steps=(ForkTransform(1, 1),) + trace.steps[1:])
+        self.check(early, PreconditionError, "fork (1, 1) is not admissible for the set")
+
+    def test_an_m_that_puts_the_final_set_outside_the_band(self):
+        trace = compress([(1, 1), (4, 1)])
+        self.check(replace(trace, m=trace.m + 1), AssertionError,
+                   "final set escapes the target band")
+
+    def test_a_split_that_drops_a_member(self, monkeypatch):
+        trace = compress([(1, 1), (4, 1)])
+        fault_at(monkeypatch, heap_id(*trace.steps[-1]), lambda out: out[:-1])
+        self.check(trace, AssertionError, "trace replay does not reach the final set")
+        self.check(replace(trace, final_set=replayed(trace)), AssertionError,
+                   "step did not grow cardinality by one")
+
+    def test_a_split_that_moves_a_member_up_a_level(self, monkeypatch):
+        # the last step splits (1, 1) in {(1, 1), (3, 1), (3, 2)}; moving its
+        # first successor (2, 1) up to (1, 1) leaves the branch (1, 1), (2, 2),
+        # (3, 3) of height 3
+        trace = compress([(1, 1), (2, 1)])
+        fault_at(monkeypatch, heap_id(*trace.steps[-1]), lambda out: [out[0] >> 1, *out[1:]])
+        self.check(trace, AssertionError, "trace replay does not reach the final set")
+        self.check(replace(trace, final_set=replayed(trace)), AssertionError,
+                   "step changed local height")
+
+    def test_validation_holds_one_set_at_a_time(self):
+        """The trace of {(1,1), (10,1)} grows a set of 2 into 512 indices
+        in 510 steps; a replay that kept every set and built the target band
+        peaked at 17.1 MiB."""
+        trace = compress([(1, 1), (10, 1)])
+        assert len(trace.steps) == 510
+        peak = peak_traced_bytes(trace.validate)
+        assert peak <= 1 << 20, peak
